@@ -113,9 +113,17 @@ def _load_structure(path: str, binding_text: str) -> ComplexStructure:
     return instantiate(template, parse_binding(binding_text))
 
 
+def _lookup(find, key):
+    """A catalog case or curve by id; an unknown id is a usage error."""
+    try:
+        return find(key)
+    except KeyError as exc:
+        raise _UsageError(exc.args[0]) from None
+
+
 def _structure_from_args(args) -> ComplexStructure:
     if args.case_id:
-        return cat.case_by_id(args.case_id).structure()
+        return _lookup(cat.case_by_id, args.case_id).structure()
     if not args.file:
         raise _UsageError("either a file or --case is required")
     return _load_structure(args.file, args.binding)
@@ -245,12 +253,12 @@ def _catalog_rows(cases, golden: bool):
 
 def _cmd_catalog(args) -> tuple[int, str]:
     if args.case_id:
-        cases = [cat.case_by_id(args.case_id)]
+        cases = [_lookup(cat.case_by_id, args.case_id)]
     else:
         cases = cat.list_cases(args.dim)
     rows = _catalog_rows(cases, args.golden)
     mismatched = [r["id"] for r in rows if args.golden and not r["match"]]
-    footnote = any(r["id"].startswith("11") for r in rows)
+    footnote = any(case.algebra_text == H7_ALGEBRA for case in cases)
     if args.format == "json":
         payload = {"cases": rows}
         if footnote:
@@ -340,7 +348,6 @@ def _cmd_curves(args) -> tuple[int, str]:
     curve_ids = [args.curve_id] if args.curve_id else ["A", "B", "C"]
     payload = []
     for cid in curve_ids:
-        curve = cat.curve_by_id(cid)
         for res in cat.evaluate_curve(cid):
             payload.append({
                 "curve": cid,
@@ -405,9 +412,6 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
         return EXIT_USAGE
     except ModelError as exc:
         print(f"validation error: {exc}", file=sys.stderr)

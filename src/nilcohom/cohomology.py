@@ -1,9 +1,14 @@
 """Exact cohomology of the invariant bigraded complex.
 
 Every dimension is computed as (kernel dimension) minus (rank of the incoming
-image), never by constructing quotient bases; the ranks come from the
-fraction-free elimination in :mod:`nilcohom.linalg`.  Matrix rows and columns
-are indexed by the fixed lexicographic basis order of :func:`nilcohom.algebra.basis`.
+image), never by constructing quotient bases; the ranks come from the single
+exact rank routine of :mod:`nilcohom.linalg`.  Matrices are column-sparse:
+column ``j`` is the image of the ``j``-th source monomial, and rows and
+columns are indexed by the fixed lexicographic basis order of
+:func:`nilcohom.algebra.basis`.  Each structure gets one ``_Engine``, which
+applies ``d`` once to every basis monomial and splits the image into the del
+and delbar columns (``d`` of a (p,q)-form has only (p+1,q) and (p,q+1) parts
+on an integrable structure); del delbar is their product.
 
 Conventions, for a structure of complex dimension ``n``:
 
@@ -45,21 +50,6 @@ def delbar_form(cs: ComplexStructure, f: Form) -> Form:
     return out
 
 
-def _component_matrix(cs: ComplexStructure, p: int, q: int, dp: int, dq: int) -> ExactMatrix:
-    n = cs.n
-    src_dim = basis_dimension(n, p, q)
-    tgt_dim = basis_dimension(n, p + dp, q + dq)
-    m = ExactMatrix(tgt_dim, src_dim)
-    if not src_dim or not tgt_dim:
-        return m
-    index = {e: i for i, e in enumerate(basis(n, p + dp, q + dq))}
-    for col, elem in enumerate(basis(n, p, q)):
-        image = cs.d(Form.single(n, elem)).component(p + dp, q + dq)
-        for e, c in image.terms.items():
-            m.entries[index[e]][col] = c
-    return m
-
-
 def _check_bidegree(cs: ComplexStructure, p: int, q: int):
     if not (0 <= p <= cs.n and 0 <= q <= cs.n):
         raise ValueError(f"bidegree ({p},{q}) out of range for n={cs.n}")
@@ -68,19 +58,19 @@ def _check_bidegree(cs: ComplexStructure, p: int, q: int):
 def del_matrix(cs: ComplexStructure, p: int, q: int) -> ExactMatrix:
     """Matrix of del: (p,q) -> (p+1,q) in the fixed basis order."""
     _check_bidegree(cs, p, q)
-    return _component_matrix(cs, p, q, 1, 0)
+    return _Engine(cs).matrix("del", p, q)
 
 
 def delbar_matrix(cs: ComplexStructure, p: int, q: int) -> ExactMatrix:
     """Matrix of delbar: (p,q) -> (p,q+1) in the fixed basis order."""
     _check_bidegree(cs, p, q)
-    return _component_matrix(cs, p, q, 0, 1)
+    return _Engine(cs).matrix("delbar", p, q)
 
 
 def deldelbar_matrix(cs: ComplexStructure, p: int, q: int) -> ExactMatrix:
     """Matrix of (del at (p,q+1)) composed with (delbar at (p,q))."""
     _check_bidegree(cs, p, q)
-    return _component_matrix(cs, p, q + 1, 1, 0) @ _component_matrix(cs, p, q, 0, 1)
+    return _Engine(cs).matrix("dd", p, q)
 
 
 # ---------------------------------------------------------------------------
@@ -99,26 +89,37 @@ class _Engine:
     def dim(self, p: int, q: int) -> int:
         return basis_dimension(self.n, p, q)
 
-    def _valid(self, p: int, q: int) -> bool:
-        return 0 <= p <= self.n and 0 <= q <= self.n
-
     def matrix(self, kind: str, p: int, q: int) -> ExactMatrix:
         key = (kind, p, q)
         if key not in self._matrices:
-            if not self._valid(p, q):
-                shape = {
-                    "del": (self.dim(p + 1, q), self.dim(p, q)),
-                    "delbar": (self.dim(p, q + 1), self.dim(p, q)),
-                    "dd": (self.dim(p + 1, q + 1), self.dim(p, q)),
-                }[kind]
-                self._matrices[key] = ExactMatrix(*shape)
-            elif kind == "del":
-                self._matrices[key] = _component_matrix(self.cs, p, q, 1, 0)
-            elif kind == "delbar":
-                self._matrices[key] = _component_matrix(self.cs, p, q, 0, 1)
-            else:
+            if kind == "dd":
                 self._matrices[key] = self.matrix("del", p, q + 1) @ self.matrix("delbar", p, q)
+            else:
+                self._build(p, q)
         return self._matrices[key]
+
+    def _build(self, p: int, q: int):
+        """del and delbar at (p,q), from one ``d`` per source monomial.
+
+        Outside the valid square the source is empty, so the matrices have
+        no columns but keep the row count of their target.
+        """
+        n = self.n
+        index = {}
+        for target in ((p + 1, q), (p, q + 1)):
+            if self.dim(*target):
+                index.update((e, i) for i, e in enumerate(basis(n, *target)))
+        del_cols, delbar_cols = [], []
+        for elem in basis(n, p, q) if self.dim(p, q) else ():
+            del_col, delbar_col = {}, {}
+            for e, c in self.cs.d(Form.single(n, elem)).terms.items():
+                (del_col if len(e.holo) > p else delbar_col)[index[e]] = c
+            del_cols.append(del_col)
+            delbar_cols.append(delbar_col)
+        self._matrices[("del", p, q)] = ExactMatrix(self.dim(p + 1, q), len(del_cols), del_cols)
+        self._matrices[("delbar", p, q)] = ExactMatrix(
+            self.dim(p, q + 1), len(delbar_cols), delbar_cols
+        )
 
     def rank(self, kind: str, p: int, q: int) -> int:
         key = (kind, p, q)
@@ -174,29 +175,23 @@ class _Engine:
         return [(p, k - p) for p in range(min(self.n, k), max(0, k - self.n) - 1, -1)]
 
     def total_matrix(self, k: int) -> ExactMatrix:
-        src = self._blocks(k)
-        tgt = self._blocks(k + 1)
-        col_offset, acc = {}, 0
-        for blk in src:
-            col_offset[blk] = acc
-            acc += self.dim(*blk)
-        row_offset, racc = {}, 0
-        for blk in tgt:
-            row_offset[blk] = racc
-            racc += self.dim(*blk)
-        out = ExactMatrix(racc, acc)
-        for (p, q) in src:
-            for kind, target in (("del", (p + 1, q)), ("delbar", (p, q + 1))):
-                if target not in row_offset:
-                    continue
-                m = self.matrix(kind, p, q)
-                ro, co = row_offset[target], col_offset[(p, q)]
-                for i in range(m.rows):
-                    row = m.entries[i]
-                    dest = out.entries[ro + i]
-                    for j in range(m.cols):
-                        dest[co + j] = row[j]
-        return out
+        # the target blocks of k+1 stacked in order; a source column of block
+        # (p,q) is its del column at the offset of (p+1,q) merged with its
+        # delbar column at the offset of (p,q+1)
+        row_offset, rows = {}, 0
+        for blk in self._blocks(k + 1):
+            row_offset[blk] = rows
+            rows += self.dim(*blk)
+        columns = []
+        for p, q in self._blocks(k):
+            del_at = row_offset.get((p + 1, q), 0)
+            delbar_at = row_offset.get((p, q + 1), 0)
+            for del_col, delbar_col in zip(self.matrix("del", p, q).columns,
+                                           self.matrix("delbar", p, q).columns):
+                col = {del_at + i: c for i, c in del_col.items()}
+                col.update((delbar_at + i, c) for i, c in delbar_col.items())
+                columns.append(col)
+        return ExactMatrix(rows, len(columns), columns)
 
     def total_rank(self, k: int) -> int:
         key = ("total", k)

@@ -1,82 +1,83 @@
-"""Dense exact matrices over the Gaussian rationals and their rank.
+"""Column-sparse exact matrices over the Gaussian rationals and their rank.
 
 Ranks are the only linear-algebra output the cohomology tables need, so the
-module stays deliberately small: construction, block stacking, multiplication
-(for the differential identities) and a deterministic fraction-free rank.
+module stays deliberately small: one matrix type with block stacking,
+addition and multiplication (for the differential identities), and one
+deterministic exact rank routine.
+
+A matrix is stored by columns: column ``j`` is a dict ``{row: nonzero
+Gaussian}``, the image of source basis vector ``j``.  That is how the engine
+produces a differential (one source monomial at a time), and the engine's
+matrices are a few percent dense, so zeros are never stored.
 """
 
 from __future__ import annotations
 
-from math import lcm
-
-from .algebra import ONE, ZERO
+from math import gcd, lcm
 
 
 class ExactMatrix:
-    """A rows x cols matrix of Gaussian rationals, row-major."""
+    """A rows x cols matrix of Gaussian rationals, stored column by column.
 
-    __slots__ = ("rows", "cols", "entries")
+    Matrices are immutable by convention, so results may share columns with
+    their operands.
+    """
 
-    def __init__(self, rows: int, cols: int, entries=None):
+    __slots__ = ("rows", "cols", "columns")
+
+    def __init__(self, rows: int, cols: int, columns=None):
+        if columns is None:
+            columns = [{} for _ in range(cols)]
+        elif len(columns) != cols or any(
+            col and (min(col) < 0 or max(col) >= rows) for col in columns
+        ):
+            raise ValueError("columns do not match the stated shape")
         self.rows = rows
         self.cols = cols
-        if entries is None:
-            entries = [[ZERO] * cols for _ in range(rows)]
-        else:
-            if len(entries) != rows or any(len(r) != cols for r in entries):
-                raise ValueError("entry grid does not match the stated shape")
-        self.entries = entries
+        self.columns = columns
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "ExactMatrix":
         return ExactMatrix(rows, cols)
-
-    @staticmethod
-    def identity(n: int) -> "ExactMatrix":
-        m = ExactMatrix(n, n)
-        for j in range(n):
-            m.entries[j][j] = ONE
-        return m
-
-    def __getitem__(self, rc):
-        return self.entries[rc[0]][rc[1]]
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, ExactMatrix)
             and self.rows == other.rows
             and self.cols == other.cols
-            and self.entries == other.entries
+            and self.columns == other.columns
         )
 
     def is_zero(self) -> bool:
-        return all(not e for row in self.entries for e in row)
+        return not any(self.columns)
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.cols} != {other.rows}")
-        out = ExactMatrix(self.rows, other.cols)
-        for i in range(self.rows):
-            row = self.entries[i]
-            for j in range(other.cols):
-                acc = ZERO
-                for k in range(self.cols):
-                    if row[k]:
-                        acc = acc + row[k] * other.entries[k][j]
-                out.entries[i][j] = acc
-        return out
+        left = self.columns
+        out = []
+        for col in other.columns:
+            acc = {}
+            for k, c in col.items():
+                for i, e in left[k].items():
+                    acc[i] = acc[i] + c * e if i in acc else c * e
+            out.append({i: e for i, e in acc.items() if e})
+        return ExactMatrix(self.rows, other.cols, out)
 
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
-        return ExactMatrix(
-            self.rows,
-            self.cols,
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.entries, other.entries)
-            ],
-        )
+        out = []
+        for a, b in zip(self.columns, other.columns):
+            col = dict(a)
+            for i, e in b.items():
+                s = col[i] + e if i in col else e
+                if s:
+                    col[i] = s
+                else:
+                    del col[i]
+            out.append(col)
+        return ExactMatrix(self.rows, self.cols, out)
 
     def __repr__(self) -> str:
         return f"ExactMatrix({self.rows}x{self.cols})"
@@ -86,10 +87,12 @@ def vstack(top: ExactMatrix, bottom: ExactMatrix) -> ExactMatrix:
     """Stack vertically; the two blocks must act on the same source space."""
     if top.cols != bottom.cols:
         raise ValueError("column counts differ")
+    shift = top.rows
     return ExactMatrix(
         top.rows + bottom.rows,
         top.cols,
-        [row[:] for row in top.entries] + [row[:] for row in bottom.entries],
+        [{**a, **{shift + i: e for i, e in b.items()}}
+         for a, b in zip(top.columns, bottom.columns)],
     )
 
 
@@ -100,126 +103,80 @@ def hstack(left: ExactMatrix, right: ExactMatrix) -> ExactMatrix:
     return ExactMatrix(
         left.rows,
         left.cols + right.cols,
-        [l + r for l, r in zip(left.entries, right.entries)],
+        left.columns + right.columns,
     )
 
 
-def _cleared_row(row) -> list[tuple[int, int]]:
-    # scale by the lcm of all denominators so Bareiss works on Gaussian integers
-    scale = 1
-    for e in row:
-        scale = lcm(scale, e.re.denominator, e.im.denominator)
-    return [(int(e.re * scale), int(e.im * scale)) for e in row]
-
-
 def exact_rank(m: ExactMatrix) -> int:
-    """Rank over Q(i) by fraction-free Bareiss elimination.
+    """Rank over Q(i), by fraction-free elimination on the columns.
 
-    Rows are cleared to Gaussian integers first, so every intermediate entry
-    is a minor of the scaled matrix and the Sylvester division stays exact.
-    Pivoting is deterministic (first nonzero entry in column order), so
-    intermediate states are reproducible.
+    rank M = rank M^T, so each column is reduced in turn against the pivot
+    columns kept so far, all over the Gaussian integers: a column is scaled
+    by the lcm of its denominators, and while its lowest row index ``r`` is
+    the lead of a stored pivot ``p`` it becomes ``p[r] * v - v[r] * p``
+    (Bareiss-style cross-multiplication, no division in Q(i)), divided by the
+    integer gcd of its entries.  A column left nonzero is a new pivot, led by
+    its lowest row; every pivot's lead entry is made a positive integer.
+    The order of columns and pivots is fixed, so the work is reproducible.
     """
-    if m.rows == 0 or m.cols == 0:
-        return 0
-    work = [_cleared_row(row) for row in m.entries]
-    if all(b == 0 for row in work for _, b in row):
-        return _rank_real([[a for a, _ in row] for row in work], m.cols)
-    rank = 0
-    prev_re, prev_im = 1, 0
-    for col in range(m.cols):
-        pivot_row = None
-        for r in range(rank, m.rows):
-            if work[r][col] != (0, 0):
-                pivot_row = r
+    pivots: dict[int, dict[int, tuple[int, int]]] = {}
+    for column in m.columns:
+        v = _integral(column)
+        while v:
+            lead = min(v)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                # multiply by the conjugate of the lead: it becomes |lead|^2
+                a, b = v[lead]
+                pivots[lead] = _primitive(
+                    {r: (a * x + b * y, a * y - b * x) for r, (x, y) in v.items()}
+                )
                 break
-        if pivot_row is None:
-            continue
-        if pivot_row != rank:
-            work[rank], work[pivot_row] = work[pivot_row], work[rank]
-        pa, pb = work[rank][col]
-        den = prev_re * prev_re + prev_im * prev_im
-        top = work[rank]
-        for r in range(rank + 1, m.rows):
-            row = work[r]
-            ha, hb = row[col]
-            for c in range(col + 1, m.cols):
-                xa, xb = row[c]
-                ya, yb = top[c]
-                # t = pivot*x - head*y, then exact division by the previous pivot
-                ta = pa * xa - pb * xb - ha * ya + hb * yb
-                tb = pa * xb + pb * xa - ha * yb - hb * ya
-                na = ta * prev_re + tb * prev_im
-                nb = tb * prev_re - ta * prev_im
-                qa, ra = divmod(na, den)
-                qb, rb = divmod(nb, den)
-                if ra or rb:
-                    # inexact division signals a scaling bug; fall back to the
-                    # plain field elimination, which is always correct
-                    return _rank_field(m)
-                row[c] = (qa, qb)
-            row[col] = (0, 0)
-        prev_re, prev_im = pa, pb
-        rank += 1
-        if rank == m.rows:
+            v = _eliminate(v, pivot, lead)
+        if len(pivots) == m.rows:
             break
-    return rank
+    return len(pivots)
 
 
-def _rank_real(work: list[list[int]], cols: int) -> int:
-    rank = 0
-    prev = 1
-    for col in range(cols):
-        pivot_row = None
-        for r in range(rank, len(work)):
-            if work[r][col]:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            continue
-        if pivot_row != rank:
-            work[rank], work[pivot_row] = work[pivot_row], work[rank]
-        pivot = work[rank][col]
-        top = work[rank]
-        for r in range(rank + 1, len(work)):
-            row = work[r]
-            head = row[col]
-            for c in range(col + 1, cols):
-                row[c] = (pivot * row[c] - head * top[c]) // prev
-            row[col] = 0
-        prev = pivot
-        rank += 1
-        if rank == len(work):
-            break
-    return rank
+def _integral(column) -> dict[int, tuple[int, int]]:
+    scale = 1
+    for e in column.values():
+        scale = lcm(scale, e.re.denominator, e.im.denominator)
+    return {
+        r: (e.re.numerator * (scale // e.re.denominator),
+            e.im.numerator * (scale // e.im.denominator))
+        for r, e in column.items()
+    }
 
 
-def _rank_field(m: ExactMatrix) -> int:
-    """Straightforward elimination with exact field division (slow path)."""
-    work = [row[:] for row in m.entries]
-    rank = 0
-    for col in range(m.cols):
-        pivot_row = None
-        for r in range(rank, m.rows):
-            if work[r][col]:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            continue
-        work[rank], work[pivot_row] = work[pivot_row], work[rank]
-        pivot = work[rank][col]
-        for r in range(rank + 1, m.rows):
-            head = work[r][col]
-            if not head:
-                continue
-            factor = head / pivot
-            for c in range(col, m.cols):
-                work[r][c] = work[r][c] - factor * work[rank][c]
-        rank += 1
-        if rank == m.rows:
-            break
-    return rank
+def _primitive(v: dict) -> dict:
+    # a running gcd, not gcd(*entries): argument tuples of every length
+    # would pile up on the interpreter's tuple free lists
+    g = 0
+    for x, y in v.values():
+        g = gcd(g, x, y)
+        if g == 1:
+            return v
+    return {r: (x // g, y // g) for r, (x, y) in v.items()}
 
 
-def kernel_dimension(m: ExactMatrix) -> int:
-    return m.cols - exact_rank(m)
+def _eliminate(v: dict, pivot: dict, lead: int) -> dict:
+    """Clear ``v[lead]`` with a pivot whose lead entry is a positive integer."""
+    p = pivot[lead][0]
+    ha, hb = v[lead]
+    g = gcd(p, ha, hb)
+    p, ha, hb = p // g, ha // g, hb // g
+    out = {r: (p * x, p * y) for r, (x, y) in v.items()}
+    for r, (x, y) in pivot.items():
+        ta = ha * x - hb * y
+        tb = ha * y + hb * x
+        if r in out:
+            xa, xb = out[r]
+            ta, tb = xa - ta, xb - tb
+        else:
+            ta, tb = -ta, -tb
+        if ta or tb:
+            out[r] = (ta, tb)
+        else:
+            del out[r]
+    return _primitive(out)

@@ -149,11 +149,8 @@ class RealAlgebra:
     def first_betti(self) -> int:
         two_forms = basis(self.dim, 2, 0)
         index = {e: k for k, e in enumerate(two_forms)}
-        m = ExactMatrix(self.dim, len(two_forms))
-        for j, f in enumerate(self.d_of_e):
-            for elem, coeff in f.terms.items():
-                m.entries[j][index[elem]] = coeff
-        return self.dim - exact_rank(m)
+        columns = [{index[e]: c for e, c in f.terms.items()} for f in self.d_of_e]
+        return self.dim - exact_rank(ExactMatrix(len(two_forms), self.dim, columns))
 
     def __eq__(self, other) -> bool:
         return (

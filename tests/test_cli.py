@@ -114,12 +114,25 @@ def test_catalog_single_case_golden(capsys):
 def test_catalog_case_11_prints_footnote(capsys):
     code, out, _ = run(capsys, "catalog", "--case", "11")
     assert code == 0
-    assert "invariant" in out
+    assert cli.H7_FOOTNOTE in out
+    code, out, _ = run(capsys, "catalog", "--case", "12")
+    assert code == 0
+    assert cli.H7_FOOTNOTE not in out
 
 
 def test_catalog_unknown_case(capsys):
     code, _, err = run(capsys, "catalog", "--case", "zz")
     assert code == 1
+    assert err == "error: no catalog case with id 'zz'\n"
+
+
+def test_internal_key_error_is_not_a_usage_error(capsys, monkeypatch, iwasawa_file):
+    def broken(cs):
+        raise KeyError("bad index")
+
+    monkeypatch.setattr(cli.co, "full_table", broken)
+    with pytest.raises(KeyError, match="bad index"):
+        cli.main(["table", iwasawa_file])
 
 
 def test_catalog_golden_mismatch_exit_code(capsys, monkeypatch):

@@ -3,7 +3,7 @@ from math import comb
 import pytest
 
 from nilcohom import cohomology as co
-from nilcohom.model import instantiate
+from nilcohom.model import ComplexStructure, instantiate
 from nilcohom.parser import parse_binding, parse_complex_structure
 
 
@@ -38,6 +38,20 @@ def test_component_matrix_examples(torus, iwasawa, h8):
 def test_deldelbar_on_torus_and_scalars(torus, iwasawa):
     assert co.deldelbar_matrix(torus, 1, 1).is_zero()
     assert co.deldelbar_matrix(iwasawa, 0, 0).is_zero()
+
+
+def test_full_table_applies_d_once_per_basis_monomial(monkeypatch):
+    cs = build("(0,0,w12+w1~1)")
+    sources = []
+    d = ComplexStructure.d
+
+    def counted(self, f):
+        sources.append(f)
+        return d(self, f)
+
+    monkeypatch.setattr(ComplexStructure, "d", counted)
+    co.full_table(cs)
+    assert len(sources) == len({frozenset(f.terms) for f in sources}) == 4 ** cs.n
 
 
 def test_matrix_identities(iwasawa, h8):
