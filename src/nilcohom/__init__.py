@@ -1,7 +1,7 @@
 """Exact cohomology engine for nilpotent Lie algebras with invariant complex structures."""
 
 from .algebra import BasisElement, Form, Gaussian, basis, bidegree_component, conjugate_form, wedge
-from .cohomology import CohomologyTable, betti, ddbar_lemma_status, delta, full_table
+from .cohomology import CohomologyTable, ddbar_lemma_status, full_table
 from .metrics import HermitianForm, is_balanced, is_pluriclosed, is_positive, standard_form
 from .model import (
     ComplexStructure,
@@ -28,13 +28,11 @@ __all__ = [
     "ParseError",
     "RealAlgebra",
     "basis",
-    "betti",
     "bidegree_component",
     "check_d_squared",
     "check_nilpotency",
     "conjugate_form",
     "ddbar_lemma_status",
-    "delta",
     "full_table",
     "instantiate",
     "is_balanced",

@@ -83,12 +83,6 @@ class Gaussian:
             return NotImplemented
         return Gaussian(self.re - o.re, self.im - o.im)
 
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
     def __neg__(self) -> "Gaussian":
         return Gaussian(-self.re, -self.im)
 
@@ -114,12 +108,6 @@ class Gaussian:
             (self.re * o.re + self.im * o.im) / d,
             (self.im * o.re - self.re * o.im) / d,
         )
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o / self
 
     def conjugate(self) -> "Gaussian":
         return Gaussian(self.re, -self.im)
@@ -170,10 +158,6 @@ class BasisElement:
     @property
     def bidegree(self) -> tuple[int, int]:
         return (len(self.holo), len(self.anti))
-
-    @property
-    def degree(self) -> int:
-        return len(self.holo) + len(self.anti)
 
     def __str__(self) -> str:
         if not self.holo and not self.anti:
@@ -255,9 +239,6 @@ class Form:
     def bidegrees(self) -> set[tuple[int, int]]:
         return {e.bidegree for e in self.terms}
 
-    def is_pure(self, p: int, q: int) -> bool:
-        return all(e.bidegree == (p, q) for e in self.terms)
-
     def items(self) -> Iterator[tuple[BasisElement, Gaussian]]:
         return iter(sorted(self.terms.items(), key=lambda kv: kv[0]))
 
@@ -270,9 +251,6 @@ class Form:
             and self.n == other.n
             and self.terms == other.terms
         )
-
-    def __hash__(self):
-        return hash((self.n, frozenset(self.terms.items())))
 
     # -- linear operations ----------------------------------------------------
 

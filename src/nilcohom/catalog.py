@@ -457,37 +457,36 @@ def evaluate_curve(curve_id: str) -> list[CurvePointResult]:
         cs = instantiate(template, binding)
         std = standard_form(cs.n)
         computed: dict = {"pluriclosed": is_pluriclosed(cs, std)}
+        table = None
         for key in point.expected:
             if key.startswith("h_bc"):
                 p, q = (int(x) for x in key[5:-1].split(","))
-                computed[key] = full_table(cs).h_bc[p][q]
+                table = table or full_table(cs)
+                computed[key] = table.h_bc[p][q]
         if curve.id == "C":
-            computed.update(_curve_c_flags(cs, binding))
+            computed.update(_curve_c_flags(cs, binding, computed["pluriclosed"]))
         results.append(
             CurvePointResult(point.label, point.binding_text, computed, point.expected)
         )
     return results
 
 
-def _curve_c_flags(cs: ComplexStructure, binding: ParameterBinding) -> dict:
+def _curve_c_flags(cs: ComplexStructure, binding: ParameterBinding,
+                   std_pluriclosed: bool) -> dict:
     """Balanced verdicts for curve C: the distinguished metric when positive,
-    otherwise the standard plus a seeded random sweep; pluriclosed likewise."""
+    otherwise the standard plus a seeded random sweep; pluriclosed likewise,
+    starting from the standard form's verdict ``std_pluriclosed``."""
     d = binding.values["D"]
     u = Gaussian.of(0, 1) * (d + Gaussian.rational(_CURVE_C_S2))
     distinguished = form_from_uvz(Fraction(1), _CURVE_C_S2, Fraction(1), u=u)
-    std = standard_form(cs.n)
-    out: dict = {}
-    candidates = [std]
+    candidates = [standard_form(cs.n)]
     if is_positive(distinguished):
         candidates.append(distinguished)
     balanced = any(is_balanced(cs, h) for h in candidates)
-    pluriclosed = is_pluriclosed(cs, std)
+    pluriclosed = std_pluriclosed
     if not balanced and not pluriclosed:
         # a negative verdict is only reported after a randomized sweep agrees
         for h in random_positive_forms(cs.n, _CURVE_C_RANDOM_COUNT, _CURVE_C_SEED):
-            if is_balanced(cs, h) or is_pluriclosed(cs, h):
-                balanced = is_balanced(cs, h) or balanced
-                pluriclosed = is_pluriclosed(cs, h) or pluriclosed
-    out["balanced"] = balanced
-    out["pluriclosed"] = pluriclosed
-    return out
+            balanced = is_balanced(cs, h) or balanced
+            pluriclosed = is_pluriclosed(cs, h) or pluriclosed
+    return {"balanced": balanced, "pluriclosed": pluriclosed}

@@ -1,9 +1,10 @@
 """Command-line surface for the cohomology engine.
 
-Exit codes: 0 success (all golden rows match), 1 usage or parse error,
-2 validation failure (d-square, nilpotency, binding problems), 3 golden
-mismatch.  All input and output is ASCII; random metric sampling always runs
-from an explicit or defaulted seed, so every command is deterministic.
+Exit codes: 0 success (all golden rows and curve points match), 1 usage,
+parse or unreadable-file error, 2 validation failure (d-square, nilpotency,
+binding problems), 3 golden or curve-point mismatch.  All input and output is
+ASCII; random metric sampling always runs from an explicit or defaulted seed,
+so every command is deterministic.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from . import catalog as cat
 from . import cohomology as co
@@ -40,15 +40,16 @@ H7_FOOTNOTE = (
 )
 
 
-@dataclass
-class OutputDocument:
-    format: str  # md | csv | json
-    text: str
-
-
 def render_json(payload) -> str:
     """Canonical JSON: reparsing and re-rendering reproduces the text."""
     return json.dumps(payload, indent=2, sort_keys=True)
+
+
+def _md_table(header, rows) -> list[str]:
+    """A Markdown table: the header row, its separator, one line per row."""
+    lines = ["| " + " | ".join(str(cell) for cell in row) + " |" for row in [header, *rows]]
+    lines.insert(1, "|" + "---|" * len(header))
+    return lines
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -182,22 +183,12 @@ _THEORY_GRIDS = [
 ]
 
 
-def _grid_md(title: str, grid, n: int) -> list[str]:
-    lines = [f"### {title}", ""]
-    lines.append("| p\\q | " + " | ".join(str(q) for q in range(n + 1)) + " |")
-    lines.append("|" + "---|" * (n + 2))
-    for p in range(n + 1):
-        lines.append(f"| {p} | " + " | ".join(str(grid[p][q]) for q in range(n + 1)) + " |")
-    lines.append("")
-    return lines
-
-
-def _table_document(table: co.CohomologyTable, fmt: str) -> OutputDocument:
+def _table_text(table: co.CohomologyTable, fmt: str) -> str:
     verdict = co.ddbar_lemma_status(table)
     if fmt == "json":
         payload = table.as_dict()
         payload["ddbar_lemma"] = verdict.as_dict()
-        return OutputDocument("json", render_json(payload))
+        return render_json(payload)
     if fmt == "csv":
         rows = ["theory,p,q,value"]
         for name, attr in _THEORY_GRIDS:
@@ -210,22 +201,25 @@ def _table_document(table: co.CohomologyTable, fmt: str) -> OutputDocument:
         for k, d in enumerate(table.delta):
             rows.append(f"delta,{k},,{d}")
         rows.append(f"ddbar_lemma,,,{verdict.verdict}")
-        return OutputDocument("csv", "\n".join(rows))
+        return "\n".join(rows)
     lines = [f"## Cohomology table (n = {table.n})", ""]
+    span = range(table.n + 1)
     for name, attr in _THEORY_GRIDS:
-        lines.extend(_grid_md(name, getattr(table, attr), table.n))
+        grid = getattr(table, attr)
+        lines += [f"### {name}", ""]
+        lines += _md_table(["p\\q", *span], [[p, *grid[p]] for p in span])
+        lines.append("")
     lines.append("betti: " + " ".join(str(b) for b in table.betti))
     lines.append("delta: " + " ".join(str(d) for d in table.delta))
     lines.append(f"ddbar-lemma: {verdict.verdict}"
                  + (f" (parity sufficient condition: {verdict.parity_branch})"
                     if verdict.parity_sufficient else ""))
-    return OutputDocument("md", "\n".join(lines))
+    return "\n".join(lines)
 
 
 def _cmd_table(args) -> tuple[int, str]:
     cs = _load_structure(args.file, args.binding)
-    doc = _table_document(co.full_table(cs), args.format)
-    return EXIT_OK, doc.text
+    return EXIT_OK, _table_text(co.full_table(cs), args.format)
 
 
 # ---------------------------------------------------------------------------
@@ -289,15 +283,15 @@ def _cmd_catalog(args) -> tuple[int, str]:
         header = ["id", "skt"] + [f"({p}.{q})" for p, q in columns] + ["b", "delta"]
         if args.golden:
             header.append("golden")
-        lines = ["| " + " | ".join(header) + " |", "|" + "---|" * len(header)]
+        table_rows = []
         for r in rows:
-            cells = [r["id"], "yes" if r["skt"] else "no"]
-            cells += [str(v) for v in r["bott_chern"].values()]
-            cells.append(" ".join(str(b) for b in r["betti"]))
-            cells.append(" ".join(str(d) for d in r["delta"]))
+            cells = [r["id"], "yes" if r["skt"] else "no", *r["bott_chern"].values(),
+                     " ".join(str(b) for b in r["betti"]),
+                     " ".join(str(d) for d in r["delta"])]
             if args.golden:
                 cells.append("pass" if r["match"] else "FAIL")
-            lines.append("| " + " | ".join(cells) + " |")
+            table_rows.append(cells)
+        lines = _md_table(header, table_rows)
         for r in rows:
             if args.golden and not r["match"]:
                 for diff in r["diffs"]:
@@ -314,6 +308,8 @@ def _cmd_catalog(args) -> tuple[int, str]:
 # ---------------------------------------------------------------------------
 
 def _cmd_skt(args) -> tuple[int, str]:
+    if args.count < 1:
+        raise _UsageError("--count must be at least 1")
     cs = _structure_from_args(args)
     std = me.standard_form(cs.n)
     ddbar = me.ddbar_of(cs, std)
@@ -325,7 +321,7 @@ def _cmd_skt(args) -> tuple[int, str]:
         lines.append(f"ddbar(standard) = ({ddbar.coefficient(top)}) * w12~1~2")
     else:
         lines.append(f"ddbar(standard) = {ddbar}")
-    lines.append(f"pluriclosed (standard metric): {me.is_pluriclosed(cs, std)}")
+    lines.append(f"pluriclosed (standard metric): {ddbar.is_zero()}")
     lines.append(f"balanced (standard metric): {me.is_balanced(cs, std)}")
     if args.metric == "random":
         verdicts = []
@@ -357,8 +353,9 @@ def _cmd_curves(args) -> tuple[int, str]:
                 "expected": {k: res.expected[k] for k in sorted(res.expected)},
                 "match": res.ok,
             })
+    code = EXIT_OK if all(row["match"] for row in payload) else EXIT_GOLDEN
     if args.format == "json":
-        return EXIT_OK, render_json({"points": payload})
+        return code, render_json({"points": payload})
     if args.format == "csv":
         out = ["curve,point,binding,computed,expected,match"]
         for row in payload:
@@ -367,14 +364,12 @@ def _cmd_curves(args) -> tuple[int, str]:
                 f'"{row["computed"]}","{row["expected"]}",'
                 + ("pass" if row["match"] else "FAIL")
             )
-        return EXIT_OK, "\n".join(out)
-    lines = ["| curve | point | computed | expected | ok |", "|---|---|---|---|---|"]
-    for row in payload:
-        lines.append(
-            f'| {row["curve"]} | {row["point"]} | {row["computed"]} '
-            f'| {row["expected"]} | {"pass" if row["match"] else "FAIL"} |'
-        )
-    return EXIT_OK, "\n".join(lines)
+        return code, "\n".join(out)
+    return code, "\n".join(_md_table(
+        ["curve", "point", "computed", "expected", "ok"],
+        [[row["curve"], row["point"], row["computed"], row["expected"],
+          "pass" if row["match"] else "FAIL"] for row in payload],
+    ))
 
 
 def _cmd_figure_data(_args) -> tuple[int, str]:
@@ -410,7 +405,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except FileNotFoundError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ModelError as exc:

@@ -1,18 +1,23 @@
 """Exact cohomology of the invariant bigraded complex.
 
-Every dimension is computed as (kernel dimension) minus (rank of the incoming
-image), never by constructing quotient bases; the ranks come from the single
-exact rank routine of :mod:`nilcohom.linalg`.  Matrices are column-sparse:
-column ``j`` is the image of the ``j``-th source monomial, and rows and
-columns are indexed by the fixed lexicographic basis order of
-:func:`nilcohom.algebra.basis`.  Each structure gets one ``_Engine``, which
-applies ``d`` once to every basis monomial and splits the image into the del
-and delbar columns (``d`` of a (p,q)-form has only (p+1,q) and (p,q+1) parts
-on an integrable structure); del delbar is their product.
+:func:`full_table` is the entry point: it returns every dimension of one
+structure as a :class:`CohomologyTable`, computed by one ``_Engine`` that
+builds each differential matrix and each rank once.  Every dimension is
+(kernel dimension) minus (rank of the incoming image), never a quotient basis;
+the ranks come from the single exact rank routine of :mod:`nilcohom.linalg`.
+Matrices are column-sparse: column ``j`` is the image of the ``j``-th source
+monomial, and rows and columns are indexed by the fixed lexicographic basis
+order of :func:`nilcohom.algebra.basis`.  The engine applies ``d`` once to
+every basis monomial and splits the image into the del and delbar columns
+(``d`` of a (p,q)-form has only (p+1,q) and (p,q+1) parts on an integrable
+structure); del delbar is their product.
 
 Conventions, for a structure of complex dimension ``n``:
 
 * ``del`` is the (p+1, q) component of ``d``, ``delbar`` the (p, q+1) one;
+* Dolbeault dimensions come from the delbar ranks and the del-cohomology ones
+  from the del ranks, so ``h_dolbeault[p][q] == h_del[q][p]`` (conjugation)
+  is a check, not a definition;
 * Bott-Chern at (p,q) is ``ker[del; delbar] / im(del delbar)``;
 * Aeppli at (p,q) is ``ker(del delbar) / (im del + im delbar)``;
 * the de Rham/Betti numbers come from the total complex with ``d = del+delbar``;
@@ -28,49 +33,6 @@ from dataclasses import dataclass
 from .algebra import Form, basis, basis_dimension
 from .linalg import ExactMatrix, exact_rank, hstack, vstack
 from .model import ComplexStructure
-
-
-# ---------------------------------------------------------------------------
-# differential component matrices
-# ---------------------------------------------------------------------------
-
-def del_form(cs: ComplexStructure, f: Form) -> Form:
-    """The component of d raising the holomorphic degree of each term."""
-    out = Form.zero(f.n)
-    for (p, q) in f.bidegrees():
-        out = out + cs.d(f.component(p, q)).component(p + 1, q)
-    return out
-
-
-def delbar_form(cs: ComplexStructure, f: Form) -> Form:
-    """The component of d raising the antiholomorphic degree of each term."""
-    out = Form.zero(f.n)
-    for (p, q) in f.bidegrees():
-        out = out + cs.d(f.component(p, q)).component(p, q + 1)
-    return out
-
-
-def _check_bidegree(cs: ComplexStructure, p: int, q: int):
-    if not (0 <= p <= cs.n and 0 <= q <= cs.n):
-        raise ValueError(f"bidegree ({p},{q}) out of range for n={cs.n}")
-
-
-def del_matrix(cs: ComplexStructure, p: int, q: int) -> ExactMatrix:
-    """Matrix of del: (p,q) -> (p+1,q) in the fixed basis order."""
-    _check_bidegree(cs, p, q)
-    return _Engine(cs).matrix("del", p, q)
-
-
-def delbar_matrix(cs: ComplexStructure, p: int, q: int) -> ExactMatrix:
-    """Matrix of delbar: (p,q) -> (p,q+1) in the fixed basis order."""
-    _check_bidegree(cs, p, q)
-    return _Engine(cs).matrix("delbar", p, q)
-
-
-def deldelbar_matrix(cs: ComplexStructure, p: int, q: int) -> ExactMatrix:
-    """Matrix of (del at (p,q+1)) composed with (delbar at (p,q))."""
-    _check_bidegree(cs, p, q)
-    return _Engine(cs).matrix("dd", p, q)
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +105,7 @@ class _Engine:
         return self.dim(p, q) - self.rank("delbar", p, q) - self.rank("delbar", p, q - 1)
 
     def hodge_del(self, p: int, q: int) -> int:
-        return self.hodge_dolbeault(q, p)
+        return self.dim(p, q) - self.rank("del", p, q) - self.rank("del", p - 1, q)
 
     def hodge_bc(self, p: int, q: int) -> int:
         return self.dim(p, q) - self.rank("stack", p, q) - self.rank("dd", p - 1, q - 1)
@@ -221,38 +183,6 @@ class _Engine:
 # public operations
 # ---------------------------------------------------------------------------
 
-def hodge_dolbeault(cs: ComplexStructure, p: int, q: int) -> int:
-    return _Engine(cs).hodge_dolbeault(p, q)
-
-
-def hodge_del(cs: ComplexStructure, p: int, q: int) -> int:
-    return _Engine(cs).hodge_del(p, q)
-
-
-def hodge_bc(cs: ComplexStructure, p: int, q: int) -> int:
-    return _Engine(cs).hodge_bc(p, q)
-
-
-def hodge_aeppli(cs: ComplexStructure, p: int, q: int) -> int:
-    return _Engine(cs).hodge_aeppli(p, q)
-
-
-def a_dim(cs: ComplexStructure, p: int, q: int) -> int:
-    return _Engine(cs).a_dim(p, q)
-
-
-def f_dim(cs: ComplexStructure, p: int, q: int) -> int:
-    return _Engine(cs).f_dim(p, q)
-
-
-def betti(cs: ComplexStructure, k: int) -> int:
-    return _Engine(cs).betti(k)
-
-
-def delta(cs: ComplexStructure, k: int) -> int:
-    return _Engine(cs).delta(k)
-
-
 @dataclass
 class CohomologyTable:
     """Every cohomological dimension of one instantiated structure.
@@ -298,6 +228,7 @@ class CohomologyTable:
 
 
 def full_table(cs: ComplexStructure) -> CohomologyTable:
+    """Every cohomological dimension of ``cs``, from one engine."""
     eng = _Engine(cs)
     n = cs.n
     grids = {name: [[0] * (n + 1) for _ in range(n + 1)] for name in
@@ -388,22 +319,7 @@ def differential_identities_ok(cs: ComplexStructure) -> bool:
 __all__ = [
     "CohomologyTable",
     "LemmaVerdict",
-    "ExactMatrix",
-    "a_dim",
-    "betti",
     "ddbar_lemma_status",
-    "del_form",
-    "del_matrix",
-    "delbar_form",
-    "delbar_matrix",
-    "deldelbar_matrix",
-    "delta",
     "differential_identities_ok",
-    "exact_rank",
-    "f_dim",
     "full_table",
-    "hodge_aeppli",
-    "hodge_bc",
-    "hodge_del",
-    "hodge_dolbeault",
 ]

@@ -12,7 +12,10 @@ r^2, s^2, t^2.
 (without the overall i): that is the normalization in which the classical
 six-dimensional families have del delbar of the standard form equal to a
 rational multiple of ``w^{12~1~2}``, and the overall i does not affect any
-vanishing test.
+vanishing test.  It is computed as ``d`` of the (1,2) part of ``d`` of the
+form: on an integrable structure ``d = del + delbar`` and ``delbar^2 = 0``, so
+``d(delbar F) = del delbar F``.  That needs ``d^2 = 0``, which every
+:class:`~nilcohom.model.ComplexStructure` is checked for when it is built.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ import random
 from fractions import Fraction
 
 from .algebra import BasisElement, Form, Gaussian, ONE, ZERO, I
-from .cohomology import del_form, delbar_form
 from .model import ComplexStructure
 
 
@@ -140,7 +142,7 @@ def ddbar_of(cs: ComplexStructure, h: HermitianForm) -> Form:
     """The (2,2)-form del delbar of the coefficient form of ``h``."""
     if cs.n != h.n:
         raise ValueError(f"dimension mismatch: structure n={cs.n}, form n={h.n}")
-    return del_form(cs, delbar_form(cs, coefficient_form(h)))
+    return cs.d(cs.d(coefficient_form(h)).component(1, 2))
 
 
 def _require_positive(h: HermitianForm):

@@ -307,13 +307,14 @@ class ParameterBinding:
         return name in self.values
 
 
-EMPTY_BINDING = ParameterBinding({})
-
-
 class ComplexStructure:
-    """Instantiated coframe differentials; every coefficient is exact."""
+    """Instantiated coframe differentials; every coefficient is exact.
 
-    def __init__(self, n: int, d_omega: list[Form], validate: bool = True):
+    Construction checks ``d^2 = 0`` on every generator and raises
+    :class:`DifferentialSquareError` otherwise.
+    """
+
+    def __init__(self, n: int, d_omega: list[Form]):
         if len(d_omega) != n:
             raise ValueError(f"expected {n} differentials, got {len(d_omega)}")
         for j, f in enumerate(d_omega, start=1):
@@ -325,10 +326,9 @@ class ComplexStructure:
         self.n = n
         self.d_omega = list(d_omega)
         self._d_anti = [f.conjugate() for f in d_omega]
-        if validate:
-            report = check_d_squared(self)
-            if not report.ok:
-                raise DifferentialSquareError(report)
+        report = check_d_squared(self)
+        if not report.ok:
+            raise DifferentialSquareError(report)
 
     def d(self, f: Form) -> Form:
         """Full exterior differential d = del + delbar on any invariant form."""

@@ -70,6 +70,31 @@ def test_missing_file(capsys):
     assert code == 1
 
 
+def test_directory_is_a_one_line_error(capsys, tmp_path):
+    code, out, err = run(capsys, "table", str(tmp_path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_non_ascii_file_is_a_one_line_error(capsys, tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_bytes("(0,0,w12)  # \u00e9\n".encode("utf-8"))
+    code, out, err = run(capsys, "table", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_skt_count_must_be_positive(capsys):
+    for count in ("-3", "0"):
+        code, out, err = run(capsys, "skt", "--case", "08", "--metric", "random",
+                             "--count", count)
+        assert code == 1
+        assert out == ""
+        assert err == "error: --count must be at least 1\n"
+
+
 def test_table_markdown(capsys, iwasawa_file):
     code, out, _ = run(capsys, "table", iwasawa_file)
     assert code == 0
@@ -201,6 +226,18 @@ def test_curves_all_pass(capsys):
     assert out.count("pass") == 9
 
 
+def test_curves_failing_point_exit_code(capsys, monkeypatch):
+    point = cat.curve_by_id("A").points[0]
+    monkeypatch.setattr(point, "expected", {**point.expected, "h_bc(3,1)": 4})
+    for fmt in ("md", "csv"):
+        code, out, _ = run(capsys, "curves", "--id", "A", "--format", fmt)
+        assert code == 3
+        assert "FAIL" in out
+    code, out, _ = run(capsys, "curves", "--id", "A", "--format", "json")
+    assert code == 3
+    assert [p["match"] for p in json.loads(out)["points"]] == [False, True, True]
+
+
 def test_figure_data_rows(capsys):
     code, out, _ = run(capsys, "figure-data")
     assert code == 0
@@ -215,3 +252,112 @@ def test_figure_data_rows(capsys):
 def test_usage_error_exit_code(capsys):
     code, _, err = run(capsys, "catalog", "--dim", "5")
     assert code == 1
+
+
+# exact layouts: separators, spacing and column order are part of the output
+
+_GRID_ZERO = """\
+| p\\q | 0 | 1 | 2 | 3 |
+|---|---|---|---|---|
+| 0 | 0 | 0 | 0 | 0 |
+| 1 | 0 | 0 | 0 | 0 |
+| 2 | 0 | 0 | 0 | 0 |
+| 3 | 0 | 0 | 0 | 0 |
+"""
+
+IWASAWA_TABLE_MD = f"""\
+## Cohomology table (n = 3)
+
+### bott_chern
+
+| p\\q | 0 | 1 | 2 | 3 |
+|---|---|---|---|---|
+| 0 | 1 | 2 | 3 | 1 |
+| 1 | 2 | 4 | 6 | 2 |
+| 2 | 3 | 6 | 8 | 3 |
+| 3 | 1 | 2 | 3 | 1 |
+
+### aeppli
+
+| p\\q | 0 | 1 | 2 | 3 |
+|---|---|---|---|---|
+| 0 | 1 | 3 | 2 | 1 |
+| 1 | 3 | 8 | 6 | 3 |
+| 2 | 2 | 6 | 4 | 2 |
+| 3 | 1 | 3 | 2 | 1 |
+
+### dolbeault
+
+| p\\q | 0 | 1 | 2 | 3 |
+|---|---|---|---|---|
+| 0 | 1 | 2 | 2 | 1 |
+| 1 | 3 | 6 | 6 | 3 |
+| 2 | 3 | 6 | 6 | 3 |
+| 3 | 1 | 2 | 2 | 1 |
+
+### del
+
+| p\\q | 0 | 1 | 2 | 3 |
+|---|---|---|---|---|
+| 0 | 1 | 3 | 3 | 1 |
+| 1 | 2 | 6 | 6 | 2 |
+| 2 | 2 | 6 | 6 | 2 |
+| 3 | 1 | 3 | 3 | 1 |
+
+### a
+
+{_GRID_ZERO}
+### f
+
+{_GRID_ZERO}
+betti: 1 4 8 10 8 4 1
+delta: 0 2 6 8 6 2 0
+ddbar-lemma: FAILS at k=1
+"""
+
+
+def test_table_markdown_layout(capsys, iwasawa_file):
+    code, out, _ = run(capsys, "table", iwasawa_file, "--format", "md")
+    assert code == 0
+    assert out == IWASAWA_TABLE_MD
+
+
+def test_catalog_csv_layout_with_footnote(capsys):
+    code, out, _ = run(capsys, "catalog", "--case", "11", "--format", "csv")
+    assert code == 0
+    assert out == (
+        "id,algebra,skt,h_bc(1.0),h_bc(0.1),h_bc(2.0),h_bc(1.1),h_bc(0.2),"
+        "h_bc(3.0),h_bc(2.1),h_bc(1.2),h_bc(0.3),h_bc(3.1),h_bc(2.2),h_bc(1.3),"
+        "h_bc(3.2),h_bc(2.3),b1,b2,b3,delta1,delta2,delta3\n"
+        '11,"(0,0,0,12,13,23)",0,1,1,2,5,2,1,6,6,1,2,5,2,3,3,3,8,12,2,2,4\n'
+        f"# {cli.H7_FOOTNOTE}\n"
+    )
+
+
+def test_curves_markdown_layout(capsys):
+    code, out, _ = run(capsys, "curves", "--id", "A", "--format", "md")
+    assert code == 0
+    assert out == (
+        "| curve | point | computed | expected | ok |\n"
+        "|---|---|---|---|---|\n"
+        "| A | t=0 | {'h_bc(3,1)': 3, 'pluriclosed': True} "
+        "| {'h_bc(3,1)': 3, 'pluriclosed': True} | pass |\n"
+        "| A | t=1/2 | {'h_bc(3,1)': 2, 'pluriclosed': True} "
+        "| {'h_bc(3,1)': 2, 'pluriclosed': True} | pass |\n"
+        "| A | t=1 | {'h_bc(3,1)': 2, 'pluriclosed': True} "
+        "| {'h_bc(3,1)': 2, 'pluriclosed': True} | pass |\n"
+    )
+
+
+def test_curves_csv_layout(capsys):
+    code, out, _ = run(capsys, "curves", "--id", "A", "--format", "csv")
+    assert code == 0
+    assert out == (
+        "curve,point,binding,computed,expected,match\n"
+        "A,t=0,\"t=0; E=i\",\"{'h_bc(3,1)': 3, 'pluriclosed': True}\","
+        "\"{'h_bc(3,1)': 3, 'pluriclosed': True}\",pass\n"
+        "A,t=1/2,\"t=1/2; E=1/4+i\",\"{'h_bc(3,1)': 2, 'pluriclosed': True}\","
+        "\"{'h_bc(3,1)': 2, 'pluriclosed': True}\",pass\n"
+        "A,t=1,\"t=1; E=1+i\",\"{'h_bc(3,1)': 2, 'pluriclosed': True}\","
+        "\"{'h_bc(3,1)': 2, 'pluriclosed': True}\",pass\n"
+    )

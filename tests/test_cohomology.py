@@ -3,6 +3,8 @@ from math import comb
 import pytest
 
 from nilcohom import cohomology as co
+from nilcohom.cohomology import _Engine
+from nilcohom.linalg import exact_rank
 from nilcohom.model import ComplexStructure, instantiate
 from nilcohom.parser import parse_binding, parse_complex_structure
 
@@ -27,17 +29,17 @@ def h8():
 
 
 def test_component_matrix_examples(torus, iwasawa, h8):
-    assert co.del_matrix(torus, 1, 1).is_zero()
-    assert co.delbar_matrix(torus, 2, 1).is_zero()
-    assert co.delbar_matrix(iwasawa, 1, 0).is_zero()
-    assert co.exact_rank(co.del_matrix(iwasawa, 1, 0)) == 1
-    assert co.del_matrix(h8, 1, 0).is_zero()
-    assert co.exact_rank(co.delbar_matrix(h8, 1, 0)) == 1
+    assert _Engine(torus).matrix("del", 1, 1).is_zero()
+    assert _Engine(torus).matrix("delbar", 2, 1).is_zero()
+    assert _Engine(iwasawa).matrix("delbar", 1, 0).is_zero()
+    assert exact_rank(_Engine(iwasawa).matrix("del", 1, 0)) == 1
+    assert _Engine(h8).matrix("del", 1, 0).is_zero()
+    assert exact_rank(_Engine(h8).matrix("delbar", 1, 0)) == 1
 
 
 def test_deldelbar_on_torus_and_scalars(torus, iwasawa):
-    assert co.deldelbar_matrix(torus, 1, 1).is_zero()
-    assert co.deldelbar_matrix(iwasawa, 0, 0).is_zero()
+    assert _Engine(torus).matrix("dd", 1, 1).is_zero()
+    assert _Engine(iwasawa).matrix("dd", 0, 0).is_zero()
 
 
 def test_full_table_applies_d_once_per_basis_monomial(monkeypatch):
@@ -60,48 +62,54 @@ def test_matrix_identities(iwasawa, h8):
 
 
 def test_dolbeault_examples(torus, iwasawa, tables):
+    table = co.full_table(torus)
     for p in range(4):
         for q in range(4):
-            assert co.hodge_dolbeault(torus, p, q) == comb(3, p) * comb(3, q)
-    assert co.hodge_dolbeault(iwasawa, 0, 1) == 2
+            assert table.h_dolbeault[p][q] == comb(3, p) * comb(3, q)
+    assert co.full_table(iwasawa).h_dolbeault[0][1] == 2
     for table in (tables["00"], tables["08"], tables["12"], tables["12_8D"]):
         assert table.h_dolbeault[0][0] == 1
 
 
 def test_bott_chern_examples(torus, iwasawa, h8):
-    assert co.hodge_bc(torus, 1, 1) == 9
-    assert co.hodge_bc(iwasawa, 1, 1) == 4
-    assert co.hodge_bc(iwasawa, 2, 0) == 3
-    assert co.hodge_bc(iwasawa, 2, 2) == 8
-    assert co.hodge_bc(h8, 1, 1) == 6
-    assert co.hodge_bc(h8, 2, 1) == 7
+    assert co.full_table(torus).h_bc[1][1] == 9
+    iwa = co.full_table(iwasawa)
+    assert iwa.h_bc[1][1] == 4
+    assert iwa.h_bc[2][0] == 3
+    assert iwa.h_bc[2][2] == 8
+    h8_table = co.full_table(h8)
+    assert h8_table.h_bc[1][1] == 6
+    assert h8_table.h_bc[2][1] == 7
 
 
 def test_aeppli_examples(torus, iwasawa, tables):
-    assert co.hodge_aeppli(torus, 1, 1) == 9
-    assert co.hodge_aeppli(iwasawa, 1, 1) == 8
+    assert co.full_table(torus).h_aeppli[1][1] == 9
+    assert co.full_table(iwasawa).h_aeppli[1][1] == 8
     for cid in ("00", "08", "12", "13", "23", "12_8D"):
         table = tables[cid]
         assert table.h_aeppli[table.n][table.n] == 1
 
 
 def test_a_and_f_vanish_on_torus(torus):
+    table = co.full_table(torus)
     for p in range(4):
         for q in range(4):
-            assert co.a_dim(torus, p, q) == 0
-            assert co.f_dim(torus, p, q) == 0
+            assert table.a_dim[p][q] == 0
+            assert table.f_dim[p][q] == 0
 
 
 def test_betti_examples(torus, iwasawa):
-    assert [co.betti(torus, k) for k in range(7)] == [1, 6, 15, 20, 15, 6, 1]
-    assert [co.betti(iwasawa, k) for k in (1, 2, 3)] == [4, 8, 10]
-    assert co.betti(iwasawa, 0) == 1
+    assert co.full_table(torus).betti == [1, 6, 15, 20, 15, 6, 1]
+    iwa = co.full_table(iwasawa)
+    assert iwa.betti[1:4] == [4, 8, 10]
+    assert iwa.betti[0] == 1
 
 
 def test_delta_examples(torus, iwasawa):
-    assert [co.delta(torus, k) for k in range(7)] == [0] * 7
-    assert [co.delta(iwasawa, k) for k in (1, 2, 3)] == [2, 6, 8]
-    assert co.delta(iwasawa, 0) == 0
+    assert co.full_table(torus).delta == [0] * 7
+    iwa = co.full_table(iwasawa)
+    assert iwa.delta[1:4] == [2, 6, 8]
+    assert iwa.delta[0] == 0
 
 
 def test_full_table_spot_values(tables):
@@ -127,8 +135,3 @@ def test_delta_degree_symmetry(tables):
     for table in tables.values():
         for k in range(2 * table.n + 1):
             assert table.delta[k] == table.delta[2 * table.n - k]
-
-
-def test_bidegree_out_of_range():
-    with pytest.raises(ValueError):
-        co.del_matrix(build("(0,0,0)"), 4, 0)

@@ -4,7 +4,9 @@ from fractions import Fraction
 import pytest
 
 from nilcohom import metrics as me
-from nilcohom.algebra import BasisElement, Form, Gaussian, I
+from nilcohom.algebra import BasisElement, Form, Gaussian, I, basis
+from nilcohom.cohomology import _Engine
+from nilcohom.linalg import ExactMatrix
 from nilcohom.model import instantiate
 from nilcohom.parser import parse_binding, parse_complex_structure, parse_gaussian
 
@@ -109,6 +111,22 @@ def test_ddbar_of_table_values():
         expected = Form.single(3, TOP, parse_gaussian(coeff)) if coeff != "0" \
             else Form.zero(3)
         assert me.ddbar_of(cs, std) == expected
+
+
+def test_ddbar_of_agrees_with_the_engine_dd_matrix(all_cases, structures):
+    # two independent paths to del delbar on (1,1)-forms: d(delbar F) on the
+    # form, and the engine's del(1,2) @ delbar(1,1) on coefficient vectors
+    source = basis(3, 1, 1)
+    target = basis(3, 2, 2)
+    for k, case in enumerate(c for c in all_cases if c.dim == 3):
+        cs = structures[case.id]
+        dd = _Engine(cs).matrix("dd", 1, 1)
+        forms = [me.standard_form(3)] + me.random_positive_forms(3, 3, seed=k)
+        for h in forms:
+            vector = {j: h[e.holo[0] - 1, e.anti[0] - 1] for j, e in enumerate(source)}
+            image = (dd @ ExactMatrix(len(source), 1, [vector])).columns[0]
+            expected = Form(3, [(target[i], c) for i, c in image.items()])
+            assert me.ddbar_of(cs, h) == expected, case.id
 
 
 def test_ddbar_of_dimension_mismatch():

@@ -1,7 +1,6 @@
 import pytest
 
 from nilcohom.algebra import BasisElement, Form
-from nilcohom.cohomology import betti
 from nilcohom.model import (
     ComplexStructure,
     DifferentialSquareError,
@@ -65,12 +64,13 @@ def test_d_squared_failure_lists_residual():
 
 
 def test_check_d_squared_report_on_unvalidated_structure():
-    cs = ComplexStructure(3, [
-        Form.zero(3),
-        Form.single(3, BasisElement((1,), (3,))),
-        Form.single(3, BasisElement((1, 2), ())),
-    ], validate=False)
-    report = check_d_squared(cs)
+    with pytest.raises(DifferentialSquareError) as err:
+        ComplexStructure(3, [
+            Form.zero(3),
+            Form.single(3, BasisElement((1,), (3,))),
+            Form.single(3, BasisElement((1, 2), ())),
+        ])
+    report = err.value.report
     assert not report.ok
     assert "FAILED" in str(report)
 
