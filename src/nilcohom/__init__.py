@@ -1,6 +1,6 @@
 """Exact cohomology engine for nilpotent Lie algebras with invariant complex structures."""
 
-from .algebra import BasisElement, Form, Gaussian, basis, bidegree_component, conjugate_form, wedge
+from .algebra import BasisElement, Form, Gaussian, basis
 from .cohomology import CohomologyTable, ddbar_lemma_status, full_table
 from .metrics import HermitianForm, is_balanced, is_pluriclosed, is_positive, standard_form
 from .model import (
@@ -28,10 +28,8 @@ __all__ = [
     "ParseError",
     "RealAlgebra",
     "basis",
-    "bidegree_component",
     "check_d_squared",
     "check_nilpotency",
-    "conjugate_form",
     "ddbar_lemma_status",
     "full_table",
     "instantiate",
@@ -45,5 +43,4 @@ __all__ = [
     "realify",
     "render",
     "standard_form",
-    "wedge",
 ]

@@ -328,18 +328,6 @@ class Form:
         return f"Form({self.n}, {self})"
 
 
-def wedge(a: Form, b: Form) -> Form:
-    return a.wedge(b)
-
-
-def conjugate_form(a: Form) -> Form:
-    return a.conjugate()
-
-
-def bidegree_component(f: Form, p: int, q: int) -> Form:
-    return f.component(p, q)
-
-
 def basis(n: int, p: int, q: int) -> list[BasisElement]:
     """All C(n,p)*C(n,q) monomials of bidegree (p, q), lexicographically.
 

@@ -21,6 +21,7 @@ from .model import (
     ComplexStructure,
     DifferentialSquareError,
     ModelError,
+    NilpotencyError,
     check_nilpotency,
     instantiate,
     realify,
@@ -43,6 +44,14 @@ H7_FOOTNOTE = (
 def render_json(payload) -> str:
     """Canonical JSON: reparsing and re-rendering reproduces the text."""
     return json.dumps(payload, indent=2, sort_keys=True)
+
+
+def _pairs(values: dict) -> str:
+    """One table cell: sorted ``key=value`` pairs, booleans as true/false."""
+    return "; ".join(
+        f"{key}={str(value).lower() if isinstance(value, bool) else value}"
+        for key, value in sorted(values.items())
+    )
 
 
 def _md_table(header, rows) -> list[str]:
@@ -110,8 +119,11 @@ def _build_parser() -> _ArgumentParser:
 def _load_structure(path: str, binding_text: str) -> ComplexStructure:
     with open(path, "r", encoding="ascii") as fh:
         text = fh.read()
-    template = parse_complex_structure(text)
-    return instantiate(template, parse_binding(binding_text))
+    cs = instantiate(parse_complex_structure(text), parse_binding(binding_text))
+    if not check_nilpotency(realify(cs)):
+        raise NilpotencyError("the underlying real algebra is not nilpotent "
+                              "(lower central series does not vanish)")
+    return cs
 
 
 def _lookup(find, key):
@@ -361,13 +373,13 @@ def _cmd_curves(args) -> tuple[int, str]:
         for row in payload:
             out.append(
                 f'{row["curve"]},{row["point"]},"{row["binding"]}",'
-                f'"{row["computed"]}","{row["expected"]}",'
+                f'"{_pairs(row["computed"])}","{_pairs(row["expected"])}",'
                 + ("pass" if row["match"] else "FAIL")
             )
         return code, "\n".join(out)
     return code, "\n".join(_md_table(
         ["curve", "point", "computed", "expected", "ok"],
-        [[row["curve"], row["point"], row["computed"], row["expected"],
+        [[row["curve"], row["point"], _pairs(row["computed"]), _pairs(row["expected"]),
           "pass" if row["match"] else "FAIL"] for row in payload],
     ))
 

@@ -3,7 +3,9 @@
 Ranks are the only linear-algebra output the cohomology tables need, so the
 module stays deliberately small: one matrix type with block stacking,
 addition and multiplication (for the differential identities), and one
-deterministic exact rank routine.
+deterministic exact elimination.  ``exact_rank`` counts its pivot columns;
+``column_basis`` returns them as a basis of the column span, which is how
+the nilpotency check follows the lower central series.
 
 A matrix is stored by columns: column ``j`` is a dict ``{row: nonzero
 Gaussian}``, the image of source basis vector ``j``.  That is how the engine
@@ -14,6 +16,8 @@ matrices are a few percent dense, so zeros are never stored.
 from __future__ import annotations
 
 from math import gcd, lcm
+
+from .algebra import Gaussian
 
 
 class ExactMatrix:
@@ -35,10 +39,6 @@ class ExactMatrix:
         self.rows = rows
         self.cols = cols
         self.columns = columns
-
-    @staticmethod
-    def zeros(rows: int, cols: int) -> "ExactMatrix":
-        return ExactMatrix(rows, cols)
 
     def __eq__(self, other) -> bool:
         return (
@@ -108,7 +108,20 @@ def hstack(left: ExactMatrix, right: ExactMatrix) -> ExactMatrix:
 
 
 def exact_rank(m: ExactMatrix) -> int:
-    """Rank over Q(i), by fraction-free elimination on the columns.
+    """Rank over Q(i), by fraction-free elimination on the columns."""
+    return len(_pivots(m))
+
+
+def column_basis(m: ExactMatrix) -> ExactMatrix:
+    """A basis of the column span: the pivot columns of the elimination."""
+    pivots = _pivots(m).values()
+    return ExactMatrix(m.rows, len(pivots), [
+        {r: Gaussian.of(x, y) for r, (x, y) in v.items()} for v in pivots
+    ])
+
+
+def _pivots(m: ExactMatrix) -> dict[int, dict[int, tuple[int, int]]]:
+    """Pivot columns over Z[i] spanning the columns of ``m``, keyed by lead row.
 
     rank M = rank M^T, so each column is reduced in turn against the pivot
     columns kept so far, all over the Gaussian integers: a column is scaled
@@ -135,7 +148,7 @@ def exact_rank(m: ExactMatrix) -> int:
             v = _eliminate(v, pivot, lead)
         if len(pivots) == m.rows:
             break
-    return len(pivots)
+    return pivots
 
 
 def _integral(column) -> dict[int, tuple[int, int]]:

@@ -8,15 +8,24 @@ modulus symbols) until a binding supplies exact Gaussian-rational values; the
 template grammar admits only (2,0) and (1,1) terms, so non-integrable input is
 unrepresentable.  ``d`` on conjugated generators is always the conjugate of
 ``d`` on the generators, never stored separately.
+
+Every form is differentiated by one kernel, the graded Leibniz rule on the
+factors of each monomial (holomorphic factors first):
+
+    d(x_0 /\\ .. /\\ x_m) = sum_k (-1)^k dx_k /\\ (x_0 /\\ .. x_k omitted .. /\\ x_m)
+
+The generator differentials are 2-forms, so ``dx_k`` moves to the front
+without a sign.  Nilpotency follows the lower central series with the
+elimination of :mod:`linalg` (``column_basis``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
+from functools import reduce
 
-from .algebra import BasisElement, Form, Gaussian, ONE, ZERO, basis
-from .linalg import ExactMatrix, exact_rank
+from .algebra import BasisElement, Form, Gaussian, ONE, ZERO, basis, wedge_elements
+from .linalg import ExactMatrix, column_basis, exact_rank, hstack
 
 
 class ModelError(Exception):
@@ -37,6 +46,10 @@ class IntegrabilityError(ModelError):
     pass
 
 
+class NilpotencyError(ModelError):
+    pass
+
+
 class DifferentialSquareError(ModelError):
     def __init__(self, report: "ValidationReport"):
         self.report = report
@@ -48,33 +61,26 @@ class DifferentialSquareError(ModelError):
 # generic exterior differentials
 # ---------------------------------------------------------------------------
 
-def _d_of_element(n, elem, d_holo, d_anti):
-    """Graded Leibniz rule on one monomial, given generator differentials."""
-    total = Form.zero(n)
-    p = len(elem.holo)
-    factors = [(False, j) for j in elem.holo] + [(True, j) for j in elem.anti]
-    for k, (conjugated, j) in enumerate(factors):
-        df = d_anti[j - 1] if conjugated else d_holo[j - 1]
-        if df.is_zero():
-            continue
-        if k < p:
-            left = BasisElement(elem.holo[:k], ())
-            right = BasisElement(elem.holo[k + 1:], elem.anti)
-        else:
-            a = k - p
-            left = BasisElement(elem.holo, elem.anti[:a])
-            right = BasisElement((), elem.anti[a + 1:])
-        sign = -1 if k % 2 else 1
-        piece = Form.single(n, left).wedge(df).wedge(Form.single(n, right))
-        total = total + piece.scale(sign)
-    return total
-
-
 def exterior_derivative(f: Form, d_holo, d_anti) -> Form:
-    out = Form.zero(f.n)
+    """d by the Leibniz rule of the module docstring; terms are collected once."""
+    terms = []
     for elem, coeff in f.terms.items():
-        out = out + _d_of_element(f.n, elem, d_holo, d_anti).scale(coeff)
-    return out
+        p = len(elem.holo)
+        for k, j in enumerate(elem.holo + elem.anti):
+            df = d_holo[j - 1] if k < p else d_anti[j - 1]
+            if not df.terms:
+                continue
+            if k < p:
+                rest = BasisElement(elem.holo[:k] + elem.holo[k + 1:], elem.anti)
+            else:
+                rest = BasisElement(elem.holo, elem.anti[:k - p] + elem.anti[k - p + 1:])
+            for d_elem, d_coeff in df.terms.items():
+                merged = wedge_elements(d_elem, rest)
+                if merged is not None:
+                    out, sign = merged
+                    c = coeff * d_coeff
+                    terms.append((out, c if sign == (-1) ** k else -c))
+    return Form(f.n, terms)
 
 
 @dataclass
@@ -133,19 +139,6 @@ class RealAlgebra:
     def is_abelian(self) -> bool:
         return all(f.is_zero() for f in self.d_of_e)
 
-    def structure_constants(self):
-        """Brackets recovered from d: ``[e_i, e_j] = -sum_k c^k_ij e_k``."""
-        m = self.dim
-        brackets = {}
-        for i in range(1, m + 1):
-            for j in range(i + 1, m + 1):
-                vec = [Fraction(0)] * m
-                for k in range(1, m + 1):
-                    c = self.d_of_e[k - 1].coefficient(BasisElement((i, j), ()))
-                    vec[k - 1] = -c.re
-                brackets[(i, j)] = vec
-        return brackets
-
     def first_betti(self) -> int:
         two_forms = basis(self.dim, 2, 0)
         index = {e: k for k, e in enumerate(two_forms)}
@@ -164,67 +157,28 @@ class RealAlgebra:
 
 
 def check_nilpotency(a: RealAlgebra) -> bool:
-    """Whether the lower central series of the recovered bracket reaches zero."""
+    """Whether the lower central series of the recovered bracket reaches zero.
+
+    ``[e_i, e_j] = -sum_k c^k_ij e_k`` where ``d e^k = sum c^k_ij e^ij``.  The
+    series starts from the whole algebra and takes the span of every
+    ``ad(e_i)`` applied to the previous term; it fails once a step keeps the
+    dimension, since the span can then only repeat.
+    """
     m = a.dim
-    brackets = a.structure_constants()
-
-    def bracket_with_basis(i: int, v):
-        out = [Fraction(0)] * m
-        for j in range(1, m + 1):
-            coeff = v[j - 1]
-            if not coeff:
-                continue
-            if i == j:
-                continue
-            vec = brackets[(i, j)] if i < j else brackets[(j, i)]
-            sign = 1 if i < j else -1
-            for k in range(m):
-                out[k] += sign * coeff * vec[k]
-        return out
-
-    current = _reduce([row[:] for row in _identity_rows(m)])
-    for _ in range(m + 1):
-        if not current:
-            return True
-        produced = []
-        for i in range(1, m + 1):
-            for v in current:
-                w = bracket_with_basis(i, v)
-                if any(w):
-                    produced.append(w)
-        nxt = _reduce(produced)
-        if len(nxt) == len(current):
+    brackets = [[{} for _ in range(m)] for _ in range(m)]  # [i][j]: [e_i, e_j]
+    for k, f in enumerate(a.d_of_e):
+        for elem, c in f.terms.items():
+            i, j = elem.holo
+            brackets[i - 1][j - 1][k] = -c
+            brackets[j - 1][i - 1][k] = c
+    ads = [ExactMatrix(m, m, columns) for columns in brackets]
+    span = ExactMatrix(m, m, [{j: ONE} for j in range(m)])
+    while span.cols:
+        image = column_basis(reduce(hstack, [ad @ span for ad in ads]))
+        if image.cols == span.cols:
             return False
-        current = nxt
-    return not current
-
-
-def _identity_rows(m: int):
-    rows = []
-    for i in range(m):
-        row = [Fraction(0)] * m
-        row[i] = Fraction(1)
-        rows.append(row)
-    return rows
-
-
-def _reduce(vectors):
-    """Echelon basis of the rational span of the given vectors."""
-    rows = [v[:] for v in vectors]
-    basis_rows = []
-    pivots = {}
-    for row in rows:
-        for col, lead in pivots.items():
-            if row[col]:
-                factor = row[col] / lead[col]
-                for c in range(len(row)):
-                    row[c] -= factor * lead[c]
-        for col, val in enumerate(row):
-            if val:
-                pivots[col] = row
-                basis_rows.append(row)
-                break
-    return basis_rows
+        span = image
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -121,6 +121,26 @@ def test_table_unbound_binding_error(capsys, tmp_path):
     assert "D" in err
 
 
+@pytest.fixture
+def solvable_file(tmp_path):
+    # realifies to d e^2 = -2 e^12: [e_1, e_2] = 2 e_2, solvable but not nilpotent
+    path = tmp_path / "solvable.txt"
+    path.write_text("(w1~1, 0)\n", encoding="ascii")
+    return str(path)
+
+
+NOT_NILPOTENT = ("validation error: the underlying real algebra is not nilpotent "
+                 "(lower central series does not vanish)\n")
+
+
+def test_table_rejects_a_non_nilpotent_structure(capsys, solvable_file):
+    assert run(capsys, "table", solvable_file) == (2, "", NOT_NILPOTENT)
+
+
+def test_skt_rejects_a_non_nilpotent_structure(capsys, solvable_file):
+    assert run(capsys, "skt", solvable_file) == (2, "", NOT_NILPOTENT)
+
+
 def test_table_with_binding(capsys, tmp_path):
     path = tmp_path / "j.txt"
     path.write_text("(0, 0, w1~1 + D*w2~2)\n", encoding="ascii")
@@ -340,12 +360,12 @@ def test_curves_markdown_layout(capsys):
     assert out == (
         "| curve | point | computed | expected | ok |\n"
         "|---|---|---|---|---|\n"
-        "| A | t=0 | {'h_bc(3,1)': 3, 'pluriclosed': True} "
-        "| {'h_bc(3,1)': 3, 'pluriclosed': True} | pass |\n"
-        "| A | t=1/2 | {'h_bc(3,1)': 2, 'pluriclosed': True} "
-        "| {'h_bc(3,1)': 2, 'pluriclosed': True} | pass |\n"
-        "| A | t=1 | {'h_bc(3,1)': 2, 'pluriclosed': True} "
-        "| {'h_bc(3,1)': 2, 'pluriclosed': True} | pass |\n"
+        "| A | t=0 | h_bc(3,1)=3; pluriclosed=true "
+        "| h_bc(3,1)=3; pluriclosed=true | pass |\n"
+        "| A | t=1/2 | h_bc(3,1)=2; pluriclosed=true "
+        "| h_bc(3,1)=2; pluriclosed=true | pass |\n"
+        "| A | t=1 | h_bc(3,1)=2; pluriclosed=true "
+        "| h_bc(3,1)=2; pluriclosed=true | pass |\n"
     )
 
 
@@ -354,10 +374,10 @@ def test_curves_csv_layout(capsys):
     assert code == 0
     assert out == (
         "curve,point,binding,computed,expected,match\n"
-        "A,t=0,\"t=0; E=i\",\"{'h_bc(3,1)': 3, 'pluriclosed': True}\","
-        "\"{'h_bc(3,1)': 3, 'pluriclosed': True}\",pass\n"
-        "A,t=1/2,\"t=1/2; E=1/4+i\",\"{'h_bc(3,1)': 2, 'pluriclosed': True}\","
-        "\"{'h_bc(3,1)': 2, 'pluriclosed': True}\",pass\n"
-        "A,t=1,\"t=1; E=1+i\",\"{'h_bc(3,1)': 2, 'pluriclosed': True}\","
-        "\"{'h_bc(3,1)': 2, 'pluriclosed': True}\",pass\n"
+        "A,t=0,\"t=0; E=i\",\"h_bc(3,1)=3; pluriclosed=true\","
+        "\"h_bc(3,1)=3; pluriclosed=true\",pass\n"
+        "A,t=1/2,\"t=1/2; E=1/4+i\",\"h_bc(3,1)=2; pluriclosed=true\","
+        "\"h_bc(3,1)=2; pluriclosed=true\",pass\n"
+        "A,t=1,\"t=1; E=1+i\",\"h_bc(3,1)=2; pluriclosed=true\","
+        "\"h_bc(3,1)=2; pluriclosed=true\",pass\n"
     )

@@ -1,6 +1,7 @@
 import pytest
+from hypothesis import given, reject, settings, strategies as st
 
-from nilcohom.algebra import BasisElement, Form
+from nilcohom.algebra import BasisElement, Form, Gaussian, basis
 from nilcohom.model import (
     ComplexStructure,
     DifferentialSquareError,
@@ -79,6 +80,11 @@ def test_nilpotency():
     assert check_nilpotency(parse_real_algebra("(0^6)"))
     assert check_nilpotency(parse_real_algebra("(0,0,0,0,13+42,14+23)"))
     assert not check_nilpotency(parse_real_algebra("(0,12,0,0,0,0)"))
+    # nilpotent, but d e^1 involves generators listed after it
+    assert check_nilpotency(parse_real_algebra("(23,0,0)"))
+    # the series stops at span(e_2, e_3) instead of reaching zero
+    assert not check_nilpotency(parse_real_algebra("(0,12,13)"))
+    assert not check_nilpotency(realify(build("(w1~1, 0)")))
 
 
 def test_realify_torus_is_abelian():
@@ -132,3 +138,48 @@ def test_product_with_torus_kuenneth_bettis(tables):
             expected = base[k] + (2 * base[k - 1] if k >= 1 else 0) + \
                 (base[k - 2] if k >= 2 else 0)
             assert lifted[k] == expected
+
+
+SMALL_GAUSSIAN = st.sampled_from(
+    [Gaussian.of(x, y) for x in range(-2, 3) for y in range(-2, 3) if x or y])
+
+
+@st.composite
+def triangular_structures(draw):
+    """d w^j built from w^a /\\ w^b and w^a /\\ wbar^b with a, b < j; d^2 = 0 or rejected."""
+    n = draw(st.sampled_from([3, 4]))
+    d_omega = []
+    for j in range(1, n + 1):
+        below = range(1, j)
+        elems = [BasisElement((a, b), ()) for a in below for b in below if a < b]
+        elems += [BasisElement((a,), (b,)) for a in below for b in below]
+        chosen = draw(st.lists(st.sampled_from(elems), min_size=1, max_size=3,
+                               unique=True)) if elems else []
+        d_omega.append(Form(n, [(e, draw(SMALL_GAUSSIAN)) for e in chosen]))
+    try:
+        return ComplexStructure(n, d_omega)
+    except DifferentialSquareError:
+        reject()
+
+
+@st.composite
+def pure_forms(draw, n):
+    p, q = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    chosen = draw(st.lists(st.sampled_from(basis(n, p, q)), min_size=1, max_size=3, unique=True))
+    return p + q, Form(n, [(e, draw(SMALL_GAUSSIAN)) for e in chosen])
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(st.data())
+def test_d_is_a_real_antiderivation_of_square_zero(data):
+    cs = data.draw(triangular_structures())
+    deg_a, a = data.draw(pure_forms(cs.n))
+    _, b = data.draw(pure_forms(cs.n))
+    # pins the overall sign: -d satisfies every identity below as well
+    for j in range(1, cs.n + 1):
+        assert cs.d(Form.generator(cs.n, j)) == cs.d_omega[j - 1]
+    sign = -1 if deg_a % 2 else 1
+    assert cs.d(a.wedge(b)) == cs.d(a).wedge(b) + a.wedge(cs.d(b)).scale(sign)
+    assert cs.d(cs.d(a)).is_zero()
+    assert cs.d(a.conjugate()) == cs.d(a).conjugate()
+    assert check_nilpotency(realify(cs))
