@@ -2,7 +2,9 @@
 
 Every scalar in the engine is a :class:`Gaussian` number ``a + b*i`` with
 arbitrary-precision rational real and imaginary parts, so no computation ever
-rounds.  Forms are finite sums of canonical wedge monomials
+rounds.  It is stored as three integers, ``(x + y*i) / den`` with ``den > 0``
+and ``gcd(x, y, den) == 1``; every operation restores that reduced form with
+at most one gcd (none when ``den == 1``), so equal values have equal triples.  Forms are finite sums of canonical wedge monomials
 ``w^I /\\ wbar^J`` over a coframe of ``n`` holomorphic generators; the sign
 conventions are normalized once here and every other module relies on them:
 
@@ -17,123 +19,185 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import gcd, lcm
 from typing import Iterable, Iterator
 
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError(f"expected an exact rational, got {type(x).__name__}")
+def _as_pair(v) -> tuple[int, int]:
+    """Numerator and positive denominator, in lowest terms, of an exact rational."""
+    if isinstance(v, int):
+        return int(v), 1
+    if isinstance(v, Fraction):
+        return v.numerator, v.denominator
+    raise TypeError(f"expected an exact rational, got {type(v).__name__}")
 
 
-@dataclass(frozen=True)
 class Gaussian:
-    """A complex number with exact rational real and imaginary parts."""
+    """A complex number with exact rational real and imaginary parts.
 
-    re: Fraction
-    im: Fraction
+    The value is stored as three integers, ``(x + y*i) / den``, with
+    ``den > 0`` and ``gcd(x, y, den) == 1``.  That form is unique, so equality
+    and hashing compare the triple.  Instances are immutable by convention.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "re", _as_fraction(self.re))
-        object.__setattr__(self, "im", _as_fraction(self.im))
+    __slots__ = ("x", "y", "den")
+
+    def __init__(self, re, im):
+        a, b = _as_pair(re)
+        c, e = _as_pair(im)
+        # lcm of denominators of two reduced fractions leaves no common factor
+        den = b if b == e else lcm(b, e)
+        self.x = a * (den // b)
+        self.y = c * (den // e)
+        self.den = den
 
     # -- construction -----------------------------------------------------
 
     @staticmethod
     def of(re, im=0) -> "Gaussian":
-        return Gaussian(_as_fraction(re), _as_fraction(im))
+        return Gaussian(re, im)
 
     @staticmethod
     def rational(x) -> "Gaussian":
-        return Gaussian(_as_fraction(x), Fraction(0))
+        return Gaussian(x, 0)
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.x, self.den)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.y, self.den)
 
     # -- predicates --------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.re and not self.im
+        return not self.x and not self.y
 
     def is_real(self) -> bool:
-        return not self.im
+        return not self.y
 
     def __bool__(self) -> bool:
-        return not self.is_zero()
+        return self.x != 0 or self.y != 0
+
+    def __eq__(self, other):
+        if other.__class__ is not Gaussian:
+            return NotImplemented
+        return self.x == other.x and self.y == other.y and self.den == other.den
+
+    def __hash__(self) -> int:
+        return hash((self.x, self.y, self.den))
 
     # -- field operations ----------------------------------------------------
+    # each result is reduced by at most one gcd, and by none when den == 1
 
-    def _coerce(self, other):
-        if isinstance(other, Gaussian):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return Gaussian.rational(other)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Gaussian(self.re + o.re, self.im + o.im)
+    def __add__(self, o):
+        if o.__class__ is not Gaussian:
+            o = _coerce(o)
+            if o is None:
+                return NotImplemented
+        d = self.den
+        if d == o.den:
+            if d == 1:
+                return _triple(self.x + o.x, self.y + o.y, 1)
+            return _reduced(self.x + o.x, self.y + o.y, d)
+        e = o.den
+        return _reduced(self.x * e + o.x * d, self.y * e + o.y * d, d * e)
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Gaussian(self.re - o.re, self.im - o.im)
+    def __sub__(self, o):
+        if o.__class__ is not Gaussian:
+            o = _coerce(o)
+            if o is None:
+                return NotImplemented
+        return self + _triple(-o.x, -o.y, o.den)
 
     def __neg__(self) -> "Gaussian":
-        return Gaussian(-self.re, -self.im)
+        return _triple(-self.x, -self.y, self.den)
 
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Gaussian(
-            self.re * o.re - self.im * o.im,
-            self.re * o.im + self.im * o.re,
-        )
+    def __mul__(self, o):
+        if o.__class__ is not Gaussian:
+            o = _coerce(o)
+            if o is None:
+                return NotImplemented
+        a, b, c, e = self.x, self.y, o.x, o.y
+        d = self.den * o.den
+        if d == 1:
+            return _triple(a * c - b * e, a * e + b * c, 1)
+        return _reduced(a * c - b * e, a * e + b * c, d)
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        d = o.modulus_squared()
-        if not d:
+    def __truediv__(self, o):
+        # (a + b i)/d / ((c + e i)/f) = (a + b i)(c - e i) f / (d (c^2 + e^2))
+        if o.__class__ is not Gaussian:
+            o = _coerce(o)
+            if o is None:
+                return NotImplemented
+        a, b, c, e, f = self.x, self.y, o.x, o.y, o.den
+        norm = c * c + e * e
+        if not norm:
             raise ZeroDivisionError("division of Gaussian rationals by zero")
-        return Gaussian(
-            (self.re * o.re + self.im * o.im) / d,
-            (self.im * o.re - self.re * o.im) / d,
-        )
+        x, y, d = (a * c + b * e) * f, (b * c - a * e) * f, self.den * norm
+        if d == 1:
+            return _triple(x, y, 1)
+        return _reduced(x, y, d)
 
     def conjugate(self) -> "Gaussian":
-        return Gaussian(self.re, -self.im)
+        return _triple(self.x, -self.y, self.den)
 
     def modulus_squared(self) -> Fraction:
-        return self.re * self.re + self.im * self.im
+        return Fraction(self.x * self.x + self.y * self.y, self.den * self.den)
 
     # -- rendering -----------------------------------------------------------
 
     def __str__(self) -> str:
         """Canonical literal, e.g. ``2/3``, ``i``, ``-1i``, ``1/2-3i``."""
-        if not self.im:
-            return str(self.re)
-        if self.im == 1:
+        re, im = self.re, self.im
+        if not im:
+            return str(re)
+        if im == 1:
             im_txt = "i"
-        elif self.im == -1:
-            im_txt = "-1i" if not self.re else "-i"
+        elif im == -1:
+            im_txt = "-1i" if not re else "-i"
         else:
-            im_txt = f"{self.im}i"
-        if not self.re:
+            im_txt = f"{im}i"
+        if not re:
             return im_txt
         sep = "" if im_txt.startswith("-") else "+"
-        return f"{self.re}{sep}{im_txt}"
+        return f"{re}{sep}{im_txt}"
 
     def __repr__(self) -> str:
         return f"Gaussian({self})"
+
+
+_new = object.__new__
+
+
+def _triple(x: int, y: int, den: int) -> Gaussian:
+    """The Gaussian ``(x + y*i) / den`` from a triple already in reduced form."""
+    g = _new(Gaussian)
+    g.x = x
+    g.y = y
+    g.den = den
+    return g
+
+
+def _reduced(x: int, y: int, den: int) -> Gaussian:
+    """The Gaussian ``(x + y*i) / den`` for ``den > 0``, by one gcd."""
+    g = gcd(x, y, den)
+    if g == 1:
+        return _triple(x, y, den)
+    return _triple(x // g, y // g, den // g)
+
+
+def _coerce(v) -> Gaussian | None:
+    """A bare int or Fraction operand as a Gaussian; None for any other type."""
+    if not isinstance(v, (int, Fraction)):
+        return None
+    num, den = _as_pair(v)
+    return _triple(num, 0, den)
 
 
 ZERO = Gaussian.of(0)

@@ -135,6 +135,8 @@ def _lookup(find, key):
 
 
 def _structure_from_args(args) -> ComplexStructure:
+    if args.case_id and args.file:
+        raise _UsageError("give either a file or --case, not both")
     if args.case_id:
         return _lookup(cat.case_by_id, args.case_id).structure()
     if not args.file:

@@ -45,6 +45,7 @@ class _Engine:
     def __init__(self, cs: ComplexStructure):
         self.cs = cs
         self.n = cs.n
+        self._slots: dict = {}
         self._matrices: dict = {}
         self._ranks: dict = {}
 
@@ -60,6 +61,17 @@ class _Engine:
                 self._build(p, q)
         return self._matrices[key]
 
+    def _slot(self, p: int, q: int):
+        """The (p,q) basis monomials and their positions, built once per slot.
+
+        Outside the valid square the slot is empty.
+        """
+        slot = self._slots.get((p, q))
+        if slot is None:
+            elements = basis(self.n, p, q) if self.dim(p, q) else []
+            slot = self._slots[(p, q)] = (elements, {e: i for i, e in enumerate(elements)})
+        return slot
+
     def _build(self, p: int, q: int):
         """del and delbar at (p,q), from one ``d`` per source monomial.
 
@@ -67,15 +79,16 @@ class _Engine:
         no columns but keep the row count of their target.
         """
         n = self.n
-        index = {}
-        for target in ((p + 1, q), (p, q + 1)):
-            if self.dim(*target):
-                index.update((e, i) for i, e in enumerate(basis(n, *target)))
+        del_index = self._slot(p + 1, q)[1]
+        delbar_index = self._slot(p, q + 1)[1]
         del_cols, delbar_cols = [], []
-        for elem in basis(n, p, q) if self.dim(p, q) else ():
+        for elem in self._slot(p, q)[0]:
             del_col, delbar_col = {}, {}
             for e, c in self.cs.d(Form.single(n, elem)).terms.items():
-                (del_col if len(e.holo) > p else delbar_col)[index[e]] = c
+                if len(e.holo) > p:
+                    del_col[del_index[e]] = c
+                else:
+                    delbar_col[delbar_index[e]] = c
             del_cols.append(del_col)
             delbar_cols.append(delbar_col)
         self._matrices[("del", p, q)] = ExactMatrix(self.dim(p + 1, q), len(del_cols), del_cols)

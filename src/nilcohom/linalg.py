@@ -152,12 +152,12 @@ def _pivots(m: ExactMatrix) -> dict[int, dict[int, tuple[int, int]]]:
 
 
 def _integral(column) -> dict[int, tuple[int, int]]:
+    # each entry is (x + y i)/den; scaling by the lcm of the dens clears them
     scale = 1
     for e in column.values():
-        scale = lcm(scale, e.re.denominator, e.im.denominator)
+        scale = lcm(scale, e.den)
     return {
-        r: (e.re.numerator * (scale // e.re.denominator),
-            e.im.numerator * (scale // e.im.denominator))
+        r: (e.x * (scale // e.den), e.y * (scale // e.den))
         for r, e in column.items()
     }
 

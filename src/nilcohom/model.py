@@ -38,6 +38,12 @@ class UnboundParameterError(ModelError):
         super().__init__("unbound parameters: " + ", ".join(self.names))
 
 
+class UnknownParameterError(ModelError):
+    def __init__(self, names):
+        self.names = tuple(sorted(names))
+        super().__init__("unknown parameters: " + ", ".join(self.names))
+
+
 class ModulusError(ModelError):
     pass
 
@@ -327,7 +333,16 @@ def _resolve_coefficient(expr: CoeffExpr, binding: ParameterBinding,
 
 def instantiate(template: ComplexStructureTemplate,
                 binding: ParameterBinding) -> ComplexStructure:
-    """Bind all symbols, validate modulus consistency and d^2 = 0."""
+    """Bind all symbols, validate modulus consistency and d^2 = 0.
+
+    Every bound name must be a parameter or a declared modulus symbol of the
+    template, so a misspelt name is an error rather than silently unused.
+    """
+    unknown = set(binding.values).difference(
+        template.params, (mod.name for mod in template.moduli)
+    )
+    if unknown:
+        raise UnknownParameterError(unknown)
     missing: set[str] = set()
     forms = []
     for entry in template.d_of_omega:

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -8,6 +9,7 @@ from nilcohom.algebra import (
     Form,
     Gaussian,
     I,
+    ZERO,
     basis,
     basis_dimension,
 )
@@ -30,6 +32,11 @@ def test_lowest_terms_and_sign_normalization():
     x = Gaussian.of(Fraction(2, 4), Fraction(-3, -6))
     assert x.re == Fraction(1, 2) and x.re.denominator == 2
     assert x.im == Fraction(1, 2)
+    assert (x.x, x.y, x.den) == (1, 1, 2)
+    with pytest.raises(TypeError):
+        Gaussian.of(0.5)
+    with pytest.raises(TypeError):
+        Gaussian(1, "i")
 
 
 def test_division_by_zero_reports():
@@ -37,16 +44,71 @@ def test_division_by_zero_reports():
         g("1+i") / Gaussian.of(0)
 
 
+def _rational(rng):
+    """An int or a Fraction, small (to force cancellation) or very tall."""
+    if rng.random() < 0.5:
+        num, den = rng.randint(-9, 9), rng.choice([1, 1, 2, 3, 4, 6, 9])
+    else:
+        num, den = rng.randint(-10**40, 10**40), rng.choice([1, rng.randint(1, 10**12)])
+    return num if den == 1 else Fraction(num, den)
+
+
+def _operand(rng):
+    """A Gaussian, or a bare int or Fraction, with its (re, im) reference."""
+    re, im = _rational(rng), _rational(rng)
+    kind = rng.randrange(4)
+    if kind == 0:
+        return re, (Fraction(re), Fraction(0))
+    if kind == 1:
+        im = 0
+    return Gaussian.of(re, im), (Fraction(re), Fraction(im))
+
+
+def _reference_str(re, im):
+    """The literal format of ``Gaussian.__str__``, written from its examples."""
+    if not im:
+        return str(re)
+    im_txt = {1: "i", -1: "-i" if re else "-1i"}.get(im, f"{im}i")
+    if not re:
+        return im_txt
+    return f"{re}{'' if im_txt.startswith('-') else '+'}{im_txt}"
+
+
+def _assert_matches(z, ref):
+    re, im = ref
+    assert isinstance(z, Gaussian)
+    assert z.den > 0 and gcd(z.x, z.y, z.den) == 1
+    assert (z.re, z.im) == (re, im)
+    assert str(z) == _reference_str(re, im)
+    assert z == Gaussian.of(re, im) and hash(z) == hash(Gaussian.of(re, im))
+
+
 def test_exact_division_roundtrip_random():
+    """Every operation agrees with a (Fraction, Fraction) pair reference."""
     rng = random.Random(11)
     for _ in range(300):
-        x = Gaussian.of(Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
-                        Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
-        y = Gaussian.of(Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
-                        Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
-        if not y:
+        x, (a, b) = _operand(rng)
+        if not isinstance(x, Gaussian):
+            x = Gaussian.rational(x)
+        y, (c, d) = _operand(rng)
+        _assert_matches(x + y, (a + c, b + d))
+        _assert_matches(y + x, (a + c, b + d))
+        _assert_matches(x - y, (a - c, b - d))
+        _assert_matches(x * y, (a * c - b * d, a * d + b * c))
+        _assert_matches(y * x, (a * c - b * d, a * d + b * c))
+        _assert_matches(-x, (-a, -b))
+        _assert_matches(x.conjugate(), (a, -b))
+        assert x.modulus_squared() == a * a + b * b
+        assert (x - x, hash(x - x)) == (ZERO, hash(ZERO))
+        if not (c or d):
             continue
-        assert (x * y) / y == x
+        norm = c * c + d * d
+        _assert_matches(x / y, ((a * c + b * d) / norm, (b * c - a * d) / norm))
+        z = (x * y) / y
+        assert z == x and hash(z) == hash(x)
+    assert Gaussian.of(Fraction(2, 4)) == Gaussian.of(Fraction(1, 2))
+    assert hash(Gaussian.of(Fraction(2, 4))) == hash(Gaussian.of(Fraction(1, 2)))
+    assert Gaussian.of(3, Fraction(6, 3)) == Gaussian.of(Fraction(3), 2)
 
 
 def test_gaussian_literal_rendering_roundtrip():

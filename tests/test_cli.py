@@ -239,6 +239,26 @@ def test_skt_requires_source(capsys):
     assert code == 1
 
 
+def test_skt_file_and_case_is_a_usage_error(capsys, iwasawa_file):
+    assert run(capsys, "skt", iwasawa_file, "--case", "08") == (
+        1, "", "error: give either a file or --case, not both\n"
+    )
+
+
+def test_unknown_binding_name_is_a_validation_error(capsys, iwasawa_file, tmp_path):
+    assert run(capsys, "table", iwasawa_file, "--binding", "Z=1") == (
+        2, "", "validation error: unknown parameters: Z\n"
+    )
+    path = tmp_path / "j.txt"
+    path.write_text("(0, 0, w1~1 + D*w2~2)\n", encoding="ascii")
+    assert run(capsys, "skt", str(path), "--binding", "D=i; d=i") == (
+        2, "", "validation error: unknown parameters: d\n"
+    )
+    code, out, _ = run(capsys, "check", str(path), "--binding", "D=i; Z=2")
+    assert code == 2
+    assert out.splitlines()[-1] == "binding error: unknown parameters: Z"
+
+
 def test_curves_all_pass(capsys):
     code, out, _ = run(capsys, "curves")
     assert code == 0

@@ -7,6 +7,7 @@ from nilcohom.model import (
     DifferentialSquareError,
     ModulusError,
     UnboundParameterError,
+    UnknownParameterError,
     check_d_squared,
     check_nilpotency,
     instantiate,
@@ -39,6 +40,15 @@ def test_unbound_parameter_reported_by_name():
     with pytest.raises(UnboundParameterError) as err:
         build("(0, 0, w1~1 + D*w2~2)")
     assert err.value.names == ("D",)
+
+
+def test_unknown_binding_names_are_rejected():
+    with pytest.raises(UnknownParameterError) as err:
+        build("(0, 0, w12)", "Z=1; A=i")
+    assert err.value.names == ("A", "Z")
+    assert str(err.value) == "unknown parameters: A, Z"
+    # parameters and declared modulus symbols are both known names
+    build("(0, w1~1, w12 + B*w1~2 + abs(B-1)*w2~1)", "B=1/2; absBm1=1/2")
 
 
 def test_modulus_inconsistency_rejected():
