@@ -151,9 +151,16 @@ def _structure_from_args(args) -> ComplexStructure:
 def _cmd_check(args) -> tuple[int, str]:
     with open(args.file, "r", encoding="ascii") as fh:
         text = fh.read()
-    lines = []
-    if "w" in text:
+    # read as a complex-structure template, the way `table` does; only text
+    # without any w that the template parser rejects is a real algebra
+    try:
         template = parse_complex_structure(text)
+    except ParseError:
+        if "w" in text:
+            raise
+        template = None
+    lines = []
+    if template is not None:
         lines.append(f"parsed complex-structure template (n={template.n})")
         lines.append("integrability shape: ok (only (2,0) and (1,1) terms)")
         try:
@@ -187,16 +194,6 @@ def _cmd_check(args) -> tuple[int, str]:
 # table
 # ---------------------------------------------------------------------------
 
-_THEORY_GRIDS = [
-    ("bott_chern", "h_bc"),
-    ("aeppli", "h_aeppli"),
-    ("dolbeault", "h_dolbeault"),
-    ("del", "h_del"),
-    ("a", "a_dim"),
-    ("f", "f_dim"),
-]
-
-
 def _table_text(table: co.CohomologyTable, fmt: str) -> str:
     verdict = co.ddbar_lemma_status(table)
     if fmt == "json":
@@ -205,8 +202,8 @@ def _table_text(table: co.CohomologyTable, fmt: str) -> str:
         return render_json(payload)
     if fmt == "csv":
         rows = ["theory,p,q,value"]
-        for name, attr in _THEORY_GRIDS:
-            grid = getattr(table, attr)
+        for name, grid_name, _, _ in co.THEORIES:
+            grid = getattr(table, grid_name)
             for p in range(table.n + 1):
                 for q in range(table.n + 1):
                     rows.append(f"{name},{p},{q},{grid[p][q]}")
@@ -218,8 +215,8 @@ def _table_text(table: co.CohomologyTable, fmt: str) -> str:
         return "\n".join(rows)
     lines = [f"## Cohomology table (n = {table.n})", ""]
     span = range(table.n + 1)
-    for name, attr in _THEORY_GRIDS:
-        grid = getattr(table, attr)
+    for name, grid_name, _, _ in co.THEORIES:
+        grid = getattr(table, grid_name)
         lines += [f"### {name}", ""]
         lines += _md_table(["p\\q", *span], [[p, *grid[p]] for p in span])
         lines.append("")
@@ -259,7 +256,47 @@ def _catalog_rows(cases, golden: bool):
     return rows
 
 
+def _catalog_block(case, rows, fmt: str, golden: bool) -> list[str]:
+    """The csv or md lines of rows that share the dimension of ``case``."""
+    if fmt == "csv":
+        header = ["id", "algebra", "skt"]
+        header += [f"h_bc({p}.{q})" for p, q in case.columns]
+        header += [f"b{k}" for k in range(1, case.dim + 1)]
+        header += [f"delta{k}" for k in range(1, case.dim + 1)]
+        if golden:
+            header.append("match")
+        out = [",".join(header)]
+        for r in rows:
+            cells = [r["id"], '"' + r["algebra"] + '"', "1" if r["skt"] else "0"]
+            cells += [str(v) for v in r["bott_chern"].values()]
+            cells += [str(b) for b in r["betti"]]
+            cells += [str(d) for d in r["delta"]]
+            if golden:
+                cells.append("pass" if r["match"] else "FAIL")
+            out.append(",".join(cells))
+        return out
+    header = ["id", "skt"] + [f"({p}.{q})" for p, q in case.columns] + ["b", "delta"]
+    if golden:
+        header.append("golden")
+    table_rows = []
+    for r in rows:
+        cells = [r["id"], "yes" if r["skt"] else "no", *r["bott_chern"].values(),
+                 " ".join(str(b) for b in r["betti"]),
+                 " ".join(str(d) for d in r["delta"])]
+        if golden:
+            cells.append("pass" if r["match"] else "FAIL")
+        table_rows.append(cells)
+    lines = _md_table(header, table_rows)
+    for r in rows:
+        if golden and not r["match"]:
+            for diff in r["diffs"]:
+                lines.append(f"  mismatch {r['id']}: {diff}")
+    return lines
+
+
 def _cmd_catalog(args) -> tuple[int, str]:
+    if args.case_id and args.dim:
+        raise _UsageError("give either --case or --dim, not both")
     if args.case_id:
         cases = [_lookup(cat.case_by_id, args.case_id)]
     else:
@@ -271,50 +308,17 @@ def _cmd_catalog(args) -> tuple[int, str]:
         payload = {"cases": rows}
         if footnote:
             payload["footnote"] = H7_FOOTNOTE
-        text = render_json(payload)
-    elif args.format == "csv":
-        columns = cases[0].columns
-        header = ["id", "algebra", "skt"]
-        header += [f"h_bc({p}.{q})" for p, q in columns]
-        header += [f"b{k}" for k in range(1, cases[0].dim + 1)]
-        header += [f"delta{k}" for k in range(1, cases[0].dim + 1)]
-        if args.golden:
-            header.append("match")
-        out = [",".join(header)]
-        for r in rows:
-            cells = [r["id"], '"' + r["algebra"] + '"', "1" if r["skt"] else "0"]
-            cells += [str(v) for v in r["bott_chern"].values()]
-            cells += [str(b) for b in r["betti"]]
-            cells += [str(d) for d in r["delta"]]
-            if args.golden:
-                cells.append("pass" if r["match"] else "FAIL")
-            out.append(",".join(cells))
-        if footnote:
-            out.append(f'# {H7_FOOTNOTE}')
-        text = "\n".join(out)
-    else:
-        columns = cases[0].columns
-        header = ["id", "skt"] + [f"({p}.{q})" for p, q in columns] + ["b", "delta"]
-        if args.golden:
-            header.append("golden")
-        table_rows = []
-        for r in rows:
-            cells = [r["id"], "yes" if r["skt"] else "no", *r["bott_chern"].values(),
-                     " ".join(str(b) for b in r["betti"]),
-                     " ".join(str(d) for d in r["delta"])]
-            if args.golden:
-                cells.append("pass" if r["match"] else "FAIL")
-            table_rows.append(cells)
-        lines = _md_table(header, table_rows)
-        for r in rows:
-            if args.golden and not r["match"]:
-                for diff in r["diffs"]:
-                    lines.append(f"  mismatch {r['id']}: {diff}")
-        if footnote:
+        return (EXIT_GOLDEN if mismatched else EXIT_OK), render_json(payload)
+    # one table per dimension, each under its own header, 6d first
+    lines = []
+    for dim in sorted({case.dim for case in cases}):
+        group = [(case, row) for case, row in zip(cases, rows) if case.dim == dim]
+        if lines:
             lines.append("")
-            lines.append(H7_FOOTNOTE)
-        text = "\n".join(lines)
-    return (EXIT_GOLDEN if mismatched else EXIT_OK), text
+        lines += _catalog_block(group[0][0], [row for _, row in group], args.format, args.golden)
+    if footnote:
+        lines += [f"# {H7_FOOTNOTE}"] if args.format == "csv" else ["", H7_FOOTNOTE]
+    return (EXIT_GOLDEN if mismatched else EXIT_OK), "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------

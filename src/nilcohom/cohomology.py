@@ -2,15 +2,22 @@
 
 :func:`full_table` is the entry point: it returns every dimension of one
 structure as a :class:`CohomologyTable`, computed by one ``_Engine`` that
-builds each differential matrix and each rank once.  Every dimension is
-(kernel dimension) minus (rank of the incoming image), never a quotient basis;
-the ranks come from the single exact rank routine of :mod:`nilcohom.linalg`.
-Matrices are column-sparse: column ``j`` is the image of the ``j``-th source
-monomial, and rows and columns are indexed by the fixed lexicographic basis
-order of :func:`nilcohom.algebra.basis`.  The engine applies ``d`` once to
-every basis monomial and splits the image into the del and delbar columns
-(``d`` of a (p,q)-form has only (p+1,q) and (p,q+1) parts on an integrable
-structure); del delbar is their product.
+builds each differential matrix and each rank once.  Matrices are
+column-sparse: column ``j`` is the image of the ``j``-th source monomial, and
+rows and columns are indexed by the fixed lexicographic basis order of
+:func:`nilcohom.algebra.basis`.  The engine applies ``d`` once to every basis
+monomial and splits the image into the del and delbar columns (``d`` of a
+(p,q)-form has only (p+1,q) and (p,q+1) parts on an integrable structure);
+del delbar is their product.  Its ranks come from the single exact rank
+routine of :mod:`nilcohom.linalg`.
+
+Every pointwise dimension is ``dim(p,q)`` (or nothing) plus signed ranks of
+five matrix kinds: ``del``, ``delbar``, ``dd`` (del delbar), ``stack`` (del
+over delbar, whose kernel is ker del /\\ ker delbar) and ``concat`` (del and
+delbar side by side, whose image is im del + im delbar).  :data:`THEORIES` is
+the one table of these formulas: each row names a theory for output, names
+its :class:`CohomologyTable` grid and lists its rank terms, and
+:func:`full_table` fills every grid from it.  No dimension is a quotient basis.
 
 Conventions, for a structure of complex dimension ``n``:
 
@@ -18,17 +25,17 @@ Conventions, for a structure of complex dimension ``n``:
 * Dolbeault dimensions come from the delbar ranks and the del-cohomology ones
   from the del ranks, so ``h_dolbeault[p][q] == h_del[q][p]`` (conjugation)
   is a check, not a definition;
-* Bott-Chern at (p,q) is ``ker[del; delbar] / im(del delbar)``;
-* Aeppli at (p,q) is ``ker(del delbar) / (im del + im delbar)``;
-* the de Rham/Betti numbers come from the total complex with ``d = del+delbar``;
-* ``delta[k]`` sums Bott-Chern and Aeppli dimensions in total degree k minus
-  twice the Betti number; it vanishes in every degree exactly on structures
-  satisfying the del-delbar lemma, and obeys ``delta[k] == delta[2n-k]``.
+* the de Rham/Betti numbers come from the total complex with ``d = del+delbar``,
+  not from the table;
+* ``delta[k]`` is read off the finished table: the Bott-Chern and Aeppli
+  dimensions in total degree k minus twice the Betti number.  It vanishes in
+  every degree exactly on structures satisfying the del-delbar lemma, and
+  obeys ``delta[k] == delta[2n-k]``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .algebra import Form, basis, basis_dimension
 from .linalg import ExactMatrix, exact_rank, hstack, vstack
@@ -112,38 +119,6 @@ class _Engine:
             self._ranks[key] = exact_rank(m)
         return self._ranks[key]
 
-    # -- pointwise dimensions ------------------------------------------------
-
-    def hodge_dolbeault(self, p: int, q: int) -> int:
-        return self.dim(p, q) - self.rank("delbar", p, q) - self.rank("delbar", p, q - 1)
-
-    def hodge_del(self, p: int, q: int) -> int:
-        return self.dim(p, q) - self.rank("del", p, q) - self.rank("del", p - 1, q)
-
-    def hodge_bc(self, p: int, q: int) -> int:
-        return self.dim(p, q) - self.rank("stack", p, q) - self.rank("dd", p - 1, q - 1)
-
-    def hodge_aeppli(self, p: int, q: int) -> int:
-        return self.dim(p, q) - self.rank("dd", p, q) - self.rank("concat", p, q)
-
-    def a_dim(self, p: int, q: int) -> int:
-        # dim(im del /\ im delbar) - dim im(del delbar), all landing in (p,q)
-        return (
-            self.rank("del", p - 1, q)
-            + self.rank("delbar", p, q - 1)
-            - self.rank("concat", p, q)
-            - self.rank("dd", p - 1, q - 1)
-        )
-
-    def f_dim(self, p: int, q: int) -> int:
-        # dim ker(del delbar) - dim(ker del + ker delbar), all at (p,q)
-        return (
-            self.rank("del", p, q)
-            + self.rank("delbar", p, q)
-            - self.rank("stack", p, q)
-            - self.rank("dd", p, q)
-        )
-
     # -- total complex ----------------------------------------------------------
 
     def _blocks(self, k: int):
@@ -185,23 +160,39 @@ class _Engine:
             return 0
         return self.total_dim(k) - self.total_rank(k) - self.total_rank(k - 1)
 
-    def delta(self, k: int) -> int:
-        total = 0
-        for p, q in self._blocks(k):
-            total += self.hodge_bc(p, q) + self.hodge_aeppli(p, q)
-        return total - 2 * self.betti(k)
-
 
 # ---------------------------------------------------------------------------
-# public operations
+# the formula table
 # ---------------------------------------------------------------------------
+
+# One row per theory: its output name, its CohomologyTable field, the
+# coefficient of dim(p,q) and the signed rank terms (sign, kind, dp, dq), each
+# standing for sign * rank(kind, p + dp, q + dq).  The rows with coefficient 1
+# are cohomology groups (kernel minus image); the a- and f-dimensions compare
+# images and kernels, so they are made of ranks alone.  Rows are in output order.
+THEORIES = (
+    # ker[del; delbar] / im(del delbar)
+    ("bott_chern", "h_bc", 1, ((-1, "stack", 0, 0), (-1, "dd", -1, -1))),
+    # ker(del delbar) / (im del + im delbar)
+    ("aeppli", "h_aeppli", 1, ((-1, "dd", 0, 0), (-1, "concat", 0, 0))),
+    ("dolbeault", "h_dolbeault", 1, ((-1, "delbar", 0, 0), (-1, "delbar", 0, -1))),
+    ("del", "h_del", 1, ((-1, "del", 0, 0), (-1, "del", -1, 0))),
+    # dim(im del /\ im delbar) - dim im(del delbar), all landing in (p,q)
+    ("a", "a_dim", 0, ((1, "del", -1, 0), (1, "delbar", 0, -1),
+                       (-1, "concat", 0, 0), (-1, "dd", -1, -1))),
+    # dim ker(del delbar) - dim(ker del + ker delbar), all at (p,q)
+    ("f", "f_dim", 0, ((1, "del", 0, 0), (1, "delbar", 0, 0),
+                       (-1, "stack", 0, 0), (-1, "dd", 0, 0))),
+)
+
 
 @dataclass
 class CohomologyTable:
     """Every cohomological dimension of one instantiated structure.
 
     Grids are (n+1) x (n+1) nested lists indexed ``grid[p][q]``; ``betti`` and
-    ``delta`` run over total degrees 0 .. 2n.
+    ``delta`` run over total degrees 0 .. 2n.  ``delta`` is not passed in: it
+    is read off the Bott-Chern, Aeppli and Betti values by its definition.
     """
 
     n: int
@@ -212,7 +203,11 @@ class CohomologyTable:
     a_dim: list
     f_dim: list
     betti: list
-    delta: list
+    delta: list = field(init=False)
+
+    def __post_init__(self):
+        self.delta = [self.level("h_bc", k) + self.level("h_aeppli", k) - 2 * b
+                      for k, b in enumerate(self.betti)]
 
     def level(self, grid_name: str, k: int) -> int:
         grid = getattr(self, grid_name)
@@ -225,41 +220,23 @@ class CohomologyTable:
         return sum((-1) ** k * b for k, b in enumerate(self.betti))
 
     def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "hodge": {
-                "dolbeault": self.h_dolbeault,
-                "del": self.h_del,
-                "bott_chern": self.h_bc,
-                "aeppli": self.h_aeppli,
-            },
-            "a": self.a_dim,
-            "f": self.f_dim,
-            "betti": self.betti,
-            "delta": self.delta,
-        }
+        # the cohomology groups are nested under "hodge", a and f stay top level
+        grids = {name: getattr(self, grid_name) for name, grid_name, _, _ in THEORIES}
+        hodge = {name: grids.pop(name) for name, _, unit, _ in THEORIES if unit}
+        return {"n": self.n, "hodge": hodge, **grids, "betti": self.betti, "delta": self.delta}
 
 
 def full_table(cs: ComplexStructure) -> CohomologyTable:
     """Every cohomological dimension of ``cs``, from one engine."""
     eng = _Engine(cs)
-    n = cs.n
-    grids = {name: [[0] * (n + 1) for _ in range(n + 1)] for name in
-             ("h_dolbeault", "h_del", "h_bc", "h_aeppli", "a_dim", "f_dim")}
-    for p in range(n + 1):
-        for q in range(n + 1):
-            grids["h_dolbeault"][p][q] = eng.hodge_dolbeault(p, q)
-            grids["h_del"][p][q] = eng.hodge_del(p, q)
-            grids["h_bc"][p][q] = eng.hodge_bc(p, q)
-            grids["h_aeppli"][p][q] = eng.hodge_aeppli(p, q)
-            grids["a_dim"][p][q] = eng.a_dim(p, q)
-            grids["f_dim"][p][q] = eng.f_dim(p, q)
-    return CohomologyTable(
-        n=n,
-        betti=[eng.betti(k) for k in range(2 * n + 1)],
-        delta=[eng.delta(k) for k in range(2 * n + 1)],
-        **grids,
-    )
+    span = range(cs.n + 1)
+    grids = {
+        grid_name: [[unit * eng.dim(p, q) + sum(sign * eng.rank(kind, p + dp, q + dq)
+                                                for sign, kind, dp, dq in terms)
+                     for q in span] for p in span]
+        for _, grid_name, unit, terms in THEORIES
+    }
+    return CohomologyTable(n=cs.n, betti=[eng.betti(k) for k in range(2 * cs.n + 1)], **grids)
 
 
 @dataclass
@@ -330,6 +307,7 @@ def differential_identities_ok(cs: ComplexStructure) -> bool:
 
 
 __all__ = [
+    "THEORIES",
     "CohomologyTable",
     "LemmaVerdict",
     "ddbar_lemma_status",

@@ -65,6 +65,30 @@ def test_check_unbound_parameter(capsys, tmp_path):
     assert "unbound parameters: D" in out
 
 
+def test_check_reads_text_as_a_template_first(capsys, tmp_path):
+    path = tmp_path / "in.txt"
+    path.write_text("(0,0,0)\n", encoding="ascii")
+    code, out, _ = run(capsys, "check", str(path))
+    assert code == 0
+    assert out.splitlines() == [
+        "parsed complex-structure template (n=3)",
+        "integrability shape: ok (only (2,0) and (1,1) terms)",
+        "d-square: ok",
+        "underlying real algebra: dimension 6",
+        "nilpotency: ok",
+    ]
+    for text in ("(0,0,0,0,12,34)", "(0^6)"):
+        path.write_text(text + "\n", encoding="ascii")
+        code, out, _ = run(capsys, "check", str(path))
+        assert code == 0
+        assert out.splitlines()[0] == "parsed real algebra (dim=6)"
+    # a malformed template reports the template parser's error
+    path.write_text("(0,0,w1q)\n", encoding="ascii")
+    assert run(capsys, "check", str(path)) == (
+        1, "", "parse error: expected an index digit 1-9 (line 1, column 8)\n"
+    )
+
+
 def test_missing_file(capsys):
     code, _, err = run(capsys, "check", "/nonexistent/file.txt")
     assert code == 1
@@ -163,6 +187,27 @@ def test_catalog_case_11_prints_footnote(capsys):
     code, out, _ = run(capsys, "catalog", "--case", "12")
     assert code == 0
     assert cli.H7_FOOTNOTE not in out
+
+
+def test_catalog_case_and_dim_is_a_usage_error(capsys):
+    assert run(capsys, "catalog", "--case", "12", "--dim", "4") == (
+        1, "", "error: give either --case or --dim, not both\n"
+    )
+
+
+def test_catalog_prints_one_table_per_dimension(capsys, monkeypatch, all_cases, tables):
+    # each dimension keeps the header of its own --dim table; the footnote of
+    # 6d case 11 closes the output once.  Only the layout is under test, so
+    # the tables come from the session fixture.
+    by_structure = {id(case.structure()): tables[case.id] for case in all_cases}
+    monkeypatch.setattr(cat, "full_table", lambda cs: by_structure[id(cs)])
+    for fmt, tail in (("md", f"\n\n{cli.H7_FOOTNOTE}\n"), ("csv", f"\n# {cli.H7_FOOTNOTE}\n")):
+        _, six, _ = run(capsys, "catalog", "--dim", "3", "--format", fmt)
+        _, eight, _ = run(capsys, "catalog", "--dim", "4", "--format", fmt)
+        code, out, _ = run(capsys, "catalog", "--format", fmt)
+        assert code == 0
+        assert six.endswith(tail) and not eight.endswith(tail)
+        assert out == six[:-len(tail)] + "\n\n" + eight[:-1] + tail
 
 
 def test_catalog_unknown_case(capsys):
@@ -360,6 +405,128 @@ def test_table_markdown_layout(capsys, iwasawa_file):
     code, out, _ = run(capsys, "table", iwasawa_file, "--format", "md")
     assert code == 0
     assert out == IWASAWA_TABLE_MD
+
+
+IWASAWA_TABLE_CSV = """\
+theory,p,q,value
+bott_chern,0,0,1
+bott_chern,0,1,2
+bott_chern,0,2,3
+bott_chern,0,3,1
+bott_chern,1,0,2
+bott_chern,1,1,4
+bott_chern,1,2,6
+bott_chern,1,3,2
+bott_chern,2,0,3
+bott_chern,2,1,6
+bott_chern,2,2,8
+bott_chern,2,3,3
+bott_chern,3,0,1
+bott_chern,3,1,2
+bott_chern,3,2,3
+bott_chern,3,3,1
+aeppli,0,0,1
+aeppli,0,1,3
+aeppli,0,2,2
+aeppli,0,3,1
+aeppli,1,0,3
+aeppli,1,1,8
+aeppli,1,2,6
+aeppli,1,3,3
+aeppli,2,0,2
+aeppli,2,1,6
+aeppli,2,2,4
+aeppli,2,3,2
+aeppli,3,0,1
+aeppli,3,1,3
+aeppli,3,2,2
+aeppli,3,3,1
+dolbeault,0,0,1
+dolbeault,0,1,2
+dolbeault,0,2,2
+dolbeault,0,3,1
+dolbeault,1,0,3
+dolbeault,1,1,6
+dolbeault,1,2,6
+dolbeault,1,3,3
+dolbeault,2,0,3
+dolbeault,2,1,6
+dolbeault,2,2,6
+dolbeault,2,3,3
+dolbeault,3,0,1
+dolbeault,3,1,2
+dolbeault,3,2,2
+dolbeault,3,3,1
+del,0,0,1
+del,0,1,3
+del,0,2,3
+del,0,3,1
+del,1,0,2
+del,1,1,6
+del,1,2,6
+del,1,3,2
+del,2,0,2
+del,2,1,6
+del,2,2,6
+del,2,3,2
+del,3,0,1
+del,3,1,3
+del,3,2,3
+del,3,3,1
+a,0,0,0
+a,0,1,0
+a,0,2,0
+a,0,3,0
+a,1,0,0
+a,1,1,0
+a,1,2,0
+a,1,3,0
+a,2,0,0
+a,2,1,0
+a,2,2,0
+a,2,3,0
+a,3,0,0
+a,3,1,0
+a,3,2,0
+a,3,3,0
+f,0,0,0
+f,0,1,0
+f,0,2,0
+f,0,3,0
+f,1,0,0
+f,1,1,0
+f,1,2,0
+f,1,3,0
+f,2,0,0
+f,2,1,0
+f,2,2,0
+f,2,3,0
+f,3,0,0
+f,3,1,0
+f,3,2,0
+f,3,3,0
+betti,0,,1
+betti,1,,4
+betti,2,,8
+betti,3,,10
+betti,4,,8
+betti,5,,4
+betti,6,,1
+delta,0,,0
+delta,1,,2
+delta,2,,6
+delta,3,,8
+delta,4,,6
+delta,5,,2
+delta,6,,0
+ddbar_lemma,,,FAILS at k=1
+"""
+
+
+def test_table_csv_layout(capsys, iwasawa_file):
+    code, out, _ = run(capsys, "table", iwasawa_file, "--format", "csv")
+    assert code == 0
+    assert out == IWASAWA_TABLE_CSV
 
 
 def test_catalog_csv_layout_with_footnote(capsys):

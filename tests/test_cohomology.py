@@ -1,12 +1,14 @@
 from math import comb
 
 import pytest
+from hypothesis import given, settings
 
 from nilcohom import cohomology as co
 from nilcohom.cohomology import _Engine
 from nilcohom.linalg import exact_rank
 from nilcohom.model import ComplexStructure, instantiate
 from nilcohom.parser import parse_binding, parse_complex_structure
+from test_model import triangular_structures
 
 
 def build(template, binding=""):
@@ -135,3 +137,26 @@ def test_delta_degree_symmetry(tables):
     for table in tables.values():
         for k in range(2 * table.n + 1):
             assert table.delta[k] == table.delta[2 * table.n - k]
+
+
+@settings(derandomize=True, max_examples=30, deadline=None, database=None)
+@given(triangular_structures())
+def test_identities_beyond_the_catalog(cs):
+    # none of these follows from the formula table: each ties ranks of
+    # different matrices, or the table to the total complex
+    table = co.full_table(cs)
+    n = table.n
+    for p in range(n + 1):
+        for q in range(n + 1):
+            assert table.h_bc[p][q] == table.h_bc[q][p]
+            assert table.h_bc[p][q] == table.h_aeppli[n - p][n - q]
+            assert table.a_dim[p][q] == table.f_dim[n - p][n - q]
+            assert table.h_dolbeault[p][q] == table.h_del[q][p]
+    for k in range(2 * n + 1):
+        varouchas = (2 * table.level("h_dolbeault", k)
+                     + table.level("a_dim", k) + table.level("f_dim", k))
+        assert table.level("h_bc", k) + table.level("h_aeppli", k) == varouchas
+        assert table.delta[k] >= 0
+        assert table.delta[k] == table.delta[2 * n - k]
+        assert k % 2 == 0 or table.delta[k] % 2 == 0
+        assert table.level("h_dolbeault", k) >= table.betti[k]
