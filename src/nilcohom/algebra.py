@@ -9,18 +9,21 @@ at most one gcd (none when ``den == 1``), so equal values have equal triples.  F
 conventions are normalized once here and every other module relies on them:
 
 * all holomorphic factors precede all antiholomorphic ones,
-* within each block indices are strictly ascending,
+* within each block indices are strictly ascending, between 1 and ``n``,
 * the sign of the sorting permutation is folded into the coefficient,
 * zero coefficients are dropped eagerly, so form equality is structural.
+
+Every operation here keeps that form without checking it; it is checked
+once, where monomials enter: by the parser and by the structure constructors
+of :mod:`nilcohom.model`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm
-from typing import Iterable, Iterator
+from math import comb, gcd, lcm
+from typing import Iterable, Iterator, NamedTuple
 
 
 def _as_pair(v) -> tuple[int, int]:
@@ -205,19 +208,11 @@ ONE = Gaussian.of(1)
 I = Gaussian.of(0, 1)
 
 
-@dataclass(frozen=True, order=True)
-class BasisElement:
+class BasisElement(NamedTuple):
     """Canonical wedge monomial ``w^holo /\\ wbar^anti``, each tuple ascending."""
 
     holo: tuple[int, ...]
     anti: tuple[int, ...]
-
-    def __post_init__(self):
-        for block in (self.holo, self.anti):
-            if any(block[k] >= block[k + 1] for k in range(len(block) - 1)):
-                raise ValueError(f"indices not strictly ascending: {block}")
-            if any(j < 1 for j in block):
-                raise ValueError(f"indices must be >= 1: {block}")
 
     @property
     def bidegree(self) -> tuple[int, int]:
@@ -268,8 +263,6 @@ class Form:
     def __init__(self, n: int, terms: Iterable[tuple[BasisElement, Gaussian]] = ()):
         acc: dict[BasisElement, Gaussian] = {}
         for elem, coeff in terms:
-            if max(elem.holo + elem.anti, default=0) > n:
-                raise ValueError(f"index out of range for coframe dimension {n}: {elem}")
             cur = acc.get(elem)
             new = coeff if cur is None else cur + coeff
             if new:
@@ -411,11 +404,4 @@ def basis_dimension(n: int, p: int, q: int) -> int:
     """dim of the (p, q) slot; zero outside the square 0..n x 0..n."""
     if not (0 <= p <= n and 0 <= q <= n):
         return 0
-    return _binomial(n, p) * _binomial(n, q)
-
-
-def _binomial(n: int, k: int) -> int:
-    out = 1
-    for j in range(k):
-        out = out * (n - j) // (j + 1)
-    return out
+    return comb(n, p) * comb(n, q)

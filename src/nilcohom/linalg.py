@@ -1,8 +1,8 @@
 """Column-sparse exact matrices over the Gaussian rationals and their rank.
 
 Ranks are the only linear-algebra output the cohomology tables need, so the
-module stays deliberately small: one matrix type with block stacking,
-addition and multiplication (for the differential identities), and one
+module stays deliberately small: one matrix type with block stacking and
+multiplication (for del delbar and the differential identities), and one
 deterministic exact elimination.  ``exact_rank`` counts its pivot columns;
 ``column_basis`` returns them as a basis of the column span, which is how
 the nilpotency check follows the lower central series.
@@ -63,21 +63,6 @@ class ExactMatrix:
                     acc[i] = acc[i] + c * e if i in acc else c * e
             out.append({i: e for i, e in acc.items() if e})
         return ExactMatrix(self.rows, other.cols, out)
-
-    def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        out = []
-        for a, b in zip(self.columns, other.columns):
-            col = dict(a)
-            for i, e in b.items():
-                s = col[i] + e if i in col else e
-                if s:
-                    col[i] = s
-                else:
-                    del col[i]
-            out.append(col)
-        return ExactMatrix(self.rows, self.cols, out)
 
     def __repr__(self) -> str:
         return f"ExactMatrix({self.rows}x{self.cols})"

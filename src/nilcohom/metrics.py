@@ -108,33 +108,22 @@ def to_two_form(h: HermitianForm) -> Form:
     return coefficient_form(h).scale(I)
 
 
-def _determinant(entries) -> Gaussian:
-    n = len(entries)
-    if n == 0:
-        return ONE
-    if n == 1:
-        return entries[0][0]
-    total = ZERO
-    for col in range(n):
-        head = entries[0][col]
-        if not head:
-            continue
-        minor = [
-            [row[c] for c in range(n) if c != col]
-            for row in entries[1:]
-        ]
-        sign = -1 if col % 2 else 1
-        total = total + head * _determinant(minor) * sign
-    return total
-
-
 def is_positive(h: HermitianForm) -> bool:
-    """Positive-definiteness via leading principal minors (all exact)."""
-    for k in range(1, h.n + 1):
-        sub = [row[:k] for row in h.entries[:k]]
-        minor = _determinant(sub)
-        if not minor.is_real() or minor.re <= 0:
+    """Positive-definiteness by Sylvester's criterion, exactly.
+
+    Elimination without row exchanges makes the k-th leading principal minor
+    the product of the first k pivots, so every leading minor is positive
+    exactly when every pivot is a positive rational.
+    """
+    a = [row[:] for row in h.entries]
+    for k in range(h.n):
+        pivot = a[k][k]
+        if not pivot.is_real() or pivot.re <= 0:
             return False
+        for i in range(k + 1, h.n):
+            factor = a[i][k] / pivot
+            for j in range(k + 1, h.n):
+                a[i][j] = a[i][j] - factor * a[k][j]
     return True
 
 

@@ -7,7 +7,10 @@ Templates keep symbolic coefficients (parameters, their conjugates, declared
 modulus symbols) until a binding supplies exact Gaussian-rational values; the
 template grammar admits only (2,0) and (1,1) terms, so non-integrable input is
 unrepresentable.  ``d`` on conjugated generators is always the conjugate of
-``d`` on the generators, never stored separately.
+``d`` on the generators, never stored separately, so ``d`` commutes with
+conjugation and the ``d^2 = 0`` check computes only ``d(d w^j)``: each
+``d(d wbar^j)`` is its conjugate.  ``RealAlgebra``, ``ComplexStructureTemplate``
+and ``ComplexStructure`` reject non-canonical monomials, as the parser does.
 
 Every form is differentiated by one kernel, the graded Leibniz rule on the
 factors of each monomial (holomorphic factors first):
@@ -67,6 +70,13 @@ class DifferentialSquareError(ModelError):
 # generic exterior differentials
 # ---------------------------------------------------------------------------
 
+def _check_monomial(elem: BasisElement, n: int) -> None:
+    """Reject a monomial unless each block is strictly ascending within 1..n."""
+    for block in (elem.holo, elem.anti):
+        if not all(a < b for a, b in zip((0, *block), (*block, n + 1))):
+            raise ValueError(f"not a canonical monomial over {n} generators: {elem}")
+
+
 def exterior_derivative(f: Form, d_holo, d_anti) -> Form:
     """d by the Leibniz rule of the module docstring; terms are collected once."""
     terms = []
@@ -106,6 +116,16 @@ class ValidationReport:
         return "d-square FAILED:\n  " + "\n  ".join(lines)
 
 
+def _d_squared(d, differentials: list[Form], label: str) -> ValidationReport:
+    """Apply ``d`` to every generator differential; report the nonzero ones."""
+    report = ValidationReport()
+    for j, df in enumerate(differentials, start=1):
+        residual = d(df)
+        if not residual.is_zero():
+            report.residuals.append((f"{label}{j}", residual))
+    return report
+
+
 # ---------------------------------------------------------------------------
 # real Lie algebras
 # ---------------------------------------------------------------------------
@@ -124,6 +144,7 @@ class RealAlgebra:
             if f.n != dim:
                 raise ValueError(f"d e^{j} lives over the wrong coframe")
             for elem, coeff in f.terms.items():
+                _check_monomial(elem, dim)
                 if elem.bidegree != (2, 0):
                     raise ValueError(f"d e^{j} is not a real 2-form: {elem}")
                 if not coeff.is_real():
@@ -135,12 +156,7 @@ class RealAlgebra:
         return exterior_derivative(f, self.d_of_e, [])
 
     def check_d_squared(self) -> ValidationReport:
-        report = ValidationReport()
-        for j in range(1, self.dim + 1):
-            residual = self.d(self.d_of_e[j - 1])
-            if not residual.is_zero():
-                report.residuals.append((f"e{j}", residual))
-        return report
+        return _d_squared(self.d, self.d_of_e, "e")
 
     def is_abelian(self) -> bool:
         return all(f.is_zero() for f in self.d_of_e)
@@ -232,12 +248,11 @@ class ComplexStructureTemplate:
             raise ValueError(f"expected {n} coframe differentials")
         for entry in self.d_of_omega:
             for _, elem in entry:
+                _check_monomial(elem, n)
                 if elem.bidegree not in ((2, 0), (1, 1)):
                     raise IntegrabilityError(
                         f"term {elem} is neither (2,0) nor (1,1)"
                     )
-                if max(elem.holo + elem.anti) > n:
-                    raise ValueError(f"index out of range in {elem}")
         self.params = tuple(params)
         self.moduli = tuple(moduli)
 
@@ -270,7 +285,7 @@ class ParameterBinding:
 class ComplexStructure:
     """Instantiated coframe differentials; every coefficient is exact.
 
-    Construction checks ``d^2 = 0`` on every generator and raises
+    Construction checks ``d^2 = 0`` on every generator ``w^j`` and raises
     :class:`DifferentialSquareError` otherwise.
     """
 
@@ -280,9 +295,10 @@ class ComplexStructure:
         for j, f in enumerate(d_omega, start=1):
             if f.n != n:
                 raise ValueError(f"d w^{j} lives over the wrong coframe")
-            bad = [e for e in f.terms if e.bidegree not in ((2, 0), (1, 1))]
-            if bad:
-                raise IntegrabilityError(f"d w^{j} has terms {bad}")
+            for elem in f.terms:
+                _check_monomial(elem, n)
+                if elem.bidegree not in ((2, 0), (1, 1)):
+                    raise IntegrabilityError(f"d w^{j} has a {elem.bidegree} term {elem}")
         self.n = n
         self.d_omega = list(d_omega)
         self._d_anti = [f.conjugate() for f in d_omega]
@@ -306,16 +322,8 @@ class ComplexStructure:
 
 
 def check_d_squared(cs: ComplexStructure) -> ValidationReport:
-    """Compute every d(d w^j) and d(d wbar^j); list nonzero residuals."""
-    report = ValidationReport()
-    for j in range(1, cs.n + 1):
-        residual = cs.d(cs.d_omega[j - 1])
-        if not residual.is_zero():
-            report.residuals.append((f"w{j}", residual))
-        residual_bar = cs.d(cs._d_anti[j - 1])
-        if not residual_bar.is_zero():
-            report.residuals.append((f"w~{j}", residual_bar))
-    return report
+    """Compute every d(d w^j); each d(d wbar^j) is its conjugate."""
+    return _d_squared(cs.d, cs.d_omega, "w")
 
 
 def _resolve_coefficient(expr: CoeffExpr, binding: ParameterBinding,
@@ -376,7 +384,11 @@ def instantiate(template: ComplexStructureTemplate,
 # ---------------------------------------------------------------------------
 
 def realify(cs: ComplexStructure) -> RealAlgebra:
-    """The underlying real algebra on ``e^{2j-1} = Re w^j``, ``e^{2j} = Im w^j``."""
+    """The underlying real algebra on ``e^{2j-1} = Re w^j``, ``e^{2j} = Im w^j``.
+
+    Its ``d^2 = 0`` is inherited from ``cs``: the substitution is an
+    isomorphism of the complexified differential algebras.
+    """
     n, m = cs.n, 2 * cs.n
     i = Gaussian.of(0, 1)
     subs_holo = [
@@ -407,11 +419,7 @@ def realify(cs: ComplexStructure) -> RealAlgebra:
         imag_part = Form(m, [(e, Gaussian.rational(c.im)) for e, c in x.terms.items()])
         d_of_e.append(real_part)
         d_of_e.append(imag_part)
-    algebra = RealAlgebra(m, d_of_e)
-    report = algebra.check_d_squared()
-    if not report.ok:
-        raise DifferentialSquareError(report)
-    return algebra
+    return RealAlgebra(m, d_of_e)
 
 
 def product_with_torus(cs: ComplexStructure) -> ComplexStructure:

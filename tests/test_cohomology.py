@@ -3,7 +3,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings
 
-from nilcohom import cohomology as co
+from nilcohom import cohomology as co, model
 from nilcohom.cohomology import _Engine
 from nilcohom.linalg import exact_rank
 from nilcohom.model import ComplexStructure, instantiate
@@ -58,9 +58,13 @@ def test_full_table_applies_d_once_per_basis_monomial(monkeypatch):
     assert len(sources) == len({frozenset(f.terms) for f in sources}) == 4 ** cs.n
 
 
-def test_matrix_identities(iwasawa, h8):
+def test_matrix_identities(iwasawa, h8, monkeypatch):
     assert co.differential_identities_ok(iwasawa)
     assert co.differential_identities_ok(h8)
+    # with the constructor's d^2 check switched off, (0, w1~3, w12) is built,
+    # and its d(d w^2) != 0 shows in the matrices
+    monkeypatch.setattr(model, "check_d_squared", lambda cs: model.ValidationReport())
+    assert not co.differential_identities_ok(build("(0, w1~3, w12)"))
 
 
 def test_dolbeault_examples(torus, iwasawa, tables):

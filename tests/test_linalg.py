@@ -57,8 +57,6 @@ def test_shape_is_checked():
         hstack(mat([[1], [2]]), mat([[1]]))
     with pytest.raises(ValueError):
         mat([[1, 2]]) @ mat([[1, 2]])
-    with pytest.raises(ValueError):
-        mat([[1, 2]]) + mat([[1], [2]])
 
 
 def test_stacking():
@@ -87,13 +85,6 @@ def test_matmul_identity():
     assert (m @ ExactMatrix(2, 3)).is_zero()
     # an exact cancellation leaves no stored zero behind
     assert mat([[1, -1]]) @ mat([[1], [1]]) == ExactMatrix(1, 1)
-
-
-def test_add():
-    m = mat([[1, (0, 1)], [0, "1/2"]])
-    assert m + m == mat([[2, (0, 2)], [0, 1]])
-    assert (m + mat([[-1, (0, -1)], [0, "-1/2"]])).is_zero()
-    assert m + mat([[-1, (0, -1)], [0, "-1/2"]]) == ExactMatrix(2, 2)
 
 
 def _random_grid(rng, rows, cols):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations, permutations
 
 import pytest
 
@@ -96,6 +97,42 @@ def test_minor_criterion_agrees_with_classical_inequalities():
         checked_positive += verdict
         checked_negative += not verdict
     assert checked_positive > 20 and checked_negative > 20
+
+
+def _leading_minors(entries):
+    # oracle: each leading principal minor by the permutation expansion
+    minors = []
+    for k in range(1, len(entries) + 1):
+        total = Gaussian.of(0)
+        for perm in permutations(range(k)):
+            inversions = sum(perm[a] > perm[b] for a, b in combinations(range(k), 2))
+            term = Gaussian.of(-1 if inversions % 2 else 1)
+            for row, col in enumerate(perm):
+                term = term * entries[row][col]
+            total = total + term
+        minors.append(total)
+    return minors
+
+
+def test_positivity_agrees_with_leading_minors():
+    rng = random.Random(29)
+    values = [Gaussian.of(x, y) for x in (-1, 0, 1) for y in (-1, 0, 1)]
+    values += [Gaussian.of(Fraction(1, 2)), Gaussian.of(2, 1)]
+    seen = {"positive": 0, "singular": 0, "indefinite": 0}
+    for _ in range(400):
+        n = rng.randint(1, 4)
+        diag = [Fraction(rng.randint(1, 2)) for _ in range(n)]
+        upper = {(j, k): rng.choice(values)
+                 for j in range(1, n + 1) for k in range(j + 1, n + 1)}
+        h = me.hermitian_form(diag, upper)
+        minors = _leading_minors(h.entries)
+        assert all(m.is_real() for m in minors)
+        first_bad = next((m for m in minors if m.re <= 0), None)
+        kind = ("positive" if first_bad is None
+                else "singular" if not first_bad else "indefinite")
+        seen[kind] += 1
+        assert me.is_positive(h) == (kind == "positive"), h.entries
+    assert min(seen.values()) >= 50, seen
 
 
 def test_ddbar_of_table_values():
