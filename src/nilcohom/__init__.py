@@ -6,7 +6,6 @@ from .metrics import HermitianForm, is_balanced, is_pluriclosed, is_positive, st
 from .model import (
     ComplexStructure,
     ComplexStructureTemplate,
-    ParameterBinding,
     RealAlgebra,
     check_d_squared,
     check_nilpotency,
@@ -24,7 +23,6 @@ __all__ = [
     "Form",
     "Gaussian",
     "HermitianForm",
-    "ParameterBinding",
     "ParseError",
     "RealAlgebra",
     "basis",

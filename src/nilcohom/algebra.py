@@ -4,8 +4,11 @@ Every scalar in the engine is a :class:`Gaussian` number ``a + b*i`` with
 arbitrary-precision rational real and imaginary parts, so no computation ever
 rounds.  It is stored as three integers, ``(x + y*i) / den`` with ``den > 0``
 and ``gcd(x, y, den) == 1``; every operation restores that reduced form with
-at most one gcd (none when ``den == 1``), so equal values have equal triples.  Forms are finite sums of canonical wedge monomials
-``w^I /\\ wbar^J`` over a coframe of ``n`` holomorphic generators; the sign
+at most one gcd (none when ``den == 1``), so equal values have equal triples.
+
+Forms are finite sums of canonical wedge monomials ``w^I /\\ wbar^J``.  A form
+has no dimension of its own: its indices refer to the coframe of ``n``
+holomorphic generators of the structure it is used with.  The sign
 conventions are normalized once here and every other module relies on them:
 
 * all holomorphic factors precede all antiholomorphic ones,
@@ -60,10 +63,6 @@ class Gaussian:
     def of(re, im=0) -> "Gaussian":
         return Gaussian(re, im)
 
-    @staticmethod
-    def rational(x) -> "Gaussian":
-        return Gaussian(x, 0)
-
     @property
     def re(self) -> Fraction:
         return Fraction(self.x, self.den)
@@ -73,9 +72,6 @@ class Gaussian:
         return Fraction(self.y, self.den)
 
     # -- predicates --------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.x and not self.y
 
     def is_real(self) -> bool:
         return not self.y
@@ -253,14 +249,15 @@ def wedge_elements(x: BasisElement, y: BasisElement):
 class Form:
     """A finite sum of canonical monomials with Gaussian coefficients.
 
-    ``n`` is the coframe dimension; ``terms`` maps :class:`BasisElement` to a
-    nonzero :class:`Gaussian`.  Instances are immutable by convention: all
-    operations return fresh forms.
+    ``terms`` maps :class:`BasisElement` to a nonzero :class:`Gaussian`.  A
+    form has no dimension of its own: the coframe is that of the structure
+    it is used with.  Instances are immutable by convention: all operations
+    return fresh forms.
     """
 
-    __slots__ = ("n", "terms")
+    __slots__ = ("terms",)
 
-    def __init__(self, n: int, terms: Iterable[tuple[BasisElement, Gaussian]] = ()):
+    def __init__(self, terms: Iterable[tuple[BasisElement, Gaussian]] = ()):
         acc: dict[BasisElement, Gaussian] = {}
         for elem, coeff in terms:
             cur = acc.get(elem)
@@ -269,24 +266,19 @@ class Form:
                 acc[elem] = new
             elif elem in acc:
                 del acc[elem]
-        self.n = n
         self.terms = acc
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def zero(n: int) -> "Form":
-        return Form(n)
+    def single(elem: BasisElement, coeff: Gaussian = ONE) -> "Form":
+        return Form([(elem, coeff)])
 
     @staticmethod
-    def single(n: int, elem: BasisElement, coeff: Gaussian = ONE) -> "Form":
-        return Form(n, [(elem, coeff)])
-
-    @staticmethod
-    def generator(n: int, j: int, conjugated: bool = False) -> "Form":
+    def generator(j: int, conjugated: bool = False) -> "Form":
         """The 1-form ``w^j`` (or ``wbar^j``)."""
         elem = BasisElement((), (j,)) if conjugated else BasisElement((j,), ())
-        return Form.single(n, elem)
+        return Form.single(elem)
 
     # -- structure ----------------------------------------------------------
 
@@ -303,34 +295,28 @@ class Form:
         return self.terms.get(elem, ZERO)
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Form)
-            and self.n == other.n
-            and self.terms == other.terms
-        )
+        return isinstance(other, Form) and self.terms == other.terms
 
     # -- linear operations ----------------------------------------------------
 
     def __add__(self, other: "Form") -> "Form":
-        self._check_compatible(other)
-        return Form(self.n, list(self.terms.items()) + list(other.terms.items()))
+        return Form(list(self.terms.items()) + list(other.terms.items()))
 
     def __sub__(self, other: "Form") -> "Form":
         return self + (-other)
 
     def __neg__(self) -> "Form":
-        return Form(self.n, [(e, -c) for e, c in self.terms.items()])
+        return Form([(e, -c) for e, c in self.terms.items()])
 
     def scale(self, coeff) -> "Form":
-        coeff = coeff if isinstance(coeff, Gaussian) else Gaussian.rational(coeff)
+        coeff = coeff if isinstance(coeff, Gaussian) else Gaussian.of(coeff)
         if not coeff:
-            return Form.zero(self.n)
-        return Form(self.n, [(e, c * coeff) for e, c in self.terms.items()])
+            return Form()
+        return Form([(e, c * coeff) for e, c in self.terms.items()])
 
     # -- multiplicative structure ---------------------------------------------
 
     def wedge(self, other: "Form") -> "Form":
-        self._check_compatible(other)
         out: list[tuple[BasisElement, Gaussian]] = []
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
@@ -339,7 +325,7 @@ class Form:
                     continue
                 elem, sign = merged
                 out.append((elem, c1 * c2 * sign))
-        return Form(self.n, out)
+        return Form(out)
 
     def conjugate(self) -> "Form":
         """Complex conjugation: swaps the blocks, conjugates coefficients."""
@@ -348,26 +334,13 @@ class Form:
             p, q = e.bidegree
             sign = -1 if (p * q) % 2 else 1
             out.append((BasisElement(e.anti, e.holo), c.conjugate() * sign))
-        return Form(self.n, out)
+        return Form(out)
 
     def component(self, p: int, q: int) -> "Form":
         """The pure (p, q) part; summing over all bidegrees recovers the form."""
-        return Form(
-            self.n,
-            [(e, c) for e, c in self.terms.items() if e.bidegree == (p, q)],
-        )
-
-    def with_dimension(self, n: int) -> "Form":
-        """Reinterpret over a larger coframe (indices are unchanged)."""
-        return Form(n, list(self.terms.items()))
+        return Form([(e, c) for e, c in self.terms.items() if e.bidegree == (p, q)])
 
     # -- misc -----------------------------------------------------------------
-
-    def _check_compatible(self, other: "Form"):
-        if not isinstance(other, Form):
-            raise TypeError(f"expected a Form, got {type(other).__name__}")
-        if self.n != other.n:
-            raise ValueError(f"coframe dimensions differ: {self.n} != {other.n}")
 
     def __str__(self) -> str:
         if not self.terms:
@@ -382,7 +355,7 @@ class Form:
         return " + ".join(parts)
 
     def __repr__(self) -> str:
-        return f"Form({self.n}, {self})"
+        return f"Form({self})"
 
 
 def basis(n: int, p: int, q: int) -> list[BasisElement]:

@@ -32,7 +32,7 @@ from .metrics import (
     random_positive_forms,
     standard_form,
 )
-from .model import ComplexStructure, ParameterBinding, instantiate
+from .model import ComplexStructure, instantiate
 from .parser import _Scanner, parse_binding, parse_complex_structure, parse_real_algebra
 
 
@@ -148,7 +148,7 @@ def _power(sc: _Scanner, values) -> Gaussian:
         sc.advance()
         sc.skip_ws()
         exponent = sc.scan_unsigned()
-        out = Gaussian.rational(1)
+        out = Gaussian.of(1)
         for _ in range(exponent):
             out = out * base
         return out
@@ -176,13 +176,13 @@ def _primary(sc: _Scanner, values) -> Gaussian:
                 sc.expect(")")
                 if not second.is_real():
                     sc.error("S(B,c) needs a real second argument")
-                return Gaussian.rational(s_invariant(first.modulus_squared(), second.re))
+                return Gaussian.of(s_invariant(first.modulus_squared(), second.re))
             sc.expect(")")
             if word == "re":
-                return Gaussian.rational(first.re)
+                return Gaussian.of(first.re)
             if word == "im":
-                return Gaussian.rational(first.im)
-            return Gaussian.rational(first.modulus_squared())
+                return Gaussian.of(first.im)
+            return Gaussian.of(first.modulus_squared())
         if word in values:
             return values[word]
         sc.error(f"unknown parameter '{word}'", pos)
@@ -226,7 +226,7 @@ class CatalogCase:
             self._cache["template"] = parse_complex_structure(self.template_text)
         return self._cache["template"]
 
-    def binding(self) -> ParameterBinding:
+    def binding(self) -> dict[str, Gaussian]:
         if "binding" not in self._cache:
             self._cache["binding"] = parse_binding(self.binding_text)
         return self._cache["binding"]
@@ -237,7 +237,7 @@ class CatalogCase:
         return self._cache["structure"]
 
     def predicate_violations(self) -> list[str]:
-        values = self.binding().values
+        values = self.binding()
         return [p for p in self.predicates if not evaluate_predicate(p, values)]
 
 
@@ -308,7 +308,7 @@ def case_by_id(case_id: str) -> CatalogCase:
     raise KeyError(f"no catalog case with id {case_id!r}")
 
 
-def sample(case_id: str) -> ParameterBinding:
+def sample(case_id: str) -> dict[str, Gaussian]:
     """The stored interior sample of a sub-case region (validated at load)."""
     return case_by_id(case_id).binding()
 
@@ -471,13 +471,13 @@ def evaluate_curve(curve_id: str) -> list[CurvePointResult]:
     return results
 
 
-def _curve_c_flags(cs: ComplexStructure, binding: ParameterBinding,
+def _curve_c_flags(cs: ComplexStructure, binding: dict[str, Gaussian],
                    std_pluriclosed: bool) -> dict:
     """Balanced verdicts for curve C: the distinguished metric when positive,
     otherwise the standard plus a seeded random sweep; pluriclosed likewise,
     starting from the standard form's verdict ``std_pluriclosed``."""
-    d = binding.values["D"]
-    u = Gaussian.of(0, 1) * (d + Gaussian.rational(_CURVE_C_S2))
+    d = binding["D"]
+    u = Gaussian.of(0, 1) * (d + Gaussian.of(_CURVE_C_S2))
     distinguished = form_from_uvz(Fraction(1), _CURVE_C_S2, Fraction(1), u=u)
     candidates = [standard_form(cs.n)]
     if is_positive(distinguished):

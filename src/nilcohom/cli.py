@@ -22,6 +22,7 @@ from .model import (
     DifferentialSquareError,
     ModelError,
     NilpotencyError,
+    UnknownParameterError,
     check_nilpotency,
     instantiate,
     realify,
@@ -138,6 +139,8 @@ def _structure_from_args(args) -> ComplexStructure:
     if args.case_id and args.file:
         raise _UsageError("give either a file or --case, not both")
     if args.case_id:
+        if args.binding:
+            raise _UsageError("--binding applies to a file, not to --case")
         return _lookup(cat.case_by_id, args.case_id).structure()
     if not args.file:
         raise _UsageError("either a file or --case is required")
@@ -176,7 +179,11 @@ def _cmd_check(args) -> tuple[int, str]:
         lines.append(f"underlying real algebra: dimension {algebra.dim}")
     else:
         algebra = parse_real_algebra(text)
+        binding = parse_binding(args.binding)
         lines.append(f"parsed real algebra (dim={algebra.dim})")
+        if binding:  # a real algebra has no parameters to bind
+            lines.append(f"binding error: {UnknownParameterError(binding)}")
+            return EXIT_VALIDATION, "\n".join(lines)
         report = algebra.check_d_squared()
         if not report.ok:
             lines.append(str(report))

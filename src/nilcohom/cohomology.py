@@ -85,13 +85,12 @@ class _Engine:
         Outside the valid square the source is empty, so the matrices have
         no columns but keep the row count of their target.
         """
-        n = self.n
         del_index = self._slot(p + 1, q)[1]
         delbar_index = self._slot(p, q + 1)[1]
         del_cols, delbar_cols = [], []
         for elem in self._slot(p, q)[0]:
             del_col, delbar_col = {}, {}
-            for e, c in self.cs.d(Form.single(n, elem)).terms.items():
+            for e, c in self.cs.d(Form.single(elem)).terms.items():
                 if len(e.holo) > p:
                     del_col[del_index[e]] = c
                 else:

@@ -73,7 +73,7 @@ def hermitian_form(diag, upper=None) -> HermitianForm:
     n = len(diag)
     entries = [[ZERO] * n for _ in range(n)]
     for j, d in enumerate(diag):
-        entries[j][j] = d if isinstance(d, Gaussian) else Gaussian.rational(d)
+        entries[j][j] = d if isinstance(d, Gaussian) else Gaussian.of(d)
     for (j, k), value in (upper or {}).items():
         if not 1 <= j < k <= n:
             raise ValueError(f"not a strictly upper index pair: {(j, k)}")
@@ -94,12 +94,9 @@ def form_from_uvz(r2, s2, t2, u=ZERO, v=ZERO, z=ZERO) -> HermitianForm:
 def coefficient_form(h: HermitianForm) -> Form:
     """``sum_jk H_jk w^j /\\ wbar^k`` over the coframe, without the i."""
     return Form(
-        h.n,
-        [
-            (BasisElement((j,), (k,)), h.entries[j - 1][k - 1])
-            for j in range(1, h.n + 1)
-            for k in range(1, h.n + 1)
-        ],
+        (BasisElement((j,), (k,)), h.entries[j - 1][k - 1])
+        for j in range(1, h.n + 1)
+        for k in range(1, h.n + 1)
     )
 
 

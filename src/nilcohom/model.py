@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
+from math import comb
 
 from .algebra import BasisElement, Form, Gaussian, ONE, ZERO, basis, wedge_elements
 from .linalg import ExactMatrix, column_basis, exact_rank, hstack
@@ -96,7 +97,7 @@ def exterior_derivative(f: Form, d_holo, d_anti) -> Form:
                     out, sign = merged
                     c = coeff * d_coeff
                     terms.append((out, c if sign == (-1) ** k else -c))
-    return Form(f.n, terms)
+    return Form(terms)
 
 
 @dataclass
@@ -141,8 +142,6 @@ class RealAlgebra:
         if len(d_of_e) != dim:
             raise ValueError(f"expected {dim} differentials, got {len(d_of_e)}")
         for j, f in enumerate(d_of_e, start=1):
-            if f.n != dim:
-                raise ValueError(f"d e^{j} lives over the wrong coframe")
             for elem, coeff in f.terms.items():
                 _check_monomial(elem, dim)
                 if elem.bidegree != (2, 0):
@@ -161,11 +160,21 @@ class RealAlgebra:
     def is_abelian(self) -> bool:
         return all(f.is_zero() for f in self.d_of_e)
 
-    def first_betti(self) -> int:
-        two_forms = basis(self.dim, 2, 0)
-        index = {e: k for k, e in enumerate(two_forms)}
-        columns = [{index[e]: c for e, c in f.terms.items()} for f in self.d_of_e]
-        return self.dim - exact_rank(ExactMatrix(len(two_forms), self.dim, columns))
+    def betti(self) -> list[int]:
+        """``b_k = C(dim, k) - rank d_k - rank d_(k-1)`` for k = 0..dim.
+
+        ``d_k`` is real ``d`` on ``basis(dim, k, 0)``: the Chevalley-Eilenberg
+        complex, whose cohomology is that of the nilmanifold (Nomizu).  It
+        shares no matrix with the bigraded engine of :mod:`nilcohom.cohomology`.
+        """
+        m = self.dim
+        ranks = [0] * (m + 2)  # ranks[k + 1] = rank d_k; d_-1 and d_m vanish
+        for k in range(m):
+            index = {e: r for r, e in enumerate(basis(m, k + 1, 0))}
+            columns = [{index[e]: c for e, c in self.d(Form.single(elem)).terms.items()}
+                       for elem in basis(m, k, 0)]
+            ranks[k + 1] = exact_rank(ExactMatrix(len(index), len(columns), columns))
+        return [comb(m, k) - ranks[k + 1] - ranks[k] for k in range(m + 1)]
 
     def __eq__(self, other) -> bool:
         return (
@@ -269,19 +278,6 @@ class ComplexStructureTemplate:
         return f"ComplexStructureTemplate(n={self.n}, params={list(self.params)})"
 
 
-@dataclass
-class ParameterBinding:
-    """Exact values for parameters and declared modulus symbols."""
-
-    values: dict[str, Gaussian] = field(default_factory=dict)
-
-    def get(self, name: str) -> Gaussian | None:
-        return self.values.get(name)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self.values
-
-
 class ComplexStructure:
     """Instantiated coframe differentials; every coefficient is exact.
 
@@ -293,8 +289,6 @@ class ComplexStructure:
         if len(d_omega) != n:
             raise ValueError(f"expected {n} differentials, got {len(d_omega)}")
         for j, f in enumerate(d_omega, start=1):
-            if f.n != n:
-                raise ValueError(f"d w^{j} lives over the wrong coframe")
             for elem in f.terms:
                 _check_monomial(elem, n)
                 if elem.bidegree not in ((2, 0), (1, 1)):
@@ -326,7 +320,7 @@ def check_d_squared(cs: ComplexStructure) -> ValidationReport:
     return _d_squared(cs.d, cs.d_omega, "w")
 
 
-def _resolve_coefficient(expr: CoeffExpr, binding: ParameterBinding,
+def _resolve_coefficient(expr: CoeffExpr, binding: dict[str, Gaussian],
                          missing: set[str]) -> Gaussian:
     if isinstance(expr, Lit):
         return expr.value
@@ -340,13 +334,13 @@ def _resolve_coefficient(expr: CoeffExpr, binding: ParameterBinding,
 
 
 def instantiate(template: ComplexStructureTemplate,
-                binding: ParameterBinding) -> ComplexStructure:
+                binding: dict[str, Gaussian]) -> ComplexStructure:
     """Bind all symbols, validate modulus consistency and d^2 = 0.
 
     Every bound name must be a parameter or a declared modulus symbol of the
     template, so a misspelt name is an error rather than silently unused.
     """
-    unknown = set(binding.values).difference(
+    unknown = set(binding).difference(
         template.params, (mod.name for mod in template.moduli)
     )
     if unknown:
@@ -358,7 +352,7 @@ def instantiate(template: ComplexStructureTemplate,
         for expr, elem in entry:
             coeff = _resolve_coefficient(expr, binding, missing)
             terms.append((elem, coeff))
-        forms.append(Form(template.n, terms))
+        forms.append(Form(terms))
     for name in template.params:
         if name not in binding:
             missing.add(name)
@@ -392,19 +386,19 @@ def realify(cs: ComplexStructure) -> RealAlgebra:
     n, m = cs.n, 2 * cs.n
     i = Gaussian.of(0, 1)
     subs_holo = [
-        Form(m, [(BasisElement((2 * j - 1,), ()), ONE), (BasisElement((2 * j,), ()), i)])
+        Form([(BasisElement((2 * j - 1,), ()), ONE), (BasisElement((2 * j,), ()), i)])
         for j in range(1, n + 1)
     ]
     # wbar^j = e^{2j-1} - i e^{2j}: conjugate coefficients, keep real slots
     subs_anti = [
-        Form(m, [(e, c.conjugate()) for e, c in f.terms.items()])
+        Form([(e, c.conjugate()) for e, c in f.terms.items()])
         for f in subs_holo
     ]
 
     def expand(f: Form) -> Form:
-        out = Form.zero(m)
+        out = Form()
         for elem, coeff in f.terms.items():
-            piece = Form.single(m, BasisElement((), ()), coeff)
+            piece = Form.single(BasisElement((), ()), coeff)
             for j in elem.holo:
                 piece = piece.wedge(subs_holo[j - 1])
             for j in elem.anti:
@@ -415,8 +409,8 @@ def realify(cs: ComplexStructure) -> RealAlgebra:
     d_of_e: list[Form] = []
     for j in range(1, n + 1):
         x = expand(cs.d_omega[j - 1])
-        real_part = Form(m, [(e, Gaussian.rational(c.re)) for e, c in x.terms.items()])
-        imag_part = Form(m, [(e, Gaussian.rational(c.im)) for e, c in x.terms.items()])
+        real_part = Form([(e, Gaussian.of(c.re)) for e, c in x.terms.items()])
+        imag_part = Form([(e, Gaussian.of(c.im)) for e, c in x.terms.items()])
         d_of_e.append(real_part)
         d_of_e.append(imag_part)
     return RealAlgebra(m, d_of_e)
@@ -424,7 +418,4 @@ def realify(cs: ComplexStructure) -> RealAlgebra:
 
 def product_with_torus(cs: ComplexStructure) -> ComplexStructure:
     """Append one closed coframe generator (complex dimension n+1)."""
-    n = cs.n + 1
-    lifted = [f.with_dimension(n) for f in cs.d_omega]
-    lifted.append(Form.zero(n))
-    return ComplexStructure(n, lifted)
+    return ComplexStructure(cs.n + 1, [*cs.d_omega, Form()])

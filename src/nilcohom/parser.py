@@ -25,7 +25,6 @@ from .model import (
     Mod,
     Modulus,
     Param,
-    ParameterBinding,
     RealAlgebra,
 )
 
@@ -203,8 +202,8 @@ def parse_real_algebra(src: str) -> RealAlgebra:
                 sc.error(f"index out of range for dimension {dim}", pos)
             lo, hi = min(a, b), max(a, b)
             orient = 1 if a < b else -1
-            parts.append((BasisElement((lo, hi), ()), Gaussian.rational(sign * orient)))
-        forms.append(Form(dim, parts))
+            parts.append((BasisElement((lo, hi), ()), Gaussian.of(sign * orient)))
+        forms.append(Form(parts))
     return RealAlgebra(dim, forms)
 
 
@@ -379,12 +378,12 @@ def _parse_wfactor(sc: _Scanner):
 # bindings
 # ---------------------------------------------------------------------------
 
-def parse_binding(src: str) -> ParameterBinding:
+def parse_binding(src: str) -> dict[str, Gaussian]:
     sc = _Scanner(src)
     values: dict[str, Gaussian] = {}
     sc.skip_ws()
     if sc.at_end():
-        return ParameterBinding({})
+        return values
     while True:
         name, pos = sc.scan_ident()
         if name in values:
@@ -400,7 +399,7 @@ def parse_binding(src: str) -> ParameterBinding:
         if sc.at_end():
             break
         sc.error("expected ';' or end of input")
-    return ParameterBinding(values)
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -478,5 +477,5 @@ def _render_template(t: ComplexStructureTemplate) -> str:
     return "(" + ",".join(entries) + ")"
 
 
-def render_binding(b: ParameterBinding) -> str:
-    return "; ".join(f"{name}={value}" for name, value in sorted(b.values.items()))
+def render_binding(b: dict[str, Gaussian]) -> str:
+    return "; ".join(f"{name}={value}" for name, value in sorted(b.items()))

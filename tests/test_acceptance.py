@@ -87,7 +87,7 @@ def test_criterion_3_standard_form_ddbar_coefficients():
             for binding_text, coeff_text in samples:
                 cs = instantiate(template, parse_binding(binding_text))
                 coeff = parse_gaussian(coeff_text)
-                expected = Form.single(3, top, coeff) if coeff else Form.zero(3)
+                expected = Form.single(top, coeff) if coeff else Form()
                 assert me.ddbar_of(cs, std) == expected, (template_text, binding_text)
 
 

@@ -42,10 +42,10 @@ def test_s_invariant_values():
 
 def test_sample_returns_stored_binding():
     b = cat.sample("09c")
-    assert b.values["lambda"] == parse_gaussian("0")
-    assert b.values["D"] == parse_gaussian("1/2")
-    assert cat.sample("02a").values["D"] == parse_gaussian("2+i")
-    assert cat.sample("00").values == {}
+    assert b["lambda"] == parse_gaussian("0")
+    assert b["D"] == parse_gaussian("1/2")
+    assert cat.sample("02a")["D"] == parse_gaussian("2+i")
+    assert cat.sample("00") == {}
 
 
 def test_every_sample_satisfies_its_predicates(all_cases):

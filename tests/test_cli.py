@@ -290,6 +290,22 @@ def test_skt_file_and_case_is_a_usage_error(capsys, iwasawa_file):
     )
 
 
+def test_skt_case_with_binding_is_a_usage_error(capsys):
+    for binding in ("D=1", "=="):
+        assert run(capsys, "skt", "--case", "08", "--binding", binding) == (
+            1, "", "error: --binding applies to a file, not to --case\n"
+        )
+
+
+def test_check_real_algebra_parses_and_rejects_a_binding(capsys, h5_file):
+    assert run(capsys, "check", h5_file, "--binding", "Q=1") == (
+        2, "parsed real algebra (dim=6)\nbinding error: unknown parameters: Q\n", ""
+    )
+    code, out, err = run(capsys, "check", h5_file, "--binding", "Q=1 R=2")
+    assert (code, out) == (1, "")
+    assert err.startswith("parse error: expected ';' or end of input")
+
+
 def test_unknown_binding_name_is_a_validation_error(capsys, iwasawa_file, tmp_path):
     assert run(capsys, "table", iwasawa_file, "--binding", "Z=1") == (
         2, "", "validation error: unknown parameters: Z\n"

@@ -164,3 +164,4 @@ def test_identities_beyond_the_catalog(cs):
         assert table.delta[k] == table.delta[2 * n - k]
         assert k % 2 == 0 or table.delta[k] % 2 == 0
         assert table.level("h_dolbeault", k) >= table.betti[k]
+    assert model.realify(cs).betti() == table.betti

@@ -28,7 +28,7 @@ def test_standard_form_is_identity():
 
 def test_to_two_form_identity():
     omega = me.to_two_form(me.standard_form(3))
-    expected = Form(3, [(BasisElement((j,), (j,)), I) for j in (1, 2, 3)])
+    expected = Form([(BasisElement((j,), (j,)), I) for j in (1, 2, 3)])
     assert omega == expected
     assert omega.conjugate() == omega
     assert omega.bidegrees() == {(1, 1)}
@@ -145,8 +145,8 @@ def test_ddbar_of_table_values():
     ]
     for template, binding, coeff in cases:
         cs = build(template, binding)
-        expected = Form.single(3, TOP, parse_gaussian(coeff)) if coeff != "0" \
-            else Form.zero(3)
+        expected = Form.single(TOP, parse_gaussian(coeff)) if coeff != "0" \
+            else Form()
         assert me.ddbar_of(cs, std) == expected
 
 
@@ -162,7 +162,7 @@ def test_ddbar_of_agrees_with_the_engine_dd_matrix(all_cases, structures):
         for h in forms:
             vector = {j: h[e.holo[0] - 1, e.anti[0] - 1] for j, e in enumerate(source)}
             image = (dd @ ExactMatrix(len(source), 1, [vector])).columns[0]
-            expected = Form(3, [(target[i], c) for i, c in image.items()])
+            expected = Form([(target[i], c) for i, c in image.items()])
             assert me.ddbar_of(cs, h) == expected, case.id
 
 

@@ -115,10 +115,10 @@ def test_missing_star_after_coefficient():
 
 def test_binding_literals():
     b = parse_binding("D=1/2+0i; lambda=0")
-    assert b.values["D"] == parse_gaussian("1/2")
-    assert b.values["lambda"] == parse_gaussian("0")
-    assert parse_binding("D=i").values["D"] == parse_gaussian("i")
-    assert parse_binding("").values == {}
+    assert b["D"] == parse_gaussian("1/2")
+    assert b["lambda"] == parse_gaussian("0")
+    assert parse_binding("D=i")["D"] == parse_gaussian("i")
+    assert parse_binding("") == {}
 
 
 def test_binding_repeated_assignment():
@@ -164,7 +164,7 @@ def test_parse_render_roundtrip_is_identity_on_catalog(all_cases):
 
 def test_render_binding_roundtrip():
     b = parse_binding("lambda=0; D=1/2+1/2i")
-    assert parse_binding(render_binding(b)).values == b.values
+    assert parse_binding(render_binding(b)) == b
 
 
 def test_error_position_in_cform():
