@@ -17,9 +17,9 @@ sample either satisfies its region or the catalog refuses to load.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from importlib import resources
 
 from .algebra import Gaussian
@@ -81,13 +81,13 @@ def _or_chain(sc: _Scanner, values) -> bool:
     result = _comparison(sc, values)
     while True:
         sc.skip_ws()
-        mark = sc.mark()
+        mark = sc.pos
         if sc.peek().isalpha():
             word, _ = sc.scan_ident()
             if word == "or":
                 result = _comparison(sc, values) or result
                 continue
-            sc.reset(mark)
+            sc.pos = mark
         return result
 
 
@@ -206,7 +206,6 @@ class CatalogCase:
     golden_betti: list[int]
     golden_delta: list[int]
     golden_skt: bool
-    _cache: dict = field(default_factory=dict, repr=False)
 
     @property
     def dim(self) -> int:
@@ -216,28 +215,24 @@ class CatalogCase:
     def columns(self):
         return COLUMNS_6D if self.dim == 3 else COLUMNS_8D
 
+    @cached_property
     def real_algebra(self):
-        if "algebra" not in self._cache:
-            self._cache["algebra"] = parse_real_algebra(self.algebra_text)
-        return self._cache["algebra"]
+        return parse_real_algebra(self.algebra_text)
 
+    @cached_property
     def template(self):
-        if "template" not in self._cache:
-            self._cache["template"] = parse_complex_structure(self.template_text)
-        return self._cache["template"]
+        return parse_complex_structure(self.template_text)
 
+    @cached_property
     def binding(self) -> dict[str, Gaussian]:
-        if "binding" not in self._cache:
-            self._cache["binding"] = parse_binding(self.binding_text)
-        return self._cache["binding"]
+        return parse_binding(self.binding_text)
 
+    @cached_property
     def structure(self) -> ComplexStructure:
-        if "structure" not in self._cache:
-            self._cache["structure"] = instantiate(self.template(), self.binding())
-        return self._cache["structure"]
+        return instantiate(self.template, self.binding)
 
     def predicate_violations(self) -> list[str]:
-        values = self.binding()
+        values = self.binding
         return [p for p in self.predicates if not evaluate_predicate(p, values)]
 
 
@@ -310,7 +305,7 @@ def case_by_id(case_id: str) -> CatalogCase:
 
 def sample(case_id: str) -> dict[str, Gaussian]:
     """The stored interior sample of a sub-case region (validated at load)."""
-    return case_by_id(case_id).binding()
+    return case_by_id(case_id).binding
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +327,7 @@ class EvaluationResult:
 def evaluate(case_id: str) -> EvaluationResult:
     """Instantiate one case, compute its full table, diff against golden."""
     case = case_by_id(case_id)
-    cs = case.structure()
+    cs = case.structure
     table = full_table(cs)
     skt = is_pluriclosed(cs, standard_form(cs.n))
     diffs = []
@@ -357,7 +352,7 @@ def skt_scan(dim_filter: int | None = None, algebra: str | None = None) -> list[
     for case in list_cases(dim_filter):
         if algebra is not None and case.algebra_text != algebra:
             continue
-        cs = case.structure()
+        cs = case.structure
         if is_pluriclosed(cs, standard_form(cs.n)):
             out.append(case.id)
     return out

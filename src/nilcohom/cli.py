@@ -141,7 +141,7 @@ def _structure_from_args(args) -> ComplexStructure:
     if args.case_id:
         if args.binding:
             raise _UsageError("--binding applies to a file, not to --case")
-        return _lookup(cat.case_by_id, args.case_id).structure()
+        return _lookup(cat.case_by_id, args.case_id).structure
     if not args.file:
         raise _UsageError("either a file or --case is required")
     return _load_structure(args.file, args.binding)

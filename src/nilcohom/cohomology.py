@@ -1,15 +1,14 @@
 """Exact cohomology of the invariant bigraded complex.
 
 :func:`full_table` is the entry point: it returns every dimension of one
-structure as a :class:`CohomologyTable`, computed by one ``_Engine`` that
-builds each differential matrix and each rank once.  Matrices are
-column-sparse: column ``j`` is the image of the ``j``-th source monomial, and
-rows and columns are indexed by the fixed lexicographic basis order of
-:func:`nilcohom.algebra.basis`.  The engine applies ``d`` once to every basis
-monomial and splits the image into the del and delbar columns (``d`` of a
-(p,q)-form has only (p+1,q) and (p,q+1) parts on an integrable structure);
-del delbar is their product.  Its ranks come from the single exact rank
-routine of :mod:`nilcohom.linalg`.
+structure as a :class:`CohomologyTable`, read off one table of ranks.
+Matrices are column-sparse: column ``j`` is the image of the ``j``-th source
+monomial, and rows and columns are indexed by the fixed lexicographic basis
+order of :func:`nilcohom.algebra.basis`.  One builder applies ``d`` once to
+every basis monomial and splits the image into the del and delbar columns
+(``d`` of a (p,q)-form has only (p+1,q) and (p,q+1) parts on an integrable
+structure); one loop then ranks each matrix a dimension needs, once, with
+the single exact rank routine of :mod:`nilcohom.linalg`.
 
 Every pointwise dimension is ``dim(p,q)`` (or nothing) plus signed ranks of
 five matrix kinds: ``del``, ``delbar``, ``dd`` (del delbar), ``stack`` (del
@@ -17,7 +16,9 @@ over delbar, whose kernel is ker del /\\ ker delbar) and ``concat`` (del and
 delbar side by side, whose image is im del + im delbar).  :data:`THEORIES` is
 the one table of these formulas: each row names a theory for output, names
 its :class:`CohomologyTable` grid and lists its rank terms, and
-:func:`full_table` fills every grid from it.  No dimension is a quotient basis.
+:func:`full_table` fills every grid from it; a rank the table lacks is that
+of a map with no source or target, and counts as 0.  No dimension is a
+quotient basis.
 
 Conventions, for a structure of complex dimension ``n``:
 
@@ -36,6 +37,7 @@ Conventions, for a structure of complex dimension ``n``:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import comb
 
 from .algebra import Form, basis, basis_dimension
 from .linalg import ExactMatrix, exact_rank, hstack, vstack
@@ -43,121 +45,85 @@ from .model import ComplexStructure
 
 
 # ---------------------------------------------------------------------------
-# cached per-structure engine
+# the differentials and their ranks
 # ---------------------------------------------------------------------------
 
-class _Engine:
-    """Caches component matrices and their ranks for one structure."""
+def _differentials(cs: ComplexStructure) -> dict:
+    """del and delbar at every (p,q) of the square, keyed ``(kind, p, q)``.
 
-    def __init__(self, cs: ComplexStructure):
-        self.cs = cs
-        self.n = cs.n
-        self._slots: dict = {}
-        self._matrices: dict = {}
-        self._ranks: dict = {}
-
-    def dim(self, p: int, q: int) -> int:
-        return basis_dimension(self.n, p, q)
-
-    def matrix(self, kind: str, p: int, q: int) -> ExactMatrix:
-        key = (kind, p, q)
-        if key not in self._matrices:
-            if kind == "dd":
-                self._matrices[key] = self.matrix("del", p, q + 1) @ self.matrix("delbar", p, q)
-            else:
-                self._build(p, q)
-        return self._matrices[key]
-
-    def _slot(self, p: int, q: int):
-        """The (p,q) basis monomials and their positions, built once per slot.
-
-        Outside the valid square the slot is empty.
-        """
-        slot = self._slots.get((p, q))
-        if slot is None:
-            elements = basis(self.n, p, q) if self.dim(p, q) else []
-            slot = self._slots[(p, q)] = (elements, {e: i for i, e in enumerate(elements)})
-        return slot
-
-    def _build(self, p: int, q: int):
-        """del and delbar at (p,q), from one ``d`` per source monomial.
-
-        Outside the valid square the source is empty, so the matrices have
-        no columns but keep the row count of their target.
-        """
-        del_index = self._slot(p + 1, q)[1]
-        delbar_index = self._slot(p, q + 1)[1]
+    ``d`` is applied once to each basis monomial.  The border sources
+    del(-1,q) and delbar(p,-1) are there too: no columns, but the row count
+    of their target, so that ``concat`` can put them side by side.
+    """
+    span = range(cs.n + 1)
+    index = {(p, q): {e: i for i, e in enumerate(basis(cs.n, p, q))}
+             for p in span for q in span}
+    mats = {}
+    for (p, q), source in index.items():
+        del_index, delbar_index = index.get((p + 1, q), {}), index.get((p, q + 1), {})
         del_cols, delbar_cols = [], []
-        for elem in self._slot(p, q)[0]:
+        for elem in source:
             del_col, delbar_col = {}, {}
-            for e, c in self.cs.d(Form.single(elem)).terms.items():
+            for e, c in cs.d(Form.single(elem)).terms.items():
                 if len(e.holo) > p:
                     del_col[del_index[e]] = c
                 else:
                     delbar_col[delbar_index[e]] = c
             del_cols.append(del_col)
             delbar_cols.append(delbar_col)
-        self._matrices[("del", p, q)] = ExactMatrix(self.dim(p + 1, q), len(del_cols), del_cols)
-        self._matrices[("delbar", p, q)] = ExactMatrix(
-            self.dim(p, q + 1), len(delbar_cols), delbar_cols
-        )
+        mats["del", p, q] = ExactMatrix(len(del_index), len(source), del_cols)
+        mats["delbar", p, q] = ExactMatrix(len(delbar_index), len(source), delbar_cols)
+    for k in span:
+        mats["del", -1, k] = ExactMatrix(len(index[0, k]), 0)
+        mats["delbar", k, -1] = ExactMatrix(len(index[k, 0]), 0)
+    return mats
 
-    def rank(self, kind: str, p: int, q: int) -> int:
-        key = (kind, p, q)
-        if key not in self._ranks:
-            if kind in ("del", "delbar", "dd"):
-                m = self.matrix(kind, p, q)
-            elif kind == "stack":
-                # ker del /\ ker delbar at (p,q): the targets are distinct slots
-                m = vstack(self.matrix("del", p, q), self.matrix("delbar", p, q))
-            elif kind == "concat":
-                # im del + im delbar landing in (p,q)
-                m = hstack(self.matrix("del", p - 1, q), self.matrix("delbar", p, q - 1))
-            else:
-                raise KeyError(kind)
-            self._ranks[key] = exact_rank(m)
-        return self._ranks[key]
 
-    # -- total complex ----------------------------------------------------------
+def _total_matrix(diff: dict, n: int, k: int) -> ExactMatrix:
+    """d from total degree k to k+1, assembled from the del and delbar blocks.
 
-    def _blocks(self, k: int):
-        return [(p, k - p) for p in range(min(self.n, k), max(0, k - self.n) - 1, -1)]
+    Target block (p, k+1-p) starts at row ``start[p]``, so a source column of
+    block (p, k-p) is its del column shifted to ``start[p+1]`` merged with its
+    delbar column shifted to ``start[p]``.
+    """
+    start = [0]
+    for p in range(n + 1):
+        start.append(start[-1] + basis_dimension(n, p, k + 1 - p))
+    columns = []
+    for p in range(max(0, k - n), min(n, k) + 1):
+        for del_col, delbar_col in zip(diff["del", p, k - p].columns,
+                                       diff["delbar", p, k - p].columns):
+            col = {start[p + 1] + i: c for i, c in del_col.items()}
+            col.update((start[p] + i, c) for i, c in delbar_col.items())
+            columns.append(col)
+    return ExactMatrix(start[-1], len(columns), columns)
 
-    def total_matrix(self, k: int) -> ExactMatrix:
-        # the target blocks of k+1 stacked in order; a source column of block
-        # (p,q) is its del column at the offset of (p+1,q) merged with its
-        # delbar column at the offset of (p,q+1)
-        row_offset, rows = {}, 0
-        for blk in self._blocks(k + 1):
-            row_offset[blk] = rows
-            rows += self.dim(*blk)
-        columns = []
-        for p, q in self._blocks(k):
-            del_at = row_offset.get((p + 1, q), 0)
-            delbar_at = row_offset.get((p, q + 1), 0)
-            for del_col, delbar_col in zip(self.matrix("del", p, q).columns,
-                                           self.matrix("delbar", p, q).columns):
-                col = {del_at + i: c for i, c in del_col.items()}
-                col.update((delbar_at + i, c) for i, c in delbar_col.items())
-                columns.append(col)
-        return ExactMatrix(rows, len(columns), columns)
 
-    def total_rank(self, k: int) -> int:
-        key = ("total", k)
-        if key not in self._ranks:
-            if not 0 <= k <= 2 * self.n:
-                self._ranks[key] = 0
-            else:
-                self._ranks[key] = exact_rank(self.total_matrix(k))
-        return self._ranks[key]
+def _ranks(cs: ComplexStructure) -> dict:
+    """The rank of every matrix a dimension needs, each ranked once.
 
-    def total_dim(self, k: int) -> int:
-        return sum(self.dim(p, q) for p, q in self._blocks(k))
-
-    def betti(self, k: int) -> int:
-        if not 0 <= k <= 2 * self.n:
-            return 0
-        return self.total_dim(k) - self.total_rank(k) - self.total_rank(k - 1)
+    Keys are ``(kind, p, q)`` over the square, with ``dd`` only for q < n
+    (its target is empty at q = n), and ``("total", k)`` for the total
+    complex in each degree k = 0 .. 2n.
+    """
+    n = cs.n
+    diff = _differentials(cs)
+    ranks = {}
+    for p in range(n + 1):
+        for q in range(n + 1):
+            del_, delbar = diff["del", p, q], diff["delbar", p, q]
+            ranks["del", p, q] = exact_rank(del_)
+            ranks["delbar", p, q] = exact_rank(delbar)
+            # ker del /\ ker delbar at (p,q): the targets are distinct slots
+            ranks["stack", p, q] = exact_rank(vstack(del_, delbar))
+            # im del + im delbar landing in (p,q)
+            ranks["concat", p, q] = exact_rank(hstack(diff["del", p - 1, q],
+                                                      diff["delbar", p, q - 1]))
+            if q < n:
+                ranks["dd", p, q] = exact_rank(diff["del", p, q + 1] @ delbar)
+    for k in range(2 * n + 1):
+        ranks["total", k] = exact_rank(_total_matrix(diff, n, k))
+    return ranks
 
 
 # ---------------------------------------------------------------------------
@@ -226,16 +192,20 @@ class CohomologyTable:
 
 
 def full_table(cs: ComplexStructure) -> CohomologyTable:
-    """Every cohomological dimension of ``cs``, from one engine."""
-    eng = _Engine(cs)
-    span = range(cs.n + 1)
+    """Every cohomological dimension of ``cs``, from one table of ranks."""
+    n, ranks = cs.n, _ranks(cs)
+    span = range(n + 1)
     grids = {
-        grid_name: [[unit * eng.dim(p, q) + sum(sign * eng.rank(kind, p + dp, q + dq)
-                                                for sign, kind, dp, dq in terms)
+        grid_name: [[unit * basis_dimension(n, p, q)
+                     + sum(sign * ranks.get((kind, p + dp, q + dq), 0)
+                           for sign, kind, dp, dq in terms)
                      for q in span] for p in span]
         for _, grid_name, unit, terms in THEORIES
     }
-    return CohomologyTable(n=cs.n, betti=[eng.betti(k) for k in range(2 * cs.n + 1)], **grids)
+    # the (p,q) blocks of total degree k together have dimension C(2n, k)
+    betti = [comb(2 * n, k) - ranks["total", k] - ranks.get(("total", k - 1), 0)
+             for k in range(2 * n + 1)]
+    return CohomologyTable(n=n, betti=betti, **grids)
 
 
 @dataclass
@@ -294,8 +264,8 @@ def differential_identities_ok(cs: ComplexStructure) -> bool:
     (p,q+2) and del delbar + delbar del in (p+1,q+1): distinct blocks, so each
     product of consecutive total matrices is zero iff all three parts are.
     """
-    eng = _Engine(cs)
-    return all((eng.total_matrix(k + 1) @ eng.total_matrix(k)).is_zero()
+    diff = _differentials(cs)
+    return all((_total_matrix(diff, cs.n, k + 1) @ _total_matrix(diff, cs.n, k)).is_zero()
                for k in range(2 * cs.n - 1))
 
 

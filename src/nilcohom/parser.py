@@ -60,12 +60,6 @@ class _Scanner:
         while not self.at_end() and self.text[self.pos] in " \t\r\n":
             self.pos += 1
 
-    def mark(self) -> int:
-        return self.pos
-
-    def reset(self, mark: int):
-        self.pos = mark
-
     def location(self, pos: int | None = None) -> tuple[int, int]:
         pos = self.pos if pos is None else pos
         pos = min(pos, len(self.text))
@@ -129,7 +123,7 @@ class _Scanner:
         num = self.scan_unsigned()
         den = 1
         if self.peek() == "/":
-            mark = self.mark()
+            mark = self.pos
             self.advance()
             if not self.peek().isdigit():
                 self.error("malformed rational: expected a positive denominator")
@@ -151,7 +145,7 @@ class _Scanner:
             self.advance()
             return Gaussian.of(0, re_part)
         if self.peek() in "+-":
-            mark = self.mark()
+            mark = self.pos
             sign = -1 if self.advance() == "-" else 1
             self.skip_ws()
             magnitude = Fraction(1)
@@ -161,7 +155,7 @@ class _Scanner:
             if self.peek() == "i" and not self.peek(1).isalnum() and self.peek(1) != "_":
                 self.advance()
                 return Gaussian.of(re_part, sign * magnitude)
-            self.reset(mark)  # the sign belongs to the surrounding expression
+            self.pos = mark  # the sign belongs to the surrounding expression
         return Gaussian.of(re_part, 0)
 
 

@@ -11,7 +11,7 @@ def all_cases():
 
 @pytest.fixture(scope="session")
 def structures(all_cases):
-    return {case.id: case.structure() for case in all_cases}
+    return {case.id: case.structure for case in all_cases}
 
 
 @pytest.fixture(scope="session")

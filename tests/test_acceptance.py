@@ -145,7 +145,7 @@ def test_criterion_6_abelianity_iff_delta3_vanishes(all_cases, tables):
         for case in all_cases:
             if case.dim != 3:
                 continue
-            abelian = case.real_algebra().is_abelian()
+            abelian = case.real_algebra.is_abelian()
             assert abelian == (tables[case.id].delta[3] == 0), case.id
 
 

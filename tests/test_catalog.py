@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from nilcohom import catalog as cat
+from nilcohom.cohomology import full_table
 from nilcohom.parser import parse_gaussian
 
 
@@ -144,5 +145,17 @@ def test_corrupted_sample_is_rejected(monkeypatch):
     import dataclasses
 
     good = cat.case_by_id("09c")
-    bad = dataclasses.replace(good, binding_text="lambda=0; D=1/3", _cache={})
+    bad = dataclasses.replace(good, binding_text="lambda=0; D=1/3")
     assert bad.predicate_violations() == ["D=1/2"]
+
+
+def test_a_replaced_case_parses_its_own_text():
+    import dataclasses
+
+    torus = cat.case_by_id("00")
+    assert torus.real_algebra.betti()[1] == 6 and full_table(torus.structure).betti[1] == 6
+    iwasawa = dataclasses.replace(torus, algebra_text="(0,0,0,0,13+42,14+23)",
+                                  template_text="(0,0,w12)")
+    assert iwasawa.template is not torus.template
+    assert iwasawa.real_algebra.betti()[1] == 4
+    assert full_table(iwasawa.structure).betti[1] == 4

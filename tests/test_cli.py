@@ -199,7 +199,7 @@ def test_catalog_prints_one_table_per_dimension(capsys, monkeypatch, all_cases, 
     # each dimension keeps the header of its own --dim table; the footnote of
     # 6d case 11 closes the output once.  Only the layout is under test, so
     # the tables come from the session fixture.
-    by_structure = {id(case.structure()): tables[case.id] for case in all_cases}
+    by_structure = {id(case.structure): tables[case.id] for case in all_cases}
     monkeypatch.setattr(cat, "full_table", lambda cs: by_structure[id(cs)])
     for fmt, tail in (("md", f"\n\n{cli.H7_FOOTNOTE}\n"), ("csv", f"\n# {cli.H7_FOOTNOTE}\n")):
         _, six, _ = run(capsys, "catalog", "--dim", "3", "--format", fmt)
@@ -232,7 +232,7 @@ def test_catalog_golden_mismatch_exit_code(capsys, monkeypatch):
         if case.id == "08":
             bad = dict(case.golden_bc)
             bad[(1, 1)] += 1
-            case = dataclasses.replace(case, golden_bc=bad, _cache={})
+            case = dataclasses.replace(case, golden_bc=bad)
         tampered.append(case)
     monkeypatch.setattr(cat, "_load_cases", lambda: tuple(tampered))
     code, out, _ = run(capsys, "catalog", "--case", "08", "--golden")

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 
 from nilcohom import cohomology as co, model
-from nilcohom.cohomology import _Engine
+from nilcohom.cohomology import _differentials
 from nilcohom.linalg import exact_rank
 from nilcohom.model import ComplexStructure, instantiate
 from nilcohom.parser import parse_binding, parse_complex_structure
@@ -31,17 +31,19 @@ def h8():
 
 
 def test_component_matrix_examples(torus, iwasawa, h8):
-    assert _Engine(torus).matrix("del", 1, 1).is_zero()
-    assert _Engine(torus).matrix("delbar", 2, 1).is_zero()
-    assert _Engine(iwasawa).matrix("delbar", 1, 0).is_zero()
-    assert exact_rank(_Engine(iwasawa).matrix("del", 1, 0)) == 1
-    assert _Engine(h8).matrix("del", 1, 0).is_zero()
-    assert exact_rank(_Engine(h8).matrix("delbar", 1, 0)) == 1
+    assert _differentials(torus)["del", 1, 1].is_zero()
+    assert _differentials(torus)["delbar", 2, 1].is_zero()
+    assert _differentials(iwasawa)["delbar", 1, 0].is_zero()
+    assert exact_rank(_differentials(iwasawa)["del", 1, 0]) == 1
+    assert _differentials(h8)["del", 1, 0].is_zero()
+    assert exact_rank(_differentials(h8)["delbar", 1, 0]) == 1
 
 
 def test_deldelbar_on_torus_and_scalars(torus, iwasawa):
-    assert _Engine(torus).matrix("dd", 1, 1).is_zero()
-    assert _Engine(iwasawa).matrix("dd", 0, 0).is_zero()
+    diff = _differentials(torus)
+    assert (diff["del", 1, 2] @ diff["delbar", 1, 1]).is_zero()
+    diff = _differentials(iwasawa)
+    assert (diff["del", 0, 1] @ diff["delbar", 0, 0]).is_zero()
 
 
 def test_full_table_applies_d_once_per_basis_monomial(monkeypatch):
@@ -56,6 +58,26 @@ def test_full_table_applies_d_once_per_basis_monomial(monkeypatch):
     monkeypatch.setattr(ComplexStructure, "d", counted)
     co.full_table(cs)
     assert len(sources) == len({frozenset(f.terms) for f in sources}) == 4 ** cs.n
+
+
+def test_full_table_ranks_each_matrix_once_and_none_outside_the_square(monkeypatch):
+    # per (p,q) of the square: del, delbar, their stack and the concat landing
+    # there; dd for q < n (at q = n its target is empty); one total rank per
+    # degree 0 .. 2n
+    ranked = []
+    rank = co.exact_rank
+
+    def counted(m):
+        ranked.append(m)
+        return rank(m)
+
+    monkeypatch.setattr(co, "exact_rank", counted)
+    for template in ("(0,0,w12+w1~1)", "(0,0,w1~1,w12+w1~3)"):
+        cs = build(template)
+        ranked.clear()
+        co.full_table(cs)
+        n = cs.n
+        assert len(ranked) == 4 * (n + 1) ** 2 + n * (n + 1) + 2 * n + 1
 
 
 def test_matrix_identities(iwasawa, h8, monkeypatch):
