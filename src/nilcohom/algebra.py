@@ -13,7 +13,8 @@ conventions are normalized once here and every other module relies on them:
 
 * all holomorphic factors precede all antiholomorphic ones,
 * within each block indices are strictly ascending, between 1 and ``n``,
-* the sign of the sorting permutation is folded into the coefficient,
+* the sign of the sorting permutation is folded into the coefficient; it is
+  computed in one place, :func:`wedge_elements`, for every caller,
 * zero coefficients are dropped eagerly, so form equality is structural.
 
 Every operation here keeps that form without checking it; it is checked
@@ -222,28 +223,23 @@ class BasisElement(NamedTuple):
         return f"w{holo}{anti}"
 
 
-def _merge_ascending(a: tuple[int, ...], b: tuple[int, ...]):
-    """Merge two ascending tuples; return (merged, sign) or None on a repeat."""
-    if set(a) & set(b):
-        return None
-    inversions = 0
-    for x in b:
-        inversions += sum(1 for y in a if y > x)
-    merged = tuple(sorted(a + b))
-    return merged, (-1 if inversions % 2 else 1)
-
-
 def wedge_elements(x: BasisElement, y: BasisElement):
-    """Wedge two monomials; return (element, sign) or None if a factor repeats."""
-    holo = _merge_ascending(x.holo, y.holo)
-    if holo is None:
+    """Wedge two monomials; return (element, sign) or None if a factor repeats.
+
+    The sign is that of the permutation putting ``x /\\ y`` in canonical
+    order: the out-of-order pairs inside each joined block, plus the moves of
+    y's holomorphic factors left past x's antiholomorphic ones.
+    """
+    holo, anti = x.holo + y.holo, x.anti + y.anti
+    if len(set(holo)) < len(holo) or len(set(anti)) < len(anti):
         return None
-    anti = _merge_ascending(x.anti, y.anti)
-    if anti is None:
-        return None
-    # moving y's holomorphic block left past x's antiholomorphic block
-    sign = -1 if (len(y.holo) * len(x.anti)) % 2 else 1
-    return BasisElement(holo[0], anti[0]), sign * holo[1] * anti[1]
+    inversions = len(y.holo) * len(x.anti)
+    for block in (holo, anti):
+        for a, b in combinations(block, 2):
+            if a > b:
+                inversions += 1
+    return (BasisElement(tuple(sorted(holo)), tuple(sorted(anti))),
+            -1 if inversions % 2 else 1)
 
 
 class Form:
@@ -324,16 +320,17 @@ class Form:
                 if merged is None:
                     continue
                 elem, sign = merged
-                out.append((elem, c1 * c2 * sign))
+                c = c1 * c2
+                out.append((elem, c if sign > 0 else -c))
         return Form(out)
 
     def conjugate(self) -> "Form":
         """Complex conjugation: swaps the blocks, conjugates coefficients."""
         out = []
         for e, c in self.terms.items():
-            p, q = e.bidegree
-            sign = -1 if (p * q) % 2 else 1
-            out.append((BasisElement(e.anti, e.holo), c.conjugate() * sign))
+            elem, sign = wedge_elements(BasisElement((), e.holo), BasisElement(e.anti, ()))
+            c = c.conjugate()
+            out.append((elem, c if sign > 0 else -c))
         return Form(out)
 
     def component(self, p: int, q: int) -> "Form":

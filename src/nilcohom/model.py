@@ -229,19 +229,16 @@ class Param:
 
 
 @dataclass(frozen=True)
-class Modulus:
-    """A declared symbol constrained to equal ``|param - shift|``."""
+class Mod:
+    """A declared symbol ``name`` constrained to equal ``|param - shift|``.
+
+    ``negated`` marks a term whose coefficient is minus the symbol.
+    """
 
     name: str
     param: str
     shift: Gaussian
-
-
-@dataclass(frozen=True)
-class Mod:
-    name: str
     negated: bool = False
-    declaration: Modulus | None = None
 
 
 CoeffExpr = Lit | Param | Mod
@@ -377,6 +374,22 @@ def instantiate(template: ComplexStructureTemplate,
 # derived constructions
 # ---------------------------------------------------------------------------
 
+def substitute(f: Form, holo_images: list[Form], anti_images: list[Form]) -> Form:
+    """Apply the algebra map ``w^j -> holo_images[j-1]``, ``wbar^j -> anti_images[j-1]``.
+
+    Each monomial goes to the wedge of the images of its factors, in order.
+    """
+    out = Form()
+    for elem, coeff in f.terms.items():
+        piece = Form.single(BasisElement((), ()), coeff)
+        for j in elem.holo:
+            piece = piece.wedge(holo_images[j - 1])
+        for j in elem.anti:
+            piece = piece.wedge(anti_images[j - 1])
+        out = out + piece
+    return out
+
+
 def realify(cs: ComplexStructure) -> RealAlgebra:
     """The underlying real algebra on ``e^{2j-1} = Re w^j``, ``e^{2j} = Im w^j``.
 
@@ -395,20 +408,9 @@ def realify(cs: ComplexStructure) -> RealAlgebra:
         for f in subs_holo
     ]
 
-    def expand(f: Form) -> Form:
-        out = Form()
-        for elem, coeff in f.terms.items():
-            piece = Form.single(BasisElement((), ()), coeff)
-            for j in elem.holo:
-                piece = piece.wedge(subs_holo[j - 1])
-            for j in elem.anti:
-                piece = piece.wedge(subs_anti[j - 1])
-            out = out + piece
-        return out
-
     d_of_e: list[Form] = []
     for j in range(1, n + 1):
-        x = expand(cs.d_omega[j - 1])
+        x = substitute(cs.d_omega[j - 1], subs_holo, subs_anti)
         real_part = Form([(e, Gaussian.of(c.re)) for e, c in x.terms.items()])
         imag_part = Form([(e, Gaussian.of(c.im)) for e, c in x.terms.items()])
         d_of_e.append(real_part)

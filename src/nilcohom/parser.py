@@ -9,6 +9,15 @@ or declared modulus symbols ``abs(P)`` / ``abs(P-1)``.  Bindings read
 ``D=1/2+0i; lambda=0``.  Indices are single digits 1-9 and a duplicated index
 inside one term is a parse error, not a silent zero.
 
+A modulus symbol is bound by name: ``abs`` and the parameter, then ``m`` and
+the shift's literal with ``/``, ``+`` and ``-`` spelt ``_``, ``p`` and ``m``.
+So ``abs(B)`` is ``absB``, ``abs(B-1)`` is ``absBm1`` and ``abs(B-1/2+2i)`` is
+``absBm1_2p2i``.
+
+Both grammars share one loop for ``( entry , ... )`` and one for
+``term (+|-) term ...``; the sign of a two-index term such as ``21`` or
+``w21`` is that of :func:`nilcohom.algebra.wedge_elements`.
+
 Errors carry 1-based line/column positions pointing inside the offending
 token.
 """
@@ -16,17 +25,11 @@ token.
 from __future__ import annotations
 
 import re
+from dataclasses import replace
 from fractions import Fraction
 
-from .algebra import BasisElement, Form, Gaussian, ONE
-from .model import (
-    ComplexStructureTemplate,
-    Lit,
-    Mod,
-    Modulus,
-    Param,
-    RealAlgebra,
-)
+from .algebra import BasisElement, Form, Gaussian, ONE, wedge_elements
+from .model import ComplexStructureTemplate, Lit, Mod, Param, RealAlgebra
 
 
 class ParseError(Exception):
@@ -170,67 +173,83 @@ def parse_gaussian(text: str) -> Gaussian:
 
 
 # ---------------------------------------------------------------------------
+# shared grammar: tuples, signed sums, two-index monomials
+# ---------------------------------------------------------------------------
+
+def _parse_tuple(sc: _Scanner, parse_entry) -> list:
+    """``( entry , ... )`` filling the whole input; ``parse_entry`` returns a list."""
+    sc.expect("(")
+    entries = parse_entry(sc)
+    while sc.match(","):
+        entries += parse_entry(sc)
+    sc.expect(")")
+    sc.skip_ws()
+    if not sc.at_end():
+        sc.error("trailing characters after ')'")
+    return entries
+
+
+def _parse_sum(sc: _Scanner, parse_term) -> list:
+    """``term (+|-) term ...`` as a list of (sign, position, term)."""
+    terms = []
+    sign = 1
+    while True:
+        sc.skip_ws()
+        terms.append((sign, sc.pos, parse_term(sc)))
+        sc.skip_ws()
+        if sc.peek() == "+":
+            sign = 1
+        elif sc.peek() == "-":
+            sign = -1
+        else:
+            return terms
+        sc.advance()
+
+
+def _parse_pair(sc: _Scanner, conjugable: bool) -> tuple[BasisElement, int]:
+    """``ab``, or ``a~b`` if ``conjugable``: the monomial and its reordering sign."""
+    a, _ = sc.scan_index()
+    conjugated = conjugable and sc.peek() == "~"
+    if conjugated:
+        sc.advance()
+    b, pos = sc.scan_index()
+    second = BasisElement((), (b,)) if conjugated else BasisElement((b,), ())
+    merged = wedge_elements(BasisElement((a,), ()), second)
+    if merged is None:
+        sc.error(f"duplicate index {a} inside one term", pos)
+    return merged
+
+
+# ---------------------------------------------------------------------------
 # real algebras
 # ---------------------------------------------------------------------------
 
 def parse_real_algebra(src: str) -> RealAlgebra:
     sc = _Scanner(src)
-    sc.expect("(")
-    raw_entries: list[list[tuple[int, int, int, int]]] = []
-    while True:
-        raw_entries.append(_parse_real_entry(sc, raw_entries))
-        sc.skip_ws()
-        if sc.match(","):
-            continue
-        sc.expect(")")
-        break
-    sc.skip_ws()
-    if not sc.at_end():
-        sc.error("trailing characters after ')'")
+    raw_entries = _parse_tuple(sc, _parse_real_entry)
     dim = len(raw_entries)
     forms = []
     for terms in raw_entries:
         parts = []
-        for a, b, sign, pos in terms:
-            if a > dim or b > dim:
+        for sign, pos, (elem, orient) in terms:
+            if elem.holo[1] > dim:
                 sc.error(f"index out of range for dimension {dim}", pos)
-            lo, hi = min(a, b), max(a, b)
-            orient = 1 if a < b else -1
-            parts.append((BasisElement((lo, hi), ()), Gaussian.of(sign * orient)))
+            parts.append((elem, Gaussian.of(sign * orient)))
         forms.append(Form(parts))
     return RealAlgebra(dim, forms)
 
 
-def _parse_real_entry(sc: _Scanner, raw_entries):
-    """One entry; ``0^k`` expands by appending k-1 extra zero entries."""
+def _parse_real_entry(sc: _Scanner) -> list:
+    """One entry, or k empty entries for ``0^k``."""
     sc.skip_ws()
     if sc.peek() == "0":
         sc.advance()
+        count = 1
         if sc.peek() == "^":
             sc.advance()
-            count, pos = sc.scan_index()
-            for _ in range(count - 1):
-                raw_entries.append([])
-        return []
-    terms = []
-    sign = 1
-    while True:
-        sc.skip_ws()
-        pos = sc.pos
-        a, _ = sc.scan_index()
-        b, bpos = sc.scan_index()
-        if a == b:
-            sc.error(f"duplicate index {a} inside one term", bpos)
-        terms.append((a, b, sign, pos))
-        sc.skip_ws()
-        if sc.peek() == "+":
-            sc.advance()
-            sign = 1
-        elif sc.peek() == "-":
-            sc.advance()
-            sign = -1
-        else:
-            return terms
+            count, _ = sc.scan_index()
+        return [[]] * count
+    return [_parse_sum(sc, lambda sc: _parse_pair(sc, False))]
 
 
 # ---------------------------------------------------------------------------
@@ -239,41 +258,27 @@ def _parse_real_entry(sc: _Scanner, raw_entries):
 
 def parse_complex_structure(src: str) -> ComplexStructureTemplate:
     sc = _Scanner(src)
-    sc.expect("(")
-    raw_entries = []
-    while True:
-        raw_entries.append(_parse_cform(sc))
-        sc.skip_ws()
-        if sc.match(","):
-            continue
-        sc.expect(")")
-        break
-    sc.skip_ws()
-    if not sc.at_end():
-        sc.error("trailing characters after ')'")
+    raw_entries = _parse_tuple(sc, _parse_cform)
     n = len(raw_entries)
     params: list[str] = []
-    moduli: dict[str, Modulus] = {}
+    moduli: dict[str, Mod] = {}
     entries = []
     for terms in raw_entries:
         out = []
-        for coeff, elem_info, pos in terms:
-            holo, anti, swap_sign = elem_info
-            if max(holo + anti) > n:
+        for sign, pos, (coeff, (elem, orient)) in terms:
+            if max(elem.holo + elem.anti) > n:
                 sc.error(f"index out of range for complex dimension {n}", pos)
-            if swap_sign < 0:
+            if sign * orient < 0:
                 coeff = _negate_expr(coeff)
             if isinstance(coeff, Param) and coeff.name not in params:
                 params.append(coeff.name)
             if isinstance(coeff, Mod):
-                mod = coeff.declaration
-                if coeff.name in moduli and moduli[coeff.name] != mod:
-                    sc.error(f"conflicting declarations of {coeff.name}", pos)
-                moduli[coeff.name] = mod
+                mod = replace(coeff, negated=False)
+                if moduli.setdefault(mod.name, mod) != mod:
+                    sc.error(f"conflicting declarations of {mod.name}", pos)
                 if mod.param not in params:
                     params.append(mod.param)
-                coeff = Mod(coeff.name, coeff.negated, mod)
-            out.append((coeff, BasisElement(holo, anti)))
+            out.append((coeff, elem))
         entries.append(tuple(out))
     return ComplexStructureTemplate(
         n, entries, params=params, moduli=list(moduli.values())
@@ -283,35 +288,19 @@ def parse_complex_structure(src: str) -> ComplexStructureTemplate:
 def _negate_expr(expr):
     if isinstance(expr, Lit):
         return Lit(-expr.value)
-    if isinstance(expr, Param):
-        return Param(expr.name, expr.conjugated, not expr.negated)
-    return Mod(expr.name, not expr.negated, expr.declaration)
+    return replace(expr, negated=not expr.negated)
 
 
-def _parse_cform(sc: _Scanner):
+def _parse_cform(sc: _Scanner) -> list:
     sc.skip_ws()
     if sc.peek() == "0" and not sc.peek(1).isdigit():
         sc.advance()
-        return []
-    terms = []
-    sign = 1
-    while True:
-        sc.skip_ws()
-        pos = sc.pos
-        coeff = _parse_cterm_coeff(sc)
-        elem_info = _parse_wfactor(sc)
-        if sign < 0:
-            coeff = _negate_expr(coeff)
-        terms.append((coeff, elem_info, pos))
-        sc.skip_ws()
-        if sc.peek() == "+":
-            sc.advance()
-            sign = 1
-        elif sc.peek() == "-":
-            sc.advance()
-            sign = -1
-        else:
-            return terms
+        return [[]]
+    return [_parse_sum(sc, lambda sc: (_parse_cterm_coeff(sc), _parse_wfactor(sc)))]
+
+
+# a shift's literal in a modulus name: '/', '+', '-' are spelt '_', 'p', 'm'
+_SPELLING = str.maketrans("/+-", "_pm")
 
 
 def _parse_cterm_coeff(sc: _Scanner):
@@ -336,8 +325,8 @@ def _parse_cterm_coeff(sc: _Scanner):
             if sc.match("-"):
                 shift = sc.scan_gaussian()
             sc.expect(")")
-            mod_name = "abs" + name + (f"m{_symbol_text(shift)}" if shift else "")
-            coeff = Mod(mod_name, False, Modulus(mod_name, name, shift))
+            mod_name = "abs" + name + ("m" + str(shift).translate(_SPELLING) if shift else "")
+            coeff = Mod(mod_name, name, shift)
         else:
             coeff = Param(word)
     else:
@@ -346,26 +335,12 @@ def _parse_cterm_coeff(sc: _Scanner):
     return coeff
 
 
-def _symbol_text(value: Gaussian) -> str:
-    return re.sub(r"[^0-9A-Za-z]", "_", str(value))
-
-
-def _parse_wfactor(sc: _Scanner):
+def _parse_wfactor(sc: _Scanner) -> tuple[BasisElement, int]:
     sc.skip_ws()
     if sc.peek() != "w":
         sc.error("expected a w-term")
     sc.advance()
-    a, _ = sc.scan_index()
-    if sc.peek() == "~":
-        sc.advance()
-        b, _ = sc.scan_index()
-        return ((a,), (b,), 1)
-    b, bpos = sc.scan_index()
-    if a == b:
-        sc.error(f"duplicate index {a} inside one term", bpos)
-    if a < b:
-        return ((a, b), (), 1)
-    return ((b, a), (), -1)
+    return _parse_pair(sc, True)
 
 
 # ---------------------------------------------------------------------------
@@ -439,9 +414,7 @@ def _coeff_text(expr) -> tuple[str, bool]:
     if isinstance(expr, Param):
         body = f"conj({expr.name})*" if expr.conjugated else f"{expr.name}*"
         return body, expr.negated
-    shift = expr.declaration.shift
-    body = f"abs({expr.declaration.param})*" if not shift else \
-        f"abs({expr.declaration.param}-{shift})*"
+    body = f"abs({expr.param})*" if not expr.shift else f"abs({expr.param}-{expr.shift})*"
     return body, expr.negated
 
 

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import gcd
 
 import pytest
@@ -12,6 +13,7 @@ from nilcohom.algebra import (
     ZERO,
     basis,
     basis_dimension,
+    wedge_elements,
 )
 from nilcohom.parser import parse_gaussian
 
@@ -184,6 +186,55 @@ def test_conjugation_is_multiplicative_random():
         a = _random_pure_form(rng, 3, rng.randint(0, 1), rng.randint(0, 1))
         b = _random_pure_form(rng, 3, rng.randint(0, 1), rng.randint(0, 1))
         assert a.wedge(b).conjugate() == a.conjugate().wedge(b.conjugate())
+
+
+def _bubble_sorted(factors):
+    """Sort ``(block, index)`` factors, holomorphic block 0 first, by adjacent swaps.
+
+    Returns the canonical monomial and ``(-1)^swaps``, or None when a factor
+    repeats.  This is the definition of the reordering sign, written
+    independently of :func:`wedge_elements`.
+    """
+    factors = list(factors)
+    if len(set(factors)) < len(factors):
+        return None
+    swaps = 0
+    for end in range(len(factors) - 1, 0, -1):
+        for k in range(end):
+            if factors[k] > factors[k + 1]:
+                factors[k], factors[k + 1] = factors[k + 1], factors[k]
+                swaps += 1
+    holo = tuple(j for block, j in factors if block == 0)
+    anti = tuple(j for block, j in factors if block == 1)
+    return BasisElement(holo, anti), (-1) ** swaps
+
+
+def _factors(elem, conjugated=False):
+    holo, anti = (1, 0) if conjugated else (0, 1)
+    return [(holo, j) for j in elem.holo] + [(anti, j) for j in elem.anti]
+
+
+def _all_monomials(n):
+    subsets = [s for k in range(n + 1) for s in combinations(range(1, n + 1), k)]
+    return [BasisElement(h, a) for h in subsets for a in subsets]
+
+
+def test_wedge_sign_matches_a_bubble_sort_on_every_pair():
+    monomials = _all_monomials(3)
+    assert len(monomials) == 64
+    for x in monomials:
+        for y in monomials:
+            expected = _bubble_sorted(_factors(x) + _factors(y))
+            assert wedge_elements(x, y) == expected, (x, y)
+
+
+def test_conjugation_sign_matches_a_bubble_sort_on_every_monomial():
+    c = g("2+3i")
+    for elem in _all_monomials(3):
+        # conj(c w^H wbar^A) = conj(c) wbar^H w^A, then sorted
+        target, sign = _bubble_sorted(_factors(elem, conjugated=True))
+        expected = Form.single(target, c.conjugate()).scale(sign)
+        assert Form.single(elem, c).conjugate() == expected, elem
 
 
 def test_basis_enumeration():

@@ -4,7 +4,13 @@ import pytest
 
 from nilcohom import catalog as cat
 from nilcohom.cohomology import full_table
-from nilcohom.parser import parse_gaussian
+from nilcohom.model import instantiate, realify
+from nilcohom.parser import (
+    parse_binding,
+    parse_complex_structure,
+    parse_gaussian,
+    parse_real_algebra,
+)
 
 
 def test_case_counts(all_cases):
@@ -159,3 +165,19 @@ def test_a_replaced_case_parses_its_own_text():
     assert iwasawa.template is not torus.template
     assert iwasawa.real_algebra.betti()[1] == 4
     assert full_table(iwasawa.structure).betti[1] == 4
+
+
+def test_printed_algebra_labels_match_their_templates(all_cases):
+    """The algebra a row or curve prints has the Betti numbers of its template.
+
+    Betti numbers separate only 13 of the 23 distinct algebras of the
+    catalog, so a label is checked only up to them.
+    """
+    for case in all_cases:
+        assert case.real_algebra.betti() == realify(case.structure).betti(), case.id
+    for curve in cat.deformation_curves():
+        betti = parse_real_algebra(curve.algebra_text).betti()
+        template = parse_complex_structure(curve.template_text)
+        for point in curve.points:
+            cs = instantiate(template, parse_binding(point.binding_text))
+            assert realify(cs).betti() == betti, (curve.id, point.label)

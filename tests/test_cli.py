@@ -174,6 +174,15 @@ def test_table_with_binding(capsys, tmp_path):
     assert "bott_chern,2,2,7" in out.splitlines()
 
 
+def test_table_binds_two_moduli_of_one_parameter(capsys, tmp_path):
+    path = tmp_path / "moduli.txt"
+    path.write_text("(0, w1~1, abs(B-1+2i)*w12 + abs(B-1-2i)*w1~2)\n", encoding="ascii")
+    code, out, err = run(capsys, "table", str(path),
+                         "--binding", "B=1; absBm1p2i=2; absBm1m2i=2")
+    assert (code, err) == (0, "")
+    assert out.startswith("## Cohomology table (n = 3)")
+
+
 def test_catalog_single_case_golden(capsys):
     code, out, _ = run(capsys, "catalog", "--case", "09c", "--golden")
     assert code == 0

@@ -1,12 +1,14 @@
+import random
 from math import comb
 
 import pytest
 from hypothesis import given, settings
 
 from nilcohom import cohomology as co, model
+from nilcohom.algebra import BasisElement, Form, Gaussian, ONE, ZERO
 from nilcohom.cohomology import _differentials
 from nilcohom.linalg import exact_rank
-from nilcohom.model import ComplexStructure, instantiate
+from nilcohom.model import ComplexStructure, instantiate, substitute
 from nilcohom.parser import parse_binding, parse_complex_structure
 from test_model import triangular_structures
 
@@ -187,3 +189,45 @@ def test_identities_beyond_the_catalog(cs):
         assert k % 2 == 0 or table.delta[k] % 2 == 0
         assert table.level("h_dolbeault", k) >= table.betti[k]
     assert model.realify(cs).betti() == table.betti
+
+
+def _sheared(m, i, j, c):
+    """``m @ (I + c E_ij)``: column j gains c times column i."""
+    return [[x + c * row[i] if k == j else x for k, x in enumerate(row)] for row in m]
+
+
+def _random_coframe_change(rng, n):
+    """A product A of six shears ``I + c E_ij``, c in Z[i], and its exact inverse."""
+    shears = []
+    while len(shears) < 6:
+        c = Gaussian.of(rng.randint(-2, 2), rng.randint(-2, 2))
+        if c:
+            shears.append((*rng.sample(range(n), 2), c))
+    a = b = [[ONE if r == k else ZERO for k in range(n)] for r in range(n)]
+    for i, j, c in shears:
+        a = _sheared(a, i, j, c)
+    for i, j, c in reversed(shears):
+        b = _sheared(b, i, j, -c)
+    return a, b
+
+
+def test_tables_are_invariant_under_a_change_of_coframe(all_cases, structures, tables):
+    # eta = A w gives d eta = A d w, written in eta by substituting w = A^-1 eta;
+    # the structure is the same, so every dimension of its table is too
+    rng = random.Random(10)
+    for case in all_cases:
+        if case.dim != 3:
+            continue
+        cs = structures[case.id]
+        n = cs.n
+        a, b = _random_coframe_change(rng, n)
+        holo = [Form([(BasisElement((k + 1,), ()), b[j][k]) for k in range(n)])
+                for j in range(n)]
+        anti = [Form([(BasisElement((), (k + 1,)), b[j][k].conjugate()) for k in range(n)])
+                for j in range(n)]
+        images = [substitute(f, holo, anti) for f in cs.d_omega]
+        d_eta = [sum((images[j].scale(a[i][j]) for j in range(n)), Form())
+                 for i in range(n)]
+        changed = ComplexStructure(n, d_eta)
+        assert changed != cs or not any(f.terms for f in cs.d_omega), case.id
+        assert co.full_table(changed).as_dict() == tables[case.id].as_dict(), case.id

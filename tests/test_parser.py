@@ -81,6 +81,17 @@ def test_modulus_declaration():
     assert mod.name == "absBm1" and mod.param == "B" and mod.shift == parse_gaussian("1")
 
 
+def test_modulus_names_keep_the_sign_of_a_complex_shift():
+    # '+' and '-' are spelt 'p' and 'm', so the two shifts get two names
+    t = parse_complex_structure("(0, w1~1, abs(B-1+2i)*w12 + abs(B-1-2i)*w1~2)")
+    assert t.params == ("B",)
+    assert [(m.name, m.param, m.shift) for m in t.moduli] == [
+        ("absBm1p2i", "B", parse_gaussian("1+2i")),
+        ("absBm1m2i", "B", parse_gaussian("1-2i")),
+    ]
+    assert [m.name for m in parse_complex_structure("(0,0,abs(B-1/2)*w12)").moduli] == ["absBm1_2"]
+
+
 def test_descending_holomorphic_pair_normalizes_sign():
     t = parse_complex_structure("(0,0,w21)")
     ((coeff, elem),) = t.d_of_omega[2]
@@ -96,6 +107,18 @@ def test_zero_two_term_rejected():
 def test_duplicate_w_index_rejected():
     with pytest.raises(ParseError):
         parse_complex_structure("(0, 0, w11)")
+
+
+@pytest.mark.parametrize("text, column", [("(0,0,w1 ~2)", 8), ("(0,0,w1 2)", 8)])
+def test_a_w_term_admits_no_whitespace(text, column):
+    with pytest.raises(ParseError) as info:
+        parse_complex_structure(text)
+    assert (info.value.message, info.value.column) == ("expected an index digit 1-9", column)
+
+
+def test_one_modulus_name_for_two_declarations_is_rejected():
+    with pytest.raises(ParseError, match="conflicting declarations of absBm1"):
+        parse_complex_structure("(0, w1~1, abs(B-1)*w12 + abs(Bm1)*w1~2)")
 
 
 def test_malformed_rational_rejected():
