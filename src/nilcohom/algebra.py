@@ -13,9 +13,13 @@ conventions are normalized once here and every other module relies on them:
 
 * all holomorphic factors precede all antiholomorphic ones,
 * within each block indices are strictly ascending, between 1 and ``n``,
-* the sign of the sorting permutation is folded into the coefficient; it is
-  computed in one place, :func:`wedge_elements`, for every caller,
+* the sign of the sorting permutation is folded into the coefficient,
 * zero coefficients are dropped eagerly, so form equality is structural.
+
+A monomial is a :class:`BasisElement` of index tuples outside, for text,
+ordering and printing, and a pair of ``(holo, anti)`` bitmasks inside
+(:func:`masks`, :func:`element`, memoized); :func:`wedge_masks` is the one
+routine that computes a reordering sign, for every product and for ``d``.
 
 Every operation here keeps that form without checking it; it is checked
 once, where monomials enter: by the parser and by the structure constructors
@@ -25,6 +29,7 @@ of :mod:`nilcohom.model`.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 from math import comb, gcd, lcm
 from typing import Iterable, Iterator, NamedTuple
@@ -223,23 +228,44 @@ class BasisElement(NamedTuple):
         return f"w{holo}{anti}"
 
 
-def wedge_elements(x: BasisElement, y: BasisElement):
-    """Wedge two monomials; return (element, sign) or None if a factor repeats.
+@cache
+def masks(elem: BasisElement) -> tuple[int, int]:
+    """The ``(holo, anti)`` bitmasks of a monomial: bit ``j`` for generator ``j``."""
+    return sum(1 << j for j in elem.holo), sum(1 << j for j in elem.anti)
 
-    The sign is that of the permutation putting ``x /\\ y`` in canonical
-    order: the out-of-order pairs inside each joined block, plus the moves of
-    y's holomorphic factors left past x's antiholomorphic ones.
+
+@cache
+def element(holo: int, anti: int) -> BasisElement:
+    """The monomial of two bitmasks; the inverse of :func:`masks`."""
+    return BasisElement(*(tuple(j for j in range(m.bit_length()) if m >> j & 1)
+                          for m in (holo, anti)))
+
+
+def wedge_masks(h1: int, a1: int, h2: int, a2: int):
+    """Wedge two monomials given by masks; ``(holo, anti, odd)`` or None on a repeat.
+
+    ``odd`` is the parity of the permutation putting ``x /\\ y`` in canonical
+    order: y's holomorphic factors move left past x's antiholomorphic ones,
+    and in each block every factor of x moves right past y's lower indices.
     """
-    holo, anti = x.holo + y.holo, x.anti + y.anti
-    if len(set(holo)) < len(holo) or len(set(anti)) < len(anti):
+    if h1 & h2 or a1 & a2:
         return None
-    inversions = len(y.holo) * len(x.anti)
-    for block in (holo, anti):
-        for a, b in combinations(block, 2):
-            if a > b:
-                inversions += 1
-    return (BasisElement(tuple(sorted(holo)), tuple(sorted(anti))),
-            -1 if inversions % 2 else 1)
+    odd = h2.bit_count() * a1.bit_count()
+    for mine, other in ((h1, h2), (a1, a2)):
+        while mine:
+            low = mine & -mine
+            odd += (other & (low - 1)).bit_count()
+            mine ^= low
+    return h1 | h2, a1 | a2, odd & 1
+
+
+def wedge_elements(x: BasisElement, y: BasisElement):
+    """Wedge two monomials; return (element, sign) or None if a factor repeats."""
+    merged = wedge_masks(*masks(x), *masks(y))
+    if merged is None:
+        return None
+    holo, anti, odd = merged
+    return element(holo, anti), -1 if odd else 1
 
 
 class Form:
@@ -315,22 +341,22 @@ class Form:
     def wedge(self, other: "Form") -> "Form":
         out: list[tuple[BasisElement, Gaussian]] = []
         for e1, c1 in self.terms.items():
+            h1, a1 = masks(e1)
             for e2, c2 in other.terms.items():
-                merged = wedge_elements(e1, e2)
-                if merged is None:
-                    continue
-                elem, sign = merged
-                c = c1 * c2
-                out.append((elem, c if sign > 0 else -c))
+                merged = wedge_masks(h1, a1, *masks(e2))
+                if merged is not None:
+                    holo, anti, odd = merged
+                    c = c1 * c2
+                    out.append((element(holo, anti), -c if odd else c))
         return Form(out)
 
     def conjugate(self) -> "Form":
         """Complex conjugation: swaps the blocks, conjugates coefficients."""
         out = []
         for e, c in self.terms.items():
-            elem, sign = wedge_elements(BasisElement((), e.holo), BasisElement(e.anti, ()))
+            holo, anti, odd = wedge_masks(0, *masks(e), 0)
             c = c.conjugate()
-            out.append((elem, c if sign > 0 else -c))
+            out.append((element(holo, anti), -c if odd else c))
         return Form(out)
 
     def component(self, p: int, q: int) -> "Form":

@@ -229,9 +229,7 @@ def _table_text(table: co.CohomologyTable, fmt: str) -> str:
         lines.append("")
     lines.append("betti: " + " ".join(str(b) for b in table.betti))
     lines.append("delta: " + " ".join(str(d) for d in table.delta))
-    lines.append(f"ddbar-lemma: {verdict.verdict}"
-                 + (f" (parity sufficient condition: {verdict.parity_branch})"
-                    if verdict.parity_sufficient else ""))
+    lines.append(f"ddbar-lemma: {verdict.verdict}")
     return "\n".join(lines)
 
 

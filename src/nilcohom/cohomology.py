@@ -214,8 +214,6 @@ class LemmaVerdict:
 
     satisfied: bool
     witness: int | None
-    parity_sufficient: bool
-    parity_branch: str | None
 
     @property
     def verdict(self) -> str:
@@ -225,36 +223,18 @@ class LemmaVerdict:
         return {
             "verdict": "SATISFIED" if self.satisfied else "FAILS",
             "witness": self.witness,
-            "parity_sufficient": self.parity_sufficient,
-            "parity_branch": self.parity_branch,
         }
 
 
 def ddbar_lemma_status(table: CohomologyTable) -> LemmaVerdict:
-    """SATISFIED iff delta vanishes in every degree; report the parity test too.
+    """SATISFIED iff delta vanishes in every degree; else the first degree where not.
 
-    The parity-restricted sufficient condition holds when delta vanishes in
-    all degrees of one parity class (that of n, or the complementary one) and
-    the a-spaces vanish in all total degrees of the complementary parity
-    (odd degrees for the first branch, even for the second).
+    On a compact complex manifold the del-delbar lemma holds exactly when
+    ``delta[k] == 0`` for every k (Angella and Tomassini, Invent. Math. 192
+    (2013)).
     """
-    n = table.n
     witness = next((k for k, d in enumerate(table.delta) if d), None)
-    degrees = range(2 * n + 1)
-    a_levels = [table.level("a_dim", k) for k in degrees]
-    branch_same = all(
-        table.delta[k] == 0 for k in degrees if k % 2 == n % 2
-    ) and all(a_levels[k] == 0 for k in degrees if k % 2 == 1)
-    branch_other = all(
-        table.delta[k] == 0 for k in degrees if k % 2 == (n - 1) % 2
-    ) and all(a_levels[k] == 0 for k in degrees if k % 2 == 0)
-    branch = "same-parity" if branch_same else "complementary-parity" if branch_other else None
-    return LemmaVerdict(
-        satisfied=witness is None,
-        witness=witness,
-        parity_sufficient=branch_same or branch_other,
-        parity_branch=branch,
-    )
+    return LemmaVerdict(satisfied=witness is None, witness=witness)
 
 
 def differential_identities_ok(cs: ComplexStructure) -> bool:

@@ -18,8 +18,10 @@ factors of each monomial (holomorphic factors first):
     d(x_0 /\\ .. /\\ x_m) = sum_k (-1)^k dx_k /\\ (x_0 /\\ .. x_k omitted .. /\\ x_m)
 
 The generator differentials are 2-forms, so ``dx_k`` moves to the front
-without a sign.  Nilpotency follows the lower central series with the
-elimination of :mod:`linalg` (``column_basis``).
+without a sign.  A structure compiles its generator differentials into
+mask terms once; ``d`` walks the set bits of each monomial's masks.
+Nilpotency follows the lower central series with the elimination of
+:mod:`linalg` (``column_basis``).
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from dataclasses import dataclass, field
 from functools import reduce
 from math import comb
 
-from .algebra import BasisElement, Form, Gaussian, ONE, ZERO, basis, wedge_elements
+from .algebra import BasisElement, Form, Gaussian, ONE, ZERO, basis, element, masks, wedge_masks
 from .linalg import ExactMatrix, column_basis, exact_rank, hstack
 
 
@@ -78,26 +80,35 @@ def _check_monomial(elem: BasisElement, n: int) -> None:
             raise ValueError(f"not a canonical monomial over {n} generators: {elem}")
 
 
-def exterior_derivative(f: Form, d_holo, d_anti) -> Form:
-    """d by the Leibniz rule of the module docstring; terms are collected once."""
-    terms = []
+def _compile(differentials: list[Form]) -> list:
+    """``d`` of each generator ``j`` at index ``j``, as ``(holo, anti, coeff)`` mask terms."""
+    return [(), *([(*masks(e), c) for e, c in f.terms.items()] for f in differentials)]
+
+
+def exterior_derivative(f: Form, d_holo: list, d_anti: list) -> Form:
+    """d by the Leibniz rule of the module docstring: factor ``k`` is the k-th
+    set bit of the masks, holomorphic first; terms are collected by masks."""
+    acc: dict[tuple[int, int], Gaussian] = {}
     for elem, coeff in f.terms.items():
-        p = len(elem.holo)
-        for k, j in enumerate(elem.holo + elem.anti):
-            df = d_holo[j - 1] if k < p else d_anti[j - 1]
-            if not df.terms:
-                continue
-            if k < p:
-                rest = BasisElement(elem.holo[:k] + elem.holo[k + 1:], elem.anti)
-            else:
-                rest = BasisElement(elem.holo, elem.anti[:k - p] + elem.anti[k - p + 1:])
-            for d_elem, d_coeff in df.terms.items():
-                merged = wedge_elements(d_elem, rest)
-                if merged is not None:
-                    out, sign = merged
-                    c = coeff * d_coeff
-                    terms.append((out, c if sign == (-1) ** k else -c))
-    return Form(terms)
+        h, a = masks(elem)
+        k = 0
+        for bits, d_gen, in_holo in ((h, d_holo, True), (a, d_anti, False)):
+            while bits:
+                b = bits & -bits
+                bits ^= b
+                rh, ra = (h ^ b, a) if in_holo else (h, a ^ b)
+                for dh, da, dc in d_gen[b.bit_length() - 1]:
+                    merged = wedge_masks(dh, da, rh, ra)
+                    if merged is not None:
+                        mh, ma, odd = merged
+                        c = dc if coeff is ONE else coeff * dc
+                        key = (mh, ma)
+                        if odd != k & 1:
+                            c = -c
+                        cur = acc.get(key)
+                        acc[key] = c if cur is None else cur + c
+                k += 1
+    return Form((element(*key), c) for key, c in acc.items())
 
 
 @dataclass
@@ -150,9 +161,10 @@ class RealAlgebra:
                     raise ValueError(f"d e^{j} has a non-real coefficient")
         self.dim = dim
         self.d_of_e = list(d_of_e)
+        self._d = _compile(self.d_of_e)
 
     def d(self, f: Form) -> Form:
-        return exterior_derivative(f, self.d_of_e, [])
+        return exterior_derivative(f, self._d, [])
 
     def check_d_squared(self) -> ValidationReport:
         return _d_squared(self.d, self.d_of_e, "e")
@@ -292,14 +304,15 @@ class ComplexStructure:
                     raise IntegrabilityError(f"d w^{j} has a {elem.bidegree} term {elem}")
         self.n = n
         self.d_omega = list(d_omega)
-        self._d_anti = [f.conjugate() for f in d_omega]
+        self._d_holo = _compile(self.d_omega)
+        self._d_anti = _compile([f.conjugate() for f in d_omega])
         report = check_d_squared(self)
         if not report.ok:
             raise DifferentialSquareError(report)
 
     def d(self, f: Form) -> Form:
         """Full exterior differential d = del + delbar on any invariant form."""
-        return exterior_derivative(f, self.d_omega, self._d_anti)
+        return exterior_derivative(f, self._d_holo, self._d_anti)
 
     def __eq__(self, other) -> bool:
         return (

@@ -429,19 +429,27 @@ def _render_template(t: ComplexStructureTemplate) -> str:
             entries.append("0")
             continue
         ordered = sorted(entry, key=lambda ce: (ce[1].bidegree != (2, 0), ce[1]))
-        txt = ""
-        for k, (coeff, elem) in enumerate(ordered):
-            body, subtract = _coeff_text(coeff)
-            if k == 0:
-                if subtract:
-                    if not isinstance(coeff, Lit):
-                        raise ValueError("cannot render a leading negated symbol")
-                    body = f"{coeff.value}*"  # signed literal is grammar-legal
-                txt += f"{body}{elem}"
-            else:
-                txt += ("-" if subtract else "+") + f"{body}{elem}"
-        entries.append(txt)
+        # the grammar has no leading minus on a symbol: lead with another term
+        lead = next((k for k, (coeff, _) in enumerate(ordered)
+                     if isinstance(coeff, Lit) or not coeff.negated), 0)
+        ordered.insert(0, ordered.pop(lead))
+        entries.append("".join(_term_text(coeff, elem, k == 0)
+                               for k, (coeff, elem) in enumerate(ordered)))
     return "(" + ",".join(entries) + ")"
+
+
+def _term_text(coeff, elem: BasisElement, leading: bool) -> str:
+    body, subtract = _coeff_text(coeff)
+    if not leading:
+        return ("-" if subtract else "+") + f"{body}{elem}"
+    if not subtract:
+        return f"{body}{elem}"
+    if isinstance(coeff, Lit):
+        return f"{coeff.value}*{elem}"  # signed literal is grammar-legal
+    if elem.bidegree == (2, 0):
+        lo, hi = elem.holo
+        return f"{body}w{hi}{lo}"  # the swapped indices carry the sign
+    raise ValueError("cannot render a leading negated symbol")
 
 
 def render_binding(b: dict[str, Gaussian]) -> str:

@@ -1,15 +1,22 @@
-"""Every engine name the benchmark uses still exists.
+"""Every engine name the benchmark uses still exists and keeps its face.
 
 ``perfbench/tracing.py`` reports a renamed or deleted hook as a missing
 layer instead of failing, so a refactor could silently blind the trace, and
 the workloads reach the engine only through attribute chains on the imported
-package, so a rename would first show as a failed benchmark run.  The
-benchmark files are read with ``ast``: none of them is imported or run.
+package, so a rename would first show as a failed benchmark run.  Those
+files are read with ``ast``, not imported.  The dense_coframe generator,
+``perfbench/coframe.py``, builds and reads monomials as index tuples; it
+needs only the standard library, so it is loaded and run once here.
 """
 
 import ast
 import importlib
+import importlib.util
+import random
 from pathlib import Path
+
+import nilcohom
+from nilcohom import algebra, catalog, cohomology, model, parser
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TRACING = PERFBENCH / "tracing.py"
@@ -90,3 +97,24 @@ def test_every_engine_name_the_workloads_use_resolves():
         for attr in attrs:
             assert hasattr(owner, attr), f"nc.{module}." + ".".join(attrs)
             owner = getattr(owner, attr)
+
+
+def test_the_monomial_face_the_generator_relies_on():
+    e = algebra.BasisElement((1, 3), (2,))
+    assert (e.holo, e.anti) == ((1, 3), (2,))
+    assert type(e.holo) is tuple and type(e.anti) is tuple
+    assert algebra.BasisElement(e.holo, e.anti) == e
+    # ordered lexicographically on (holo, anti), as coframe.py sorts its keys
+    elems = [algebra.BasisElement(h, a) for h, a in
+             [((1, 3), (2,)), ((1,), (2, 3)), ((1, 2), ()), ((), (1,)), ((1,), ())]]
+    assert sorted(elems) == sorted(elems, key=lambda x: (x.holo, x.anti))
+    assert sorted(elems)[0] == algebra.BasisElement((), (1,))
+
+    spec = importlib.util.spec_from_file_location("coframe", PERFBENCH / "coframe.py")
+    coframe = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(coframe)
+    case = catalog.case_by_id("02a")
+    text = coframe.generate(nilcohom, case.template_text, case.binding_text, random.Random(0))
+    rewritten = model.instantiate(parser.parse_complex_structure(text), {})
+    assert text != parser.render(parser.parse_complex_structure(case.template_text))
+    assert cohomology.full_table(rewritten).as_dict() == cohomology.full_table(case.structure).as_dict()

@@ -174,6 +174,18 @@ def test_table_with_binding(capsys, tmp_path):
     assert "bott_chern,2,2,7" in out.splitlines()
 
 
+def test_a_failing_lemma_is_reported_with_no_sufficient_condition(capsys, tmp_path):
+    # row 02a: delta 0 2 0 8 0 2 0 vanishes in every even degree
+    path = tmp_path / "02a.txt"
+    path.write_text("(0,0,w12+w1~1+w1~2+D*w2~2)\n", encoding="ascii")
+    code, out, _ = run(capsys, "table", str(path), "--binding", "D=2+i")
+    assert code == 0
+    assert out.splitlines()[-2:] == ["delta: 0 2 0 8 0 2 0", "ddbar-lemma: FAILS at k=1"]
+    code, out, _ = run(capsys, "table", str(path), "--binding", "D=2+i", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["ddbar_lemma"] == {"verdict": "FAILS", "witness": 1}
+
+
 def test_table_binds_two_moduli_of_one_parameter(capsys, tmp_path):
     path = tmp_path / "moduli.txt"
     path.write_text("(0, w1~1, abs(B-1+2i)*w12 + abs(B-1-2i)*w1~2)\n", encoding="ascii")

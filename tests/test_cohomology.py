@@ -153,11 +153,24 @@ def test_full_table_spot_values(tables):
 
 def test_lemma_status(tables):
     torus = co.ddbar_lemma_status(tables["00"])
-    assert torus.satisfied and torus.parity_sufficient
+    assert torus.satisfied and torus.witness is None
     iwa = co.ddbar_lemma_status(tables["08"])
     assert not iwa.satisfied and iwa.witness == 1
     h8 = co.ddbar_lemma_status(tables["12"])
     assert not h8.satisfied and h8.witness == 2
+
+
+def _lemma_from_delta(table):
+    witness = next((k for k, d in enumerate(table.delta) if d), None)
+    return {"verdict": "FAILS" if witness is not None else "SATISFIED", "witness": witness}
+
+
+def test_the_lemma_verdict_claims_nothing_beyond_delta(tables):
+    # 02a, 06a and 09a (delta 0 2 0 8 0 2 0) once also reported a "parity
+    # sufficient condition" for the lemma, next to their failing verdict
+    for case_id, table in tables.items():
+        assert co.ddbar_lemma_status(table).as_dict() == _lemma_from_delta(table), case_id
+    assert _lemma_from_delta(tables["02a"]) == {"verdict": "FAILS", "witness": 1}
 
 
 def test_delta_degree_symmetry(tables):
@@ -189,6 +202,7 @@ def test_identities_beyond_the_catalog(cs):
         assert k % 2 == 0 or table.delta[k] % 2 == 0
         assert table.level("h_dolbeault", k) >= table.betti[k]
     assert model.realify(cs).betti() == table.betti
+    assert co.ddbar_lemma_status(table).as_dict() == _lemma_from_delta(table)
 
 
 def _sheared(m, i, j, c):

@@ -1,7 +1,11 @@
+import random
+from itertools import combinations
+
 import pytest
 from hypothesis import given, reject, settings, strategies as st
 
-from nilcohom.algebra import BasisElement, Form, Gaussian, I, ONE, basis
+from d_oracle import oracle_cs_d, oracle_d
+from nilcohom.algebra import BasisElement, Form, Gaussian, I, ONE, basis, element, masks
 from nilcohom.model import (
     ComplexStructure,
     ComplexStructureTemplate,
@@ -251,3 +255,43 @@ def test_d_is_a_real_antiderivation_of_square_zero(data):
     algebra = realify(cs)
     assert algebra.check_d_squared().ok
     assert check_nilpotency(algebra)
+
+
+def _random_form(rng, elems):
+    """Up to four random terms over ``elems``."""
+    return Form((e, Gaussian.of(rng.randint(-3, 3), rng.randint(-3, 3)))
+                for e in rng.sample(elems, k=min(4, len(elems))))
+
+
+def _random_forms(rng, n):
+    """A random form in every bidegree, and their sum."""
+    forms = [_random_form(rng, basis(n, p, q)) for p in range(n + 1) for q in range(n + 1)]
+    return forms + [sum(forms, Form())]
+
+
+def test_d_matches_the_tuple_leibniz_oracle_on_the_catalog(all_cases, structures):
+    rng = random.Random(11)
+    for case in all_cases:
+        cs = structures[case.id]
+        for f in _random_forms(rng, cs.n):
+            assert cs.d(f).terms == oracle_cs_d(cs, f).terms, (case.id, f)
+        if case.dim == 3:  # and on the real algebra, in every degree
+            algebra, m = realify(cs), 2 * cs.n
+            for f in (_random_form(rng, basis(m, k, 0)) for k in range(m + 1)):
+                assert algebra.d(f).terms == oracle_d(f, algebra.d_of_e, []).terms, case.id
+
+
+@settings(derandomize=True, max_examples=30, deadline=None, database=None)
+@given(triangular_structures(), st.integers(0, 2 ** 32))
+def test_d_matches_the_tuple_leibniz_oracle_beyond_the_catalog(cs, seed):
+    for f in _random_forms(random.Random(seed), cs.n):
+        assert cs.d(f).terms == oracle_cs_d(cs, f).terms, f
+
+
+def test_masks_and_element_are_inverse_on_every_monomial():
+    for n in range(1, 5):
+        subsets = [s for k in range(n + 1) for s in combinations(range(1, n + 1), k)]
+        monomials = [BasisElement(h, a) for h in subsets for a in subsets]
+        assert len({masks(e) for e in monomials}) == len(monomials) == 4 ** n
+        for e in monomials:
+            assert element(*masks(e)) == e

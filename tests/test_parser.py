@@ -185,6 +185,18 @@ def test_parse_render_roundtrip_is_identity_on_catalog(all_cases):
         assert parse_complex_structure(render(template)) == template
 
 
+@pytest.mark.parametrize("text", [
+    "(0,0,w1~2-D*w12)",
+    "(0,w1~1,w1~2-abs(B-1)*w12)",
+    "(0,0,D*w21)",
+    "(0,0,-1*w1~2-conj(D)*w12)",
+])
+def test_render_never_leads_with_a_negated_symbol(text):
+    # the grammar cannot write "-D*w12" first: another term leads, or the
+    # swapped indices of a (2,0) term carry the sign
+    assert render(parse_complex_structure(text)) == text
+
+
 def test_render_binding_roundtrip():
     b = parse_binding("lambda=0; D=1/2+1/2i")
     assert parse_binding(render_binding(b)) == b
