@@ -19,7 +19,8 @@ conventions are normalized once here and every other module relies on them:
 A monomial is a :class:`BasisElement` of index tuples outside, for text,
 ordering and printing, and a pair of ``(holo, anti)`` bitmasks inside
 (:func:`masks`, :func:`element`, memoized); :func:`wedge_masks` is the one
-routine that computes a reordering sign, for every product and for ``d``.
+routine that computes a reordering sign, for every product and for ``d``,
+whose one kernel, :func:`exterior_derivative`, is here too.
 
 Every operation here keeps that form without checking it; it is checked
 once, where monomials enter: by the parser and by the structure constructors
@@ -266,6 +267,43 @@ def wedge_elements(x: BasisElement, y: BasisElement):
         return None
     holo, anti, odd = merged
     return element(holo, anti), -1 if odd else 1
+
+
+def compile_differentials(differentials: list[Form]) -> list:
+    """``d`` of each generator ``j`` at index ``j``, as ``(holo, anti, coeff)`` mask terms."""
+    return [(), *([(*masks(e), c) for e, c in f.terms.items()] for f in differentials)]
+
+
+def exterior_derivative(f: Form, d_holo: list, d_anti: list) -> Form:
+    """d of ``f`` by the graded Leibniz rule, holomorphic factors first:
+
+        d(x_0 /\\ .. /\\ x_m) = sum_k (-1)^k dx_k /\\ (x_0 /\\ .. x_k omitted .. /\\ x_m)
+
+    ``d_holo`` and ``d_anti`` compile ``d`` of the generators and of their
+    conjugates: 2-forms, so ``dx_k`` moves to the front without a sign.
+    Factor ``k`` is the k-th set bit of the masks; terms are collected by masks.
+    """
+    acc: dict[tuple[int, int], Gaussian] = {}
+    for elem, coeff in f.terms.items():
+        h, a = masks(elem)
+        k = 0
+        for bits, d_gen, in_holo in ((h, d_holo, True), (a, d_anti, False)):
+            while bits:
+                b = bits & -bits
+                bits ^= b
+                rh, ra = (h ^ b, a) if in_holo else (h, a ^ b)
+                for dh, da, dc in d_gen[b.bit_length() - 1]:
+                    merged = wedge_masks(dh, da, rh, ra)
+                    if merged is not None:
+                        mh, ma, odd = merged
+                        c = dc if coeff is ONE else coeff * dc
+                        key = (mh, ma)
+                        if odd != k & 1:
+                            c = -c
+                        cur = acc.get(key)
+                        acc[key] = c if cur is None else cur + c
+                k += 1
+    return Form((element(*key), c) for key, c in acc.items())
 
 
 class Form:

@@ -5,17 +5,18 @@ structure as a :class:`CohomologyTable`, read off one table of ranks.
 Matrices are column-sparse: column ``j`` is the image of the ``j``-th source
 monomial, and rows and columns are indexed by the fixed lexicographic basis
 order of :func:`nilcohom.algebra.basis`.  One builder applies ``d`` once to
-every basis monomial and splits the image into the del and delbar columns
-(``d`` of a (p,q)-form has only (p+1,q) and (p,q+1) parts on an integrable
-structure); one loop then ranks each matrix a dimension needs, once, with
-the single exact rank routine of :mod:`nilcohom.linalg`.
+every basis monomial and keeps the image whole and split into its del and
+delbar parts (``d`` of a (p,q)-form has only (p+1,q) and (p,q+1) parts on an
+integrable structure); one loop then ranks each matrix a dimension needs,
+once, with the single exact rank routine of :mod:`nilcohom.linalg`.
 
 Every pointwise dimension is ``dim(p,q)`` (or nothing) plus signed ranks of
-five matrix kinds: ``del``, ``delbar``, ``dd`` (del delbar), ``stack`` (del
-over delbar, whose kernel is ker del /\\ ker delbar) and ``concat`` (del and
-delbar side by side, whose image is im del + im delbar).  :data:`THEORIES` is
-the one table of these formulas: each row names a theory for output, names
-its :class:`CohomologyTable` grid and lists its rank terms, and
+five matrix kinds: ``del``, ``delbar``, ``dd`` (del delbar), ``stack`` (d on
+the (p,q) slot, whose kernel is ker del /\\ ker delbar, as the two parts land
+in distinct slots) and ``concat`` (del and delbar side by side, whose image
+is im del + im delbar).  :data:`THEORIES` is the one table of these
+formulas: each row names a theory for output, names its
+:class:`CohomologyTable` grid and lists its rank terms, and
 :func:`full_table` fills every grid from it; a rank the table lacks is that
 of a map with no source or target, and counts as 0.  No dimension is a
 quotient basis.
@@ -26,8 +27,8 @@ Conventions, for a structure of complex dimension ``n``:
 * Dolbeault dimensions come from the delbar ranks and the del-cohomology ones
   from the del ranks, so ``h_dolbeault[p][q] == h_del[q][p]`` (conjugation)
   is a check, not a definition;
-* the de Rham/Betti numbers come from the total complex with ``d = del+delbar``,
-  not from the table;
+* the de Rham/Betti numbers come from the total complex, whose d in each
+  degree is that degree's d blocks side by side, not from the table;
 * ``delta[k]`` is read off the finished table: the Bott-Chern and Aeppli
   dimensions in total degree k minus twice the Betti number.  It vanishes in
   every degree exactly on structures satisfying the del-delbar lemma, and
@@ -37,10 +38,11 @@ Conventions, for a structure of complex dimension ``n``:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from math import comb
 
 from .algebra import Form, basis, basis_dimension
-from .linalg import ExactMatrix, exact_rank, hstack, vstack
+from .linalg import ExactMatrix, exact_rank, hstack
 from .model import ComplexStructure
 
 
@@ -48,55 +50,53 @@ from .model import ComplexStructure
 # the differentials and their ranks
 # ---------------------------------------------------------------------------
 
-def _differentials(cs: ComplexStructure) -> dict:
-    """del and delbar at every (p,q) of the square, keyed ``(kind, p, q)``.
+def _slots(n: int, k: int) -> range:
+    """The p of every (p, k-p) slot of total degree k, ascending."""
+    return range(max(0, k - n), min(n, k) + 1)
 
-    ``d`` is applied once to each basis monomial.  The border sources
-    del(-1,q) and delbar(p,-1) are there too: no columns, but the row count
-    of their target, so that ``concat`` can put them side by side.
+
+def _differentials(cs: ComplexStructure) -> dict:
+    """d, del and delbar at every (p,q) of the square, and d on every total degree.
+
+    ``d`` is applied once to each basis monomial.  Its image is one column of
+    ``("d", p, q)``, whose rows are the basis of degree p+q+1 (its slots by
+    ascending p, each in ``basis`` order), and of ``("del", p, q)`` and
+    ``("delbar", p, q)`` on their own slots.  ``("total", k)`` is the d
+    blocks of degree k side by side.  The border sources del(-1,q) and
+    delbar(p,-1) have no columns, but the row count of their target, so that
+    ``concat`` can put them side by side.
     """
-    span = range(cs.n + 1)
-    index = {(p, q): {e: i for i, e in enumerate(basis(cs.n, p, q))}
+    n, span = cs.n, range(cs.n + 1)
+    # a monomial's row in its slot, and a slot's first row in its total degree
+    index = {e: i for p in span for q in span for i, e in enumerate(basis(n, p, q))}
+    start = {(p, q): sum(basis_dimension(n, s, p + q - s) for s in range(p))
              for p in span for q in span}
     mats = {}
-    for (p, q), source in index.items():
-        del_index, delbar_index = index.get((p + 1, q), {}), index.get((p, q + 1), {})
-        del_cols, delbar_cols = [], []
-        for elem in source:
-            del_col, delbar_col = {}, {}
-            for e, c in cs.d(Form.single(elem)).terms.items():
-                if len(e.holo) > p:
-                    del_col[del_index[e]] = c
-                else:
-                    delbar_col[delbar_index[e]] = c
-            del_cols.append(del_col)
-            delbar_cols.append(delbar_col)
-        mats["del", p, q] = ExactMatrix(len(del_index), len(source), del_cols)
-        mats["delbar", p, q] = ExactMatrix(len(delbar_index), len(source), delbar_cols)
+    for p in span:
+        for q in span:
+            del_start, delbar_start = start.get((p + 1, q)), start.get((p, q + 1))
+            d_cols, del_cols, delbar_cols = [], [], []
+            for elem in basis(n, p, q):
+                d_col, del_col, delbar_col = {}, {}, {}
+                for e, c in cs.d(Form.single(elem)).terms.items():
+                    i = index[e]
+                    if len(e.holo) > p:
+                        del_col[i] = d_col[del_start + i] = c
+                    else:
+                        delbar_col[i] = d_col[delbar_start + i] = c
+                d_cols.append(d_col)
+                del_cols.append(del_col)
+                delbar_cols.append(delbar_col)
+            cols = len(d_cols)
+            mats["d", p, q] = ExactMatrix(comb(2 * n, p + q + 1), cols, d_cols)
+            mats["del", p, q] = ExactMatrix(basis_dimension(n, p + 1, q), cols, del_cols)
+            mats["delbar", p, q] = ExactMatrix(basis_dimension(n, p, q + 1), cols, delbar_cols)
     for k in span:
-        mats["del", -1, k] = ExactMatrix(len(index[0, k]), 0)
-        mats["delbar", k, -1] = ExactMatrix(len(index[k, 0]), 0)
+        mats["del", -1, k] = ExactMatrix(basis_dimension(n, 0, k), 0)
+        mats["delbar", k, -1] = ExactMatrix(basis_dimension(n, k, 0), 0)
+    for k in range(2 * n + 1):
+        mats["total", k] = reduce(hstack, [mats["d", p, k - p] for p in _slots(n, k)])
     return mats
-
-
-def _total_matrix(diff: dict, n: int, k: int) -> ExactMatrix:
-    """d from total degree k to k+1, assembled from the del and delbar blocks.
-
-    Target block (p, k+1-p) starts at row ``start[p]``, so a source column of
-    block (p, k-p) is its del column shifted to ``start[p+1]`` merged with its
-    delbar column shifted to ``start[p]``.
-    """
-    start = [0]
-    for p in range(n + 1):
-        start.append(start[-1] + basis_dimension(n, p, k + 1 - p))
-    columns = []
-    for p in range(max(0, k - n), min(n, k) + 1):
-        for del_col, delbar_col in zip(diff["del", p, k - p].columns,
-                                       diff["delbar", p, k - p].columns):
-            col = {start[p + 1] + i: c for i, c in del_col.items()}
-            col.update((start[p] + i, c) for i, c in delbar_col.items())
-            columns.append(col)
-    return ExactMatrix(start[-1], len(columns), columns)
 
 
 def _ranks(cs: ComplexStructure) -> dict:
@@ -111,18 +111,17 @@ def _ranks(cs: ComplexStructure) -> dict:
     ranks = {}
     for p in range(n + 1):
         for q in range(n + 1):
-            del_, delbar = diff["del", p, q], diff["delbar", p, q]
-            ranks["del", p, q] = exact_rank(del_)
-            ranks["delbar", p, q] = exact_rank(delbar)
-            # ker del /\ ker delbar at (p,q): the targets are distinct slots
-            ranks["stack", p, q] = exact_rank(vstack(del_, delbar))
+            ranks["del", p, q] = exact_rank(diff["del", p, q])
+            ranks["delbar", p, q] = exact_rank(diff["delbar", p, q])
+            # ker d = ker del /\ ker delbar at (p,q): the parts land in distinct slots
+            ranks["stack", p, q] = exact_rank(diff["d", p, q])
             # im del + im delbar landing in (p,q)
             ranks["concat", p, q] = exact_rank(hstack(diff["del", p - 1, q],
                                                       diff["delbar", p, q - 1]))
             if q < n:
-                ranks["dd", p, q] = exact_rank(diff["del", p, q + 1] @ delbar)
+                ranks["dd", p, q] = exact_rank(diff["del", p, q + 1] @ diff["delbar", p, q])
     for k in range(2 * n + 1):
-        ranks["total", k] = exact_rank(_total_matrix(diff, n, k))
+        ranks["total", k] = exact_rank(diff["total", k])
     return ranks
 
 
@@ -176,10 +175,7 @@ class CohomologyTable:
 
     def level(self, grid_name: str, k: int) -> int:
         grid = getattr(self, grid_name)
-        return sum(
-            grid[p][k - p]
-            for p in range(max(0, k - self.n), min(self.n, k) + 1)
-        )
+        return sum(grid[p][k - p] for p in _slots(self.n, k))
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** k * b for k, b in enumerate(self.betti))
@@ -245,8 +241,7 @@ def differential_identities_ok(cs: ComplexStructure) -> bool:
     product of consecutive total matrices is zero iff all three parts are.
     """
     diff = _differentials(cs)
-    return all((_total_matrix(diff, cs.n, k + 1) @ _total_matrix(diff, cs.n, k)).is_zero()
-               for k in range(2 * cs.n - 1))
+    return all((diff["total", k + 1] @ diff["total", k]).is_zero() for k in range(2 * cs.n - 1))
 
 
 __all__ = [

@@ -9,8 +9,9 @@ the nilpotency check follows the lower central series.
 
 A matrix is stored by columns: column ``j`` is a dict ``{row: nonzero
 Gaussian}``, the image of source basis vector ``j``.  That is how the engine
-produces a differential (one source monomial at a time), and the engine's
-matrices are a few percent dense, so zeros are never stored.
+produces a differential (one source monomial at a time).  Zeros are never
+stored: 2.5% of the ranked entries are nonzero over the 72 catalog rows, 65%
+over the 6d rows in a general coframe (benchmark ``dense_coframe``, seed 7).
 """
 
 from __future__ import annotations

@@ -12,16 +12,9 @@ conjugation and the ``d^2 = 0`` check computes only ``d(d w^j)``: each
 ``d(d wbar^j)`` is its conjugate.  ``RealAlgebra``, ``ComplexStructureTemplate``
 and ``ComplexStructure`` reject non-canonical monomials, as the parser does.
 
-Every form is differentiated by one kernel, the graded Leibniz rule on the
-factors of each monomial (holomorphic factors first):
-
-    d(x_0 /\\ .. /\\ x_m) = sum_k (-1)^k dx_k /\\ (x_0 /\\ .. x_k omitted .. /\\ x_m)
-
-The generator differentials are 2-forms, so ``dx_k`` moves to the front
-without a sign.  A structure compiles its generator differentials into
-mask terms once; ``d`` walks the set bits of each monomial's masks.
-Nilpotency follows the lower central series with the elimination of
-:mod:`linalg` (``column_basis``).
+A structure compiles its generator differentials once and differentiates
+by :func:`nilcohom.algebra.exterior_derivative`.  Nilpotency follows the
+lower central series with the elimination of :mod:`linalg` (``column_basis``).
 """
 
 from __future__ import annotations
@@ -30,7 +23,8 @@ from dataclasses import dataclass, field
 from functools import reduce
 from math import comb
 
-from .algebra import BasisElement, Form, Gaussian, ONE, ZERO, basis, element, masks, wedge_masks
+from .algebra import (BasisElement, Form, Gaussian, ONE, ZERO, basis, compile_differentials,
+                      exterior_derivative)
 from .linalg import ExactMatrix, column_basis, exact_rank, hstack
 
 
@@ -78,37 +72,6 @@ def _check_monomial(elem: BasisElement, n: int) -> None:
     for block in (elem.holo, elem.anti):
         if not all(a < b for a, b in zip((0, *block), (*block, n + 1))):
             raise ValueError(f"not a canonical monomial over {n} generators: {elem}")
-
-
-def _compile(differentials: list[Form]) -> list:
-    """``d`` of each generator ``j`` at index ``j``, as ``(holo, anti, coeff)`` mask terms."""
-    return [(), *([(*masks(e), c) for e, c in f.terms.items()] for f in differentials)]
-
-
-def exterior_derivative(f: Form, d_holo: list, d_anti: list) -> Form:
-    """d by the Leibniz rule of the module docstring: factor ``k`` is the k-th
-    set bit of the masks, holomorphic first; terms are collected by masks."""
-    acc: dict[tuple[int, int], Gaussian] = {}
-    for elem, coeff in f.terms.items():
-        h, a = masks(elem)
-        k = 0
-        for bits, d_gen, in_holo in ((h, d_holo, True), (a, d_anti, False)):
-            while bits:
-                b = bits & -bits
-                bits ^= b
-                rh, ra = (h ^ b, a) if in_holo else (h, a ^ b)
-                for dh, da, dc in d_gen[b.bit_length() - 1]:
-                    merged = wedge_masks(dh, da, rh, ra)
-                    if merged is not None:
-                        mh, ma, odd = merged
-                        c = dc if coeff is ONE else coeff * dc
-                        key = (mh, ma)
-                        if odd != k & 1:
-                            c = -c
-                        cur = acc.get(key)
-                        acc[key] = c if cur is None else cur + c
-                k += 1
-    return Form((element(*key), c) for key, c in acc.items())
 
 
 @dataclass
@@ -161,7 +124,7 @@ class RealAlgebra:
                     raise ValueError(f"d e^{j} has a non-real coefficient")
         self.dim = dim
         self.d_of_e = list(d_of_e)
-        self._d = _compile(self.d_of_e)
+        self._d = compile_differentials(self.d_of_e)
 
     def d(self, f: Form) -> Form:
         return exterior_derivative(f, self._d, [])
@@ -304,8 +267,8 @@ class ComplexStructure:
                     raise IntegrabilityError(f"d w^{j} has a {elem.bidegree} term {elem}")
         self.n = n
         self.d_omega = list(d_omega)
-        self._d_holo = _compile(self.d_omega)
-        self._d_anti = _compile([f.conjugate() for f in d_omega])
+        self._d_holo = compile_differentials(self.d_omega)
+        self._d_anti = compile_differentials([f.conjugate() for f in d_omega])
         report = check_d_squared(self)
         if not report.ok:
             raise DifferentialSquareError(report)

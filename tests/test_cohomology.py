@@ -2,7 +2,7 @@ import random
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from nilcohom import cohomology as co, model
 from nilcohom.algebra import BasisElement, Form, Gaussian, ONE, ZERO
@@ -11,6 +11,7 @@ from nilcohom.linalg import exact_rank
 from nilcohom.model import ComplexStructure, instantiate, substitute
 from nilcohom.parser import parse_binding, parse_complex_structure
 from test_model import triangular_structures
+from total_oracle import oracle_stack, oracle_total
 
 
 def build(template, binding=""):
@@ -225,23 +226,57 @@ def _random_coframe_change(rng, n):
     return a, b
 
 
+def _in_a_random_coframe(rng, cs):
+    """``cs`` written in the coframe ``eta = A w`` of a random change A.
+
+    ``d eta = A d w``, written in eta by substituting ``w = A^-1 eta``.
+    """
+    n = cs.n
+    a, b = _random_coframe_change(rng, n)
+    holo = [Form([(BasisElement((k + 1,), ()), b[j][k]) for k in range(n)])
+            for j in range(n)]
+    anti = [Form([(BasisElement((), (k + 1,)), b[j][k].conjugate()) for k in range(n)])
+            for j in range(n)]
+    images = [substitute(f, holo, anti) for f in cs.d_omega]
+    d_eta = [sum((images[j].scale(a[i][j]) for j in range(n)), Form())
+             for i in range(n)]
+    return ComplexStructure(n, d_eta)
+
+
 def test_tables_are_invariant_under_a_change_of_coframe(all_cases, structures, tables):
-    # eta = A w gives d eta = A d w, written in eta by substituting w = A^-1 eta;
-    # the structure is the same, so every dimension of its table is too
+    # the structure is the same in any coframe, so every dimension of its table is too
     rng = random.Random(10)
     for case in all_cases:
-        if case.dim != 3:
-            continue
         cs = structures[case.id]
-        n = cs.n
-        a, b = _random_coframe_change(rng, n)
-        holo = [Form([(BasisElement((k + 1,), ()), b[j][k]) for k in range(n)])
-                for j in range(n)]
-        anti = [Form([(BasisElement((), (k + 1,)), b[j][k].conjugate()) for k in range(n)])
-                for j in range(n)]
-        images = [substitute(f, holo, anti) for f in cs.d_omega]
-        d_eta = [sum((images[j].scale(a[i][j]) for j in range(n)), Form())
-                 for i in range(n)]
-        changed = ComplexStructure(n, d_eta)
+        changed = _in_a_random_coframe(rng, cs)
         assert changed != cs or not any(f.terms for f in cs.d_omega), case.id
         assert co.full_table(changed).as_dict() == tables[case.id].as_dict(), case.id
+
+
+@settings(derandomize=True, max_examples=30, deadline=None, database=None)
+@given(triangular_structures(), st.integers(0, 2 ** 32))
+def test_tables_beyond_the_catalog_are_invariant_under_a_change_of_coframe(cs, seed):
+    changed = _in_a_random_coframe(random.Random(seed), cs)
+    assert co.full_table(changed).as_dict() == co.full_table(cs).as_dict()
+
+
+def _assert_matches_the_glued_oracle(cs, label):
+    # the d blocks against the stack and total matrices glued from del and delbar
+    diff, ranks = _differentials(cs), co._ranks(cs)
+    for k in range(2 * cs.n + 1):
+        assert diff["total", k] == oracle_total(diff, cs.n, k), (label, k)
+    for p in range(cs.n + 1):
+        for q in range(cs.n + 1):
+            assert ranks["stack", p, q] == exact_rank(oracle_stack(diff, p, q)), (label, p, q)
+
+
+def test_d_blocks_match_the_glued_oracle_on_the_catalog(structures):
+    for case_id, cs in structures.items():
+        _assert_matches_the_glued_oracle(cs, case_id)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None, database=None)
+@given(triangular_structures())
+def test_d_blocks_match_the_glued_oracle_beyond_the_catalog(cs):
+    _assert_matches_the_glued_oracle(cs, cs.d_omega)
+    assert co.differential_identities_ok(cs)
