@@ -10,6 +10,15 @@ delbar parts (``d`` of a (p,q)-form has only (p+1,q) and (p,q+1) parts on an
 integrable structure); one loop then ranks each matrix a dimension needs,
 once, with the single exact rank routine of :mod:`nilcohom.linalg`.
 
+Entries are Gaussian-integer pairs ``(x, y)``, meaning ``x + y*i``: every
+matrix of a structure is ``L`` times the true one, where ``L`` is the lcm of
+the denominators of the structure constants.  A basis monomial has
+coefficient 1, so each term of its ``d`` carries exactly one constant or its
+conjugate, and ``L * d`` is integral.  ``L`` is one per structure, not per
+matrix or column, so that products stay true up to one factor:
+``del @ delbar`` is ``L**2`` times del delbar, and a product of consecutive
+total matrices is ``L**2`` times ``d**2``.  No rank depends on ``L``.
+
 Every pointwise dimension is ``dim(p,q)`` (or nothing) plus signed ranks of
 five matrix kinds: ``del``, ``delbar``, ``dd`` (del delbar), ``stack`` (d on
 the (p,q) slot, whose kernel is ker del /\\ ker delbar, as the two parts land
@@ -39,7 +48,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
-from math import comb
+from math import comb, lcm
 
 from .algebra import Form, basis, basis_dimension
 from .linalg import ExactMatrix, exact_rank, hstack
@@ -56,7 +65,8 @@ def _slots(n: int, k: int) -> range:
 
 
 def _differentials(cs: ComplexStructure) -> dict:
-    """d, del and delbar at every (p,q) of the square, and d on every total degree.
+    """d, del and delbar at every (p,q) of the square, and d on every total degree,
+    each scaled by the structure's one integral factor ``L``.
 
     ``d`` is applied once to each basis monomial.  Its image is one column of
     ``("d", p, q)``, whose rows are the basis of degree p+q+1 (its slots by
@@ -71,6 +81,7 @@ def _differentials(cs: ComplexStructure) -> dict:
     index = {e: i for p in span for q in span for i, e in enumerate(basis(n, p, q))}
     start = {(p, q): sum(basis_dimension(n, s, p + q - s) for s in range(p))
              for p in span for q in span}
+    scale = lcm(*(c.den for f in cs.d_omega for c in f.terms.values()))
     mats = {}
     for p in span:
         for q in span:
@@ -79,7 +90,8 @@ def _differentials(cs: ComplexStructure) -> dict:
             for elem in basis(n, p, q):
                 d_col, del_col, delbar_col = {}, {}, {}
                 for e, c in cs.d(Form.single(elem)).terms.items():
-                    i = index[e]
+                    i, m = index[e], scale // c.den
+                    c = (c.x * m, c.y * m)
                     if len(e.holo) > p:
                         del_col[i] = d_col[del_start + i] = c
                     else:

@@ -1,4 +1,4 @@
-"""Column-sparse exact matrices over the Gaussian rationals and their rank.
+"""Column-sparse exact matrices over the Gaussian integers and their rank.
 
 Ranks are the only linear-algebra output the cohomology tables need, so the
 module stays deliberately small: one matrix type with block stacking and
@@ -7,22 +7,27 @@ deterministic exact elimination.  ``exact_rank`` counts its pivot columns;
 ``column_basis`` returns them as a basis of the column span, which is how
 the nilpotency check follows the lower central series.
 
-A matrix is stored by columns: column ``j`` is a dict ``{row: nonzero
-Gaussian}``, the image of source basis vector ``j``.  That is how the engine
-produces a differential (one source monomial at a time).  Zeros are never
-stored: 2.5% of the ranked entries are nonzero over the 72 catalog rows, 65%
-over the 6d rows in a general coframe (benchmark ``dense_coframe``, seed 7).
+A matrix is stored by columns: column ``j`` is a dict ``{row: (x, y)}`` of
+nonzero Gaussian integers ``x + y*i``, the image of source basis vector
+``j``.  That is how the engine produces a differential (one source monomial
+at a time).  Zeros are never stored: 2.5% of the ranked entries are nonzero
+over the 72 catalog rows, 65% over the 6d rows in a general coframe
+(benchmark ``dense_coframe``, seed 7).
+
+Entries are integral so that neither the elimination nor a product ever
+takes a denominator.  A caller with Gaussian-rational entries clears them
+once, by one common factor per matrix (:meth:`ExactMatrix.from_gaussian`) or,
+as the cohomology engine does, per structure; a nonzero scale changes no rank
+or span.  The module imports nothing from the rest of the package.
 """
 
 from __future__ import annotations
 
 from math import gcd, lcm
 
-from .algebra import Gaussian
-
 
 class ExactMatrix:
-    """A rows x cols matrix of Gaussian rationals, stored column by column.
+    """A rows x cols matrix of Gaussian integers ``(x, y)``, stored column by column.
 
     Matrices are immutable by convention, so results may share columns with
     their operands.
@@ -40,6 +45,20 @@ class ExactMatrix:
         self.rows = rows
         self.cols = cols
         self.columns = columns
+
+    @classmethod
+    def from_gaussian(cls, rows: int, cols: int, columns) -> "ExactMatrix":
+        """The Gaussian-rational columns ``{row: (x + y*i)/den}``, scaled by the
+        lcm of all their denominators.
+
+        One factor for the whole matrix keeps its rank and column span.  The
+        entries are read through their ``x``, ``y`` and ``den`` attributes.
+        """
+        scale = lcm(*(e.den for col in columns for e in col.values()))
+        return cls(rows, cols, [
+            {r: (e.x * (scale // e.den), e.y * (scale // e.den)) for r, e in col.items()}
+            for col in columns
+        ])
 
     def __eq__(self, other) -> bool:
         return (
@@ -59,10 +78,12 @@ class ExactMatrix:
         out = []
         for col in other.columns:
             acc = {}
-            for k, c in col.items():
-                for i, e in left[k].items():
-                    acc[i] = acc[i] + c * e if i in acc else c * e
-            out.append({i: e for i, e in acc.items() if e})
+            for k, (a, b) in col.items():
+                for i, (x, y) in left[k].items():
+                    re, im = a * x - b * y, a * y + b * x
+                    cur = acc.get(i)
+                    acc[i] = (re, im) if cur is None else (cur[0] + re, cur[1] + im)
+            out.append({i: e for i, e in acc.items() if e[0] or e[1]})
         return ExactMatrix(self.rows, other.cols, out)
 
     def __repr__(self) -> str:
@@ -100,27 +121,24 @@ def exact_rank(m: ExactMatrix) -> int:
 
 def column_basis(m: ExactMatrix) -> ExactMatrix:
     """A basis of the column span: the pivot columns of the elimination."""
-    pivots = _pivots(m).values()
-    return ExactMatrix(m.rows, len(pivots), [
-        {r: Gaussian.of(x, y) for r, (x, y) in v.items()} for v in pivots
-    ])
+    pivots = list(_pivots(m).values())
+    return ExactMatrix(m.rows, len(pivots), pivots)
 
 
 def _pivots(m: ExactMatrix) -> dict[int, dict[int, tuple[int, int]]]:
     """Pivot columns over Z[i] spanning the columns of ``m``, keyed by lead row.
 
     rank M = rank M^T, so each column is reduced in turn against the pivot
-    columns kept so far, all over the Gaussian integers: a column is scaled
-    by the lcm of its denominators, and while its lowest row index ``r`` is
-    the lead of a stored pivot ``p`` it becomes ``p[r] * v - v[r] * p``
-    (Bareiss-style cross-multiplication, no division in Q(i)), divided by the
-    integer gcd of its entries.  A column left nonzero is a new pivot, led by
-    its lowest row; every pivot's lead entry is made a positive integer.
+    columns kept so far, all over the Gaussian integers: while a column's
+    lowest row index ``r`` is the lead of a stored pivot ``p``, it becomes
+    ``p[r] * v - v[r] * p`` (Bareiss-style cross-multiplication, no division
+    in Q(i)), divided by the integer gcd of its entries.  A column left
+    nonzero is a new pivot, led by its lowest row; every pivot's lead entry
+    is made a positive integer.
     The order of columns and pivots is fixed, so the work is reproducible.
     """
     pivots: dict[int, dict[int, tuple[int, int]]] = {}
-    for column in m.columns:
-        v = _integral(column)
+    for v in m.columns:
         while v:
             lead = min(v)
             pivot = pivots.get(lead)
@@ -135,17 +153,6 @@ def _pivots(m: ExactMatrix) -> dict[int, dict[int, tuple[int, int]]]:
         if len(pivots) == m.rows:
             break
     return pivots
-
-
-def _integral(column) -> dict[int, tuple[int, int]]:
-    # each entry is (x + y i)/den; scaling by the lcm of the dens clears them
-    scale = 1
-    for e in column.values():
-        scale = lcm(scale, e.den)
-    return {
-        r: (e.x * (scale // e.den), e.y * (scale // e.den))
-        for r, e in column.items()
-    }
 
 
 def _primitive(v: dict) -> dict:

@@ -148,7 +148,8 @@ class RealAlgebra:
             index = {e: r for r, e in enumerate(basis(m, k + 1, 0))}
             columns = [{index[e]: c for e, c in self.d(Form.single(elem)).terms.items()}
                        for elem in basis(m, k, 0)]
-            ranks[k + 1] = exact_rank(ExactMatrix(len(index), len(columns), columns))
+            ranks[k + 1] = exact_rank(ExactMatrix.from_gaussian(len(index), len(columns),
+                                                                columns))
         return [comb(m, k) - ranks[k + 1] - ranks[k] for k in range(m + 1)]
 
     def __eq__(self, other) -> bool:
@@ -177,8 +178,9 @@ def check_nilpotency(a: RealAlgebra) -> bool:
             i, j = elem.holo
             brackets[i - 1][j - 1][k] = -c
             brackets[j - 1][i - 1][k] = c
-    ads = [ExactMatrix(m, m, columns) for columns in brackets]
-    span = ExactMatrix(m, m, [{j: ONE} for j in range(m)])
+    # each ad(e_i) is scaled to Z[i] by its own factor, which changes no span
+    ads = [ExactMatrix.from_gaussian(m, m, columns) for columns in brackets]
+    span = ExactMatrix(m, m, [{j: (1, 0)} for j in range(m)])
     while span.cols:
         image = column_basis(reduce(hstack, [ad @ span for ad in ads]))
         if image.cols == span.cols:

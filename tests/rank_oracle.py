@@ -5,21 +5,22 @@ the grid itself, never on an :class:`ExactMatrix`, so it shares no code with
 the matrix type or the rank routine under test.
 """
 
-from nilcohom.algebra import ZERO
+from nilcohom.algebra import Gaussian, ZERO
 from nilcohom.linalg import ExactMatrix
 
 
 def matrix_from_grid(grid) -> ExactMatrix:
-    """The column-sparse matrix with the given rows."""
+    """The column-sparse matrix with the given rows, times the lcm of their denominators."""
     cols = len(grid[0]) if grid else 0
-    return ExactMatrix(len(grid), cols, [
+    return ExactMatrix.from_gaussian(len(grid), cols, [
         {i: row[j] for i, row in enumerate(grid) if row[j]} for j in range(cols)
     ])
 
 
 def grid_of(matrix: ExactMatrix):
-    """The dense rows of a matrix, zeros filled in."""
-    return [[matrix.columns[j].get(i, ZERO) for j in range(matrix.cols)]
+    """The dense rows of a matrix as Gaussians, zeros filled in."""
+    return [[Gaussian.of(*matrix.columns[j][i]) if i in matrix.columns[j] else ZERO
+             for j in range(matrix.cols)]
             for i in range(matrix.rows)]
 
 

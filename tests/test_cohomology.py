@@ -10,7 +10,10 @@ from nilcohom.cohomology import _differentials
 from nilcohom.linalg import exact_rank
 from nilcohom.model import ComplexStructure, instantiate, substitute
 from nilcohom.parser import parse_binding, parse_complex_structure
-from test_model import triangular_structures
+from rank_oracle import grid_of
+from scale_oracle import (grid_product, reference_matrices, reference_ranks, scaled,
+                          structure_scale)
+from test_model import SMALL_GAUSSIAN, triangular_structures
 from total_oracle import oracle_stack, oracle_total
 
 
@@ -280,3 +283,38 @@ def test_d_blocks_match_the_glued_oracle_on_the_catalog(structures):
 def test_d_blocks_match_the_glued_oracle_beyond_the_catalog(cs):
     _assert_matches_the_glued_oracle(cs, cs.d_omega)
     assert co.differential_identities_ok(cs)
+
+
+def _assert_the_scale_contract(cs, label):
+    # every matrix is L times the Gaussian one for the one L of the structure,
+    # so each dd product is L^2 times the Gaussian product, d^2 stays zero and
+    # every rank the table reads is the Gaussian matrix's
+    scale, diff, grids = structure_scale(cs), _differentials(cs), reference_matrices(cs)
+    for key, grid in grids.items():
+        assert grid_of(diff[key]) == scaled(grid, scale), (label, key)
+    for p in range(cs.n + 1):
+        for q in range(cs.n):
+            dd = grid_product(grids["del", p, q + 1], grids["delbar", p, q])
+            assert grid_of(diff["del", p, q + 1] @ diff["delbar", p, q]) == \
+                scaled(dd, scale * scale), (label, p, q)
+    assert co.differential_identities_ok(cs), label
+    assert co._ranks(cs) == reference_ranks(cs), label
+
+
+def test_the_scale_contract_on_the_catalog_rows_with_fractional_constants(structures):
+    scales = {case_id: structure_scale(cs) for case_id, cs in structures.items()}
+    fractional = [case_id for case_id, scale in scales.items() if scale > 1]
+    assert len(fractional) == 26
+    assert {scales[case_id] for case_id in fractional} == {2, 4, 5, 8, 10, 25}
+    for case_id in fractional:
+        _assert_the_scale_contract(structures[case_id], case_id)
+
+
+FRACTIONAL_GAUSSIAN = st.builds(lambda c, den: c / den, SMALL_GAUSSIAN,
+                                st.sampled_from((1, 2, 3, 5)))
+
+
+@settings(derandomize=True, max_examples=30, deadline=None, database=None)
+@given(triangular_structures(FRACTIONAL_GAUSSIAN))
+def test_the_scale_contract_beyond_the_catalog(cs):
+    _assert_the_scale_contract(cs, cs.d_omega)

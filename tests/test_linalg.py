@@ -7,6 +7,7 @@ from nilcohom import catalog as cat, cohomology as co
 from nilcohom.algebra import Gaussian, ZERO
 from nilcohom.linalg import ExactMatrix, exact_rank, hstack, vstack
 from rank_oracle import grid_of, matrix_from_grid, oracle_rank
+from scale_oracle import structure_scale
 
 
 def G(re, im=0):
@@ -41,8 +42,12 @@ def test_rank_complex_dependence():
 
 def test_columns_hold_only_nonzero_entries():
     m = mat([[1, 0], [0, (0, 2)]])
-    assert m.columns == [{0: G(1)}, {1: G(0, 2)}]
+    assert m.columns == [{0: (1, 0)}, {1: (0, 2)}]
     assert grid_of(m) == grid([[1, 0], [0, (0, 2)]])
+    # one common lcm (6) for the whole matrix, not one per column (2, then 3)
+    m = mat([["1/2", 0], [0, ("1/3", 1)]])
+    assert m.columns == [{0: (3, 0)}, {1: (2, 6)}]
+    assert grid_of(m) == grid([[3, 0], [0, (2, 6)]])
 
 
 def test_shape_is_checked():
@@ -111,8 +116,11 @@ def test_bareiss_agrees_with_field_elimination():
 
 def test_rank_of_every_engine_matrix_of_an_8d_structure(monkeypatch):
     # the engine's own regime: shapes up to 70x56 and 56x70, about 3% dense,
-    # with complex rational coefficients (lambda = 13/5, D = 12/5 i); the
-    # matrices are the very ones full_table hands to the rank routine
+    # from complex rational constants (lambda = 13/5, D = 12/5 i) that the
+    # engine scales to Gaussian integers by their lcm; the matrices are the
+    # very ones full_table hands to the rank routine
+    cs = cat.case_by_id("09d_8D").structure
+    assert structure_scale(cs) > 1
     matrices = []
 
     def captured(m):
@@ -120,7 +128,7 @@ def test_rank_of_every_engine_matrix_of_an_8d_structure(monkeypatch):
         return exact_rank(m)
 
     monkeypatch.setattr(co, "exact_rank", captured)
-    co.full_table(cat.case_by_id("09d_8D").structure)
+    co.full_table(cs)
     assert max(m.rows for m in matrices) == 70 and max(m.cols for m in matrices) == 70
     assert sum(exact_rank(m) for m in matrices) > 0
     for m in matrices:

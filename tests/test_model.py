@@ -200,8 +200,11 @@ SMALL_GAUSSIAN = st.sampled_from(
 
 
 @st.composite
-def triangular_structures(draw):
-    """d w^j built from w^a /\\ w^b and w^a /\\ wbar^b with a, b < j; d^2 = 0 or rejected."""
+def triangular_structures(draw, constants=SMALL_GAUSSIAN):
+    """d w^j built from w^a /\\ w^b and w^a /\\ wbar^b with a, b < j; d^2 = 0 or rejected.
+
+    Each coefficient is drawn from ``constants``.
+    """
     n = draw(st.sampled_from([3, 4]))
     d_omega = []
     for j in range(1, n + 1):
@@ -211,7 +214,7 @@ def triangular_structures(draw):
         # only d w^n must be nonzero, so that d w^2 = 0 is drawn as well
         chosen = draw(st.lists(st.sampled_from(elems), min_size=int(j == n), max_size=3,
                                unique=True)) if elems else []
-        d_omega.append(Form([(e, draw(SMALL_GAUSSIAN)) for e in chosen]))
+        d_omega.append(Form([(e, draw(constants)) for e in chosen]))
     try:
         return ComplexStructure(n, d_omega)
     except DifferentialSquareError:

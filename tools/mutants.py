@@ -75,12 +75,19 @@ MUTANTS = [
            "if len(pivots) == m.rows:", "if len(pivots) >= m.rows - 1:"),
     Mutant("elimination sign flip", LINALG,
            "ta, tb = xa - ta, xb - tb", "ta, tb = xa + ta, xb + tb"),
+    Mutant("pair product sign in @", LINALG,
+           "a * x - b * y", "a * x + b * y"),
     Mutant("pivot columns left unreduced", LINALG,
            "return {r: (x // g, y // g) for r, (x, y) in v.items()}", "return v",
            equivalent="dividing a column by a positive integer changes no span or rank"),
     Mutant("nilpotency stop", MODEL,
            "        if image.cols == span.cols:\n            return False",
            "        if image.cols == span.cols:\n            return True"),
+    Mutant("per-column scale in _differentials", COHOMOLOGY,
+           "                for e, c in cs.d(Form.single(elem)).terms.items():\n",
+           "                image = cs.d(Form.single(elem)).terms\n"
+           "                scale = lcm(*(c.den for c in image.values()))\n"
+           "                for e, c in image.items():\n"),
     Mutant("del/delbar split", COHOMOLOGY,
            "if len(e.holo) > p:", "if len(e.holo) >= p:"),
     Mutant("d column slot offsets", COHOMOLOGY,
