@@ -7,8 +7,12 @@ monomial, and rows and columns are indexed by the fixed lexicographic basis
 order of :func:`nilcohom.algebra.basis`.  One builder applies ``d`` once to
 every basis monomial and keeps the image whole and split into its del and
 delbar parts (``d`` of a (p,q)-form has only (p+1,q) and (p,q+1) parts on an
-integrable structure); one loop then ranks each matrix a dimension needs,
-once, with the single exact rank routine of :mod:`nilcohom.linalg`.
+integrable structure); one loop then takes every rank a dimension needs with
+the single exact rank routine of :mod:`nilcohom.linalg`, resuming its
+eliminations where they share a target.  It eliminates ``d`` on each slot,
+``dd`` on a delbar basis, ``concat`` and the total complex; the ``delbar``
+ranks are read off the pivot leads of ``d`` and the ``del`` ranks off the
+first half of each ``concat`` (see :func:`_ranks`).
 
 Entries are Gaussian-integer pairs ``(x, y)``, meaning ``x + y*i``: every
 matrix of a structure is ``L`` times the true one, where ``L`` is the lcm of
@@ -64,6 +68,14 @@ def _slots(n: int, k: int) -> range:
     return range(max(0, k - n), min(n, k) + 1)
 
 
+def _starts(n: int) -> dict:
+    """The first row of the (p,q) slot in the basis of total degree p+q, whose
+    slots go by ascending p; p and q run to n + 1, one past the square."""
+    edge = range(n + 2)
+    return {(p, q): sum(basis_dimension(n, s, p + q - s) for s in range(p))
+            for p in edge for q in edge}
+
+
 def _differentials(cs: ComplexStructure) -> dict:
     """d, del and delbar at every (p,q) of the square, and d on every total degree,
     each scaled by the structure's one integral factor ``L``.
@@ -72,20 +84,17 @@ def _differentials(cs: ComplexStructure) -> dict:
     ``("d", p, q)``, whose rows are the basis of degree p+q+1 (its slots by
     ascending p, each in ``basis`` order), and of ``("del", p, q)`` and
     ``("delbar", p, q)`` on their own slots.  ``("total", k)`` is the d
-    blocks of degree k side by side.  The border sources del(-1,q) and
-    delbar(p,-1) have no columns, but the row count of their target, so that
-    ``concat`` can put them side by side.
+    blocks of degree k side by side.
     """
     n, span = cs.n, range(cs.n + 1)
-    # a monomial's row in its slot, and a slot's first row in its total degree
+    # a monomial's row in its slot
     index = {e: i for p in span for q in span for i, e in enumerate(basis(n, p, q))}
-    start = {(p, q): sum(basis_dimension(n, s, p + q - s) for s in range(p))
-             for p in span for q in span}
+    start = _starts(n)
     scale = lcm(*(c.den for f in cs.d_omega for c in f.terms.values()))
     mats = {}
     for p in span:
         for q in span:
-            del_start, delbar_start = start.get((p + 1, q)), start.get((p, q + 1))
+            del_start, delbar_start = start[p + 1, q], start[p, q + 1]
             d_cols, del_cols, delbar_cols = [], [], []
             for elem in basis(n, p, q):
                 d_col, del_col, delbar_col = {}, {}, {}
@@ -103,37 +112,56 @@ def _differentials(cs: ComplexStructure) -> dict:
             mats["d", p, q] = ExactMatrix(comb(2 * n, p + q + 1), cols, d_cols)
             mats["del", p, q] = ExactMatrix(basis_dimension(n, p + 1, q), cols, del_cols)
             mats["delbar", p, q] = ExactMatrix(basis_dimension(n, p, q + 1), cols, delbar_cols)
-    for k in span:
-        mats["del", -1, k] = ExactMatrix(basis_dimension(n, 0, k), 0)
-        mats["delbar", k, -1] = ExactMatrix(basis_dimension(n, k, 0), 0)
     for k in range(2 * n + 1):
         mats["total", k] = reduce(hstack, [mats["d", p, k - p] for p in _slots(n, k)])
     return mats
 
 
 def _ranks(cs: ComplexStructure) -> dict:
-    """The rank of every matrix a dimension needs, each ranked once.
+    """The rank of every matrix a dimension needs, by resumed eliminations.
 
     Keys are ``(kind, p, q)`` over the square, with ``dd`` only for q < n
     (its target is empty at q = n), and ``("total", k)`` for the total
-    complex in each degree k = 0 .. 2n.
+    complex in each degree k = 0 .. 2n.  Per (p,q) the eliminations are:
+
+    * ``stack``: d on the slot.  Its rows of (p,q+1) come before those of
+      (p+1,q), so its pivots led in (p,q+1), cut to that slot, are a basis of
+      im delbar(p,q): their count is ``rank delbar(p,q)``;
+    * ``dd``: del(p,q+1) on that basis, which has the image of del delbar;
+    * ``concat``: the columns of del(p-1,q), whose pivot count is
+      ``rank del(p-1,q)``, resumed with the delbar basis of (p,q-1).
+
+    ``total(k)`` resumes from the first slot's stack pivots with the other
+    slots' stack pivots, which span their images.  ``del(n,q)`` has no
+    target and rank 0.
     """
-    n = cs.n
-    diff = _differentials(cs)
-    ranks = {}
-    for p in range(n + 1):
-        for q in range(n + 1):
-            ranks["del", p, q] = exact_rank(diff["del", p, q])
-            ranks["delbar", p, q] = exact_rank(diff["delbar", p, q])
+    n, span = cs.n, range(cs.n + 1)
+    diff, start = _differentials(cs), _starts(n)
+    ranks, stacks, images = {}, {}, {}
+    for p in span:
+        for q in span:
             # ker d = ker del /\ ker delbar at (p,q): the parts land in distinct slots
-            ranks["stack", p, q] = exact_rank(diff["d", p, q])
-            # im del + im delbar landing in (p,q)
-            ranks["concat", p, q] = exact_rank(hstack(diff["del", p - 1, q],
-                                                      diff["delbar", p, q - 1]))
+            stacks[p, q] = pivots = {}
+            ranks["stack", p, q] = exact_rank(diff["d", p, q], pivots)
+            # its pivots led in the (p,q+1) rows, cut to them: a basis of im delbar
+            bar, cut = start[p, q + 1], start[p + 1, q]
+            image = [{r - bar: e for r, e in v.items() if r < cut}
+                     for lead, v in pivots.items() if lead < cut]
+            ranks["delbar", p, q] = len(image)
+            images[p, q] = ExactMatrix(diff["delbar", p, q].rows, len(image), image)
             if q < n:
-                ranks["dd", p, q] = exact_rank(diff["del", p, q + 1] @ diff["delbar", p, q])
+                ranks["dd", p, q] = exact_rank(diff["del", p, q + 1] @ images[p, q])
+            # im del + im delbar landing in (p,q)
+            pivots = {}
+            if p:
+                ranks["del", p - 1, q] = exact_rank(diff["del", p - 1, q], pivots)
+            ranks["concat", p, q] = exact_rank(images[p, q - 1], pivots) if q else len(pivots)
+    ranks.update({("del", n, q): 0 for q in span})
     for k in range(2 * n + 1):
-        ranks["total", k] = exact_rank(diff["total", k])
+        first, *rest = (stacks[p, k - p] for p in _slots(n, k))
+        columns = [v for pivots in rest for v in pivots.values()]
+        others = ExactMatrix(comb(2 * n, k + 1), len(columns), columns)
+        ranks["total", k] = exact_rank(others, first)
     return ranks
 
 

@@ -3,9 +3,12 @@
 Ranks are the only linear-algebra output the cohomology tables need, so the
 module stays deliberately small: one matrix type with block stacking and
 multiplication (for del delbar and the differential identities), and one
-deterministic exact elimination.  ``exact_rank`` counts its pivot columns;
-``column_basis`` returns them as a basis of the column span, which is how
-the nilpotency check follows the lower central series.
+deterministic exact elimination.  ``exact_rank`` counts its pivot columns,
+and given the pivot dict of an earlier elimination on the same rows it
+resumes from it (the cohomology engine ranks blocks that share a target
+this way).  ``column_basis`` returns the pivot columns as a basis of the
+column span, which is how the nilpotency check follows the lower central
+series.
 
 A matrix is stored by columns: column ``j`` is a dict ``{row: (x, y)}`` of
 nonzero Gaussian integers ``x + y*i``, the image of source basis vector
@@ -114,9 +117,15 @@ def hstack(left: ExactMatrix, right: ExactMatrix) -> ExactMatrix:
     )
 
 
-def exact_rank(m: ExactMatrix) -> int:
-    """Rank over Q(i), by fraction-free elimination on the columns."""
-    return len(_pivots(m))
+def exact_rank(m: ExactMatrix, pivots: dict | None = None) -> int:
+    """Rank over Q(i), by fraction-free elimination on the columns.
+
+    Given ``pivots``, the pivot dict of an earlier call on a matrix with the
+    same rows, the elimination resumes from it and extends it in place: the
+    result is the rank of that matrix and ``m`` side by side, and the dict
+    holds their pivots.  Without it, ``m`` is ranked on its own.
+    """
+    return len(_pivots(m, pivots))
 
 
 def column_basis(m: ExactMatrix) -> ExactMatrix:
@@ -125,8 +134,9 @@ def column_basis(m: ExactMatrix) -> ExactMatrix:
     return ExactMatrix(m.rows, len(pivots), pivots)
 
 
-def _pivots(m: ExactMatrix) -> dict[int, dict[int, tuple[int, int]]]:
-    """Pivot columns over Z[i] spanning the columns of ``m``, keyed by lead row.
+def _pivots(m: ExactMatrix, pivots: dict | None = None) -> dict[int, dict[int, tuple[int, int]]]:
+    """Pivot columns over Z[i] spanning the columns of ``m`` (and of the pivot
+    columns ``pivots`` already holds, which it extends), keyed by lead row.
 
     rank M = rank M^T, so each column is reduced in turn against the pivot
     columns kept so far, all over the Gaussian integers: while a column's
@@ -137,7 +147,8 @@ def _pivots(m: ExactMatrix) -> dict[int, dict[int, tuple[int, int]]]:
     is made a positive integer.
     The order of columns and pivots is fixed, so the work is reproducible.
     """
-    pivots: dict[int, dict[int, tuple[int, int]]] = {}
+    if pivots is None:
+        pivots = {}
     for v in m.columns:
         while v:
             lead = min(v)

@@ -67,15 +67,16 @@ def test_full_table_applies_d_once_per_basis_monomial(monkeypatch):
 
 
 def test_full_table_ranks_each_matrix_once_and_none_outside_the_square(monkeypatch):
-    # per (p,q) of the square: del, delbar, their stack and the concat landing
-    # there; dd for q < n (at q = n its target is empty); one total rank per
-    # degree 0 .. 2n
+    # per (p,q) of the square: d on the slot (delbar's rank is read off its
+    # pivots); dd for q < n (at q = n its target is empty); for the concat
+    # landing there, del(p-1,q) for p > 0, resumed with the delbar basis of
+    # (p,q-1) for q > 0; one total rank per degree 0 .. 2n
     ranked = []
     rank = co.exact_rank
 
-    def counted(m):
+    def counted(m, pivots=None):
         ranked.append(m)
-        return rank(m)
+        return rank(m, pivots)
 
     monkeypatch.setattr(co, "exact_rank", counted)
     for template in ("(0,0,w12+w1~1)", "(0,0,w1~1,w12+w1~3)"):
@@ -83,7 +84,7 @@ def test_full_table_ranks_each_matrix_once_and_none_outside_the_square(monkeypat
         ranked.clear()
         co.full_table(cs)
         n = cs.n
-        assert len(ranked) == 4 * (n + 1) ** 2 + n * (n + 1) + 2 * n + 1
+        assert len(ranked) == (n + 1) ** 2 + 3 * n * (n + 1) + 2 * n + 1
 
 
 def test_matrix_identities(iwasawa, h8, monkeypatch):
@@ -318,3 +319,13 @@ FRACTIONAL_GAUSSIAN = st.builds(lambda c, den: c / den, SMALL_GAUSSIAN,
 @given(triangular_structures(FRACTIONAL_GAUSSIAN))
 def test_the_scale_contract_beyond_the_catalog(cs):
     _assert_the_scale_contract(cs, cs.d_omega)
+
+
+def test_ranks_of_6d_rows_in_a_random_coframe_match_the_oracle(all_cases, structures):
+    # dense matrices, where the pivots' lead split and the resumed
+    # eliminations meet full columns
+    rng = random.Random(14)
+    six_d = [case.id for case in all_cases if structures[case.id].n == 3]
+    for case_id in rng.sample(six_d, 6):
+        changed = _in_a_random_coframe(rng, structures[case_id])
+        assert co._ranks(changed) == reference_ranks(changed), case_id

@@ -7,7 +7,7 @@ from nilcohom import catalog as cat, cohomology as co
 from nilcohom.algebra import Gaussian, ZERO
 from nilcohom.linalg import ExactMatrix, exact_rank, hstack, vstack
 from rank_oracle import grid_of, matrix_from_grid, oracle_rank
-from scale_oracle import structure_scale
+from scale_oracle import reference_ranks, scaled, structure_scale
 
 
 def G(re, im=0):
@@ -77,15 +77,17 @@ def test_stacking():
 
 
 def test_matmul_identity():
-    m = mat([[1, (0, 1)], [(2, -1), "1/2"]])
+    g = grid([[1, (0, 1)], [(2, -1), "1/2"]])
+    m = matrix_from_grid(g)
     identity = mat([[1, 0], [0, 1]])
     assert identity @ m == m
     assert m @ identity == m
-    # e.g. the (1,1) entry is (2-i)*i + 1/2*1/2 = 5/4+2i
-    assert m @ m == mat([
+    # m is 2 g, so m @ m is 4 g^2; e.g. the (1,1) entry of g^2 is
+    # (2-i)*i + 1/2*1/2 = 5/4+2i
+    assert grid_of(m @ m) == scaled(grid([
         [(2, 2), (0, "3/2")],
         [(3, "-3/2"), ("5/4", 2)],
-    ])
+    ]), 4)
     assert (m @ ExactMatrix(2, 3)).is_zero()
     # an exact cancellation leaves no stored zero behind
     assert mat([[1, -1]]) @ mat([[1], [1]]) == ExactMatrix(1, 1)
@@ -114,25 +116,59 @@ def test_bareiss_agrees_with_field_elimination():
         assert exact_rank(matrix_from_grid(g)) == oracle_rank(g)
 
 
+def test_rank_resumes_from_the_pivots_of_an_earlier_call():
+    # b after a's pivots is ranked as a and b side by side; b shares rows with
+    # a, and some of its columns lie in a's span or repeat each other
+    rng = random.Random(3)
+    for trial in range(80):
+        rows = rng.randint(1, 7)
+        a = _random_grid(rng, rows, rng.randint(0, 5))
+        b = _random_grid(rng, rows, rng.randint(0, 5))
+        for row_a, row_b in zip(a, b):
+            if row_a:
+                row_b.append(row_a[0] * G(3, -1))  # in the span of a
+            if row_a and row_b:
+                row_b.append(row_a[0] - row_b[0])   # in the span of a and b
+            if row_b:
+                row_b.append(row_b[-1] * G(0, 2))   # a multiple within b
+        a_m, b_m = matrix_from_grid(a), matrix_from_grid(b)
+        together = [ra + rb for ra, rb in zip(a, b)]
+        pivots = {}
+        assert exact_rank(a_m, pivots) == len(pivots) == oracle_rank(a), trial
+        before = dict(pivots)
+        rank = exact_rank(b_m, pivots)
+        assert rank == len(pivots) == exact_rank(hstack(a_m, b_m)) == oracle_rank(together), trial
+        # extended in place: the earlier pivots stay as they were
+        assert all(pivots[lead] == v for lead, v in before.items()), trial
+        # a call without pivots ranks b alone, whatever came before
+        assert exact_rank(b_m) == oracle_rank(b), trial
+
+
 def test_rank_of_every_engine_matrix_of_an_8d_structure(monkeypatch):
-    # the engine's own regime: shapes up to 70x56 and 56x70, about 3% dense,
-    # from complex rational constants (lambda = 13/5, D = 12/5 i) that the
-    # engine scales to Gaussian integers by their lcm; the matrices are the
-    # very ones full_table hands to the rank routine
+    # the engine's own regime: shapes up to 70x36, from complex rational
+    # constants (lambda = 13/5, D = 12/5 i) that the engine scales to Gaussian
+    # integers by their lcm; each call is the very matrix full_table hands to
+    # the rank routine, side by side with the pivots it resumes from
     cs = cat.case_by_id("09d_8D").structure
     assert structure_scale(cs) > 1
-    matrices = []
+    calls = []
 
-    def captured(m):
-        matrices.append(m)
-        return exact_rank(m)
+    def captured(m, pivots=None):
+        start = list((pivots or {}).values())
+        rank = exact_rank(m, pivots)
+        calls.append((hstack(ExactMatrix(m.rows, len(start), start), m), len(start), rank))
+        return rank
 
     monkeypatch.setattr(co, "exact_rank", captured)
     co.full_table(cs)
-    assert max(m.rows for m in matrices) == 70 and max(m.cols for m in matrices) == 70
-    assert sum(exact_rank(m) for m in matrices) > 0
-    for m in matrices:
-        assert exact_rank(m) == oracle_rank(grid_of(m)), m
+    assert any(resumed for _, resumed, _ in calls)
+    assert max(m.rows for m, _, _ in calls) == 70 and max(m.cols for m, _, _ in calls) == 36
+    assert sum(rank for _, _, rank in calls) > 0
+    for m, _, rank in calls:
+        assert rank == oracle_rank(grid_of(m)), m
+    # every rank of the table, the 70x70 total matrices included, by the oracle
+    monkeypatch.undo()
+    assert co._ranks(cs) == reference_ranks(cs)
 
 
 def test_rank_with_shared_content_and_large_heights():

@@ -77,6 +77,8 @@ MUTANTS = [
            "ta, tb = xa - ta, xb - tb", "ta, tb = xa + ta, xb + tb"),
     Mutant("pair product sign in @", LINALG,
            "a * x - b * y", "a * x + b * y"),
+    Mutant("elimination restarted instead of resumed", LINALG,
+           "    if pivots is None:\n        pivots = {}\n", "    pivots = {}\n"),
     Mutant("pivot columns left unreduced", LINALG,
            "return {r: (x // g, y // g) for r, (x, y) in v.items()}", "return v",
            equivalent="dividing a column by a positive integer changes no span or rank"),
@@ -94,6 +96,13 @@ MUTANTS = [
            "for s in range(p))", "for s in range(p - 1))"),
     Mutant("d column without its delbar part", COHOMOLOGY,
            "delbar_col[i] = d_col[delbar_start + i] = c", "delbar_col[i] = c"),
+    Mutant("delbar lead bound", COHOMOLOGY,
+           "for lead, v in pivots.items() if lead < cut]",
+           "for lead, v in pivots.items() if lead <= cut]"),
+    Mutant("concat without the del pivots", COHOMOLOGY,
+           "exact_rank(images[p, q - 1], pivots)", "exact_rank(images[p, q - 1])"),
+    Mutant("total without the first slot's pivots", COHOMOLOGY,
+           "exact_rank(others, first)", "exact_rank(others)"),
     Mutant("dd range", COHOMOLOGY,
            "if q < n:", "if q < n - 1:"),
     Mutant("THEORIES terms", COHOMOLOGY,
