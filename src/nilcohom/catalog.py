@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from importlib import resources
 
-from .algebra import Gaussian
+from .algebra import Gaussian, ZERO
 from .cohomology import CohomologyTable, full_table
 from .metrics import (
     form_from_uvz,
@@ -33,7 +33,8 @@ from .metrics import (
     standard_form,
 )
 from .model import ComplexStructure, instantiate
-from .parser import _Scanner, parse_binding, parse_complex_structure, parse_real_algebra
+from .parser import (_Scanner, _parse_sum, parse_binding, parse_complex_structure,
+                     parse_real_algebra)
 
 
 class CatalogError(Exception):
@@ -117,17 +118,8 @@ def _comparison(sc: _Scanner, values) -> bool:
 
 
 def _expr(sc: _Scanner, values) -> Gaussian:
-    total = _term(sc, values)
-    while True:
-        sc.skip_ws()
-        if sc.peek() == "+":
-            sc.advance()
-            total = total + _term(sc, values)
-        elif sc.peek() == "-":
-            sc.advance()
-            total = total - _term(sc, values)
-        else:
-            return total
+    terms = _parse_sum(sc, lambda sc: _term(sc, values))
+    return sum((term if sign > 0 else -term for sign, _, term in terms), ZERO)
 
 
 def _term(sc: _Scanner, values) -> Gaussian:
@@ -163,7 +155,7 @@ def _primary(sc: _Scanner, values) -> Gaussian:
         inner = _expr(sc, values)
         sc.expect(")")
         return inner
-    if ch.isdigit() or ch == "-" or (ch == "i" and not (sc.peek(1).isalnum() or sc.peek(1) == "_")):
+    if sc.at_gaussian():
         return sc.scan_gaussian()
     if ch.isalpha():
         word, pos = sc.scan_ident()

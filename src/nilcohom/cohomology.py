@@ -3,16 +3,19 @@
 :func:`full_table` is the entry point: it returns every dimension of one
 structure as a :class:`CohomologyTable`, read off one table of ranks.
 Matrices are column-sparse: column ``j`` is the image of the ``j``-th source
-monomial, and rows and columns are indexed by the fixed lexicographic basis
-order of :func:`nilcohom.algebra.basis`.  One builder applies ``d`` once to
-every basis monomial and keeps the image whole and split into its del and
-delbar parts (``d`` of a (p,q)-form has only (p+1,q) and (p,q+1) parts on an
-integrable structure); one loop then takes every rank a dimension needs with
-the single exact rank routine of :mod:`nilcohom.linalg`, resuming its
-eliminations where they share a target.  It eliminates ``d`` on each slot,
-``dd`` on a delbar basis, ``concat`` and the total complex; the ``delbar``
-ranks are read off the pivot leads of ``d`` and the ``del`` ranks off the
-first half of each ``concat`` (see :func:`_ranks`).
+monomial.  One builder applies ``d`` once to every basis monomial and builds
+one matrix per total degree, whose rows and columns follow the basis of that
+degree: its (p,q) slots by ascending p, each in the fixed lexicographic order
+of :func:`nilcohom.algebra.basis`.  Every other block is a view of it: d on
+a (p,q) slot is the column slice at that slot, and as ``d`` of a (p,q)-form
+has only (p+1,q) and (p,q+1) parts on an integrable structure, del and
+delbar are that slice cut to the rows of one target slot.  One loop then
+takes every rank a dimension needs with the single exact rank routine of
+:mod:`nilcohom.linalg`, resuming its eliminations where they share a target.
+It eliminates ``d`` on each slot, ``dd`` on a delbar basis, ``concat`` and
+the total complex; the ``delbar`` ranks are read off the pivot leads of
+``d`` and the ``del`` ranks off the first half of each ``concat`` (see
+:func:`_ranks`).
 
 Entries are Gaussian-integer pairs ``(x, y)``, meaning ``x + y*i``: every
 matrix of a structure is ``L`` times the true one, where ``L`` is the lcm of
@@ -21,7 +24,7 @@ coefficient 1, so each term of its ``d`` carries exactly one constant or its
 conjugate, and ``L * d`` is integral.  ``L`` is one per structure, not per
 matrix or column, so that products stay true up to one factor:
 ``del @ delbar`` is ``L**2`` times del delbar, and a product of consecutive
-total matrices is ``L**2`` times ``d**2``.  No rank depends on ``L``.
+degree matrices is ``L**2`` times ``d**2``.  No rank depends on ``L``.
 
 Every pointwise dimension is ``dim(p,q)`` (or nothing) plus signed ranks of
 five matrix kinds: ``del``, ``delbar``, ``dd`` (del delbar), ``stack`` (d on
@@ -40,8 +43,8 @@ Conventions, for a structure of complex dimension ``n``:
 * Dolbeault dimensions come from the delbar ranks and the del-cohomology ones
   from the del ranks, so ``h_dolbeault[p][q] == h_del[q][p]`` (conjugation)
   is a check, not a definition;
-* the de Rham/Betti numbers come from the total complex, whose d in each
-  degree is that degree's d blocks side by side, not from the table;
+* the de Rham/Betti numbers come from the total complex, d in each degree,
+  not from the table;
 * ``delta[k]`` is read off the finished table: the Bott-Chern and Aeppli
   dimensions in total degree k minus twice the Betti number.  It vanishes in
   every degree exactly on structures satisfying the del-delbar lemma, and
@@ -51,11 +54,10 @@ Conventions, for a structure of complex dimension ``n``:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
 from math import comb, lcm
 
 from .algebra import Form, basis, basis_dimension
-from .linalg import ExactMatrix, exact_rank, hstack
+from .linalg import ExactMatrix, exact_rank
 from .model import ComplexStructure
 
 
@@ -76,45 +78,36 @@ def _starts(n: int) -> dict:
             for p in edge for q in edge}
 
 
-def _differentials(cs: ComplexStructure) -> dict:
-    """d, del and delbar at every (p,q) of the square, and d on every total degree,
-    each scaled by the structure's one integral factor ``L``.
+def _differentials(cs: ComplexStructure) -> list:
+    """d on every total degree k = 0 .. 2n, scaled by the structure's one
+    integral factor ``L``: ``d[k]`` maps degree k to degree k+1.
 
-    ``d`` is applied once to each basis monomial.  Its image is one column of
-    ``("d", p, q)``, whose rows are the basis of degree p+q+1 (its slots by
-    ascending p, each in ``basis`` order), and of ``("del", p, q)`` and
-    ``("delbar", p, q)`` on their own slots.  ``("total", k)`` is the d
-    blocks of degree k side by side.
+    Rows and columns follow one basis per degree, its slots by ascending p
+    (as :func:`_starts` counts them), each slot in ``basis`` order.  ``d``
+    is applied once to each basis monomial, and each term of its image goes
+    straight to its target's place in the next degree's basis.
     """
-    n, span = cs.n, range(cs.n + 1)
-    # a monomial's row in its slot
-    index = {e: i for p in span for q in span for i, e in enumerate(basis(n, p, q))}
-    start = _starts(n)
+    n = cs.n
+    degrees = [[e for p in _slots(n, k) for e in basis(n, p, k - p)] for k in range(2 * n + 1)]
+    # a monomial's place in the basis of its total degree
+    place = {e: i for monomials in degrees for i, e in enumerate(monomials)}
     scale = lcm(*(c.den for f in cs.d_omega for c in f.terms.values()))
-    mats = {}
-    for p in span:
-        for q in span:
-            del_start, delbar_start = start[p + 1, q], start[p, q + 1]
-            d_cols, del_cols, delbar_cols = [], [], []
-            for elem in basis(n, p, q):
-                d_col, del_col, delbar_col = {}, {}, {}
-                for e, c in cs.d(Form.single(elem)).terms.items():
-                    i, m = index[e], scale // c.den
-                    c = (c.x * m, c.y * m)
-                    if len(e.holo) > p:
-                        del_col[i] = d_col[del_start + i] = c
-                    else:
-                        delbar_col[i] = d_col[delbar_start + i] = c
-                d_cols.append(d_col)
-                del_cols.append(del_col)
-                delbar_cols.append(delbar_col)
-            cols = len(d_cols)
-            mats["d", p, q] = ExactMatrix(comb(2 * n, p + q + 1), cols, d_cols)
-            mats["del", p, q] = ExactMatrix(basis_dimension(n, p + 1, q), cols, del_cols)
-            mats["delbar", p, q] = ExactMatrix(basis_dimension(n, p, q + 1), cols, delbar_cols)
-    for k in range(2 * n + 1):
-        mats["total", k] = reduce(hstack, [mats["d", p, k - p] for p in _slots(n, k)])
-    return mats
+    d = []
+    for k, monomials in enumerate(degrees):
+        columns = [{} for _ in monomials]
+        for column, elem in zip(columns, monomials):
+            for e, c in cs.d(Form.single(elem)).terms.items():
+                m = scale // c.den
+                column[place[e]] = (c.x * m, c.y * m)
+        d.append(ExactMatrix(comb(2 * n, k + 1), len(columns), columns))
+    return d
+
+
+def _cut(columns: list, lo: int, rows: int) -> ExactMatrix:
+    """The rows lo .. lo+rows-1 of ``columns``, renumbered from 0."""
+    hi = lo + rows
+    return ExactMatrix(rows, len(columns),
+                       [{r - lo: e for r, e in v.items() if lo <= r < hi} for v in columns])
 
 
 def _ranks(cs: ComplexStructure) -> dict:
@@ -122,11 +115,14 @@ def _ranks(cs: ComplexStructure) -> dict:
 
     Keys are ``(kind, p, q)`` over the square, with ``dd`` only for q < n
     (its target is empty at q = n), and ``("total", k)`` for the total
-    complex in each degree k = 0 .. 2n.  Per (p,q) the eliminations are:
+    complex in each degree k = 0 .. 2n.  Every block is a view of ``d``:
+    ``stack(p,q)`` is the column slice of ``d[p+q]`` at the (p,q) slot, and
+    ``del(p,q)`` is that slice cut to the (p+1,q) rows.  Per (p,q) the
+    eliminations are:
 
-    * ``stack``: d on the slot.  Its rows of (p,q+1) come before those of
-      (p+1,q), so its pivots led in (p,q+1), cut to that slot, are a basis of
-      im delbar(p,q): their count is ``rank delbar(p,q)``;
+    * ``stack``: its rows of (p,q+1) come before those of (p+1,q), so its
+      pivots led in (p,q+1), cut to that slot, are a basis of im delbar(p,q):
+      their count is ``rank delbar(p,q)``;
     * ``dd``: del(p,q+1) on that basis, which has the image of del delbar;
     * ``concat``: the columns of del(p-1,q), whose pivot count is
       ``rank del(p-1,q)``, resumed with the delbar basis of (p,q-1).
@@ -136,25 +132,33 @@ def _ranks(cs: ComplexStructure) -> dict:
     target and rank 0.
     """
     n, span = cs.n, range(cs.n + 1)
-    diff, start = _differentials(cs), _starts(n)
+    d, start = _differentials(cs), _starts(n)
+
+    def slot(p, q):  # the columns of d[p+q] at the (p,q) slot
+        lo = start[p, q]
+        return d[p + q].columns[lo:lo + basis_dimension(n, p, q)]
+
+    def del_of(p, q):  # those columns cut to the (p+1,q) rows
+        return _cut(slot(p, q), start[p + 1, q], basis_dimension(n, p + 1, q))
+
     ranks, stacks, images = {}, {}, {}
     for p in span:
         for q in span:
             # ker d = ker del /\ ker delbar at (p,q): the parts land in distinct slots
             stacks[p, q] = pivots = {}
-            ranks["stack", p, q] = exact_rank(diff["d", p, q], pivots)
+            columns = slot(p, q)
+            stack = ExactMatrix(d[p + q].rows, len(columns), columns)
+            ranks["stack", p, q] = exact_rank(stack, pivots)
             # its pivots led in the (p,q+1) rows, cut to them: a basis of im delbar
             bar, cut = start[p, q + 1], start[p + 1, q]
-            image = [{r - bar: e for r, e in v.items() if r < cut}
-                     for lead, v in pivots.items() if lead < cut]
-            ranks["delbar", p, q] = len(image)
-            images[p, q] = ExactMatrix(diff["delbar", p, q].rows, len(image), image)
+            images[p, q] = _cut([v for lead, v in pivots.items() if lead < cut], bar, cut - bar)
+            ranks["delbar", p, q] = images[p, q].cols
             if q < n:
-                ranks["dd", p, q] = exact_rank(diff["del", p, q + 1] @ images[p, q])
+                ranks["dd", p, q] = exact_rank(del_of(p, q + 1) @ images[p, q])
             # im del + im delbar landing in (p,q)
             pivots = {}
             if p:
-                ranks["del", p - 1, q] = exact_rank(diff["del", p - 1, q], pivots)
+                ranks["del", p - 1, q] = exact_rank(del_of(p - 1, q), pivots)
             ranks["concat", p, q] = exact_rank(images[p, q - 1], pivots) if q else len(pivots)
     ranks.update({("del", n, q): 0 for q in span})
     for k in range(2 * n + 1):
@@ -278,10 +282,10 @@ def differential_identities_ok(cs: ComplexStructure) -> bool:
 
     On a (p,q) column, ``d^2`` puts del^2 in block (p+2,q), delbar^2 in
     (p,q+2) and del delbar + delbar del in (p+1,q+1): distinct blocks, so each
-    product of consecutive total matrices is zero iff all three parts are.
+    product of consecutive degree matrices is zero iff all three parts are.
     """
-    diff = _differentials(cs)
-    return all((diff["total", k + 1] @ diff["total", k]).is_zero() for k in range(2 * cs.n - 1))
+    d = _differentials(cs)
+    return all((d[k + 1] @ d[k]).is_zero() for k in range(2 * cs.n - 1))
 
 
 __all__ = [

@@ -1,9 +1,10 @@
 """Column-sparse exact matrices over the Gaussian integers and their rank.
 
 Ranks are the only linear-algebra output the cohomology tables need, so the
-module stays deliberately small: one matrix type with block stacking and
-multiplication (for del delbar and the differential identities), and one
-deterministic exact elimination.  ``exact_rank`` counts its pivot columns,
+module stays deliberately small: one matrix type with multiplication (for
+del delbar and the differential identities) and block stacking (``hstack``
+gathers the brackets of the lower central series), and one deterministic
+exact elimination.  ``exact_rank`` counts its pivot columns,
 and given the pivot dict of an earlier elimination on the same rows it
 resumes from it (the cohomology engine ranks blocks that share a target
 this way).  ``column_basis`` returns the pivot columns as a basis of the

@@ -15,8 +15,9 @@ So ``abs(B)`` is ``absB``, ``abs(B-1)`` is ``absBm1`` and ``abs(B-1/2+2i)`` is
 ``absBm1_2p2i``.
 
 Both grammars share one loop for ``( entry , ... )`` and one for
-``term (+|-) term ...``; the sign of a two-index term such as ``21`` or
-``w21`` is that of :func:`nilcohom.algebra.wedge_elements`.
+``term (+|-) term ...``, which the catalog's predicate language uses too;
+the sign of a two-index term such as ``21`` or ``w21`` is that of
+:func:`nilcohom.algebra.wedge_elements`.
 
 Errors carry 1-based line/column positions pointing inside the offending
 token.
@@ -89,6 +90,16 @@ class _Scanner:
             return True
         return False
 
+    def at_imaginary_unit(self) -> bool:
+        """At a lone ``i``: the imaginary unit, not the start of a name."""
+        after = self.peek(1)
+        return self.peek() == "i" and not (after.isalnum() or after == "_")
+
+    def at_gaussian(self) -> bool:
+        """At the first character of a Gaussian literal."""
+        ch = self.peek()
+        return ch.isdigit() or ch == "-" or self.at_imaginary_unit()
+
     def scan_index(self) -> tuple[int, int]:
         """One index digit 1-9, returned with its position."""
         pos = self.pos
@@ -139,12 +150,12 @@ class _Scanner:
     def scan_gaussian(self) -> Gaussian:
         """``rational [ (+|-) rational? i ] | rational? i`` with backtracking."""
         self.skip_ws()
-        if self.peek() == "i" and not self.peek(1).isalnum() and self.peek(1) != "_":
+        if self.at_imaginary_unit():
             self.advance()
             return Gaussian.of(0, 1)
         re_part = self.scan_rational()
         self.skip_ws()
-        if self.peek() == "i" and not self.peek(1).isalnum() and self.peek(1) != "_":
+        if self.at_imaginary_unit():
             self.advance()
             return Gaussian.of(0, re_part)
         if self.peek() in "+-":
@@ -155,7 +166,7 @@ class _Scanner:
             if self.peek().isdigit():
                 magnitude = self.scan_rational()
             self.skip_ws()
-            if self.peek() == "i" and not self.peek(1).isalnum() and self.peek(1) != "_":
+            if self.at_imaginary_unit():
                 self.advance()
                 return Gaussian.of(re_part, sign * magnitude)
             self.pos = mark  # the sign belongs to the surrounding expression
@@ -309,7 +320,7 @@ def _parse_cterm_coeff(sc: _Scanner):
     ch = sc.peek()
     if ch == "w" and sc.peek(1).isdigit():
         return Lit(ONE)
-    if ch.isdigit() or ch == "-" or (ch == "i" and not (sc.peek(1).isalnum() or sc.peek(1) == "_")):
+    if sc.at_gaussian():
         coeff = Lit(sc.scan_gaussian())
     elif ch.isalpha():
         word, pos = sc.scan_ident()

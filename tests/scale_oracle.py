@@ -5,12 +5,14 @@ rows), built by applying the structure's ``d`` to each source monomial and
 reading the coefficient of each target monomial, with rows and columns in
 ``basis`` order.  It reads no column of the engine's, no slot offset and no
 scale factor, so an engine matrix that is not ``L`` times its grid, for the
-one factor ``L`` of the structure, shows as a difference.
+one factor ``L`` of the structure, shows as a difference.  :func:`d_block`
+cuts one bidegree block out of the engine's ``d`` at offsets counted here.
 """
 
 from math import lcm
 
-from nilcohom.algebra import Form, Gaussian, ZERO, basis
+from nilcohom.algebra import Form, Gaussian, ZERO, basis, basis_dimension
+from nilcohom.linalg import ExactMatrix
 
 from rank_oracle import oracle_rank
 
@@ -30,9 +32,29 @@ def _degree_basis(n, k):
     return [e for p in range(n + 1) if 0 <= k - p <= n for e in basis(n, p, k - p)]
 
 
+def d_block(d: list, n: int, source: tuple, target: tuple) -> ExactMatrix:
+    """The block of the engine's ``d`` from slot ``source`` to slot ``target``.
+
+    The degree bases run slot by slot by ascending p, so the offset of slot
+    (p, q) is the dimension of the slots before it, summed here from
+    ``basis_dimension``.  The rows are renumbered from 0.
+    """
+    def offset(p, q):
+        return sum(basis_dimension(n, s, p + q - s) for s in range(p))
+
+    (p, q), (tp, tq) = source, target
+    first, rows = offset(tp, tq), basis_dimension(n, tp, tq)
+    left = offset(p, q)
+    columns = d[p + q].columns[left:left + basis_dimension(n, p, q)]
+    return ExactMatrix(rows, len(columns), [
+        {r - first: e for r, e in col.items() if first <= r < first + rows} for col in columns])
+
+
 def reference_matrices(cs) -> dict:
-    """``del``, ``delbar`` and ``d`` at every (p,q) of the square, and ``total``
-    in every degree, keyed as in the engine.  Border blocks are left out."""
+    """``del``, ``delbar`` and ``d`` at every (p,q) of the square, keyed
+    ``(kind, p, q)``, and ``total`` in every degree k, keyed ``("total", k)``:
+    d from the degree-k basis to the degree-(k+1) one, both slot by slot by
+    ascending p.  Border blocks are left out."""
     n, span = cs.n, range(cs.n + 1)
     grids = {}
     for p in span:

@@ -9,7 +9,7 @@ from nilcohom.algebra import BasisElement, Form, Gaussian, I, basis
 from nilcohom.cohomology import _differentials
 from nilcohom.model import instantiate
 from nilcohom.parser import parse_binding, parse_complex_structure, parse_gaussian
-from scale_oracle import structure_scale
+from scale_oracle import d_block, structure_scale
 
 
 def build(template, binding=""):
@@ -160,8 +160,8 @@ def test_ddbar_of_agrees_with_the_engine_dd_matrix(all_cases, structures):
     for k, case in enumerate(c for c in all_cases if c.dim == 3):
         cs = structures[case.id]
         scale = structure_scale(cs)
-        diff = _differentials(cs)
-        dd = diff["del", 1, 2] @ diff["delbar", 1, 1]
+        d = _differentials(cs)
+        dd = d_block(d, 3, (1, 2), (2, 2)) @ d_block(d, 3, (1, 1), (1, 2))
         forms = [me.standard_form(3)] + me.random_positive_forms(3, 3, seed=k)
         for h in forms:
             image = Form((target[i], Gaussian.of(x, y) * h[e.holo[0] - 1, e.anti[0] - 1])

@@ -85,17 +85,17 @@ MUTANTS = [
     Mutant("nilpotency stop", MODEL,
            "        if image.cols == span.cols:\n            return False",
            "        if image.cols == span.cols:\n            return True"),
-    Mutant("per-column scale in _differentials", COHOMOLOGY,
-           "                for e, c in cs.d(Form.single(elem)).terms.items():\n",
-           "                image = cs.d(Form.single(elem)).terms\n"
-           "                scale = lcm(*(c.den for c in image.values()))\n"
-           "                for e, c in image.items():\n"),
-    Mutant("del/delbar split", COHOMOLOGY,
-           "if len(e.holo) > p:", "if len(e.holo) >= p:"),
+    Mutant("per-column lcm in the build", COHOMOLOGY,
+           "            for e, c in cs.d(Form.single(elem)).terms.items():\n",
+           "            image = cs.d(Form.single(elem)).terms\n"
+           "            scale = lcm(*(c.den for c in image.values()))\n"
+           "            for e, c in image.items():\n"),
+    Mutant("_cut lower bound", COHOMOLOGY,
+           "if lo <= r < hi}", "if lo < r < hi}"),
     Mutant("d column slot offsets", COHOMOLOGY,
            "for s in range(p))", "for s in range(p - 1))"),
-    Mutant("d column without its delbar part", COHOMOLOGY,
-           "delbar_col[i] = d_col[delbar_start + i] = c", "delbar_col[i] = c"),
+    Mutant("degree-basis slot order against _starts", COHOMOLOGY,
+           "[[e for p in _slots(n, k) for e", "[[e for p in reversed(_slots(n, k)) for e"),
     Mutant("delbar lead bound", COHOMOLOGY,
            "for lead, v in pivots.items() if lead < cut]",
            "for lead, v in pivots.items() if lead <= cut]"),
@@ -103,7 +103,7 @@ MUTANTS = [
            "exact_rank(images[p, q - 1], pivots)", "exact_rank(images[p, q - 1])"),
     Mutant("total without the first slot's pivots", COHOMOLOGY,
            "exact_rank(others, first)", "exact_rank(others)"),
-    Mutant("dd range", COHOMOLOGY,
+    Mutant("dd guard", COHOMOLOGY,
            "if q < n:", "if q < n - 1:"),
     Mutant("THEORIES terms", COHOMOLOGY,
            '("bott_chern", "h_bc", 1, ((-1, "stack", 0, 0), (-1, "dd", -1, -1))),',
