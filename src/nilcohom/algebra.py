@@ -19,8 +19,17 @@ conventions are normalized once here and every other module relies on them:
 A monomial is a :class:`BasisElement` of index tuples outside, for text,
 ordering and printing, and a pair of ``(holo, anti)`` bitmasks inside
 (:func:`masks`, :func:`element`, memoized); :func:`wedge_masks` is the one
-routine that computes a reordering sign, for every product and for ``d``,
-whose one kernel, :func:`exterior_derivative`, is here too.
+routine that computes a reordering sign, for every product and for ``d``.
+
+``d`` is linear in the structure constants (Chevalley and Eilenberg, Trans.
+AMS 63 (1948): the transpose of the bracket, extended as a derivation), so
+where each constant lands depends only on the layout, the counts of
+holomorphic and antiholomorphic generators.  This module owns that layout
+and that Leibniz rule, each cached by layout and never per structure:
+:func:`degree_basis` orders the monomials of one total degree, and
+:func:`leibniz` lists where one term of one generator's ``d`` lands in the
+matrix of ``d`` on that degree.  :mod:`nilcohom.model` adds the constants
+along those lists.
 
 Every operation here keeps that form without checking it; it is checked
 once, where monomials enter: by the parser and by the structure constructors
@@ -269,43 +278,6 @@ def wedge_elements(x: BasisElement, y: BasisElement):
     return element(holo, anti), -1 if odd else 1
 
 
-def compile_differentials(differentials: list[Form]) -> list:
-    """``d`` of each generator ``j`` at index ``j``, as ``(holo, anti, coeff)`` mask terms."""
-    return [(), *([(*masks(e), c) for e, c in f.terms.items()] for f in differentials)]
-
-
-def exterior_derivative(f: Form, d_holo: list, d_anti: list) -> Form:
-    """d of ``f`` by the graded Leibniz rule, holomorphic factors first:
-
-        d(x_0 /\\ .. /\\ x_m) = sum_k (-1)^k dx_k /\\ (x_0 /\\ .. x_k omitted .. /\\ x_m)
-
-    ``d_holo`` and ``d_anti`` compile ``d`` of the generators and of their
-    conjugates: 2-forms, so ``dx_k`` moves to the front without a sign.
-    Factor ``k`` is the k-th set bit of the masks; terms are collected by masks.
-    """
-    acc: dict[tuple[int, int], Gaussian] = {}
-    for elem, coeff in f.terms.items():
-        h, a = masks(elem)
-        k = 0
-        for bits, d_gen, in_holo in ((h, d_holo, True), (a, d_anti, False)):
-            while bits:
-                b = bits & -bits
-                bits ^= b
-                rh, ra = (h ^ b, a) if in_holo else (h, a ^ b)
-                for dh, da, dc in d_gen[b.bit_length() - 1]:
-                    merged = wedge_masks(dh, da, rh, ra)
-                    if merged is not None:
-                        mh, ma, odd = merged
-                        c = dc if coeff is ONE else coeff * dc
-                        key = (mh, ma)
-                        if odd != k & 1:
-                            c = -c
-                        cur = acc.get(key)
-                        acc[key] = c if cur is None else cur + c
-                k += 1
-    return Form((element(*key), c) for key, c in acc.items())
-
-
 class Form:
     """A finite sum of canonical monomials with Gaussian coefficients.
 
@@ -439,3 +411,47 @@ def basis_dimension(n: int, p: int, q: int) -> int:
     if not (0 <= p <= n and 0 <= q <= n):
         return 0
     return comb(n, p) * comb(n, q)
+
+
+@cache
+def degree_basis(holo: int, anti: int, k: int) -> tuple[tuple[BasisElement, ...], dict]:
+    """The monomials of total degree k over ``holo`` holomorphic and ``anti``
+    antiholomorphic generators, and each one's place among them.
+
+    Its (p, k-p) slots go by ascending p, each in the lexicographic order of
+    :func:`basis`; this order indexes the rows and columns of every ``d``.
+    """
+    monomials = tuple(BasisElement(h, a) for p in range(max(0, k - anti), min(holo, k) + 1)
+                      for h in combinations(range(1, holo + 1), p)
+                      for a in combinations(range(1, anti + 1), k - p))
+    return monomials, {e: i for i, e in enumerate(monomials)}
+
+
+@cache
+def leibniz(holo: int, anti: int, k: int, j: int, bar: bool, dh: int, da: int) -> tuple:
+    """Where the term ``w^dh wbar^da`` of ``d w^j`` (``dh`` and ``da`` its
+    bitmasks) lands in d on degree k, as one flat tuple of ``(column, row,
+    sign)`` triples, indexed by :func:`degree_basis`.
+
+    By the graded Leibniz rule,
+
+        d(x_0 /\\ .. /\\ x_m) = sum_i (-1)^i dx_i /\\ (x_0 /\\ .. x_i omitted .. /\\ x_m),
+
+    so the term reaches every column holding the factor ``w^j``; ``dx_i`` is
+    a 2-form and moves to the front without a sign.  With ``bar`` the factor
+    is ``wbar^j`` and the term is read through its conjugate,
+    ``(-1)^(|dh| |da|) w^da wbar^dh``, whose coefficient the caller conjugates.
+    """
+    dh, da, sign = (da, dh, (-1) ** (dh.bit_count() * da.bit_count())) if bar else (dh, da, 1)
+    bit, place, out = 1 << j, degree_basis(holo, anti, k + 1)[1], []
+    for column, elem in enumerate(degree_basis(holo, anti, k)[0]):
+        h, a = masks(elem)
+        if not (a if bar else h) & bit:
+            continue
+        # the factor's place: the holomorphic ones first, each block ascending
+        i = h.bit_count() + (a & (bit - 1)).bit_count() if bar else (h & (bit - 1)).bit_count()
+        merged = wedge_masks(dh, da, h, a ^ bit) if bar else wedge_masks(dh, da, h ^ bit, a)
+        if merged is not None:
+            mh, ma, odd = merged
+            out += (column, place[element(mh, ma)], -sign if (odd ^ i) & 1 else sign)
+    return tuple(out)

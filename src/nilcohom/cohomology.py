@@ -3,11 +3,13 @@
 :func:`full_table` is the entry point: it returns every dimension of one
 structure as a :class:`CohomologyTable`, read off one table of ranks.
 Matrices are column-sparse: column ``j`` is the image of the ``j``-th source
-monomial.  One builder applies ``d`` once to every basis monomial and builds
-one matrix per total degree, whose rows and columns follow the basis of that
-degree: its (p,q) slots by ascending p, each in the fixed lexicographic order
-of :func:`nilcohom.algebra.basis`.  Every other block is a view of it: d on
-a (p,q) slot is the column slice at that slot, and as ``d`` of a (p,q)-form
+monomial.  The engine builds no differential of its own: it reads the
+structure's ``matrix(k)``, ``L * d`` on total degree k (see
+:mod:`nilcohom.model`), whose rows and columns follow the basis of that
+degree given by :func:`nilcohom.algebra.degree_basis`: its (p,q) slots by
+ascending p, each in the fixed lexicographic order of
+:func:`nilcohom.algebra.basis`.  Every other block is a view of it: d on a
+(p,q) slot is the column slice at that slot, and as ``d`` of a (p,q)-form
 has only (p+1,q) and (p,q+1) parts on an integrable structure, del and
 delbar are that slice cut to the rows of one target slot.  One loop then
 takes every rank a dimension needs with the single exact rank routine of
@@ -19,10 +21,8 @@ the total complex; the ``delbar`` ranks are read off the pivot leads of
 
 Entries are Gaussian-integer pairs ``(x, y)``, meaning ``x + y*i``: every
 matrix of a structure is ``L`` times the true one, where ``L`` is the lcm of
-the denominators of the structure constants.  A basis monomial has
-coefficient 1, so each term of its ``d`` carries exactly one constant or its
-conjugate, and ``L * d`` is integral.  ``L`` is one per structure, not per
-matrix or column, so that products stay true up to one factor:
+the denominators of the structure constants.  ``L`` is one per structure,
+not per matrix or column, so that products stay true up to one factor:
 ``del @ delbar`` is ``L**2`` times del delbar, and a product of consecutive
 degree matrices is ``L**2`` times ``d**2``.  No rank depends on ``L``.
 
@@ -54,9 +54,9 @@ Conventions, for a structure of complex dimension ``n``:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import comb, lcm
+from math import comb
 
-from .algebra import Form, basis, basis_dimension
+from .algebra import basis_dimension
 from .linalg import ExactMatrix, exact_rank
 from .model import ComplexStructure
 
@@ -78,31 +78,6 @@ def _starts(n: int) -> dict:
             for p in edge for q in edge}
 
 
-def _differentials(cs: ComplexStructure) -> list:
-    """d on every total degree k = 0 .. 2n, scaled by the structure's one
-    integral factor ``L``: ``d[k]`` maps degree k to degree k+1.
-
-    Rows and columns follow one basis per degree, its slots by ascending p
-    (as :func:`_starts` counts them), each slot in ``basis`` order.  ``d``
-    is applied once to each basis monomial, and each term of its image goes
-    straight to its target's place in the next degree's basis.
-    """
-    n = cs.n
-    degrees = [[e for p in _slots(n, k) for e in basis(n, p, k - p)] for k in range(2 * n + 1)]
-    # a monomial's place in the basis of its total degree
-    place = {e: i for monomials in degrees for i, e in enumerate(monomials)}
-    scale = lcm(*(c.den for f in cs.d_omega for c in f.terms.values()))
-    d = []
-    for k, monomials in enumerate(degrees):
-        columns = [{} for _ in monomials]
-        for column, elem in zip(columns, monomials):
-            for e, c in cs.d(Form.single(elem)).terms.items():
-                m = scale // c.den
-                column[place[e]] = (c.x * m, c.y * m)
-        d.append(ExactMatrix(comb(2 * n, k + 1), len(columns), columns))
-    return d
-
-
 def _cut(columns: list, lo: int, rows: int) -> ExactMatrix:
     """The rows lo .. lo+rows-1 of ``columns``, renumbered from 0."""
     hi = lo + rows
@@ -115,8 +90,9 @@ def _ranks(cs: ComplexStructure) -> dict:
 
     Keys are ``(kind, p, q)`` over the square, with ``dd`` only for q < n
     (its target is empty at q = n), and ``("total", k)`` for the total
-    complex in each degree k = 0 .. 2n.  Every block is a view of ``d``:
-    ``stack(p,q)`` is the column slice of ``d[p+q]`` at the (p,q) slot, and
+    complex in each degree k = 0 .. 2n.  Every block is a view of ``d``, where
+    ``d[k]`` is the structure's ``matrix(k)``: ``stack(p,q)`` is the column
+    slice of ``d[p+q]`` at the (p,q) slot, and
     ``del(p,q)`` is that slice cut to the (p+1,q) rows.  Per (p,q) the
     eliminations are:
 
@@ -132,7 +108,7 @@ def _ranks(cs: ComplexStructure) -> dict:
     target and rank 0.
     """
     n, span = cs.n, range(cs.n + 1)
-    d, start = _differentials(cs), _starts(n)
+    d, start = [cs.matrix(k) for k in range(2 * n + 1)], _starts(n)
 
     def slot(p, q):  # the columns of d[p+q] at the (p,q) slot
         lo = start[p, q]
@@ -284,8 +260,7 @@ def differential_identities_ok(cs: ComplexStructure) -> bool:
     (p,q+2) and del delbar + delbar del in (p+1,q+1): distinct blocks, so each
     product of consecutive degree matrices is zero iff all three parts are.
     """
-    d = _differentials(cs)
-    return all((d[k + 1] @ d[k]).is_zero() for k in range(2 * cs.n - 1))
+    return all((cs.matrix(k + 1) @ cs.matrix(k)).is_zero() for k in range(2 * cs.n - 1))
 
 
 __all__ = [

@@ -20,14 +20,14 @@ over the 72 catalog rows, 65% over the 6d rows in a general coframe
 
 Entries are integral so that neither the elimination nor a product ever
 takes a denominator.  A caller with Gaussian-rational entries clears them
-once, by one common factor per matrix (:meth:`ExactMatrix.from_gaussian`) or,
-as the cohomology engine does, per structure; a nonzero scale changes no rank
-or span.  The module imports nothing from the rest of the package.
+once, as each structure does for its ``d`` by one common factor (see
+:mod:`nilcohom.model`); a nonzero scale changes no rank or span.  The module
+imports nothing from the rest of the package.
 """
 
 from __future__ import annotations
 
-from math import gcd, lcm
+from math import gcd
 
 
 class ExactMatrix:
@@ -49,20 +49,6 @@ class ExactMatrix:
         self.rows = rows
         self.cols = cols
         self.columns = columns
-
-    @classmethod
-    def from_gaussian(cls, rows: int, cols: int, columns) -> "ExactMatrix":
-        """The Gaussian-rational columns ``{row: (x + y*i)/den}``, scaled by the
-        lcm of all their denominators.
-
-        One factor for the whole matrix keeps its rank and column span.  The
-        entries are read through their ``x``, ``y`` and ``den`` attributes.
-        """
-        scale = lcm(*(e.den for col in columns for e in col.values()))
-        return cls(rows, cols, [
-            {r: (e.x * (scale // e.den), e.y * (scale // e.den)) for r, e in col.items()}
-            for col in columns
-        ])
 
     def __eq__(self, other) -> bool:
         return (

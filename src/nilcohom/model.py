@@ -12,19 +12,26 @@ conjugation and the ``d^2 = 0`` check computes only ``d(d w^j)``: each
 ``d(d wbar^j)`` is its conjugate.  ``RealAlgebra``, ``ComplexStructureTemplate``
 and ``ComplexStructure`` reject non-canonical monomials, as the parser does.
 
-A structure compiles its generator differentials once and differentiates
-by :func:`nilcohom.algebra.exterior_derivative`.  Nilpotency follows the
-lower central series with the elimination of :mod:`linalg` (``column_basis``).
+Both kinds of structure hold ``d`` one way, as ``L * d``: one integral
+:class:`~nilcohom.linalg.ExactMatrix` per total degree, where ``L`` is the
+lcm of the denominators of the structure constants, one per structure.  A
+degree's matrix is built the first time it is needed, by adding each scaled
+constant along the Leibniz table of :func:`nilcohom.algebra.leibniz`, so the
+``d^2`` check builds only the matrix on 2-forms.  ``d`` of a form combines
+the columns of its monomials and divides by ``L``; the cohomology tables,
+the metrics and the Betti numbers all read these matrices.  Nilpotency
+follows the lower central series with the elimination of :mod:`linalg`
+(``column_basis``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
-from math import comb
+from math import comb, lcm
 
-from .algebra import (BasisElement, Form, Gaussian, ONE, ZERO, basis, compile_differentials,
-                      exterior_derivative)
+from .algebra import (BasisElement, Form, Gaussian, ONE, ZERO, _reduced, degree_basis, leibniz,
+                      masks)
 from .linalg import ExactMatrix, column_basis, exact_rank, hstack
 
 
@@ -101,11 +108,66 @@ def _d_squared(d, differentials: list[Form], label: str) -> ValidationReport:
     return report
 
 
+class _Differential:
+    """``L * d`` of a structure on ``holo`` generators with ``d`` given by
+    ``forms``, and on ``anti`` conjugates of them: one matrix per total degree.
+
+    ``matrix(k)`` maps degree k to degree k + 1, its rows and columns in
+    :func:`~nilcohom.algebra.degree_basis` order.  A basis monomial has
+    coefficient 1, so each entry of ``d`` on it sums constants or their
+    conjugates, and ``L * d`` is integral.
+    """
+
+    def __init__(self, holo: int, anti: int, forms: list[Form]):
+        self._layout = holo, anti
+        scale = self._scale = lcm(*(c.den for f in forms for c in f.terms.values()))
+        # (j, term masks, L * constant) for every term of every d w^j
+        self._constants = [(j, *masks(e), c.x * (scale // c.den), c.y * (scale // c.den))
+                           for j, f in enumerate(forms, start=1) for e, c in f.terms.items()]
+        self._matrices = {}
+
+    def matrix(self, k: int) -> ExactMatrix:
+        """``L * d`` on total degree k, built the first time it is asked for."""
+        if k not in self._matrices:
+            rows, cols = (len(degree_basis(*self._layout, i)[0]) for i in (k + 1, k))
+            m, bars = ExactMatrix(rows, cols), 2 if self._layout[1] else 1
+            # its columns are filled here, before any caller sees it; d wbar^j is
+            # the conjugate of d w^j, when there are conjugates
+            for j, dh, da, x, y in self._constants:
+                for bar, im in ((False, y), (True, -y))[:bars]:
+                    entries = iter(leibniz(*self._layout, k, j, bar, dh, da))
+                    for c, row, sign in zip(entries, entries, entries):
+                        a, b = m.columns[c].pop(row, (0, 0))
+                        a, b = a + sign * x, b + sign * im
+                        if a or b:  # constants may cancel, and a matrix stores no zero
+                            m.columns[c][row] = a, b
+            self._matrices[k] = m
+        return self._matrices[k]
+
+    def d(self, f: Form) -> Form:
+        """d of a form: the columns of its monomials, weighted by its
+        coefficients (over their common denominator) and divided by ``L``."""
+        den = lcm(*(c.den for c in f.terms.values()))
+        acc, degree = {}, None
+        for elem, c in f.terms.items():
+            k = len(elem.holo) + len(elem.anti)
+            if k != degree:
+                degree, place = k, degree_basis(*self._layout, k)[1]
+                columns, targets = self.matrix(k).columns, degree_basis(*self._layout, k + 1)[0]
+            u, v = c.x * (den // c.den), c.y * (den // c.den)
+            for row, (x, y) in columns[place[elem]].items():
+                target = targets[row]  # keyed by monomial: f may mix degrees
+                a, b = acc.get(target, (0, 0))
+                acc[target] = a + u * x - v * y, b + u * y + v * x
+        den *= self._scale
+        return Form((e, _reduced(a, b, den)) for e, (a, b) in acc.items() if a or b)
+
+
 # ---------------------------------------------------------------------------
 # real Lie algebras
 # ---------------------------------------------------------------------------
 
-class RealAlgebra:
+class RealAlgebra(_Differential):
     """A real Lie algebra given by ``d e^j`` for a coframe ``e^1 .. e^dim``.
 
     The 2-forms live over the same machinery as the complex side, using only
@@ -124,10 +186,7 @@ class RealAlgebra:
                     raise ValueError(f"d e^{j} has a non-real coefficient")
         self.dim = dim
         self.d_of_e = list(d_of_e)
-        self._d = compile_differentials(self.d_of_e)
-
-    def d(self, f: Form) -> Form:
-        return exterior_derivative(f, self._d, [])
+        super().__init__(dim, 0, self.d_of_e)
 
     def check_d_squared(self) -> ValidationReport:
         return _d_squared(self.d, self.d_of_e, "e")
@@ -139,18 +198,13 @@ class RealAlgebra:
         """``b_k = C(dim, k) - rank d_k - rank d_(k-1)`` for k = 0..dim.
 
         ``d_k`` is real ``d`` on ``basis(dim, k, 0)``: the Chevalley-Eilenberg
-        complex, whose cohomology is that of the nilmanifold (Nomizu).  It
-        shares no matrix with the bigraded engine of :mod:`nilcohom.cohomology`.
+        complex, whose cohomology is that of the nilmanifold (Nomizu).  Its
+        matrices come from the same Leibniz table as a complex structure's,
+        but it shares no matrix with the bigraded engine of
+        :mod:`nilcohom.cohomology`.
         """
-        m = self.dim
-        ranks = [0] * (m + 2)  # ranks[k + 1] = rank d_k; d_-1 and d_m vanish
-        for k in range(m):
-            index = {e: r for r, e in enumerate(basis(m, k + 1, 0))}
-            columns = [{index[e]: c for e, c in self.d(Form.single(elem)).terms.items()}
-                       for elem in basis(m, k, 0)]
-            ranks[k + 1] = exact_rank(ExactMatrix.from_gaussian(len(index), len(columns),
-                                                                columns))
-        return [comb(m, k) - ranks[k + 1] - ranks[k] for k in range(m + 1)]
+        ranks = [0, *(exact_rank(self.matrix(k)) for k in range(self.dim)), 0]  # ranks[k]: d_(k-1)
+        return [comb(self.dim, k) - ranks[k + 1] - ranks[k] for k in range(self.dim + 1)]
 
     def __eq__(self, other) -> bool:
         return (
@@ -166,20 +220,20 @@ class RealAlgebra:
 def check_nilpotency(a: RealAlgebra) -> bool:
     """Whether the lower central series of the recovered bracket reaches zero.
 
-    ``[e_i, e_j] = -sum_k c^k_ij e_k`` where ``d e^k = sum c^k_ij e^ij``.  The
-    series starts from the whole algebra and takes the span of every
-    ``ad(e_i)`` applied to the previous term; it fails once a step keeps the
-    dimension, since the span can then only repeat.
+    ``[e_i, e_j] = -sum_k c^k_ij e_k`` where ``d e^k = sum c^k_ij e^ij``, so the
+    bracket is read off ``L * d`` on 1-forms, whose one factor ``L`` changes
+    no span.  The series starts from the whole algebra and takes the span of
+    every ``ad(e_i)`` applied to the previous term; it fails once a step
+    keeps the dimension, since the span can then only repeat.
     """
-    m = a.dim
+    m, pairs = a.dim, degree_basis(a.dim, 0, 2)[0]
     brackets = [[{} for _ in range(m)] for _ in range(m)]  # [i][j]: [e_i, e_j]
-    for k, f in enumerate(a.d_of_e):
-        for elem, c in f.terms.items():
-            i, j = elem.holo
-            brackets[i - 1][j - 1][k] = -c
-            brackets[j - 1][i - 1][k] = c
-    # each ad(e_i) is scaled to Z[i] by its own factor, which changes no span
-    ads = [ExactMatrix.from_gaussian(m, m, columns) for columns in brackets]
+    for k, column in enumerate(a.matrix(1).columns):
+        for r, (x, y) in column.items():
+            i, j = pairs[r].holo
+            brackets[i - 1][j - 1][k] = -x, -y
+            brackets[j - 1][i - 1][k] = x, y
+    ads = [ExactMatrix(m, m, columns) for columns in brackets]
     span = ExactMatrix(m, m, [{j: (1, 0)} for j in range(m)])
     while span.cols:
         image = column_basis(reduce(hstack, [ad @ span for ad in ads]))
@@ -252,11 +306,13 @@ class ComplexStructureTemplate:
         return f"ComplexStructureTemplate(n={self.n}, params={list(self.params)})"
 
 
-class ComplexStructure:
+class ComplexStructure(_Differential):
     """Instantiated coframe differentials; every coefficient is exact.
 
     Construction checks ``d^2 = 0`` on every generator ``w^j`` and raises
-    :class:`DifferentialSquareError` otherwise.
+    :class:`DifferentialSquareError` otherwise.  ``matrix(k)`` is ``L * d``
+    on total degree k, in :func:`~nilcohom.algebra.degree_basis` order for
+    the layout (n, n).
     """
 
     def __init__(self, n: int, d_omega: list[Form]):
@@ -269,15 +325,16 @@ class ComplexStructure:
                     raise IntegrabilityError(f"d w^{j} has a {elem.bidegree} term {elem}")
         self.n = n
         self.d_omega = list(d_omega)
-        self._d_holo = compile_differentials(self.d_omega)
-        self._d_anti = compile_differentials([f.conjugate() for f in d_omega])
+        super().__init__(n, n, self.d_omega)
         report = check_d_squared(self)
         if not report.ok:
             raise DifferentialSquareError(report)
 
+    # defined here, not only inherited, so that the class's own namespace
+    # holds it: the benchmark's trace wraps methods there
     def d(self, f: Form) -> Form:
         """Full exterior differential d = del + delbar on any invariant form."""
-        return exterior_derivative(f, self._d_holo, self._d_anti)
+        return _Differential.d(self, f)
 
     def __eq__(self, other) -> bool:
         return (

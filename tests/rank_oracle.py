@@ -5,6 +5,8 @@ the grid itself, never on an :class:`ExactMatrix`, so it shares no code with
 the matrix type or the rank routine under test.
 """
 
+from math import lcm
+
 from nilcohom.algebra import Gaussian, ZERO
 from nilcohom.linalg import ExactMatrix
 
@@ -12,8 +14,10 @@ from nilcohom.linalg import ExactMatrix
 def matrix_from_grid(grid) -> ExactMatrix:
     """The column-sparse matrix with the given rows, times the lcm of their denominators."""
     cols = len(grid[0]) if grid else 0
-    return ExactMatrix.from_gaussian(len(grid), cols, [
-        {i: row[j] for i, row in enumerate(grid) if row[j]} for j in range(cols)
+    scale = lcm(*(e.den for row in grid for e in row))
+    return ExactMatrix(len(grid), cols, [
+        {i: (row[j].x * (scale // row[j].den), row[j].y * (scale // row[j].den))
+         for i, row in enumerate(grid) if row[j]} for j in range(cols)
     ])
 
 

@@ -1,12 +1,14 @@
-"""Test-side reference for the engine's matrices: Gaussian grids from ``cs.d``.
+"""Test-side reference for the engine's matrices: Gaussian grids from the oracle's ``d``.
 
 Every matrix here is a dense grid of :class:`Gaussian` entries (a list of
-rows), built by applying the structure's ``d`` to each source monomial and
-reading the coefficient of each target monomial, with rows and columns in
-``basis`` order.  It reads no column of the engine's, no slot offset and no
-scale factor, so an engine matrix that is not ``L`` times its grid, for the
-one factor ``L`` of the structure, shows as a difference.  :func:`d_block`
-cuts one bidegree block out of the engine's ``d`` at offsets counted here.
+rows), built by applying the tuple-slicing Leibniz rule of
+:mod:`d_oracle` once to each basis monomial and reading the coefficient of
+each target monomial, with rows and columns in ``basis`` order.  It reads
+no column of the engine's, no slot offset and no scale factor, and not the
+structure's ``d``, which combines the engine's columns: an engine matrix
+that is not ``L`` times its grid, for the one factor ``L`` of the
+structure, shows as a difference.  :func:`d_block` cuts one bidegree block
+out of the engine's ``d`` at offsets counted here.
 """
 
 from math import lcm
@@ -14,6 +16,7 @@ from math import lcm
 from nilcohom.algebra import Form, Gaussian, ZERO, basis, basis_dimension
 from nilcohom.linalg import ExactMatrix
 
+from d_oracle import oracle_cs_d
 from rank_oracle import oracle_rank
 
 
@@ -22,12 +25,12 @@ def structure_scale(cs) -> int:
     return lcm(*(c.den for f in cs.d_omega for c in f.terms.values()))
 
 
-def _grid(cs, sources, targets):
-    images = [cs.d(Form.single(e)) for e in sources]
-    return [[image.coefficient(t) for image in images] for t in targets]
+def _grid(images, sources, targets):
+    """Rows ``targets``, columns ``sources``, read off the images of the sources."""
+    return [[images[e].coefficient(t) for e in sources] for t in targets]
 
 
-def _degree_basis(n, k):
+def degree_monomials(n, k):
     """The monomials of total degree k, slot by slot by ascending p."""
     return [e for p in range(n + 1) if 0 <= k - p <= n for e in basis(n, p, k - p)]
 
@@ -56,22 +59,26 @@ def reference_matrices(cs) -> dict:
     d from the degree-k basis to the degree-(k+1) one, both slot by slot by
     ascending p.  Border blocks are left out."""
     n, span = cs.n, range(cs.n + 1)
+    # the oracle's d of every basis monomial, once
+    images = {e: oracle_cs_d(cs, Form.single(e))
+              for k in range(2 * n + 1) for e in degree_monomials(n, k)}
     grids = {}
     for p in span:
         for q in span:
             source = basis(n, p, q)
-            grids["del", p, q] = _grid(cs, source, basis(n, p + 1, q) if p < n else [])
-            grids["delbar", p, q] = _grid(cs, source, basis(n, p, q + 1) if q < n else [])
-            grids["d", p, q] = _grid(cs, source, _degree_basis(n, p + q + 1))
+            grids["del", p, q] = _grid(images, source, basis(n, p + 1, q) if p < n else [])
+            grids["delbar", p, q] = _grid(images, source, basis(n, p, q + 1) if q < n else [])
+            grids["d", p, q] = _grid(images, source, degree_monomials(n, p + q + 1))
     for k in range(2 * n + 1):
-        grids["total", k] = _grid(cs, _degree_basis(n, k), _degree_basis(n, k + 1))
+        grids["total", k] = _grid(images, degree_monomials(n, k), degree_monomials(n, k + 1))
     return grids
 
 
 def grid_product(a, b):
     """The product of two Gaussian grids, in Gaussian arithmetic."""
-    return [[sum((x * b[k][j] for k, x in enumerate(row) if x), ZERO)
-             for j in range(len(b[0]) if b else 0)] for row in a]
+    columns = [[(k, y) for k, y in enumerate(column) if y] for column in zip(*b)]
+    return [[sum((row[k] * y for k, y in column if row[k]), ZERO) for column in columns]
+            for row in a]
 
 
 def scaled(grid, factor: int):
@@ -79,9 +86,11 @@ def scaled(grid, factor: int):
     return [[x * factor if x else x for x in row] for row in grid]
 
 
-def reference_ranks(cs) -> dict:
-    """Every rank the engine's table reads, taken by the naive oracle from the grids."""
-    n, grids = cs.n, reference_matrices(cs)
+def reference_ranks(cs, grids=None) -> dict:
+    """Every rank the engine's table reads, taken by the naive oracle from the
+    grids (``reference_matrices(cs)`` unless given)."""
+    n = cs.n
+    grids = reference_matrices(cs) if grids is None else grids
     span = range(n + 1)
     ranks = {("total", k): oracle_rank(grids["total", k]) for k in range(2 * n + 1)}
     for p in span:

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from math import comb
 
 import pytest
@@ -6,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from nilcohom import cohomology as co, model
 from nilcohom.algebra import BasisElement, Form, Gaussian, ONE, ZERO
-from nilcohom.cohomology import _differentials
 from nilcohom.linalg import exact_rank
 from nilcohom.model import ComplexStructure, instantiate, substitute
 from nilcohom.parser import parse_binding, parse_complex_structure
@@ -50,18 +50,35 @@ def test_deldelbar_on_torus_and_scalars(torus, iwasawa):
     assert co._ranks(iwasawa)["dd", 0, 0] == 0
 
 
-def test_full_table_applies_d_once_per_basis_monomial(monkeypatch):
+def _matrices(cs):
+    """The structure's ``L * d`` in every total degree 0 .. 2n."""
+    return [cs.matrix(k) for k in range(2 * cs.n + 1)]
+
+
+def test_full_table_calls_no_d_and_builds_each_degree_once(monkeypatch):
+    # the table reads the structure's matrices; each is built on first use,
+    # from the Leibniz table, and read from then on
     cs = build("(0,0,w12+w1~1)")
-    sources = []
-    d = ComplexStructure.d
+    built = []
+    leibniz = model.leibniz
 
-    def counted(self, f):
-        sources.append(f)
-        return d(self, f)
+    def counted(holo, anti, k, *position):
+        built.append(k)
+        return leibniz(holo, anti, k, *position)
 
-    monkeypatch.setattr(ComplexStructure, "d", counted)
-    co.full_table(cs)
-    assert len(sources) == len({frozenset(f.terms) for f in sources}) == 4 ** cs.n
+    def no_d(self, f):
+        raise AssertionError(f"full_table applied d to {f}")
+
+    monkeypatch.setattr(model, "leibniz", counted)
+    monkeypatch.setattr(ComplexStructure, "d", no_d)
+    first = co.full_table(cs)
+    # one Leibniz list per constant and side (w^j and wbar^j) in each degree
+    # built; degree 2 was built at construction, for the d^2 check
+    per_degree = 2 * sum(len(f.terms) for f in cs.d_omega)
+    assert Counter(built) == {k: per_degree for k in range(2 * cs.n + 1) if k != 2}
+    built.clear()
+    assert co.full_table(cs) == first and co.differential_identities_ok(cs)
+    assert built == []
 
 
 def test_full_table_ranks_each_matrix_once_and_none_outside_the_square(monkeypatch):
@@ -264,9 +281,9 @@ def test_tables_beyond_the_catalog_are_invariant_under_a_change_of_coframe(cs, s
 
 def _assert_matches_the_glued_oracle(cs, label):
     # d in every degree against the Gaussian grid of the total complex, built
-    # from cs.d with no offset of the engine's; each stack rank against the
-    # reference grid of d on its slot
-    scale, d, grids = structure_scale(cs), _differentials(cs), reference_matrices(cs)
+    # by the tuple oracle's d with no offset of the engine's; each stack rank
+    # against the reference grid of d on its slot
+    scale, d, grids = structure_scale(cs), _matrices(cs), reference_matrices(cs)
     ranks = co._ranks(cs)
     assert len(d) == 2 * cs.n + 1, label
     for k, m in enumerate(d):
@@ -293,7 +310,7 @@ def _assert_the_scale_contract(cs, label):
     # every matrix is L times the Gaussian one for the one L of the structure,
     # so each dd product is L^2 times the Gaussian product, d^2 stays zero and
     # every rank the table reads is the Gaussian matrix's
-    scale, d, grids = structure_scale(cs), _differentials(cs), reference_matrices(cs)
+    scale, d, grids = structure_scale(cs), _matrices(cs), reference_matrices(cs)
     for k, m in enumerate(d):
         assert grid_of(m) == scaled(grids["total", k], scale), (label, k)
     for p in range(cs.n + 1):
@@ -303,7 +320,7 @@ def _assert_the_scale_contract(cs, label):
                 d_block(d, cs.n, (p, q), (p, q + 1))
             assert grid_of(product) == scaled(dd, scale * scale), (label, p, q)
     assert co.differential_identities_ok(cs), label
-    assert co._ranks(cs) == reference_ranks(cs), label
+    assert co._ranks(cs) == reference_ranks(cs, grids), label
 
 
 def test_the_scale_contract_on_the_catalog_rows_with_fractional_constants(structures):

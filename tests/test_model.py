@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, reject, settings, strategies as st
 
 from d_oracle import oracle_cs_d, oracle_d
+from nilcohom import model
 from nilcohom.algebra import BasisElement, Form, Gaussian, I, ONE, basis, element, masks
 from nilcohom.model import (
     ComplexStructure,
@@ -23,6 +24,7 @@ from nilcohom.model import (
     realify,
 )
 from nilcohom.parser import parse_binding, parse_complex_structure, parse_gaussian, parse_real_algebra, render
+from scale_oracle import degree_monomials, structure_scale
 
 
 def build(template, binding=""):
@@ -289,6 +291,60 @@ def test_d_matches_the_tuple_leibniz_oracle_on_the_catalog(all_cases, structures
 def test_d_matches_the_tuple_leibniz_oracle_beyond_the_catalog(cs, seed):
     for f in _random_forms(random.Random(seed), cs.n):
         assert cs.d(f).terms == oracle_cs_d(cs, f).terms, f
+
+
+def _assert_d_and_its_matrices_match_the_oracle(cs, rng):
+    # each column of L * d on degree k is L times the oracle's d of its
+    # monomial, rows and columns in the degree order the oracle side counts;
+    # and d on random forms of every bidegree is the oracle's
+    scale = Gaussian.of(structure_scale(cs))
+    for k in range(2 * cs.n + 1):
+        sources, targets = degree_monomials(cs.n, k), degree_monomials(cs.n, k + 1)
+        index = {e: r for r, e in enumerate(targets)}
+        m = cs.matrix(k)
+        assert (m.rows, m.cols) == (len(targets), len(sources)), k
+        for column, e in zip(m.columns, sources):
+            image = oracle_cs_d(cs, Form.single(e))
+            assert {r: Gaussian.of(x, y) for r, (x, y) in column.items()} == \
+                {index[t]: c * scale for t, c in image.terms.items()}, (k, e)
+    for f in _random_forms(rng, cs.n):
+        assert cs.d(f).terms == oracle_cs_d(cs, f).terms, f
+
+
+def test_d_and_its_matrices_match_the_oracle_at_n_1_2_and_5(structures):
+    # layouts no catalog row or benchmark workload has; n = 5 is an 8d row
+    # times a torus
+    rng = random.Random(13)
+    one = ComplexStructure(1, [Form.single(BasisElement((1,), (1,)), parse_gaussian("1/2+3i"))])
+    two = build("(0, A*w12 + B*w1~1)", "A=1/3; B=2-i")
+    five = product_with_torus(structures["09d_8D"])
+    for cs, n in ((one, 1), (two, 2), (five, 5)):
+        assert cs.n == n and structure_scale(cs) > 1
+        _assert_d_and_its_matrices_match_the_oracle(cs, rng)
+
+
+def test_real_algebra_d_matches_the_oracle_in_dimension_8(all_cases, structures):
+    rng = random.Random(15)
+    for case in (c for c in all_cases if c.dim == 4):
+        algebra = realify(structures[case.id])
+        assert algebra.dim == 8
+        for f in (_random_form(rng, basis(8, k, 0)) for k in range(9)):
+            assert algebra.d(f).terms == oracle_d(f, algebra.d_of_e, []).terms, case.id
+
+
+def test_building_a_structure_builds_only_the_matrix_on_2_forms(monkeypatch):
+    # the d^2 check reads d on 2-forms and nothing else, so building a
+    # structure costs no matrix of the 4^n monomials beyond degree 2
+    built = set()
+    leibniz = model.leibniz
+
+    def counted(holo, anti, k, *position):
+        built.add(k)
+        return leibniz(holo, anti, k, *position)
+
+    monkeypatch.setattr(model, "leibniz", counted)
+    cs = build("(0,0,w12,w13,w14,w15+w1~1)")
+    assert cs.n == 6 and built == {2}
 
 
 def test_masks_and_element_are_inverse_on_every_monomial():

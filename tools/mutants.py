@@ -61,7 +61,12 @@ MUTANTS = [
     Mutant("block-crossing sign", ALGEBRA,
            "odd = h2.bit_count() * a1.bit_count()", "odd = 0"),
     Mutant("Leibniz sign", ALGEBRA,
-           "if odd != k & 1:", "if odd:"),
+           "-sign if (odd ^ i) & 1 else sign", "-sign if odd else sign"),
+    Mutant("conjugation sign in leibniz", ALGEBRA,
+           "(-1) ** (dh.bit_count() * da.bit_count())", "1"),
+    Mutant("degree-basis slot order against _starts", ALGEBRA,
+           "for p in range(max(0, k - anti), min(holo, k) + 1)",
+           "for p in reversed(range(max(0, k - anti), min(holo, k) + 1))"),
     Mutant("Gaussian product", ALGEBRA,
            "return _triple(a * c - b * e, a * e + b * c, 1)",
            "return _triple(a * c + b * e, a * e + b * c, 1)"),
@@ -85,17 +90,12 @@ MUTANTS = [
     Mutant("nilpotency stop", MODEL,
            "        if image.cols == span.cols:\n            return False",
            "        if image.cols == span.cols:\n            return True"),
-    Mutant("per-column lcm in the build", COHOMOLOGY,
-           "            for e, c in cs.d(Form.single(elem)).terms.items():\n",
-           "            image = cs.d(Form.single(elem)).terms\n"
-           "            scale = lcm(*(c.den for c in image.values()))\n"
-           "            for e, c in image.items():\n"),
+    Mutant("constants cleared one by one, not by L", MODEL,
+           "c.x * (scale // c.den), c.y * (scale // c.den))", "c.x, c.y)"),
     Mutant("_cut lower bound", COHOMOLOGY,
            "if lo <= r < hi}", "if lo < r < hi}"),
     Mutant("d column slot offsets", COHOMOLOGY,
            "for s in range(p))", "for s in range(p - 1))"),
-    Mutant("degree-basis slot order against _starts", COHOMOLOGY,
-           "[[e for p in _slots(n, k) for e", "[[e for p in reversed(_slots(n, k)) for e"),
     Mutant("delbar lead bound", COHOMOLOGY,
            "for lead, v in pivots.items() if lead < cut]",
            "for lead, v in pivots.items() if lead <= cut]"),
