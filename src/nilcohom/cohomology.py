@@ -8,16 +8,18 @@ structure's ``matrix(k)``, ``L * d`` on total degree k (see
 :mod:`nilcohom.model`), whose rows and columns follow the basis of that
 degree given by :func:`nilcohom.algebra.degree_basis`: its (p,q) slots by
 ascending p, each in the fixed lexicographic order of
-:func:`nilcohom.algebra.basis`.  Every other block is a view of it: d on a
-(p,q) slot is the column slice at that slot, and as ``d`` of a (p,q)-form
-has only (p+1,q) and (p,q+1) parts on an integrable structure, del and
-delbar are that slice cut to the rows of one target slot.  One loop then
-takes every rank a dimension needs with the single exact rank routine of
-:mod:`nilcohom.linalg`, resuming its eliminations where they share a target.
-It eliminates ``d`` on each slot, ``dd`` on a delbar basis, ``concat`` and
-the total complex; the ``delbar`` ranks are read off the pivot leads of
-``d`` and the ``del`` ranks off the first half of each ``concat`` (see
-:func:`_ranks`).
+:func:`nilcohom.algebra.basis`; where each slot starts and how large it
+is depends on n alone, and is worked out once per n.  Every other block is
+a view of it: d on a (p,q) slot is the column slice at that slot, and as
+``d`` of a (p,q)-form has only (p+1,q) and (p,q+1) parts on an integrable
+structure, del and delbar are that slice cut to the rows of one target
+slot.  One loop then takes every rank a dimension needs with the single
+exact rank routine of :mod:`nilcohom.linalg`, resuming its eliminations
+where they share a target.  It eliminates ``d`` on each slot, ``dd`` on a
+delbar basis, ``concat`` and the total complex; the ``delbar`` ranks are
+read off the pivot leads of ``d`` and the ``del`` ranks off the first half
+of each ``concat``.  Each del block is cut once and shared: the ``dd`` that
+needs it first hands it to the ``concat`` it lands in (see :func:`_ranks`).
 
 Entries are Gaussian-integer pairs ``(x, y)``, meaning ``x + y*i``: every
 matrix of a structure is ``L`` times the true one, where ``L`` is the lcm of
@@ -32,10 +34,11 @@ the (p,q) slot, whose kernel is ker del /\\ ker delbar, as the two parts land
 in distinct slots) and ``concat`` (del and delbar side by side, whose image
 is im del + im delbar).  :data:`THEORIES` is the one table of these
 formulas: each row names a theory for output, names its
-:class:`CohomologyTable` grid and lists its rank terms, and
-:func:`full_table` fills every grid from it; a rank the table lacks is that
-of a map with no source or target, and counts as 0.  No dimension is a
-quotient basis.
+:class:`CohomologyTable` grid and lists its rank terms.  It is compiled once
+per n, with the Betti formula, into a plan of cells, a base dimension plus
+signed rank keys, and :func:`full_table` fills every grid by adding up the
+plan's cells; a rank the table lacks is that of a map with no source or
+target, and is left out of the plan.  No dimension is a quotient basis.
 
 Conventions, for a structure of complex dimension ``n``:
 
@@ -54,6 +57,7 @@ Conventions, for a structure of complex dimension ``n``:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from math import comb
 
 from .algebra import basis_dimension
@@ -70,11 +74,14 @@ def _slots(n: int, k: int) -> range:
     return range(max(0, k - n), min(n, k) + 1)
 
 
-def _starts(n: int) -> dict:
-    """The first row of the (p,q) slot in the basis of total degree p+q, whose
-    slots go by ascending p; p and q run to n + 1, one past the square."""
+@cache
+def _layout(n: int) -> dict:
+    """The first row and the dimension of the (p,q) slot in the basis of total
+    degree p+q, whose slots go by ascending p; p and q run to n + 1, one past
+    the square, where slots are empty."""
     edge = range(n + 2)
-    return {(p, q): sum(basis_dimension(n, s, p + q - s) for s in range(p))
+    return {(p, q): (sum(basis_dimension(n, s, p + q - s) for s in range(p)),
+                     basis_dimension(n, p, q))
             for p in edge for q in edge}
 
 
@@ -103,21 +110,23 @@ def _ranks(cs: ComplexStructure) -> dict:
     * ``concat``: the columns of del(p-1,q), whose pivot count is
       ``rank del(p-1,q)``, resumed with the delbar basis of (p,q-1).
 
+    Each del block is cut once: ``dd(p-1,q-1)`` cuts del(p-1,q) and hands
+    it to ``concat(p,q)``, so only the q = 0 concats cut their own.
     ``total(k)`` resumes from the first slot's stack pivots with the other
     slots' stack pivots, which span their images.  ``del(n,q)`` has no
     target and rank 0.
     """
     n, span = cs.n, range(cs.n + 1)
-    d, start = [cs.matrix(k) for k in range(2 * n + 1)], _starts(n)
+    d, layout = [cs.matrix(k) for k in range(2 * n + 1)], _layout(n)
 
     def slot(p, q):  # the columns of d[p+q] at the (p,q) slot
-        lo = start[p, q]
-        return d[p + q].columns[lo:lo + basis_dimension(n, p, q)]
+        lo, size = layout[p, q]
+        return d[p + q].columns[lo:lo + size]
 
     def del_of(p, q):  # those columns cut to the (p+1,q) rows
-        return _cut(slot(p, q), start[p + 1, q], basis_dimension(n, p + 1, q))
+        return _cut(slot(p, q), *layout[p + 1, q])
 
-    ranks, stacks, images = {}, {}, {}
+    ranks, stacks, images, dels = {}, {}, {}, {}
     for p in span:
         for q in span:
             # ker d = ker del /\ ker delbar at (p,q): the parts land in distinct slots
@@ -126,15 +135,18 @@ def _ranks(cs: ComplexStructure) -> dict:
             stack = ExactMatrix(d[p + q].rows, len(columns), columns)
             ranks["stack", p, q] = exact_rank(stack, pivots)
             # its pivots led in the (p,q+1) rows, cut to them: a basis of im delbar
-            bar, cut = start[p, q + 1], start[p + 1, q]
+            bar, cut = layout[p, q + 1][0], layout[p + 1, q][0]
             images[p, q] = _cut([v for lead, v in pivots.items() if lead < cut], bar, cut - bar)
             ranks["delbar", p, q] = images[p, q].cols
             if q < n:
-                ranks["dd", p, q] = exact_rank(del_of(p, q + 1) @ images[p, q])
+                # del(p,q+1) lands in (p+1,q+1), whose concat takes it next
+                dels[p + 1, q + 1] = block = del_of(p, q + 1)
+                ranks["dd", p, q] = exact_rank(block @ images[p, q])
             # im del + im delbar landing in (p,q)
             pivots = {}
             if p:
-                ranks["del", p - 1, q] = exact_rank(del_of(p - 1, q), pivots)
+                block = dels.pop((p, q)) if q else del_of(p - 1, q)
+                ranks["del", p - 1, q] = exact_rank(block, pivots)
             ranks["concat", p, q] = exact_rank(images[p, q - 1], pivots) if q else len(pivots)
     ranks.update({("del", n, q): 0 for q in span})
     for k in range(2 * n + 1):
@@ -207,21 +219,51 @@ class CohomologyTable:
         return {"n": self.n, "hodge": hodge, **grids, "betti": self.betti, "delta": self.delta}
 
 
-def full_table(cs: ComplexStructure) -> CohomologyTable:
-    """Every cohomological dimension of ``cs``, from one table of ranks."""
-    n, ranks = cs.n, _ranks(cs)
+@cache
+def _plan(n: int) -> tuple:
+    """:data:`THEORIES` and the Betti formula compiled for dimension ``n``.
+
+    Returns ``(grids, betti)``: ``grids[grid_name][p][q]`` and ``betti[k]``
+    are cells ``(base, ((sign, key), ...))``, standing for ``base`` plus the
+    signed ranks of the keys, where ``base`` is ``unit * dim(p,q)`` or
+    ``C(2n, k)``.  A key the rank table does not hold, the rank of a map with
+    no source or target, is dropped here.
+    """
     span = range(n + 1)
+
+    def held(kind, *index):  # the keys of _ranks: dd only for q < n
+        top = {"total": (2 * n,), "dd": (n, n - 1)}.get(kind, (n, n))
+        return all(0 <= i <= t for i, t in zip(index, top))
+
+    def cell(base, terms):
+        return base, tuple((sign, key) for sign, key in terms if held(*key))
+
     grids = {
-        grid_name: [[unit * basis_dimension(n, p, q)
-                     + sum(sign * ranks.get((kind, p + dp, q + dq), 0)
-                           for sign, kind, dp, dq in terms)
+        grid_name: [[cell(unit * basis_dimension(n, p, q),
+                          ((sign, (kind, p + dp, q + dq)) for sign, kind, dp, dq in terms))
                      for q in span] for p in span]
         for _, grid_name, unit, terms in THEORIES
     }
     # the (p,q) blocks of total degree k together have dimension C(2n, k)
-    betti = [comb(2 * n, k) - ranks["total", k] - ranks.get(("total", k - 1), 0)
+    betti = [cell(comb(2 * n, k), ((-1, ("total", k)), (-1, ("total", k - 1))))
              for k in range(2 * n + 1)]
-    return CohomologyTable(n=n, betti=betti, **grids)
+    return grids, betti
+
+
+def full_table(cs: ComplexStructure) -> CohomologyTable:
+    """Every cohomological dimension of ``cs``, from one table of ranks."""
+    ranks, (grids, betti) = _ranks(cs), _plan(cs.n)
+
+    def fill(cells):
+        values = []
+        for value, terms in cells:
+            for sign, key in terms:
+                value += sign * ranks[key]
+            values.append(value)
+        return values
+
+    return CohomologyTable(n=cs.n, betti=fill(betti),
+                           **{name: [fill(row) for row in rows] for name, rows in grids.items()})
 
 
 @dataclass

@@ -102,6 +102,44 @@ def test_full_table_ranks_each_matrix_once_and_none_outside_the_square(monkeypat
         assert len(ranked) == (n + 1) ** 2 + 3 * n * (n + 1) + 2 * n + 1
 
 
+def test_full_table_cuts_each_del_block_once(monkeypatch):
+    # one delbar basis per (p,q) of the square; del(p,q+1) for each dd with
+    # q < n, which concat(p+1,q+1) takes over; del(p-1,0) for each concat
+    # at q = 0, p > 0
+    cuts = []
+    cut = co._cut
+
+    def counted(columns, lo, rows):
+        cuts.append((lo, rows))
+        return cut(columns, lo, rows)
+
+    monkeypatch.setattr(co, "_cut", counted)
+    for template in ("(0,0,w12+w1~1)", "(0,0,w1~1,w12+w1~3)"):
+        cs = build(template)
+        cuts.clear()
+        co.full_table(cs)
+        n = cs.n
+        assert len(cuts) == (n + 1) ** 2 + n * (n + 1) + n
+
+
+def test_the_plan_holds_exactly_the_ranks_the_table_holds(structures):
+    # the plan drops every key the rank table lacks, so a key it dropped
+    # wrongly would read as a rank of 0
+    for cs in (build("(0)"), build("(0,w1~1)"), structures["08"], structures["12_8D"]):
+        n, ranks = cs.n, co._ranks(cs)
+        span = range(n + 1)
+        grids, betti = co._plan(n)
+        cells = [cell for rows in grids.values() for row in rows for cell in row] + betti
+        planned = {key for _, terms in cells for _, key in terms}
+        assert planned <= ranks.keys(), n
+        named = {(kind, p + dp, q + dq) for _, _, _, terms in co.THEORIES
+                 for _, kind, dp, dq in terms for p in span for q in span}
+        named |= {("total", k + dk) for k in range(2 * n + 1) for dk in (0, -1)}
+        assert named & ranks.keys() <= planned, n
+        assert [len(rows) for rows in grids.values()] == [n + 1] * len(co.THEORIES)
+        assert len(betti) == 2 * n + 1
+
+
 def test_matrix_identities(iwasawa, h8, monkeypatch):
     assert co.differential_identities_ok(iwasawa)
     assert co.differential_identities_ok(h8)

@@ -64,7 +64,7 @@ MUTANTS = [
            "-sign if (odd ^ i) & 1 else sign", "-sign if odd else sign"),
     Mutant("conjugation sign in leibniz", ALGEBRA,
            "(-1) ** (dh.bit_count() * da.bit_count())", "1"),
-    Mutant("degree-basis slot order against _starts", ALGEBRA,
+    Mutant("degree-basis slot order against _layout", ALGEBRA,
            "for p in range(max(0, k - anti), min(holo, k) + 1)",
            "for p in reversed(range(max(0, k - anti), min(holo, k) + 1))"),
     Mutant("Gaussian product", ALGEBRA,
@@ -103,13 +103,17 @@ MUTANTS = [
            "exact_rank(images[p, q - 1], pivots)", "exact_rank(images[p, q - 1])"),
     Mutant("total without the first slot's pivots", COHOMOLOGY,
            "exact_rank(others, first)", "exact_rank(others)"),
+    Mutant("del block handed to the wrong concat", COHOMOLOGY,
+           "dels[p + 1, q + 1] = block", "dels[p, q + 1] = block"),
     Mutant("dd guard", COHOMOLOGY,
            "if q < n:", "if q < n - 1:"),
     Mutant("THEORIES terms", COHOMOLOGY,
            '("bott_chern", "h_bc", 1, ((-1, "stack", 0, 0), (-1, "dd", -1, -1))),',
            '("bott_chern", "h_bc", 1, ((-1, "stack", 0, 0), (-1, "dd", 0, 0))),'),
+    Mutant("plan drops a key the table holds", COHOMOLOGY,
+           '"dd": (n, n - 1)', '"dd": (n, n - 2)'),
     Mutant("Betti formula", COHOMOLOGY,
-           'ranks.get(("total", k - 1), 0)', 'ranks.get(("total", k + 1), 0)'),
+           '(-1, ("total", k - 1))', '(-1, ("total", k + 1))'),
     Mutant("delta", COHOMOLOGY,
            'self.level("h_aeppli", k) - 2 * b', 'self.level("h_aeppli", k) - b'),
     Mutant("lemma verdict", COHOMOLOGY,
