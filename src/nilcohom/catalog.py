@@ -17,6 +17,7 @@ sample either satisfies its region or the catalog refuses to load.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -33,8 +34,8 @@ from .metrics import (
     standard_form,
 )
 from .model import ComplexStructure, instantiate
-from .parser import (_Scanner, _parse_sum, parse_binding, parse_complex_structure,
-                     parse_real_algebra)
+from .parser import (_COMPARATOR, _IDENT, _LITERAL, _Scanner, _parse_sum, parse_binding,
+                     parse_complex_structure, parse_real_algebra)
 
 
 class CatalogError(Exception):
@@ -65,7 +66,7 @@ def s_invariant(abs_b_squared: Fraction, c: Fraction) -> Fraction:
 # predicate language
 # ---------------------------------------------------------------------------
 
-_COMPARATORS = ("!=", "<=", ">=", "=", "<", ">")
+_ORDERINGS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 
 
 def evaluate_predicate(text: str, values: dict[str, Gaussian]) -> bool:
@@ -83,24 +84,16 @@ def _or_chain(sc: _Scanner, values) -> bool:
     while True:
         sc.skip_ws()
         mark = sc.pos
-        if sc.peek().isalpha():
-            word, _ = sc.scan_ident()
-            if word == "or":
-                result = _comparison(sc, values) or result
-                continue
+        if sc.scan(_IDENT) != "or":
             sc.pos = mark
-        return result
+            return result
+        result = _comparison(sc, values) or result
 
 
 def _comparison(sc: _Scanner, values) -> bool:
     left = _expr(sc, values)
     sc.skip_ws()
-    for op in _COMPARATORS:
-        if sc.text.startswith(op, sc.pos):
-            sc.pos += len(op)
-            break
-    else:
-        sc.error("expected a comparator")
+    op = sc.scan(_COMPARATOR, "expected a comparator")
     right = _expr(sc, values)
     if op == "=":
         return left == right
@@ -108,13 +101,7 @@ def _comparison(sc: _Scanner, values) -> bool:
         return left != right
     if not left.is_real() or not right.is_real():
         sc.error(f"ordering comparison '{op}' needs real operands")
-    if op == "<":
-        return left.re < right.re
-    if op == "<=":
-        return left.re <= right.re
-    if op == ">":
-        return left.re > right.re
-    return left.re >= right.re
+    return _ORDERINGS[op](left.re, right.re)
 
 
 def _expr(sc: _Scanner, values) -> Gaussian:
@@ -124,20 +111,14 @@ def _expr(sc: _Scanner, values) -> Gaussian:
 
 def _term(sc: _Scanner, values) -> Gaussian:
     total = _power(sc, values)
-    while True:
-        sc.skip_ws()
-        if sc.peek() == "*":
-            sc.advance()
-            total = total * _power(sc, values)
-        else:
-            return total
+    while sc.match("*"):
+        total = total * _power(sc, values)
+    return total
 
 
 def _power(sc: _Scanner, values) -> Gaussian:
     base = _primary(sc, values)
-    sc.skip_ws()
-    if sc.peek() == "^":
-        sc.advance()
+    if sc.match("^"):
         sc.skip_ws()
         exponent = sc.scan_unsigned()
         out = Gaussian.of(1)
@@ -148,37 +129,32 @@ def _power(sc: _Scanner, values) -> Gaussian:
 
 
 def _primary(sc: _Scanner, values) -> Gaussian:
-    sc.skip_ws()
-    ch = sc.peek()
-    if ch == "(":
-        sc.advance()
+    if sc.match("("):
         inner = _expr(sc, values)
         sc.expect(")")
         return inner
-    if sc.at_gaussian():
+    if sc.at(_LITERAL):
         return sc.scan_gaussian()
-    if ch.isalpha():
-        word, pos = sc.scan_ident()
-        if sc.peek() == "(" and word in ("re", "im", "normsq", "S"):
-            sc.advance()
-            first = _expr(sc, values)
-            if word == "S":
-                sc.expect(",")
-                second = _expr(sc, values)
-                sc.expect(")")
-                if not second.is_real():
-                    sc.error("S(B,c) needs a real second argument")
-                return Gaussian.of(s_invariant(first.modulus_squared(), second.re))
+    pos = sc.pos
+    word = sc.scan(_IDENT, "expected a value")
+    if word in ("re", "im", "normsq", "S") and sc.accept("("):
+        first = _expr(sc, values)
+        if word == "S":
+            sc.expect(",")
+            second = _expr(sc, values)
             sc.expect(")")
-            if word == "re":
-                return Gaussian.of(first.re)
-            if word == "im":
-                return Gaussian.of(first.im)
-            return Gaussian.of(first.modulus_squared())
-        if word in values:
-            return values[word]
-        sc.error(f"unknown parameter '{word}'", pos)
-    sc.error("expected a value")
+            if not second.is_real():
+                sc.error("S(B,c) needs a real second argument")
+            return Gaussian.of(s_invariant(first.modulus_squared(), second.re))
+        sc.expect(")")
+        if word == "re":
+            return Gaussian.of(first.re)
+        if word == "im":
+            return Gaussian.of(first.im)
+        return Gaussian.of(first.modulus_squared())
+    if word in values:
+        return values[word]
+    sc.error(f"unknown parameter '{word}'", pos)
 
 
 # ---------------------------------------------------------------------------

@@ -2,14 +2,14 @@
 
 Ranks are the only linear-algebra output the cohomology tables need, so the
 module stays deliberately small: one matrix type with multiplication (for
-del delbar and the differential identities) and block stacking (``hstack``
-gathers the brackets of the lower central series), and one deterministic
+del delbar and the differential identities), and one deterministic
 exact elimination.  ``exact_rank`` counts its pivot columns,
 and given the pivot dict of an earlier elimination on the same rows it
 resumes from it (the cohomology engine ranks blocks that share a target
-this way).  ``column_basis`` returns the pivot columns as a basis of the
-column span, which is how the nilpotency check follows the lower central
-series.
+this way) and leaves the pivot columns in it, a basis of the column span
+(which is how the nilpotency check follows the lower central series).
+``vstack`` and ``hstack`` have no caller in the package; the benchmark's
+trace still hooks them.
 
 A matrix is stored by columns: column ``j`` is a dict ``{row: (x, y)}`` of
 nonzero Gaussian integers ``x + y*i``, the image of source basis vector
@@ -113,12 +113,6 @@ def exact_rank(m: ExactMatrix, pivots: dict | None = None) -> int:
     holds their pivots.  Without it, ``m`` is ranked on its own.
     """
     return len(_pivots(m, pivots))
-
-
-def column_basis(m: ExactMatrix) -> ExactMatrix:
-    """A basis of the column span: the pivot columns of the elimination."""
-    pivots = list(_pivots(m).values())
-    return ExactMatrix(m.rows, len(pivots), pivots)
 
 
 def _pivots(m: ExactMatrix, pivots: dict | None = None) -> dict[int, dict[int, tuple[int, int]]]:

@@ -20,19 +20,18 @@ constant along the Leibniz table of :func:`nilcohom.algebra.leibniz`, so the
 ``d^2`` check builds only the matrix on 2-forms.  ``d`` of a form combines
 the columns of its monomials and divides by ``L``; the cohomology tables,
 the metrics and the Betti numbers all read these matrices.  Nilpotency
-follows the lower central series with the elimination of :mod:`linalg`
-(``column_basis``).
+follows the lower central series with the elimination of :mod:`linalg`,
+whose pivot columns span each term.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
 from math import comb, lcm
 
 from .algebra import (BasisElement, Form, Gaussian, ONE, ZERO, _reduced, degree_basis, leibniz,
                       masks)
-from .linalg import ExactMatrix, column_basis, exact_rank, hstack
+from .linalg import ExactMatrix, exact_rank
 
 
 class ModelError(Exception):
@@ -236,10 +235,12 @@ def check_nilpotency(a: RealAlgebra) -> bool:
     ads = [ExactMatrix(m, m, columns) for columns in brackets]
     span = ExactMatrix(m, m, [{j: (1, 0)} for j in range(m)])
     while span.cols:
-        image = column_basis(reduce(hstack, [ad @ span for ad in ads]))
-        if image.cols == span.cols:
+        images = [column for ad in ads for column in (ad @ span).columns]
+        pivots = {}
+        exact_rank(ExactMatrix(m, len(images), images), pivots)
+        if len(pivots) == span.cols:
             return False
-        span = image
+        span = ExactMatrix(m, len(pivots), list(pivots.values()))
     return True
 
 

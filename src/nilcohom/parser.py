@@ -14,10 +14,15 @@ the shift's literal with ``/``, ``+`` and ``-`` spelt ``_``, ``p`` and ``m``.
 So ``abs(B)`` is ``absB``, ``abs(B-1)`` is ``absBm1`` and ``abs(B-1/2+2i)`` is
 ``absBm1_2p2i``.
 
-Both grammars share one loop for ``( entry , ... )`` and one for
-``term (+|-) term ...``, which the catalog's predicate language uses too;
-the sign of a two-index term such as ``21`` or ``w21`` is that of
-:func:`nilcohom.algebra.wedge_elements`.
+The lexical grammar is one table of compiled patterns at the top of this
+module (whitespace, identifiers, digits and rationals, the index digit, the
+imaginary unit), and the scanner reads every token by matching one of them
+at its position.  Digits are ASCII ``0-9`` only: a superscript or an
+Arabic-Indic digit is a parse error, never a number.  Both grammars share one
+loop for ``( entry , ... )`` and one for ``term (+|-) term ...``, and the
+catalog's predicate language reads its tokens and sums through the same
+table and loop; the sign of a two-index term such as ``21`` or ``w21`` is
+that of :func:`nilcohom.algebra.wedge_elements`.
 
 Errors carry 1-based line/column positions pointing inside the offending
 token.
@@ -31,6 +36,22 @@ from fractions import Fraction
 
 from .algebra import BasisElement, Form, Gaussian, ONE, wedge_elements
 from .model import ComplexStructureTemplate, Lit, Mod, Param, RealAlgebra
+
+# The lexical grammar, ASCII only: the scanner reads each token by matching
+# one of these patterns at its position.  Punctuation is read as literal text.
+_WS = re.compile(r"[ \t\r\n]*")
+_IDENT = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
+_DIGITS = re.compile(r"[0-9]+")
+# sign, numerator, slash, denominator; each may be empty, so that a malformed
+# rational is reported at the part that is missing
+_RATIONAL = re.compile(r"(-?)([0-9]*)(/?)([0-9]*)")
+_INDEX = re.compile(r"[1-9]")
+_I = re.compile(r"i(?![A-Za-z0-9_])")  # the imaginary unit, not the start of a name
+_LITERAL = re.compile(r"[0-9-]|" + _I.pattern)  # the start of a Gaussian literal
+_SIGN = re.compile(r"[+-]")
+_ZERO = re.compile(r"0(?![0-9])")  # a zero entry, not the start of a literal
+_W_TERM = re.compile(r"w[0-9]")  # a term with no coefficient
+_COMPARATOR = re.compile(r"!=|<=|>=|=|<|>")
 
 
 class ParseError(Exception):
@@ -46,23 +67,25 @@ class _Scanner:
         self.text = text
         self.pos = 0
 
-    # -- low-level ----------------------------------------------------------
-
     def at_end(self) -> bool:
         return self.pos >= len(self.text)
 
-    def peek(self, offset: int = 0) -> str:
-        k = self.pos + offset
-        return self.text[k] if k < len(self.text) else ""
+    def at(self, pattern: re.Pattern) -> bool:
+        return pattern.match(self.text, self.pos) is not None
 
-    def advance(self) -> str:
-        ch = self.peek()
-        self.pos += 1
-        return ch
+    def scan(self, pattern: re.Pattern, expected: str | None = None) -> str | None:
+        """The token ``pattern`` matches here, consumed; if none matches, None,
+        or the parse error ``expected`` when it is given."""
+        m = pattern.match(self.text, self.pos)
+        if m is None:
+            if expected is not None:
+                self.error(expected)
+            return None
+        self.pos = m.end()
+        return m.group()
 
     def skip_ws(self):
-        while not self.at_end() and self.text[self.pos] in " \t\r\n":
-            self.pos += 1
+        self.pos = _WS.match(self.text, self.pos).end()
 
     def location(self, pos: int | None = None) -> tuple[int, int]:
         pos = self.pos if pos is None else pos
@@ -75,100 +98,67 @@ class _Scanner:
         line, column = self.location(pos)
         raise ParseError(message, line, column)
 
-    # -- token helpers --------------------------------------------------------
+    # -- punctuation, then the tokens of the table ---------------------------
 
-    def expect(self, ch: str):
-        self.skip_ws()
-        if self.peek() != ch:
-            self.error(f"expected '{ch}'")
-        self.advance()
-
-    def match(self, ch: str) -> bool:
-        self.skip_ws()
-        if self.peek() == ch:
-            self.advance()
+    def accept(self, token: str) -> bool:
+        """Consume ``token`` if the text goes on with it here."""
+        if self.text.startswith(token, self.pos):
+            self.pos += len(token)
             return True
         return False
 
-    def at_imaginary_unit(self) -> bool:
-        """At a lone ``i``: the imaginary unit, not the start of a name."""
-        after = self.peek(1)
-        return self.peek() == "i" and not (after.isalnum() or after == "_")
+    def match(self, token: str) -> bool:
+        self.skip_ws()
+        return self.accept(token)
 
-    def at_gaussian(self) -> bool:
-        """At the first character of a Gaussian literal."""
-        ch = self.peek()
-        return ch.isdigit() or ch == "-" or self.at_imaginary_unit()
+    def expect(self, token: str):
+        if not self.match(token):
+            self.error(f"expected '{token}'")
 
     def scan_index(self) -> tuple[int, int]:
         """One index digit 1-9, returned with its position."""
         pos = self.pos
-        ch = self.peek()
-        if not ch.isdigit() or ch == "0":
-            self.error("expected an index digit 1-9")
-        self.advance()
-        return int(ch), pos
+        return int(self.scan(_INDEX, "expected an index digit 1-9")), pos
 
     def scan_ident(self) -> tuple[str, int]:
         self.skip_ws()
         pos = self.pos
-        m = re.match(r"[A-Za-z][A-Za-z0-9_]*", self.text[self.pos:])
-        if not m:
-            self.error("expected an identifier")
-        self.pos += m.end()
-        return m.group(0), pos
+        return self.scan(_IDENT, "expected an identifier"), pos
 
     def scan_unsigned(self) -> int:
-        start = self.pos
-        while self.peek().isdigit():
-            self.advance()
-        if self.pos == start:
-            self.error("expected digits")
-        return int(self.text[start:self.pos])
+        return int(self.scan(_DIGITS, "expected digits"))
 
     def scan_rational(self) -> Fraction:
-        self.skip_ws()
-        negative = False
-        if self.peek() == "-":
-            self.advance()
-            negative = True
-            if not self.peek().isdigit():
-                self.error("expected digits after '-'")
-        num = self.scan_unsigned()
-        den = 1
-        if self.peek() == "/":
-            mark = self.pos
-            self.advance()
-            if not self.peek().isdigit():
-                self.error("malformed rational: expected a positive denominator")
-            den = self.scan_unsigned()
-            if den == 0:
-                self.error("malformed rational: zero denominator", mark + 1)
-        value = Fraction(num, den)
-        return -value if negative else value
+        m = _RATIONAL.match(self.text, self.pos)
+        minus, num, slash, den = m.groups()
+        if not num:
+            self.error("expected digits after '-'" if minus else "expected digits", m.start(2))
+        if slash and not den:
+            self.error("malformed rational: expected a positive denominator", m.start(4))
+        den = int(den or 1)
+        if not den:
+            self.error("malformed rational: zero denominator", m.start(4))
+        self.pos = m.end()
+        value = Fraction(int(num), den)
+        return -value if minus else value
 
     def scan_gaussian(self) -> Gaussian:
         """``rational [ (+|-) rational? i ] | rational? i`` with backtracking."""
         self.skip_ws()
-        if self.at_imaginary_unit():
-            self.advance()
+        if self.scan(_I):
             return Gaussian.of(0, 1)
         re_part = self.scan_rational()
         self.skip_ws()
-        if self.at_imaginary_unit():
-            self.advance()
+        if self.scan(_I):
             return Gaussian.of(0, re_part)
-        if self.peek() in "+-":
-            mark = self.pos
-            sign = -1 if self.advance() == "-" else 1
+        mark = self.pos
+        sign = self.scan(_SIGN)
+        if sign:
             self.skip_ws()
-            magnitude = Fraction(1)
-            if self.peek().isdigit():
-                magnitude = self.scan_rational()
+            magnitude = self.scan_rational() if self.at(_DIGITS) else Fraction(1)
             self.skip_ws()
-            if self.at_imaginary_unit():
-                self.advance()
-                return Gaussian.of(re_part, sign * magnitude)
+            if self.scan(_I):
+                return Gaussian.of(re_part, -magnitude if sign == "-" else magnitude)
             self.pos = mark  # the sign belongs to the surrounding expression
         return Gaussian.of(re_part, 0)
 
@@ -208,21 +198,16 @@ def _parse_sum(sc: _Scanner, parse_term) -> list:
         sc.skip_ws()
         terms.append((sign, sc.pos, parse_term(sc)))
         sc.skip_ws()
-        if sc.peek() == "+":
-            sign = 1
-        elif sc.peek() == "-":
-            sign = -1
-        else:
+        op = sc.scan(_SIGN)
+        if op is None:
             return terms
-        sc.advance()
+        sign = -1 if op == "-" else 1
 
 
 def _parse_pair(sc: _Scanner, conjugable: bool) -> tuple[BasisElement, int]:
     """``ab``, or ``a~b`` if ``conjugable``: the monomial and its reordering sign."""
     a, _ = sc.scan_index()
-    conjugated = conjugable and sc.peek() == "~"
-    if conjugated:
-        sc.advance()
+    conjugated = conjugable and sc.accept("~")
     b, pos = sc.scan_index()
     second = BasisElement((), (b,)) if conjugated else BasisElement((b,), ())
     merged = wedge_elements(BasisElement((a,), ()), second)
@@ -252,13 +237,8 @@ def parse_real_algebra(src: str) -> RealAlgebra:
 
 def _parse_real_entry(sc: _Scanner) -> list:
     """One entry, or k empty entries for ``0^k``."""
-    sc.skip_ws()
-    if sc.peek() == "0":
-        sc.advance()
-        count = 1
-        if sc.peek() == "^":
-            sc.advance()
-            count, _ = sc.scan_index()
+    if sc.match("0"):
+        count = sc.scan_index()[0] if sc.accept("^") else 1
         return [[]] * count
     return [_parse_sum(sc, lambda sc: _parse_pair(sc, False))]
 
@@ -304,8 +284,7 @@ def _negate_expr(expr):
 
 def _parse_cform(sc: _Scanner) -> list:
     sc.skip_ws()
-    if sc.peek() == "0" and not sc.peek(1).isdigit():
-        sc.advance()
+    if sc.scan(_ZERO):
         return [[]]
     return [_parse_sum(sc, lambda sc: (_parse_cterm_coeff(sc), _parse_wfactor(sc)))]
 
@@ -317,20 +296,17 @@ _SPELLING = str.maketrans("/+-", "_pm")
 def _parse_cterm_coeff(sc: _Scanner):
     """The optional ``coeff *`` prefix of a term; defaults to the literal 1."""
     sc.skip_ws()
-    ch = sc.peek()
-    if ch == "w" and sc.peek(1).isdigit():
+    if sc.at(_W_TERM):
         return Lit(ONE)
-    if sc.at_gaussian():
+    if sc.at(_LITERAL):
         coeff = Lit(sc.scan_gaussian())
-    elif ch.isalpha():
-        word, pos = sc.scan_ident()
-        if word == "conj" and sc.peek() == "(":
-            sc.advance()
+    else:
+        word = sc.scan(_IDENT, "expected a coefficient or a w-term")
+        if word == "conj" and sc.accept("("):
             name, _ = sc.scan_ident()
             sc.expect(")")
             coeff = Param(name, conjugated=True)
-        elif word == "abs" and sc.peek() == "(":
-            sc.advance()
+        elif word == "abs" and sc.accept("("):
             name, _ = sc.scan_ident()
             shift = Gaussian.of(0)
             if sc.match("-"):
@@ -340,17 +316,13 @@ def _parse_cterm_coeff(sc: _Scanner):
             coeff = Mod(mod_name, name, shift)
         else:
             coeff = Param(word)
-    else:
-        sc.error("expected a coefficient or a w-term")
     sc.expect("*")
     return coeff
 
 
 def _parse_wfactor(sc: _Scanner) -> tuple[BasisElement, int]:
-    sc.skip_ws()
-    if sc.peek() != "w":
+    if not sc.match("w"):
         sc.error("expected a w-term")
-    sc.advance()
     return _parse_pair(sc, True)
 
 
@@ -362,23 +334,15 @@ def parse_binding(src: str) -> dict[str, Gaussian]:
     sc = _Scanner(src)
     values: dict[str, Gaussian] = {}
     sc.skip_ws()
-    if sc.at_end():
-        return values
-    while True:
+    while not sc.at_end():
         name, pos = sc.scan_ident()
         if name in values:
             sc.error(f"repeated assignment to {name}", pos)
         sc.expect("=")
         values[name] = sc.scan_gaussian()
+        if not sc.match(";") and not sc.at_end():
+            sc.error("expected ';' or end of input")
         sc.skip_ws()
-        if sc.match(";"):
-            sc.skip_ws()
-            if sc.at_end():
-                break
-            continue
-        if sc.at_end():
-            break
-        sc.error("expected ';' or end of input")
     return values
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import random
 
 import pytest
 
@@ -605,3 +606,75 @@ def test_curves_csv_layout(capsys):
         "A,t=1,\"t=1; E=1+i\",\"h_bc(3,1)=2; pluriclosed=true\","
         "\"h_bc(3,1)=2; pluriclosed=true\",pass\n"
     )
+
+
+@pytest.mark.parametrize("binding, message", [
+    ("D=²", "expected digits (line 1, column 3)"),
+    ("D=1+²i", "expected ';' or end of input (line 1, column 4)"),
+    ("D=١", "expected digits (line 1, column 3)"),
+    ("D=1/١", "malformed rational: expected a positive denominator (line 1, column 5)"),
+])
+def test_a_non_ascii_digit_is_a_parse_error(capsys, tmp_path, binding, message):
+    # the grammar's digits are ASCII: a superscript two or an Arabic-Indic one
+    # is neither read as a number nor a crash
+    path = tmp_path / "d.txt"
+    path.write_text("(0,0,w1~1+D*w2~2)\n", encoding="ascii")
+    assert run(capsys, "table", str(path), "--binding", binding) == (
+        1, "", f"parse error: {message}\n")
+
+
+def test_a_binding_that_starts_with_a_minus_needs_the_equals_form(capsys, tmp_path):
+    path = tmp_path / "d.txt"
+    path.write_text("(0,0,w1~1+D*w2~2)\n", encoding="ascii")
+    code, out, err = run(capsys, "check", str(path), "--binding", "-D=1+i")
+    assert (code, out) == (1, "")
+    assert _is_usage_error(err.splitlines())
+    assert err.endswith("\nerror: argument --binding: expected one argument\n")
+    code, out, err = run(capsys, "check", str(path), "--binding=-D=1+i")
+    assert (code, err) == (1, "parse error: expected an identifier (line 1, column 1)\n")
+
+
+def _is_usage_error(lines):
+    """argparse's usage block, wrapped to the terminal's width, and one error line."""
+    return (len(lines) >= 2 and lines[0].startswith("usage: ") and lines[-1].startswith("error: ")
+            and all(line.startswith(" ") for line in lines[1:-1]))
+
+
+# A seeded single-edit fuzz of the catalog's templates and bindings through
+# the command line, non-ASCII digits and letters among the edits.
+_FUZZ_ALPHABET = "0123456789+-*/~()=;,^ iwDBEc_x²١é"
+
+
+def _fuzz_edit(text, rng):
+    k = rng.randrange(len(text) + 1)
+    op, ch = rng.randrange(3), rng.choice(_FUZZ_ALPHABET)
+    if op == 0 or k == len(text):
+        return text[:k] + ch + text[k:]
+    return text[:k] + (ch if op == 1 else "") + text[k + 1:]
+
+
+def test_cli_fuzz_exits_with_one_line_and_no_traceback(capsys, tmp_path, all_cases):
+    rng = random.Random(2016)
+    files, codes = {}, set()
+    for _ in range(600):
+        case = rng.choice(all_cases)
+        template, binding = case.template_text, case.binding_text
+        if rng.random() < 0.5:
+            template = _fuzz_edit(template, rng)
+        else:
+            binding = _fuzz_edit(binding, rng)
+        if template not in files:
+            files[template] = tmp_path / f"{len(files)}.txt"
+            files[template].write_text(template + "\n", encoding="utf-8")
+        argv = [rng.choice(("table", "check", "skt")), str(files[template]), "--binding", binding]
+        try:
+            code, _, err = run(capsys, *argv)
+        except Exception as exc:  # a traceback at the command line
+            raise AssertionError(f"{argv} with template {template!r} raised {exc!r}")
+        codes.add(code)
+        assert code in (0, 1, 2), (argv, template)
+        assert "Traceback" not in err, (argv, template)
+        lines = err.splitlines()
+        assert len(lines) <= 1 or _is_usage_error(lines), (argv, template, err)
+        assert code or not err, (argv, template, err)
+    assert codes == {0, 1, 2}

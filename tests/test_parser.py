@@ -1,6 +1,13 @@
+import importlib.util
+import random
+from fractions import Fraction
+from pathlib import Path
+
 import pytest
 
-from nilcohom.algebra import BasisElement
+import nilcohom
+from nilcohom.algebra import BasisElement, Gaussian
+from nilcohom.catalog import evaluate_predicate
 from nilcohom.model import Lit, Param
 from nilcohom.parser import (
     ParseError,
@@ -207,3 +214,91 @@ def test_error_position_in_cform():
         parse_complex_structure("(0,\n0, w1~1 + w14)")
     assert err.value.line == 2
     assert "out of range" in err.value.message
+
+
+# The ASCII error surface: every message, line and column a malformed literal,
+# template or predicate gets.  A sign with no ``i`` after it belongs to the
+# surrounding expression, and a malformed rational after that sign is its own
+# error at its own column.
+
+def _predicate(text):
+    return evaluate_predicate(text, parse_binding("D=1/2+i; B=2"))
+
+
+@pytest.mark.parametrize("parse, text, message, line, column", [
+    (parse_gaussian, "1/0", "malformed rational: zero denominator", 1, 3),
+    (parse_gaussian, "1/", "malformed rational: expected a positive denominator", 1, 3),
+    (parse_gaussian, "-x", "expected digits after '-'", 1, 2),
+    (parse_gaussian, "-i", "expected digits after '-'", 1, 2),
+    (parse_gaussian, "x", "expected digits", 1, 1),
+    (parse_gaussian, "2 i j", "trailing characters after Gaussian literal", 1, 5),
+    (parse_gaussian, "1/2-3i+", "trailing characters after Gaussian literal", 1, 7),
+    (parse_binding, "D=1+2/0", "malformed rational: zero denominator", 1, 7),
+    (parse_binding, "D=1+", "expected ';' or end of input", 1, 4),
+    (parse_binding, "D=1 +\n 2/0i", "malformed rational: zero denominator", 2, 4),
+    (parse_binding, "D=1-i j", "expected ';' or end of input", 1, 7),
+    (parse_binding, "D=1;;", "expected an identifier", 1, 5),
+    (parse_binding, "D=1; D=2", "repeated assignment to D", 1, 6),
+    (parse_binding, "D 1", "expected '='", 1, 3),
+    (parse_complex_structure, "(0,0,w1 ~2)", "expected an index digit 1-9", 1, 8),
+    (parse_complex_structure, "(0,0,D w12)", "expected '*'", 1, 8),
+    (parse_complex_structure, "(0,0,1/0*w12)", "malformed rational: zero denominator", 1, 8),
+    (parse_complex_structure, "(0,0,-i*w12)", "expected digits after '-'", 1, 7),
+    (parse_complex_structure, "(0,0,$*w12)", "expected a coefficient or a w-term", 1, 6),
+    (parse_complex_structure, "(0,0,2*x12)", "expected a w-term", 1, 8),
+    (parse_complex_structure, "(0,0,w0)", "expected an index digit 1-9", 1, 7),
+    (parse_complex_structure, "(0,0,conj (D)*w12)", "expected '*'", 1, 11),
+    (parse_real_algebra, "(0^3,12,1 3)", "expected an index digit 1-9", 1, 10),
+    (parse_real_algebra, "(0^0)", "expected an index digit 1-9", 1, 4),
+    (_predicate, "re(D) - 1/0 > 0", "malformed rational: zero denominator", 1, 11),
+    (_predicate, "re(D) + 2 i > 0", "ordering comparison '>' needs real operands", 1, 16),
+    (_predicate, "1/2-3i > 0", "ordering comparison '>' needs real operands", 1, 11),
+    (_predicate, "1 - re(D) > 0 or", "expected a value", 1, 17),
+    (_predicate, "1 - re(D) > 0 ornament", "trailing characters in predicate", 1, 15),
+    (_predicate, "re(D) ! 0", "expected a comparator", 1, 7),
+    (_predicate, "re(D)^x > 0", "expected digits", 1, 7),
+    (_predicate, "re (D) > 0", "unknown parameter 're'", 1, 1),
+])
+def test_the_ascii_error_surface(parse, text, message, line, column):
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    assert (info.value.message, info.value.line, info.value.column) == (message, line, column)
+
+
+@pytest.mark.parametrize("parse, text, value", [
+    (parse_gaussian, "2 i", Gaussian.of(0, 2)),
+    (parse_gaussian, "1/2-3i", Gaussian.of(Fraction(1, 2), -3)),
+    (parse_gaussian, " -1/2 - 3/4 i ", Gaussian.of(Fraction(-1, 2), Fraction(-3, 4))),
+    (parse_gaussian, "00/007", Gaussian.of(0)),
+    (parse_binding, "D=1-i; B=i;", {"D": Gaussian.of(1, -1), "B": Gaussian.of(0, 1)}),
+    (parse_binding, " \n ", {}),
+    (_predicate, "re(D) - 1 > 0", False),
+    (_predicate, "1 - re(D) > 0", True),
+    # "1 - i" is one literal: the sign is followed by an i
+    (_predicate, "1 - i*im(D)*i = 1+i", True),
+    (_predicate, "2 i = 2i", True),
+    (_predicate, "re(D) < 0 or im(D)^2 >= 1", True),
+])
+def test_accepted_literals_and_the_sign_that_backtracks(parse, text, value):
+    assert parse(text) == value
+
+
+def _coframe_module():
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location("coframe", root / "perfbench" / "coframe.py")
+    coframe = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(coframe)
+    return coframe
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_parse_render_roundtrip_on_the_dense_coframe_texts(all_cases, seed):
+    # every 6d row rewritten in a general coframe: dense Gaussian literals
+    coframe, rng = _coframe_module(), random.Random(seed)
+    rows = [case for case in all_cases if case.dim == 3]
+    for case in rows:
+        text = coframe.generate(nilcohom, case.template_text, case.binding_text, rng)
+        template = parse_complex_structure(text)
+        assert render(template) == text
+        assert parse_complex_structure(render(template)) == template
+        assert all(isinstance(coeff, Lit) for entry in template.d_of_omega for coeff, _ in entry)

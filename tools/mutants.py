@@ -56,6 +56,7 @@ LINALG = "src/nilcohom/linalg.py"
 MODEL = "src/nilcohom/model.py"
 COHOMOLOGY = "src/nilcohom/cohomology.py"
 METRICS = "src/nilcohom/metrics.py"
+PARSER = "src/nilcohom/parser.py"
 
 MUTANTS = [
     Mutant("block-crossing sign", ALGEBRA,
@@ -88,8 +89,8 @@ MUTANTS = [
            "return {r: (x // g, y // g) for r, (x, y) in v.items()}", "return v",
            equivalent="dividing a column by a positive integer changes no span or rank"),
     Mutant("nilpotency stop", MODEL,
-           "        if image.cols == span.cols:\n            return False",
-           "        if image.cols == span.cols:\n            return True"),
+           "        if len(pivots) == span.cols:\n            return False",
+           "        if len(pivots) == span.cols:\n            return True"),
     Mutant("constants cleared one by one, not by L", MODEL,
            "c.x * (scale // c.den), c.y * (scale // c.den))", "c.x, c.y)"),
     Mutant("_cut lower bound", COHOMOLOGY,
@@ -125,6 +126,11 @@ MUTANTS = [
            ".component(1, 2)", ".component(2, 1)"),
     Mutant("balanced power", METRICS,
            "for _ in range(cs.n - 2):", "for _ in range(cs.n - 1):"),
+    Mutant("digit class widened to \\d", PARSER,
+           'r"(-?)([0-9]*)(/?)([0-9]*)"', 'r"(-?)(\\d*)(/?)(\\d*)"'),
+    Mutant("zero-denominator check dropped", PARSER,
+           '        if not den:\n            self.error("malformed rational: zero denominator", m.start(4))\n',
+           ""),
 ]
 
 
