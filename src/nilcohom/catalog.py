@@ -10,9 +10,11 @@ recomputes every row and diffs.
 
 Predicates are exact comparisons in a tiny expression language over the
 binding values: ``re(D)``, ``im(D)``, ``normsq(B-1)``, ``S(B,c)`` (the
-classification quartic), rational literals, ``+ - * ^``, comparators
-``= != < <= > >=`` and ``or``.  Strict inequalities are decided exactly, so a
-sample either satisfies its region or the catalog refuses to load.
+classification quartic), the literals ``i``, ``2/3`` and ``2/3 i``, ``+ - * ^``,
+comparators ``= != < <= > >=`` and ``or``.  A literal has no signed tail, so
+``+`` and ``-`` are always operators and ``1 - i*x`` is ``1 - (i*x)``.  Strict
+inequalities are decided exactly, so a sample either satisfies its region or
+the catalog refuses to load.
 """
 
 from __future__ import annotations
@@ -133,8 +135,8 @@ def _primary(sc: _Scanner, values) -> Gaussian:
         inner = _expr(sc, values)
         sc.expect(")")
         return inner
-    if sc.at(_LITERAL):
-        return sc.scan_gaussian()
+    if sc.at(_LITERAL):  # no signed tail: + and - stay operators
+        return sc.scan_gaussian(tail=False)
     pos = sc.pos
     word = sc.scan(_IDENT, "expected a value")
     if word in ("re", "im", "normsq", "S") and sc.accept("("):

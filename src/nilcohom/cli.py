@@ -5,6 +5,10 @@ parse or unreadable-file error, 2 validation failure (d-square, nilpotency,
 binding problems), 3 golden or curve-point mismatch.  All input and output is
 ASCII; random metric sampling always runs from an explicit or defaulted seed,
 so every command is deterministic.
+
+Each output format has one writer: ``_md_table`` for Markdown tables,
+``_csv_table`` for CSV and ``render_json`` for JSON.  A command builds a header
+and rows of cells and hands them over; ``_mark`` writes every pass/FAIL cell.
 """
 
 from __future__ import annotations
@@ -60,6 +64,17 @@ def _md_table(header, rows) -> list[str]:
     lines = ["| " + " | ".join(str(cell) for cell in row) + " |" for row in [header, *rows]]
     lines.insert(1, "|" + "---|" * len(header))
     return lines
+
+
+def _csv_table(header, rows) -> list[str]:
+    """CSV lines: the header, then one line per row.  Cells are written as
+    given, so a cell that holds a comma comes quoted from its caller."""
+    return [",".join(str(cell) for cell in row) for row in [header, *rows]]
+
+
+def _mark(ok: bool) -> str:
+    """The cell of one golden row or curve point: pass or FAIL."""
+    return "pass" if ok else "FAIL"
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -207,21 +222,15 @@ def _table_text(table: co.CohomologyTable, fmt: str) -> str:
         payload = table.as_dict()
         payload["ddbar_lemma"] = verdict.as_dict()
         return render_json(payload)
-    if fmt == "csv":
-        rows = ["theory,p,q,value"]
-        for name, grid_name, _, _ in co.THEORIES:
-            grid = getattr(table, grid_name)
-            for p in range(table.n + 1):
-                for q in range(table.n + 1):
-                    rows.append(f"{name},{p},{q},{grid[p][q]}")
-        for k, b in enumerate(table.betti):
-            rows.append(f"betti,{k},,{b}")
-        for k, d in enumerate(table.delta):
-            rows.append(f"delta,{k},,{d}")
-        rows.append(f"ddbar_lemma,,,{verdict.verdict}")
-        return "\n".join(rows)
-    lines = [f"## Cohomology table (n = {table.n})", ""]
     span = range(table.n + 1)
+    if fmt == "csv":
+        rows = [[name, p, q, getattr(table, grid_name)[p][q]]
+                for name, grid_name, _, _ in co.THEORIES for p in span for q in span]
+        rows += [["betti", k, "", b] for k, b in enumerate(table.betti)]
+        rows += [["delta", k, "", d] for k, d in enumerate(table.delta)]
+        rows.append(["ddbar_lemma", "", "", verdict.verdict])
+        return "\n".join(_csv_table(["theory", "p", "q", "value"], rows))
+    lines = [f"## Cohomology table (n = {table.n})", ""]
     for name, grid_name, _, _ in co.THEORIES:
         grid = getattr(table, grid_name)
         lines += [f"### {name}", ""]
@@ -263,40 +272,24 @@ def _catalog_rows(cases, golden: bool):
 
 def _catalog_block(case, rows, fmt: str, golden: bool) -> list[str]:
     """The csv or md lines of rows that share the dimension of ``case``."""
+    degrees = range(1, case.dim + 1)
     if fmt == "csv":
-        header = ["id", "algebra", "skt"]
-        header += [f"h_bc({p}.{q})" for p, q in case.columns]
-        header += [f"b{k}" for k in range(1, case.dim + 1)]
-        header += [f"delta{k}" for k in range(1, case.dim + 1)]
-        if golden:
-            header.append("match")
-        out = [",".join(header)]
-        for r in rows:
-            cells = [r["id"], '"' + r["algebra"] + '"', "1" if r["skt"] else "0"]
-            cells += [str(v) for v in r["bott_chern"].values()]
-            cells += [str(b) for b in r["betti"]]
-            cells += [str(d) for d in r["delta"]]
-            if golden:
-                cells.append("pass" if r["match"] else "FAIL")
-            out.append(",".join(cells))
-        return out
-    header = ["id", "skt"] + [f"({p}.{q})" for p, q in case.columns] + ["b", "delta"]
+        header = ["id", "algebra", "skt", *(f"h_bc({p}.{q})" for p, q in case.columns),
+                  *(f"b{k}" for k in degrees), *(f"delta{k}" for k in degrees)]
+        body = [[r["id"], f'"{r["algebra"]}"', int(r["skt"]), *r["bott_chern"].values(),
+                 *r["betti"], *r["delta"]] for r in rows]
+    else:
+        header = ["id", "skt", *(f"({p}.{q})" for p, q in case.columns), "b", "delta"]
+        body = [[r["id"], "yes" if r["skt"] else "no", *r["bott_chern"].values(),
+                 " ".join(map(str, r["betti"])), " ".join(map(str, r["delta"]))] for r in rows]
     if golden:
-        header.append("golden")
-    table_rows = []
-    for r in rows:
-        cells = [r["id"], "yes" if r["skt"] else "no", *r["bott_chern"].values(),
-                 " ".join(str(b) for b in r["betti"]),
-                 " ".join(str(d) for d in r["delta"])]
-        if golden:
-            cells.append("pass" if r["match"] else "FAIL")
-        table_rows.append(cells)
-    lines = _md_table(header, table_rows)
-    for r in rows:
-        if golden and not r["match"]:
-            for diff in r["diffs"]:
-                lines.append(f"  mismatch {r['id']}: {diff}")
-    return lines
+        header.append("match" if fmt == "csv" else "golden")
+        for cells, r in zip(body, rows):
+            cells.append(_mark(r["match"]))
+    if fmt == "csv":
+        return _csv_table(header, body)
+    return _md_table(header, body) + [f"  mismatch {r['id']}: {diff}" for r in rows
+                                      if golden and not r["match"] for diff in r["diffs"]]
 
 
 def _cmd_catalog(args) -> tuple[int, str]:
@@ -380,27 +373,21 @@ def _cmd_curves(args) -> tuple[int, str]:
     if args.format == "json":
         return code, render_json({"points": payload})
     if args.format == "csv":
-        out = ["curve,point,binding,computed,expected,match"]
-        for row in payload:
-            out.append(
-                f'{row["curve"]},{row["point"]},"{row["binding"]}",'
-                f'"{_pairs(row["computed"])}","{_pairs(row["expected"])}",'
-                + ("pass" if row["match"] else "FAIL")
-            )
-        return code, "\n".join(out)
+        return code, "\n".join(_csv_table(
+            ["curve", "point", "binding", "computed", "expected", "match"],
+            [[row["curve"], row["point"], f'"{row["binding"]}"', f'"{_pairs(row["computed"])}"',
+              f'"{_pairs(row["expected"])}"', _mark(row["match"])] for row in payload],
+        ))
     return code, "\n".join(_md_table(
         ["curve", "point", "computed", "expected", "ok"],
         [[row["curve"], row["point"], _pairs(row["computed"]), _pairs(row["expected"]),
-          "pass" if row["match"] else "FAIL"] for row in payload],
+          _mark(row["match"])] for row in payload],
     ))
 
 
 def _cmd_figure_data(_args) -> tuple[int, str]:
-    rows = ["case_id,Delta1,Delta2,Delta3"]
-    for case in cat.list_cases(3):
-        d = case.golden_delta
-        rows.append(f"{case.id},{d[0]},{d[1]},{d[2]}")
-    return EXIT_OK, "\n".join(rows)
+    rows = [[case.id, *case.golden_delta] for case in cat.list_cases(3)]
+    return EXIT_OK, "\n".join(_csv_table(["case_id", "Delta1", "Delta2", "Delta3"], rows))
 
 
 # ---------------------------------------------------------------------------

@@ -373,9 +373,8 @@ def instantiate(template: ComplexStructureTemplate,
     Every bound name must be a parameter or a declared modulus symbol of the
     template, so a misspelt name is an error rather than silently unused.
     """
-    unknown = set(binding).difference(
-        template.params, (mod.name for mod in template.moduli)
-    )
+    declared = [*template.params, *(mod.name for mod in template.moduli)]
+    unknown = set(binding).difference(declared)
     if unknown:
         raise UnknownParameterError(unknown)
     missing: set[str] = set()
@@ -386,13 +385,11 @@ def instantiate(template: ComplexStructureTemplate,
             coeff = _resolve_coefficient(expr, binding, missing)
             terms.append((elem, coeff))
         forms.append(Form(terms))
-    for name in template.params:
-        if name not in binding:
-            missing.add(name)
+    missing.update(name for name in declared if name not in binding)
     if missing:
         raise UnboundParameterError(missing)
     for mod in template.moduli:
-        value = binding.get(mod.name)
+        value = binding[mod.name]
         base = binding.get(mod.param)
         if base is None:
             raise UnboundParameterError([mod.param])

@@ -142,8 +142,9 @@ class _Scanner:
         value = Fraction(int(num), den)
         return -value if minus else value
 
-    def scan_gaussian(self) -> Gaussian:
-        """``rational [ (+|-) rational? i ] | rational? i`` with backtracking."""
+    def scan_gaussian(self, tail: bool = True) -> Gaussian:
+        """``rational [ (+|-) rational? i ] | rational? i`` with backtracking;
+        with ``tail`` false, only ``rational``, ``rational i`` or ``i``."""
         self.skip_ws()
         if self.scan(_I):
             return Gaussian.of(0, 1)
@@ -152,7 +153,7 @@ class _Scanner:
         if self.scan(_I):
             return Gaussian.of(0, re_part)
         mark = self.pos
-        sign = self.scan(_SIGN)
+        sign = self.scan(_SIGN) if tail else None
         if sign:
             self.skip_ws()
             magnitude = self.scan_rational() if self.at(_DIGITS) else Fraction(1)

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -606,6 +607,85 @@ def test_curves_csv_layout(capsys):
         "A,t=1,\"t=1; E=1+i\",\"h_bc(3,1)=2; pluriclosed=true\","
         "\"h_bc(3,1)=2; pluriclosed=true\",pass\n"
     )
+
+
+# `catalog --golden` over both dimensions with the golden h_bc(1,1) of row 08
+# raised by one, as in test_catalog_golden_mismatch_exit_code.  The expected
+# rows are written from the stored golden fields, which every other row
+# matches; row 08 keeps its computed h_bc(1,1) = 4 and fails.
+
+_HEADER_6D = ("id,algebra,skt,h_bc(1.0),h_bc(0.1),h_bc(2.0),h_bc(1.1),h_bc(0.2),h_bc(3.0),"
+              "h_bc(2.1),h_bc(1.2),h_bc(0.3),h_bc(3.1),h_bc(2.2),h_bc(1.3),h_bc(3.2),"
+              "h_bc(2.3),b1,b2,b3,delta1,delta2,delta3,match")
+_HEADER_8D = ("id,algebra,skt,h_bc(1.0),h_bc(2.0),h_bc(1.1),h_bc(3.0),h_bc(2.1),h_bc(4.0),"
+              "h_bc(3.1),h_bc(2.2),h_bc(4.1),h_bc(3.2),h_bc(4.2),h_bc(3.3),h_bc(4.3),"
+              "b1,b2,b3,b4,delta1,delta2,delta3,delta4,match")
+_MD_HEADER_6D = ("| id | skt | (1.0) | (0.1) | (2.0) | (1.1) | (0.2) | (3.0) | (2.1) | (1.2) "
+                 "| (0.3) | (3.1) | (2.2) | (1.3) | (3.2) | (2.3) | b | delta | golden |")
+_MD_HEADER_8D = ("| id | skt | (1.0) | (2.0) | (1.1) | (3.0) | (2.1) | (4.0) | (3.1) | (2.2) "
+                 "| (4.1) | (3.2) | (4.2) | (3.3) | (4.3) | b | delta | golden |")
+
+
+@pytest.fixture
+def row_08_tampered(monkeypatch, all_cases, tables):
+    by_structure = {id(case.structure): tables[case.id] for case in all_cases}
+    tampered = []
+    for case in all_cases:
+        if case.id == "08":
+            case = dataclasses.replace(case, golden_bc={**case.golden_bc, (1, 1): 5})
+            by_structure[id(case.structure)] = tables["08"]
+        tampered.append(case)
+    monkeypatch.setattr(cat, "_load_cases", lambda: tuple(tampered))
+    monkeypatch.setattr(cat, "full_table", lambda cs: by_structure[id(cs)])
+    return all_cases  # untampered
+
+
+def _golden_cells(case):
+    """The stored, untampered golden fields of ``case`` as cell texts."""
+    return ([str(case.golden_bc[column]) for column in case.columns],
+            map(str, case.golden_betti), map(str, case.golden_delta))
+
+
+def test_catalog_golden_csv_over_both_dimensions(capsys, row_08_tampered):
+    lines = {3: [_HEADER_6D], 4: [_HEADER_8D]}
+    for case in row_08_tampered:
+        bc, betti, delta = _golden_cells(case)
+        lines[case.dim].append(",".join([
+            case.id, f'"{case.algebra_text}"', "1" if case.golden_skt else "0", *bc,
+            *betti, *delta, "FAIL" if case.id == "08" else "pass"]))
+    assert [len(lines[3]), len(lines[4])] == [52, 22]
+    code, out, err = run(capsys, "catalog", "--golden", "--format", "csv")
+    assert (code, err) == (3, "")
+    assert out == "\n".join(lines[3] + [""] + lines[4] + [f"# {cli.H7_FOOTNOTE}"]) + "\n"
+    assert out.count("FAIL") == 1 and "\n\nid,algebra,skt,h_bc(1.0),h_bc(2.0)," in out
+    assert "\n08,\"(0,0,0,0,13+42,14+23)\",0,2,2,3,4,3,1,6,6,1,2,8,2,3,3,4,8,10,2,6,8,FAIL\n" in out
+
+
+def test_catalog_golden_markdown_over_both_dimensions(capsys, row_08_tampered):
+    lines = {3: [_MD_HEADER_6D, "|" + "---|" * 19], 4: [_MD_HEADER_8D, "|" + "---|" * 18]}
+    for case in row_08_tampered:
+        bc, betti, delta = _golden_cells(case)
+        lines[case.dim].append("| " + " | ".join([
+            case.id, "yes" if case.golden_skt else "no", *bc, " ".join(betti), " ".join(delta),
+            "FAIL" if case.id == "08" else "pass"]) + " |")
+    lines[3].append("  mismatch 08: h_bc[1][1]: computed 4, golden 5")
+    code, out, err = run(capsys, "catalog", "--golden")
+    assert (code, err) == (3, "")
+    assert out == "\n".join(lines[3] + [""] + lines[4] + ["", cli.H7_FOOTNOTE]) + "\n"
+    assert ("| 08 | no | 2 | 2 | 3 | 4 | 3 | 1 | 6 | 6 | 1 | 2 | 8 | 2 | 3 | 3 "
+            "| 4 8 10 | 2 6 8 | FAIL |\n") in out
+
+
+def test_figure_data_is_the_golden_6d_deltas(capsys):
+    # the text perfbench/setup_probe.py prints, read against the raw golden file
+    golden = Path(__file__).resolve().parents[1] / "perfbench" / "golden.txt"
+    rows = ["case_id,Delta1,Delta2,Delta3"]
+    for line in golden.read_text("ascii").splitlines():
+        fields = line.split("|")
+        if not line.startswith("#") and len(fields[6].split()) == 3:
+            rows.append(",".join([fields[0], *fields[7].split()]))
+    assert len(rows) == 52
+    assert run(capsys, "figure-data") == (0, "\n".join(rows) + "\n", "")
 
 
 @pytest.mark.parametrize("binding, message", [

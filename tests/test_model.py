@@ -14,7 +14,9 @@ from nilcohom.model import (
     DifferentialSquareError,
     IntegrabilityError,
     Lit,
+    Mod,
     ModulusError,
+    Param,
     RealAlgebra,
     UnboundParameterError,
     UnknownParameterError,
@@ -51,6 +53,22 @@ def test_unbound_parameter_reported_by_name():
     with pytest.raises(UnboundParameterError) as err:
         build("(0, 0, w1~1 + D*w2~2)")
     assert err.value.names == ("D",)
+
+
+def test_an_unused_modulus_symbol_must_still_be_bound():
+    # absB is declared but no term reads it, so only the final modulus check
+    # would look it up; it is reported by name with the unbound parameters
+    template = ComplexStructureTemplate(
+        3, [(), (), ((Param("B"), BasisElement((1, 2), ())),)],
+        params=("B",), moduli=(Mod("absB", "B", Gaussian.of(0)),))
+    with pytest.raises(UnboundParameterError) as err:
+        instantiate(template, parse_binding("B=2"))
+    assert err.value.names == ("absB",)
+    with pytest.raises(UnboundParameterError) as err:
+        instantiate(template, {})
+    assert err.value.names == ("B", "absB")
+    cs = instantiate(template, parse_binding("B=2; absB=2"))
+    assert cs.d_omega[2] == Form.single(BasisElement((1, 2), ()), Gaussian.of(2))
 
 
 def test_unknown_binding_names_are_rejected():

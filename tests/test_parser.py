@@ -274,8 +274,11 @@ def test_the_ascii_error_surface(parse, text, message, line, column):
     (parse_binding, " \n ", {}),
     (_predicate, "re(D) - 1 > 0", False),
     (_predicate, "1 - re(D) > 0", True),
-    # "1 - i" is one literal: the sign is followed by an i
-    (_predicate, "1 - i*im(D)*i = 1+i", True),
+    # a predicate's literal has no signed tail: - and + are operators, and
+    # * binds tighter, so this is 1 - (i*im(D)*i) = 2, not (1-i)*im(D)*i
+    (_predicate, "1 - i*im(D)*i = 1+i", False),
+    (_predicate, "1 - i*im(D)*i = 2", True),
+    (_predicate, "1/2-3i*2 = 1/2-6i", True),
     (_predicate, "2 i = 2i", True),
     (_predicate, "re(D) < 0 or im(D)^2 >= 1", True),
 ])

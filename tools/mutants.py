@@ -57,6 +57,8 @@ MODEL = "src/nilcohom/model.py"
 COHOMOLOGY = "src/nilcohom/cohomology.py"
 METRICS = "src/nilcohom/metrics.py"
 PARSER = "src/nilcohom/parser.py"
+CATALOG = "src/nilcohom/catalog.py"
+CLI = "src/nilcohom/cli.py"
 
 MUTANTS = [
     Mutant("block-crossing sign", ALGEBRA,
@@ -131,6 +133,12 @@ MUTANTS = [
     Mutant("zero-denominator check dropped", PARSER,
            '        if not den:\n            self.error("malformed rational: zero denominator", m.start(4))\n',
            ""),
+    Mutant("predicate literal with a signed tail", CATALOG,
+           "sc.scan_gaussian(tail=False)", "sc.scan_gaussian()"),
+    Mutant("CSV cell separator", CLI,
+           '",".join(str(cell) for cell in row)', '";".join(str(cell) for cell in row)'),
+    Mutant("pass and FAIL swapped", CLI,
+           'return "pass" if ok else "FAIL"', 'return "FAIL" if ok else "pass"'),
 ]
 
 
