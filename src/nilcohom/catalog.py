@@ -11,8 +11,9 @@ recomputes every row and diffs.
 Predicates are exact comparisons in a tiny expression language over the
 binding values: ``re(D)``, ``im(D)``, ``normsq(B-1)``, ``S(B,c)`` (the
 classification quartic), the literals ``i``, ``2/3`` and ``2/3 i``, ``+ - * ^``,
-comparators ``= != < <= > >=`` and ``or``.  A literal has no signed tail, so
-``+`` and ``-`` are always operators and ``1 - i*x`` is ``1 - (i*x)``.  Strict
+a leading minus before any power (``-x^2`` is ``-(x^2)``), comparators
+``= != < <= > >=`` and ``or``.  A literal has no signed tail, so ``+`` and
+``-`` are always operators and ``1 - i*x`` is ``1 - (i*x)``.  Strict
 inequalities are decided exactly, so a sample either satisfies its region or
 the catalog refuses to load.
 """
@@ -119,6 +120,8 @@ def _term(sc: _Scanner, values) -> Gaussian:
 
 
 def _power(sc: _Scanner, values) -> Gaussian:
+    if sc.match("-"):  # looser than ^: -x^2 is -(x^2)
+        return -_power(sc, values)
     base = _primary(sc, values)
     if sc.match("^"):
         sc.skip_ws()

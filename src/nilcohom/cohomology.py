@@ -9,17 +9,17 @@ structure's ``matrix(k)``, ``L * d`` on total degree k (see
 degree given by :func:`nilcohom.algebra.degree_basis`: its (p,q) slots by
 ascending p, each in the fixed lexicographic order of
 :func:`nilcohom.algebra.basis`; where each slot starts and how large it
-is depends on n alone, and is worked out once per n.  Every other block is
-a view of it: d on a (p,q) slot is the column slice at that slot, and as
-``d`` of a (p,q)-form has only (p+1,q) and (p,q+1) parts on an integrable
-structure, del and delbar are that slice cut to the rows of one target
-slot.  One loop then takes every rank a dimension needs with the single
-exact rank routine of :mod:`nilcohom.linalg`, resuming its eliminations
-where they share a target.  It eliminates ``d`` on each slot, ``dd`` on a
-delbar basis, ``concat`` and the total complex; the ``delbar`` ranks are
-read off the pivot leads of ``d`` and the ``del`` ranks off the first half
-of each ``concat``.  Each del block is cut once and shared: the ``dd`` that
-needs it first hands it to the ``concat`` it lands in (see :func:`_ranks`).
+is depends on n alone, and is worked out once per n.  d on a (p,q) slot is
+the column slice at that slot; as ``d`` of a (p,q)-form has only (p,q+1) and
+(p+1,q) parts on an integrable structure, and the (p,q+1) rows come first,
+del and delbar are read off that slice's one elimination, never cut out of
+it: the pivots led in the (p+1,q) rows have no delbar part, so the other
+pivots carry a basis of im delbar in their first rows, and their remaining
+rows, resumed from the (p+1,q)-led pivots, span im del.  One loop takes
+every rank a dimension needs with the single exact rank routine of
+:mod:`nilcohom.linalg`, resuming its eliminations where they share a
+target, and every vector keeps the row numbering of its degree (see
+:func:`_ranks`).
 
 Entries are Gaussian-integer pairs ``(x, y)``, meaning ``x + y*i``: every
 matrix of a structure is ``L`` times the true one, where ``L`` is the lcm of
@@ -85,75 +85,66 @@ def _layout(n: int) -> dict:
             for p in edge for q in edge}
 
 
-def _cut(columns: list, lo: int, rows: int) -> ExactMatrix:
-    """The rows lo .. lo+rows-1 of ``columns``, renumbered from 0."""
-    hi = lo + rows
-    return ExactMatrix(rows, len(columns),
-                       [{r - lo: e for r, e in v.items() if lo <= r < hi} for v in columns])
-
-
 def _ranks(cs: ComplexStructure) -> dict:
-    """The rank of every matrix a dimension needs, by resumed eliminations.
+    """The rank of every matrix a dimension needs, one elimination per slot.
 
     Keys are ``(kind, p, q)`` over the square, with ``dd`` only for q < n
     (its target is empty at q = n), and ``("total", k)`` for the total
-    complex in each degree k = 0 .. 2n.  Every block is a view of ``d``, where
-    ``d[k]`` is the structure's ``matrix(k)``: ``stack(p,q)`` is the column
-    slice of ``d[p+q]`` at the (p,q) slot, and
-    ``del(p,q)`` is that slice cut to the (p+1,q) rows.  Per (p,q) the
-    eliminations are:
+    complex in each degree k = 0 .. 2n.  ``d[k]`` is the structure's
+    ``matrix(k)``, and every vector stays in the row numbering of its
+    degree: nothing is cut out or renumbered.  Per (p,q):
 
-    * ``stack``: its rows of (p,q+1) come before those of (p+1,q), so its
-      pivots led in (p,q+1), cut to that slot, are a basis of im delbar(p,q):
-      their count is ``rank delbar(p,q)``;
-    * ``dd``: del(p,q+1) on that basis, which has the image of del delbar;
-    * ``concat``: the columns of del(p-1,q), whose pivot count is
-      ``rank del(p-1,q)``, resumed with the delbar basis of (p,q-1).
+    * ``stack``: d on the slot, the column slice of ``d[p+q]`` at (p,q).  Its
+      rows of (p,q+1) come before those of (p+1,q), and each pivot is led by
+      its lowest row, so the pivots led in the (p+1,q) rows have no delbar
+      part and span del(ker delbar); the others, led in (p,q+1), are d of a
+      complement of ker delbar, and their delbar parts (rows before (p+1,q))
+      are a basis of im delbar: their count is ``rank delbar(p,q)``;
+    * ``del``: the del parts of those (p,q+1)-led pivots, resumed from a copy
+      of the (p+1,q)-led ones, as im del = del(ker delbar) + del of the
+      complement; the resumed pivots span im del(p,q);
+    * ``dd``: ``d[p+q+1]`` on the delbar basis, whose delbar^2 part is 0, so
+      it is the image of del delbar;
+    * ``concat``: the pivots of im del(p-1,q), resumed with the delbar basis
+      of (p,q-1).
 
-    Each del block is cut once: ``dd(p-1,q-1)`` cuts del(p-1,q) and hands
-    it to ``concat(p,q)``, so only the q = 0 concats cut their own.
     ``total(k)`` resumes from the first slot's stack pivots with the other
-    slots' stack pivots, which span their images.  ``del(n,q)`` has no
-    target and rank 0.
+    slots' stack pivots, which span their images.  A matrix with no nonzero
+    column is not eliminated: its rank is 0, or the count of the pivots it
+    would resume from.  del has no target at p = n, so ``del(n,q)`` and
+    ``dd(n,q)`` are 0.
     """
     n, span = cs.n, range(cs.n + 1)
     d, layout = [cs.matrix(k) for k in range(2 * n + 1)], _layout(n)
 
-    def slot(p, q):  # the columns of d[p+q] at the (p,q) slot
-        lo, size = layout[p, q]
-        return d[p + q].columns[lo:lo + size]
+    def rank(rows, columns, pivots=None):  # no elimination without a nonzero column
+        if not any(columns):
+            return len(pivots or ())
+        return exact_rank(ExactMatrix(rows, len(columns), columns), pivots)
 
-    def del_of(p, q):  # those columns cut to the (p+1,q) rows
-        return _cut(slot(p, q), *layout[p + 1, q])
-
-    ranks, stacks, images, dels = {}, {}, {}, {}
-    for p in span:
-        for q in span:
+    ranks, stacks, images = {}, {}, {}
+    for q in span:
+        below = {}  # pivots spanning im del(p-1,q), in the (p,q) rows
+        for p in span:
+            k, (lo, size) = p + q, layout[p, q]
+            # im del + im delbar landing in (p,q)
+            ranks["concat", p, q] = rank(d[k].cols, images.get((p, q - 1), ()), below)
             # ker d = ker del /\ ker delbar at (p,q): the parts land in distinct slots
             stacks[p, q] = pivots = {}
-            columns = slot(p, q)
-            stack = ExactMatrix(d[p + q].rows, len(columns), columns)
-            ranks["stack", p, q] = exact_rank(stack, pivots)
-            # its pivots led in the (p,q+1) rows, cut to them: a basis of im delbar
-            bar, cut = layout[p, q + 1][0], layout[p + 1, q][0]
-            images[p, q] = _cut([v for lead, v in pivots.items() if lead < cut], bar, cut - bar)
-            ranks["delbar", p, q] = images[p, q].cols
-            if q < n:
-                # del(p,q+1) lands in (p+1,q+1), whose concat takes it next
-                dels[p + 1, q + 1] = block = del_of(p, q + 1)
-                ranks["dd", p, q] = exact_rank(block @ images[p, q])
-            # im del + im delbar landing in (p,q)
-            pivots = {}
-            if p:
-                block = dels.pop((p, q)) if q else del_of(p - 1, q)
-                ranks["del", p - 1, q] = exact_rank(block, pivots)
-            ranks["concat", p, q] = exact_rank(images[p, q - 1], pivots) if q else len(pivots)
-    ranks.update({("del", n, q): 0 for q in span})
+            ranks["stack", p, q] = rank(d[k].rows, d[k].columns[lo:lo + size], pivots)
+            cut = layout[p + 1, q][0]  # the first (p+1,q) row
+            led = [v for lead, v in pivots.items() if lead < cut]
+            images[p, q] = image = [{r: e for r, e in v.items() if r < cut} for v in led]
+            ranks["delbar", p, q] = len(image)
+            below = {lead: v for lead, v in pivots.items() if lead >= cut}
+            ranks["del", p, q] = rank(d[k].rows, [{r: e for r, e in v.items() if r >= cut}
+                                                  for v in led], below)
+            if q < n:  # del delbar: 0 at p = n, where del has no target
+                ranks["dd", p, q] = rank(d[k + 1].rows, (d[k + 1] @ ExactMatrix(
+                    d[k].rows, len(image), image)).columns) if image and p < n else 0
     for k in range(2 * n + 1):
         first, *rest = (stacks[p, k - p] for p in _slots(n, k))
-        columns = [v for pivots in rest for v in pivots.values()]
-        others = ExactMatrix(comb(2 * n, k + 1), len(columns), columns)
-        ranks["total", k] = exact_rank(others, first)
+        ranks["total", k] = rank(d[k].rows, [v for pivots in rest for v in pivots.values()], first)
     return ranks
 
 

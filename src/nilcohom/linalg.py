@@ -4,10 +4,11 @@ Ranks are the only linear-algebra output the cohomology tables need, so the
 module stays deliberately small: one matrix type with multiplication (for
 del delbar and the differential identities), and one deterministic
 exact elimination.  ``exact_rank`` counts its pivot columns,
-and given the pivot dict of an earlier elimination on the same rows it
-resumes from it (the cohomology engine ranks blocks that share a target
-this way) and leaves the pivot columns in it, a basis of the column span
-(which is how the nilpotency check follows the lower central series).
+and given the pivot dict of an earlier elimination on the same rows, or a
+subset of it, it resumes from it (the cohomology engine ranks blocks that
+share a target this way) and leaves the pivot columns in it, a basis of the
+column span (which is how the nilpotency check follows the lower central
+series).
 ``vstack`` and ``hstack`` have no caller in the package; the benchmark's
 trace still hooks them.
 
@@ -108,9 +109,11 @@ def exact_rank(m: ExactMatrix, pivots: dict | None = None) -> int:
     """Rank over Q(i), by fraction-free elimination on the columns.
 
     Given ``pivots``, the pivot dict of an earlier call on a matrix with the
-    same rows, the elimination resumes from it and extends it in place: the
-    result is the rank of that matrix and ``m`` side by side, and the dict
-    holds their pivots.  Without it, ``m`` is ranked on its own.
+    same rows, or any subset of one (a subset of pivots with distinct leads,
+    each led by its lowest row, is again such a set), the elimination resumes
+    from it and extends it in place: the result is the rank of those pivot
+    columns and ``m`` side by side, and the dict holds their pivots.  Without
+    it, ``m`` is ranked on its own.
     """
     return len(_pivots(m, pivots))
 

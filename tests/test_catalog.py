@@ -75,6 +75,18 @@ def test_predicate_evaluator():
         cat.evaluate_predicate("i>0", {})
 
 
+def test_predicate_leading_minus_binds_looser_than_power():
+    half = {"D": parse_gaussian("1/2+i")}
+    assert cat.evaluate_predicate("-re(D) < 0", half)
+    assert not cat.evaluate_predicate("-re(D) < 0", {"D": parse_gaussian("-1/2")})
+    assert cat.evaluate_predicate("0 > -re(D)", half)
+    assert cat.evaluate_predicate("-i*i = 1", {})
+    # -(x^2), not (-x)^2
+    assert cat.evaluate_predicate("-re(D)^2 = -1/4", half)
+    assert not cat.evaluate_predicate("-re(D)^2 = 1/4", half)
+    assert cat.evaluate_predicate("2*-1 < 0", {})
+
+
 def test_twin_cases_09b_share_cohomology_but_not_skt():
     primed = cat.case_by_id("09b'")
     doubled = cat.case_by_id("09b''")

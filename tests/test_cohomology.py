@@ -81,45 +81,52 @@ def test_full_table_calls_no_d_and_builds_each_degree_once(monkeypatch):
     assert built == []
 
 
-def test_full_table_ranks_each_matrix_once_and_none_outside_the_square(monkeypatch):
-    # per (p,q) of the square: d on the slot (delbar's rank is read off its
-    # pivots); dd for q < n (at q = n its target is empty); for the concat
-    # landing there, del(p-1,q) for p > 0, resumed with the delbar basis of
-    # (p,q-1) for q > 0; one total rank per degree 0 .. 2n
+def _ranked_columns(monkeypatch, structures):
+    """Per structure (the two templates, rows 08 and 12_8D): the structure and
+    the column list of every matrix ``full_table`` hands to ``exact_rank``."""
     ranked = []
     rank = co.exact_rank
 
     def counted(m, pivots=None):
-        ranked.append(m)
+        ranked.append(m.columns)  # held, so no column's id is reused
         return rank(m, pivots)
 
     monkeypatch.setattr(co, "exact_rank", counted)
-    for template in ("(0,0,w12+w1~1)", "(0,0,w1~1,w12+w1~3)"):
-        cs = build(template)
+    for cs in (build("(0,0,w12+w1~1)"), build("(0,0,w1~1,w12+w1~3)"),
+               structures["08"], structures["12_8D"]):
         ranked.clear()
         co.full_table(cs)
-        n = cs.n
-        assert len(ranked) == (n + 1) ** 2 + 3 * n * (n + 1) + 2 * n + 1
+        yield cs, list(ranked)
 
 
-def test_full_table_cuts_each_del_block_once(monkeypatch):
-    # one delbar basis per (p,q) of the square; del(p,q+1) for each dd with
-    # q < n, which concat(p+1,q+1) takes over; del(p-1,0) for each concat
-    # at q = 0, p > 0
-    cuts = []
-    cut = co._cut
+def test_full_table_eliminates_each_slot_of_d_once(monkeypatch, structures):
+    # d on a (p,q) slot is ranked once, as a whole; the del, delbar and dd
+    # ranks are read off its pivots, so no other call sees a column of d.
+    # The other calls get only what eliminations put out: per slot, the del
+    # parts (del), the delbar parts (dd and concat) of its delbar-led pivots,
+    # and its pivots (total)
+    for cs, ranked in _ranked_columns(monkeypatch, structures):
+        n, ranks = cs.n, co._ranks(cs)
+        seen = [[id(v) for v in columns] for columns in ranked]
+        slots = []
+        for k in range(2 * n + 1):
+            d = cs.matrix(k)
+            for p in co._slots(n, k):
+                lo, size = co._layout(n)[p, k - p]
+                slot = [id(v) for v in d.columns[lo:lo + size]]
+                hits = [ids for ids in seen if set(ids) & set(slot)]
+                assert hits == ([slot] if any(d.columns[lo:lo + size]) else []), (n, p, k - p)
+                slots += hits
+        outputs = sum(3 * ranks["delbar", p, q] + ranks["stack", p, q]
+                      for p in range(n + 1) for q in range(n + 1))
+        assert sum(map(len, seen)) - sum(map(len, slots)) <= outputs, n
 
-    def counted(columns, lo, rows):
-        cuts.append((lo, rows))
-        return cut(columns, lo, rows)
 
-    monkeypatch.setattr(co, "_cut", counted)
-    for template in ("(0,0,w12+w1~1)", "(0,0,w1~1,w12+w1~3)"):
-        cs = build(template)
-        cuts.clear()
-        co.full_table(cs)
-        n = cs.n
-        assert len(cuts) == (n + 1) ** 2 + n * (n + 1) + n
+def test_full_table_eliminates_no_matrix_without_a_nonzero_column(monkeypatch, structures):
+    # a rank with nothing to eliminate is 0, or the count of the pivots it
+    # would resume from, and costs no call
+    for cs, ranked in _ranked_columns(monkeypatch, structures):
+        assert ranked and all(any(columns) for columns in ranked), cs.n
 
 
 def test_the_plan_holds_exactly_the_ranks_the_table_holds(structures):

@@ -144,6 +144,23 @@ def test_rank_resumes_from_the_pivots_of_an_earlier_call():
         assert exact_rank(b_m) == oracle_rank(b), trial
 
 
+def test_rank_resumes_from_any_subset_of_earlier_pivots():
+    # a subset of an echelon set is one: resuming from it ranks the subset's
+    # columns and b side by side
+    rng = random.Random(11)
+    for trial in range(80):
+        rows = rng.randint(1, 7)
+        a = matrix_from_grid(_random_grid(rng, rows, rng.randint(1, 6)))
+        b = _random_grid(rng, rows, rng.randint(0, 5))
+        pivots = {}
+        exact_rank(a, pivots)
+        subset = {lead: v for lead, v in pivots.items() if rng.random() < 0.5}
+        kept = ExactMatrix(rows, len(subset), list(subset.values()))
+        together = [ra + rb for ra, rb in zip(grid_of(kept), b)]
+        rank = exact_rank(matrix_from_grid(b), subset)
+        assert rank == len(subset) == oracle_rank(together), trial
+
+
 def test_rank_of_every_engine_matrix_of_an_8d_structure(monkeypatch):
     # the engine's own regime: shapes up to 70x36, from complex rational
     # constants (lambda = 13/5, D = 12/5 i) that the engine scales to Gaussian

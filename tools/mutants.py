@@ -95,19 +95,26 @@ MUTANTS = [
            "        if len(pivots) == span.cols:\n            return True"),
     Mutant("constants cleared one by one, not by L", MODEL,
            "c.x * (scale // c.den), c.y * (scale // c.den))", "c.x, c.y)"),
-    Mutant("_cut lower bound", COHOMOLOGY,
-           "if lo <= r < hi}", "if lo < r < hi}"),
+    Mutant("delbar-part row filter off by one", COHOMOLOGY,
+           "if r < cut}", "if r <= cut}"),
     Mutant("d column slot offsets", COHOMOLOGY,
            "for s in range(p))", "for s in range(p - 1))"),
     Mutant("delbar lead bound", COHOMOLOGY,
            "for lead, v in pivots.items() if lead < cut]",
            "for lead, v in pivots.items() if lead <= cut]"),
+    Mutant("del-part row filter off by one", COHOMOLOGY,
+           "if r >= cut}", "if r > cut}"),
+    Mutant("del resumed without the led pivots", COHOMOLOGY,
+           "for v in led], below)", "for v in led])"),
     Mutant("concat without the del pivots", COHOMOLOGY,
-           "exact_rank(images[p, q - 1], pivots)", "exact_rank(images[p, q - 1])"),
+           "images.get((p, q - 1), ()), below)", "images.get((p, q - 1), ()))"),
     Mutant("total without the first slot's pivots", COHOMOLOGY,
-           "exact_rank(others, first)", "exact_rank(others)"),
-    Mutant("del block handed to the wrong concat", COHOMOLOGY,
-           "dels[p + 1, q + 1] = block", "dels[p, q + 1] = block"),
+           "for v in pivots.values()], first)", "for v in pivots.values()])"),
+    Mutant("del pivots handed to the wrong concat", COHOMOLOGY,
+           "for q in span:\n        below = {}  # pivots spanning im del(p-1,q), in the (p,q) rows\n"
+           "        for p in span:",
+           "for p in span:\n        below = {}  # pivots spanning im del(p-1,q), in the (p,q) rows\n"
+           "        for q in span:"),
     Mutant("dd guard", COHOMOLOGY,
            "if q < n:", "if q < n - 1:"),
     Mutant("THEORIES terms", COHOMOLOGY,
