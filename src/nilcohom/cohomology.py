@@ -18,8 +18,9 @@ pivots carry a basis of im delbar in their first rows, and their remaining
 rows, resumed from the (p+1,q)-led pivots, span im del.  One loop takes
 every rank a dimension needs with the single exact rank routine of
 :mod:`nilcohom.linalg`, resuming its eliminations where they share a
-target, and every vector keeps the row numbering of its degree (see
-:func:`_ranks`).
+target.  Every vector is a bare column, in the row numbering of its degree:
+slices, row filters and images (``matrix.apply``) go to ``exact_rank`` as
+lists of columns, never wrapped in a matrix (see :func:`_ranks`).
 
 Entries are Gaussian-integer pairs ``(x, y)``, meaning ``x + y*i``: every
 matrix of a structure is ``L`` times the true one, where ``L`` is the lcm of
@@ -61,7 +62,7 @@ from functools import cache
 from math import comb
 
 from .algebra import basis_dimension
-from .linalg import ExactMatrix, exact_rank
+from .linalg import exact_rank
 from .model import ComplexStructure
 
 
@@ -103,8 +104,8 @@ def _ranks(cs: ComplexStructure) -> dict:
     * ``del``: the del parts of those (p,q+1)-led pivots, resumed from a copy
       of the (p+1,q)-led ones, as im del = del(ker delbar) + del of the
       complement; the resumed pivots span im del(p,q);
-    * ``dd``: ``d[p+q+1]`` on the delbar basis, whose delbar^2 part is 0, so
-      it is the image of del delbar;
+    * ``dd``: ``d[p+q+1]`` applied to the delbar basis, whose delbar^2 part
+      is 0, so it is the image of del delbar;
     * ``concat``: the pivots of im del(p-1,q), resumed with the delbar basis
       of (p,q-1).
 
@@ -120,7 +121,7 @@ def _ranks(cs: ComplexStructure) -> dict:
     def rank(rows, columns, pivots=None):  # no elimination without a nonzero column
         if not any(columns):
             return len(pivots or ())
-        return exact_rank(ExactMatrix(rows, len(columns), columns), pivots)
+        return exact_rank(rows, columns, pivots)
 
     ranks, stacks, images = {}, {}, {}
     for q in span:
@@ -140,8 +141,7 @@ def _ranks(cs: ComplexStructure) -> dict:
             ranks["del", p, q] = rank(d[k].rows, [{r: e for r, e in v.items() if r >= cut}
                                                   for v in led], below)
             if q < n:  # del delbar: 0 at p = n, where del has no target
-                ranks["dd", p, q] = rank(d[k + 1].rows, (d[k + 1] @ ExactMatrix(
-                    d[k].rows, len(image), image)).columns) if image and p < n else 0
+                ranks["dd", p, q] = rank(d[k + 1].rows, d[k + 1].apply(image)) if p < n else 0
     for k in range(2 * n + 1):
         first, *rest = (stacks[p, k - p] for p in _slots(n, k))
         ranks["total", k] = rank(d[k].rows, [v for pivots in rest for v in pivots.values()], first)

@@ -1,22 +1,27 @@
 """Column-sparse exact matrices over the Gaussian integers and their rank.
 
 Ranks are the only linear-algebra output the cohomology tables need, so the
-module stays deliberately small: one matrix type with multiplication (for
-del delbar and the differential identities), and one deterministic
-exact elimination.  ``exact_rank`` counts its pivot columns,
-and given the pivot dict of an earlier elimination on the same rows, or a
-subset of it, it resumes from it (the cohomology engine ranks blocks that
-share a target this way) and leaves the pivot columns in it, a basis of the
-column span (which is how the nilpotency check follows the lower central
-series).
-``vstack`` and ``hstack`` have no caller in the package; the benchmark's
-trace still hooks them.
+module stays deliberately small: one matrix type with one product loop (for
+del delbar and the differential identities), and one deterministic exact
+elimination.
 
-A matrix is stored by columns: column ``j`` is a dict ``{row: (x, y)}`` of
-nonzero Gaussian integers ``x + y*i``, the image of source basis vector
-``j``.  That is how the engine produces a differential (one source monomial
-at a time).  Zeros are never stored: 2.5% of the ranked entries are nonzero
-over the 72 catalog rows, 65% over the 6d rows in a general coframe
+A vector is a column: a dict ``{row: (x, y)}`` of nonzero Gaussian integers
+``x + y*i``.  A list of columns is the currency of the engine: ``exact_rank``
+takes the row count and a list of columns, and ``ExactMatrix.apply`` maps a
+list of columns to their images.  An :class:`ExactMatrix` is a built matrix
+only (a structure's differential, a caller's matrix or a product), and
+checks its shape once, when it is made.  ``exact_rank`` counts its pivot
+columns, and given the pivot dict of an earlier elimination on the same
+rows, or a subset of it, it resumes from it (the cohomology engine ranks
+blocks that share a target this way) and leaves the pivot columns in it, a
+basis of the column span (which is how the nilpotency check follows the
+lower central series).  ``vstack`` and ``hstack`` have no caller in the
+package; the benchmark's trace still hooks them.
+
+A matrix is stored by columns: column ``j`` is the image of source basis
+vector ``j``.  That is how the engine produces a differential (one source
+monomial at a time).  Zeros are never stored: 2.5% of the ranked entries are
+nonzero over the 72 catalog rows, 65% over the 6d rows in a general coframe
 (benchmark ``dense_coframe``, seed 7).
 
 Entries are integral so that neither the elimination nor a product ever
@@ -65,9 +70,13 @@ class ExactMatrix:
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.cols} != {other.rows}")
+        return ExactMatrix(self.rows, other.cols, self.apply(other.columns))
+
+    def apply(self, columns: list) -> list:
+        """The image of each column, a vector of the source space, as a column."""
         left = self.columns
         out = []
-        for col in other.columns:
+        for col in columns:
             acc = {}
             for k, (a, b) in col.items():
                 for i, (x, y) in left[k].items():
@@ -75,7 +84,7 @@ class ExactMatrix:
                     cur = acc.get(i)
                     acc[i] = (re, im) if cur is None else (cur[0] + re, cur[1] + im)
             out.append({i: e for i, e in acc.items() if e[0] or e[1]})
-        return ExactMatrix(self.rows, other.cols, out)
+        return out
 
     def __repr__(self) -> str:
         return f"ExactMatrix({self.rows}x{self.cols})"
@@ -105,22 +114,9 @@ def hstack(left: ExactMatrix, right: ExactMatrix) -> ExactMatrix:
     )
 
 
-def exact_rank(m: ExactMatrix, pivots: dict | None = None) -> int:
-    """Rank over Q(i), by fraction-free elimination on the columns.
-
-    Given ``pivots``, the pivot dict of an earlier call on a matrix with the
-    same rows, or any subset of one (a subset of pivots with distinct leads,
-    each led by its lowest row, is again such a set), the elimination resumes
-    from it and extends it in place: the result is the rank of those pivot
-    columns and ``m`` side by side, and the dict holds their pivots.  Without
-    it, ``m`` is ranked on its own.
-    """
-    return len(_pivots(m, pivots))
-
-
-def _pivots(m: ExactMatrix, pivots: dict | None = None) -> dict[int, dict[int, tuple[int, int]]]:
-    """Pivot columns over Z[i] spanning the columns of ``m`` (and of the pivot
-    columns ``pivots`` already holds, which it extends), keyed by lead row.
+def exact_rank(rows: int, columns: list, pivots: dict | None = None) -> int:
+    """Rank over Q(i) of ``columns``, vectors with ``rows`` entries, by
+    fraction-free elimination.
 
     rank M = rank M^T, so each column is reduced in turn against the pivot
     columns kept so far, all over the Gaussian integers: while a column's
@@ -128,12 +124,20 @@ def _pivots(m: ExactMatrix, pivots: dict | None = None) -> dict[int, dict[int, t
     ``p[r] * v - v[r] * p`` (Bareiss-style cross-multiplication, no division
     in Q(i)), divided by the integer gcd of its entries.  A column left
     nonzero is a new pivot, led by its lowest row; every pivot's lead entry
-    is made a positive integer.
+    is made a positive integer.  The pivots are kept in a dict keyed by lead
+    row, and span the columns.
     The order of columns and pivots is fixed, so the work is reproducible.
+
+    Given ``pivots``, the pivot dict of an earlier call on the same rows, or
+    any subset of one (a subset of pivots with distinct leads, each led by
+    its lowest row, is again such a set), the elimination resumes from it and
+    extends it in place: the result is the rank of those pivot columns and
+    ``columns`` side by side, and the dict holds their pivots.  Without it,
+    ``columns`` are ranked on their own.
     """
     if pivots is None:
         pivots = {}
-    for v in m.columns:
+    for v in columns:
         while v:
             lead = min(v)
             pivot = pivots.get(lead)
@@ -145,9 +149,9 @@ def _pivots(m: ExactMatrix, pivots: dict | None = None) -> dict[int, dict[int, t
                 )
                 break
             v = _eliminate(v, pivot, lead)
-        if len(pivots) == m.rows:
+        if len(pivots) == rows:
             break
-    return pivots
+    return len(pivots)
 
 
 def _primitive(v: dict) -> dict:

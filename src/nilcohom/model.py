@@ -202,7 +202,8 @@ class RealAlgebra(_Differential):
         but it shares no matrix with the bigraded engine of
         :mod:`nilcohom.cohomology`.
         """
-        ranks = [0, *(exact_rank(self.matrix(k)) for k in range(self.dim)), 0]  # ranks[k]: d_(k-1)
+        # ranks[k]: the rank of d_(k-1)
+        ranks = [0, *(exact_rank(m.rows, m.columns) for m in map(self.matrix, range(self.dim))), 0]
         return [comb(self.dim, k) - ranks[k + 1] - ranks[k] for k in range(self.dim + 1)]
 
     def __eq__(self, other) -> bool:
@@ -233,14 +234,13 @@ def check_nilpotency(a: RealAlgebra) -> bool:
             brackets[i - 1][j - 1][k] = -x, -y
             brackets[j - 1][i - 1][k] = x, y
     ads = [ExactMatrix(m, m, columns) for columns in brackets]
-    span = ExactMatrix(m, m, [{j: (1, 0)} for j in range(m)])
-    while span.cols:
-        images = [column for ad in ads for column in (ad @ span).columns]
+    span = [{j: (1, 0)} for j in range(m)]
+    while span:
         pivots = {}
-        exact_rank(ExactMatrix(m, len(images), images), pivots)
-        if len(pivots) == span.cols:
+        exact_rank(m, [column for ad in ads for column in ad.apply(span)], pivots)
+        if len(pivots) == len(span):
             return False
-        span = ExactMatrix(m, len(pivots), list(pivots.values()))
+        span = list(pivots.values())
     return True
 
 

@@ -218,4 +218,4 @@ def test_criterion_9_rank_oracle_equivalence():
                         ))
                 entries.append(row)
             m = matrix_from_grid(entries)
-            assert exact_rank(m) == oracle_rank(entries), f"trial {trial}"
+            assert exact_rank(m.rows, m.columns) == oracle_rank(entries), f"trial {trial}"

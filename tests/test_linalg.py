@@ -3,11 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from nilcohom import catalog as cat, cohomology as co
+from nilcohom import catalog as cat, cohomology as co, linalg
 from nilcohom.algebra import Gaussian, ZERO
 from nilcohom.linalg import ExactMatrix, exact_rank, hstack, vstack
 from rank_oracle import grid_of, matrix_from_grid, oracle_rank
-from scale_oracle import reference_ranks, scaled, structure_scale
+from scale_oracle import grid_product, reference_ranks, scaled, structure_scale
 
 
 def G(re, im=0):
@@ -22,22 +22,60 @@ def mat(rows):
     return matrix_from_grid(grid(rows))
 
 
+def test_each_column_takes_at_most_rows_elimination_steps(monkeypatch):
+    # the first test of the first file (see conftest.py), so that an
+    # elimination that stalls fails here before another test hangs on it.
+    # A step of _eliminate clears the column's lead row and leaves entries
+    # only below it, so the lead strictly rises: a column takes at most
+    # `rows` steps, and a step past that fails here instead of looping.  The
+    # columns are ranked one at a time, each resumed from the pivots so far,
+    # which is the same elimination, so the ranks full_table reads that way
+    # are still the oracle's
+    eliminate, rank, left, steps = linalg._eliminate, linalg.exact_rank, [0], []
+
+    def counted(v, pivot, lead):
+        steps.append(lead)
+        left[0] -= 1
+        assert left[0] >= 0, "a column took more elimination steps than it has rows"
+        return eliminate(v, pivot, lead)
+
+    def column_by_column(rows, columns, pivots=None):
+        pivots = {} if pivots is None else pivots
+        for column in columns:
+            left[0] = rows
+            rank(rows, [column], pivots)
+        return len(pivots)
+
+    rng = random.Random(17)
+    grids = [_random_grid(rng, rng.randint(1, 8), rng.randint(1, 10)) for _ in range(100)]
+    cs = cat.case_by_id("09d_8D").structure
+    monkeypatch.setattr(linalg, "_eliminate", counted)
+    for trial, g in enumerate(grids):
+        m = matrix_from_grid(g)
+        assert column_by_column(m.rows, m.columns) == oracle_rank(g), trial
+    taken = len(steps)
+    monkeypatch.setattr(co, "exact_rank", column_by_column)
+    assert co._ranks(cs) == reference_ranks(cs)
+    assert 0 < taken < len(steps)
+
+
 def test_rank_trivial():
-    assert exact_rank(ExactMatrix(4, 6)) == 0
-    assert exact_rank(mat([[1 if i == j else 0 for j in range(5)] for i in range(5)])) == 5
-    assert exact_rank(ExactMatrix(0, 3)) == 0
-    assert exact_rank(ExactMatrix(3, 0)) == 0
+    assert exact_rank(4, ExactMatrix(4, 6).columns) == 0
+    m = mat([[1 if i == j else 0 for j in range(5)] for i in range(5)])
+    assert exact_rank(m.rows, m.columns) == 5
+    assert exact_rank(0, ExactMatrix(0, 3).columns) == 0
+    assert exact_rank(3, ExactMatrix(3, 0).columns) == 0
 
 
 def test_rank_rectangular_with_fractions():
     m = mat([["1/2", 1, 0], [1, 2, 0], [0, 0, "1/3"]])
-    assert exact_rank(m) == 2
+    assert exact_rank(m.rows, m.columns) == 2
 
 
 def test_rank_complex_dependence():
     # second row is i times the first
     m = mat([[(1, 0), (0, 1)], [(0, 1), (-1, 0)]])
-    assert exact_rank(m) == 1
+    assert exact_rank(m.rows, m.columns) == 1
 
 
 def test_columns_hold_only_nonzero_entries():
@@ -82,6 +120,7 @@ def test_matmul_identity():
     identity = mat([[1, 0], [0, 1]])
     assert identity @ m == m
     assert m @ identity == m
+    assert identity.apply(m.columns) == m.columns
     # m is 2 g, so m @ m is 4 g^2; e.g. the (1,1) entry of g^2 is
     # (2-i)*i + 1/2*1/2 = 5/4+2i
     assert grid_of(m @ m) == scaled(grid([
@@ -91,6 +130,18 @@ def test_matmul_identity():
     assert (m @ ExactMatrix(2, 3)).is_zero()
     # an exact cancellation leaves no stored zero behind
     assert mat([[1, -1]]) @ mat([[1], [1]]) == ExactMatrix(1, 1)
+    assert mat([[1, -1]]).apply([{0: (1, 0), 1: (1, 0)}, {}]) == [{}, {}]
+    # on random grids, apply is the product's columns, and both are the
+    # oracle's product of the same integral grids
+    rng = random.Random(5)
+    for trial in range(60):
+        inner = rng.randint(0, 6)
+        a = matrix_from_grid(_random_grid(rng, rng.randint(1, 6), inner))
+        b = matrix_from_grid(_random_grid(rng, inner, rng.randint(1, 6)))
+        product = a @ b
+        assert (product.rows, product.cols) == (a.rows, b.cols), trial
+        assert a.apply(b.columns) == product.columns, trial
+        assert grid_of(product) == grid_product(grid_of(a), grid_of(b)), trial
 
 
 def _random_grid(rng, rows, cols):
@@ -113,7 +164,9 @@ def test_bareiss_agrees_with_field_elimination():
     rng = random.Random(42)
     for _ in range(120):
         g = _random_grid(rng, rng.randint(1, 7), rng.randint(1, 7))
-        assert exact_rank(matrix_from_grid(g)) == oracle_rank(g)
+        m = matrix_from_grid(g)
+        assert exact_rank(m.rows, m.columns) == oracle_rank(g)
+
 
 
 def test_rank_resumes_from_the_pivots_of_an_earlier_call():
@@ -134,14 +187,16 @@ def test_rank_resumes_from_the_pivots_of_an_earlier_call():
         a_m, b_m = matrix_from_grid(a), matrix_from_grid(b)
         together = [ra + rb for ra, rb in zip(a, b)]
         pivots = {}
-        assert exact_rank(a_m, pivots) == len(pivots) == oracle_rank(a), trial
+        assert exact_rank(rows, a_m.columns, pivots) == len(pivots) == oracle_rank(a), trial
         before = dict(pivots)
-        rank = exact_rank(b_m, pivots)
-        assert rank == len(pivots) == exact_rank(hstack(a_m, b_m)) == oracle_rank(together), trial
+        rank = exact_rank(rows, b_m.columns, pivots)
+        both = hstack(a_m, b_m)
+        assert rank == len(pivots) == exact_rank(both.rows, both.columns) \
+            == oracle_rank(together), trial
         # extended in place: the earlier pivots stay as they were
         assert all(pivots[lead] == v for lead, v in before.items()), trial
         # a call without pivots ranks b alone, whatever came before
-        assert exact_rank(b_m) == oracle_rank(b), trial
+        assert exact_rank(rows, b_m.columns) == oracle_rank(b), trial
 
 
 def test_rank_resumes_from_any_subset_of_earlier_pivots():
@@ -153,11 +208,11 @@ def test_rank_resumes_from_any_subset_of_earlier_pivots():
         a = matrix_from_grid(_random_grid(rng, rows, rng.randint(1, 6)))
         b = _random_grid(rng, rows, rng.randint(0, 5))
         pivots = {}
-        exact_rank(a, pivots)
+        exact_rank(rows, a.columns, pivots)
         subset = {lead: v for lead, v in pivots.items() if rng.random() < 0.5}
         kept = ExactMatrix(rows, len(subset), list(subset.values()))
         together = [ra + rb for ra, rb in zip(grid_of(kept), b)]
-        rank = exact_rank(matrix_from_grid(b), subset)
+        rank = exact_rank(rows, matrix_from_grid(b).columns, subset)
         assert rank == len(subset) == oracle_rank(together), trial
 
 
@@ -170,10 +225,11 @@ def test_rank_of_every_engine_matrix_of_an_8d_structure(monkeypatch):
     assert structure_scale(cs) > 1
     calls = []
 
-    def captured(m, pivots=None):
+    def captured(rows, columns, pivots=None):
         start = list((pivots or {}).values())
-        rank = exact_rank(m, pivots)
-        calls.append((hstack(ExactMatrix(m.rows, len(start), start), m), len(start), rank))
+        rank = exact_rank(rows, columns, pivots)
+        calls.append((hstack(ExactMatrix(rows, len(start), start),
+                             ExactMatrix(rows, len(columns), columns)), len(start), rank))
         return rank
 
     monkeypatch.setattr(co, "exact_rank", captured)
@@ -209,6 +265,7 @@ def test_rank_with_shared_content_and_large_heights():
             columns.append([content * (s * x + t * y) for x, y in zip(a, b)])
         rng.shuffle(columns)
         g = [[col[i] for col in columns] for i in range(rows)]
-        rank = exact_rank(matrix_from_grid(g))
+        m = matrix_from_grid(g)
+        rank = exact_rank(m.rows, m.columns)
         assert rank == oracle_rank(g), f"trial {trial}"
         assert rank <= base < len(columns)

@@ -3,12 +3,14 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
+from hypothesis import given, settings
 
 from nilcohom import metrics as me
 from nilcohom.algebra import BasisElement, Form, Gaussian, I, basis
 from nilcohom.model import instantiate
 from nilcohom.parser import parse_binding, parse_complex_structure, parse_gaussian
 from scale_oracle import d_block, structure_scale
+from test_model import triangular_structures
 
 
 def build(template, binding=""):
@@ -228,3 +230,33 @@ def test_random_positive_forms_are_deterministic_and_positive():
     assert all(me.is_positive(h) for h in sample)
     other = me.random_positive_forms(3, 8, seed=18)
     assert sample != other
+
+
+def _forms(n):
+    """The standard form and three seeded random positive forms."""
+    return [me.standard_form(n), *me.random_positive_forms(n, 3, seed=5)]
+
+
+def _skt_and_balanced(cs):
+    """The indices of the forms of :func:`_forms` that are both SKT and
+    balanced on ``cs``; any of them makes ``cs`` the torus."""
+    both = [j for j, h in enumerate(_forms(cs.n))
+            if me.is_pluriclosed(cs, h) and me.is_balanced(cs, h)]
+    # SKT and balanced together is Kaehler (Alexandrov-Ivanov), and a Kaehler
+    # nilmanifold is a torus (Benson-Gordon, Hasegawa): every d w^j is 0.  The
+    # two tests read different degrees of d, so this is no identity
+    assert not both or all(f.is_zero() for f in cs.d_omega), (cs.d_omega, both)
+    return both
+
+
+def test_skt_and_balanced_forms_live_on_the_torus_only(structures):
+    both = {cid: forms for cid, cs in structures.items() if (forms := _skt_and_balanced(cs))}
+    # on the torus every positive form passes both tests
+    assert len(structures) == 72 and both == {"00": [0, 1, 2, 3], "00_8D": [0, 1, 2, 3]}
+
+
+@settings(derandomize=True, max_examples=30, deadline=None, database=None)
+@given(triangular_structures())
+def test_skt_and_balanced_forms_beyond_the_catalog(cs):
+    # these structures have d w^n != 0, so no form passes both tests
+    assert _skt_and_balanced(cs) == []

@@ -80,10 +80,10 @@ MUTANTS = [
            "            if d == 1:\n                return _triple(self.x + o.x, self.y + o.y, 1)\n", "",
            equivalent="the general path reduces by gcd(x, y, 1) = 1, the same triple"),
     Mutant("early pivot stop", LINALG,
-           "if len(pivots) == m.rows:", "if len(pivots) >= m.rows - 1:"),
+           "if len(pivots) == rows:", "if len(pivots) >= rows - 1:"),
     Mutant("elimination sign flip", LINALG,
            "ta, tb = xa - ta, xb - tb", "ta, tb = xa + ta, xb + tb"),
-    Mutant("pair product sign in @", LINALG,
+    Mutant("pair product sign in apply", LINALG,
            "a * x - b * y", "a * x + b * y"),
     Mutant("elimination restarted instead of resumed", LINALG,
            "    if pivots is None:\n        pivots = {}\n", "    pivots = {}\n"),
@@ -91,8 +91,10 @@ MUTANTS = [
            "return {r: (x // g, y // g) for r, (x, y) in v.items()}", "return v",
            equivalent="dividing a column by a positive integer changes no span or rank"),
     Mutant("nilpotency stop", MODEL,
-           "        if len(pivots) == span.cols:\n            return False",
-           "        if len(pivots) == span.cols:\n            return True"),
+           "        if len(pivots) == len(span):\n            return False",
+           "        if len(pivots) == len(span):\n            return True"),
+    Mutant("lower central series step keeps the old span", MODEL,
+           "span = list(pivots.values())", "span = span[:len(pivots)]"),
     Mutant("constants cleared one by one, not by L", MODEL,
            "c.x * (scale // c.den), c.y * (scale // c.den))", "c.x, c.y)"),
     Mutant("delbar-part row filter off by one", COHOMOLOGY,
@@ -115,6 +117,8 @@ MUTANTS = [
            "        for p in span:",
            "for p in span:\n        below = {}  # pivots spanning im del(p-1,q), in the (p,q) rows\n"
            "        for q in span:"),
+    Mutant("nonzero-column guard inverted", COHOMOLOGY,
+           "if not any(columns):", "if any(columns):"),
     Mutant("dd guard", COHOMOLOGY,
            "if q < n:", "if q < n - 1:"),
     Mutant("THEORIES terms", COHOMOLOGY,
