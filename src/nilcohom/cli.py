@@ -27,9 +27,9 @@ from .model import (
     ModelError,
     NilpotencyError,
     UnknownParameterError,
+    check_d_squared,
     check_nilpotency,
     instantiate,
-    realify,
 )
 from .parser import ParseError, parse_binding, parse_complex_structure, parse_real_algebra
 
@@ -132,11 +132,14 @@ def _build_parser() -> _ArgumentParser:
 # input handling
 # ---------------------------------------------------------------------------
 
-def _load_structure(path: str, binding_text: str) -> ComplexStructure:
+def _read(path: str) -> str:
     with open(path, "r", encoding="ascii") as fh:
-        text = fh.read()
-    cs = instantiate(parse_complex_structure(text), parse_binding(binding_text))
-    if not check_nilpotency(realify(cs)):
+        return fh.read()
+
+
+def _load_structure(path: str, binding_text: str) -> ComplexStructure:
+    cs = instantiate(parse_complex_structure(_read(path)), parse_binding(binding_text))
+    if not check_nilpotency(cs):
         raise NilpotencyError("the underlying real algebra is not nilpotent "
                               "(lower central series does not vanish)")
     return cs
@@ -167,8 +170,7 @@ def _structure_from_args(args) -> ComplexStructure:
 # ---------------------------------------------------------------------------
 
 def _cmd_check(args) -> tuple[int, str]:
-    with open(args.file, "r", encoding="ascii") as fh:
-        text = fh.read()
+    text = _read(args.file)
     # read as a complex-structure template, the way `table` does; only text
     # without any w that the template parser rejects is a real algebra
     try:
@@ -182,7 +184,7 @@ def _cmd_check(args) -> tuple[int, str]:
         lines.append(f"parsed complex-structure template (n={template.n})")
         lines.append("integrability shape: ok (only (2,0) and (1,1) terms)")
         try:
-            cs = instantiate(template, parse_binding(args.binding))
+            structure = instantiate(template, parse_binding(args.binding))
         except DifferentialSquareError as exc:
             lines.append(str(exc.report))
             return EXIT_VALIDATION, "\n".join(lines)
@@ -190,21 +192,20 @@ def _cmd_check(args) -> tuple[int, str]:
             lines.append(f"binding error: {exc}")
             return EXIT_VALIDATION, "\n".join(lines)
         lines.append("d-square: ok")
-        algebra = realify(cs)
-        lines.append(f"underlying real algebra: dimension {algebra.dim}")
+        lines.append(f"underlying real algebra: dimension {2 * structure.n}")
     else:
-        algebra = parse_real_algebra(text)
+        structure = parse_real_algebra(text)
         binding = parse_binding(args.binding)
-        lines.append(f"parsed real algebra (dim={algebra.dim})")
+        lines.append(f"parsed real algebra (dim={structure.dim})")
         if binding:  # a real algebra has no parameters to bind
             lines.append(f"binding error: {UnknownParameterError(binding)}")
             return EXIT_VALIDATION, "\n".join(lines)
-        report = algebra.check_d_squared()
+        report = check_d_squared(structure)
         if not report.ok:
             lines.append(str(report))
             return EXIT_VALIDATION, "\n".join(lines)
         lines.append("d-square: ok")
-    if check_nilpotency(algebra):
+    if check_nilpotency(structure):
         lines.append("nilpotency: ok")
     else:
         lines.append("nilpotency: FAILED (lower central series does not vanish)")

@@ -9,19 +9,22 @@ template grammar admits only (2,0) and (1,1) terms, so non-integrable input is
 unrepresentable.  ``d`` on conjugated generators is always the conjugate of
 ``d`` on the generators, never stored separately, so ``d`` commutes with
 conjugation and the ``d^2 = 0`` check computes only ``d(d w^j)``: each
-``d(d wbar^j)`` is its conjugate.  ``RealAlgebra``, ``ComplexStructureTemplate``
-and ``ComplexStructure`` reject non-canonical monomials, as the parser does.
+``d(d wbar^j)`` is its conjugate.
 
-Both kinds of structure hold ``d`` one way, as ``L * d``: one integral
-:class:`~nilcohom.linalg.ExactMatrix` per total degree, where ``L`` is the
-lcm of the denominators of the structure constants, one per structure.  A
-degree's matrix is built the first time it is needed, by adding each scaled
-constant along the Leibniz table of :func:`nilcohom.algebra.leibniz`, so the
-``d^2`` check builds only the matrix on 2-forms.  ``d`` of a form combines
-the columns of its monomials and divides by ``L``; the cohomology tables,
-the metrics and the Betti numbers all read these matrices.  Nilpotency
-follows the lower central series with the elimination of :mod:`linalg`,
-whose pivot columns span each term.
+Both kinds of structure share one base, ``_Differential`` (layout (m, 0) for a
+real algebra, (n, n) for a complex structure), and one set of checks: the gate
+``_check_terms`` (the templates' too), ``check_d_squared``, equality, and
+``check_nilpotency``, which reads the bracket off the structure's own d.  Each
+holds ``d`` as ``L * d``: one integral :class:`~nilcohom.linalg.ExactMatrix`
+per total degree, where ``L`` is the lcm of the denominators of the structure
+constants.  A degree's matrix is built the first time it is needed, by adding
+each scaled constant along the Leibniz table of
+:func:`nilcohom.algebra.leibniz`, so the ``d^2`` check builds only the matrix
+on 2-forms.  ``d`` of a form combines the columns of its monomials and divides
+by ``L``; the cohomology tables, the metrics, the Betti numbers and the
+nilpotency check all read these matrices.  Nilpotency follows the lower
+central series with the elimination of :mod:`linalg`, whose pivot columns span
+each term.
 """
 
 from __future__ import annotations
@@ -73,11 +76,19 @@ class DifferentialSquareError(ModelError):
 # generic exterior differentials
 # ---------------------------------------------------------------------------
 
-def _check_monomial(elem: BasisElement, n: int) -> None:
-    """Reject a monomial unless each block is strictly ascending within 1..n."""
-    for block in (elem.holo, elem.anti):
-        if not all(a < b for a, b in zip((0, *block), (*block, n + 1))):
-            raise ValueError(f"not a canonical monomial over {n} generators: {elem}")
+def _check_terms(entries, n: int, bidegrees, error, label: str) -> None:
+    """Reject ``entries``, each the monomials of one generator's d, unless
+    there are n, each block is strictly ascending within 1..n and each
+    bidegree is in ``bidegrees``; another bidegree raises ``error``."""
+    if len(entries) != n:
+        raise ValueError(f"expected {n} differentials, got {len(entries)}")
+    for j, terms in enumerate(entries, start=1):
+        for elem in terms:
+            for block in (elem.holo, elem.anti):
+                if not all(a < b for a, b in zip((0, *block), (*block, n + 1))):
+                    raise ValueError(f"not a canonical monomial over {n} generators: {elem}")
+            if elem.bidegree not in bidegrees:
+                raise error(f"{label}{j} has a {elem.bidegree} term {elem}")
 
 
 @dataclass
@@ -97,16 +108,6 @@ class ValidationReport:
         return "d-square FAILED:\n  " + "\n  ".join(lines)
 
 
-def _d_squared(d, differentials: list[Form], label: str) -> ValidationReport:
-    """Apply ``d`` to every generator differential; report the nonzero ones."""
-    report = ValidationReport()
-    for j, df in enumerate(differentials, start=1):
-        residual = d(df)
-        if not residual.is_zero():
-            report.residuals.append((f"{label}{j}", residual))
-    return report
-
-
 class _Differential:
     """``L * d`` of a structure on ``holo`` generators with ``d`` given by
     ``forms``, and on ``anti`` conjugates of them: one matrix per total degree.
@@ -118,7 +119,7 @@ class _Differential:
     """
 
     def __init__(self, holo: int, anti: int, forms: list[Form]):
-        self._layout = holo, anti
+        self._layout, self.forms = (holo, anti), list(forms)
         scale = self._scale = lcm(*(c.den for f in forms for c in f.terms.values()))
         # (j, term masks, L * constant) for every term of every d w^j
         self._constants = [(j, *masks(e), c.x * (scale // c.den), c.y * (scale // c.den))
@@ -161,6 +162,55 @@ class _Differential:
         den *= self._scale
         return Form((e, _reduced(a, b, den)) for e, (a, b) in acc.items() if a or b)
 
+    def __eq__(self, other) -> bool:
+        return (type(other) is type(self) and other._layout == self._layout
+                and other.forms == self.forms)
+
+
+def check_d_squared(structure: _Differential) -> ValidationReport:
+    """Compute d(d g^j) for every generator g^j, e^j of a real algebra or w^j
+    of a complex structure; each d(d wbar^j) is the conjugate of d(d w^j)."""
+    label, report = "w" if structure._layout[1] else "e", ValidationReport()
+    for j, df in enumerate(structure.forms, start=1):
+        residual = structure.d(df)
+        if not residual.is_zero():
+            report.residuals.append((f"{label}{j}", residual))
+    return report
+
+
+def check_nilpotency(structure: _Differential) -> bool:
+    """Whether the lower central series of the recovered bracket reaches zero.
+
+    The generators are the e^j of a real algebra, or the w^j of a complex
+    structure followed by the wbar^j, which span the dual of g (x) C; g is
+    nilpotent exactly when g (x) C is.  ``[x_i, x_j] = -sum_k c^k_ij x_k``
+    where ``d x^k = sum c^k_ij x^ij``, so the bracket is read off ``L * d``
+    on 1-forms, whose one factor ``L`` changes no span.  The series starts
+    from the whole algebra and takes the span of every ``ad(x_i)`` applied to
+    the previous term; it fails once a step keeps the dimension, since the
+    span can then only repeat.
+    """
+    holo, anti = structure._layout
+    m, (ones, pairs) = holo + anti, (degree_basis(holo, anti, k)[0] for k in (1, 2))
+    def numbers(e):  # x^1 .. x^m: the w^j, then the wbar^j
+        return (*e.holo, *(holo + b for b in e.anti))
+    brackets = [[{} for _ in range(m)] for _ in range(m)]  # [i][j]: [x_i, x_j]
+    for e, column in zip(ones, structure.matrix(1).columns):
+        (k,) = numbers(e)
+        for r, (x, y) in column.items():
+            i, j = numbers(pairs[r])
+            brackets[i - 1][j - 1][k - 1] = -x, -y
+            brackets[j - 1][i - 1][k - 1] = x, y
+    ads = [ExactMatrix(m, m, columns) for columns in brackets]
+    span = [{j: (1, 0)} for j in range(m)]
+    while span:
+        pivots = {}
+        exact_rank(m, [column for ad in ads for column in ad.apply(span)], pivots)
+        if len(pivots) == len(span):
+            return False
+        span = list(pivots.values())
+    return True
+
 
 # ---------------------------------------------------------------------------
 # real Lie algebras
@@ -169,26 +219,17 @@ class _Differential:
 class RealAlgebra(_Differential):
     """A real Lie algebra given by ``d e^j`` for a coframe ``e^1 .. e^dim``.
 
-    The 2-forms live over the same machinery as the complex side, using only
-    holomorphic slots and real coefficients.
+    The 2-forms live over the same machinery as the complex side, in the
+    layout (dim, 0): only holomorphic slots, and real coefficients.
     """
 
     def __init__(self, dim: int, d_of_e: list[Form]):
-        if len(d_of_e) != dim:
-            raise ValueError(f"expected {dim} differentials, got {len(d_of_e)}")
+        _check_terms([f.terms for f in d_of_e], dim, ((2, 0),), ValueError, "d e^")
         for j, f in enumerate(d_of_e, start=1):
-            for elem, coeff in f.terms.items():
-                _check_monomial(elem, dim)
-                if elem.bidegree != (2, 0):
-                    raise ValueError(f"d e^{j} is not a real 2-form: {elem}")
-                if not coeff.is_real():
-                    raise ValueError(f"d e^{j} has a non-real coefficient")
-        self.dim = dim
-        self.d_of_e = list(d_of_e)
-        super().__init__(dim, 0, self.d_of_e)
-
-    def check_d_squared(self) -> ValidationReport:
-        return _d_squared(self.d, self.d_of_e, "e")
+            if not all(c.is_real() for c in f.terms.values()):
+                raise ValueError(f"d e^{j} has a non-real coefficient")
+        super().__init__(dim, 0, d_of_e)
+        self.dim, self.d_of_e = dim, self.forms
 
     def is_abelian(self) -> bool:
         return all(f.is_zero() for f in self.d_of_e)
@@ -206,42 +247,8 @@ class RealAlgebra(_Differential):
         ranks = [0, *(exact_rank(m.rows, m.columns) for m in map(self.matrix, range(self.dim))), 0]
         return [comb(self.dim, k) - ranks[k + 1] - ranks[k] for k in range(self.dim + 1)]
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, RealAlgebra)
-            and self.dim == other.dim
-            and self.d_of_e == other.d_of_e
-        )
-
     def __repr__(self) -> str:
         return f"RealAlgebra(dim={self.dim})"
-
-
-def check_nilpotency(a: RealAlgebra) -> bool:
-    """Whether the lower central series of the recovered bracket reaches zero.
-
-    ``[e_i, e_j] = -sum_k c^k_ij e_k`` where ``d e^k = sum c^k_ij e^ij``, so the
-    bracket is read off ``L * d`` on 1-forms, whose one factor ``L`` changes
-    no span.  The series starts from the whole algebra and takes the span of
-    every ``ad(e_i)`` applied to the previous term; it fails once a step
-    keeps the dimension, since the span can then only repeat.
-    """
-    m, pairs = a.dim, degree_basis(a.dim, 0, 2)[0]
-    brackets = [[{} for _ in range(m)] for _ in range(m)]  # [i][j]: [e_i, e_j]
-    for k, column in enumerate(a.matrix(1).columns):
-        for r, (x, y) in column.items():
-            i, j = pairs[r].holo
-            brackets[i - 1][j - 1][k] = -x, -y
-            brackets[j - 1][i - 1][k] = x, y
-    ads = [ExactMatrix(m, m, columns) for columns in brackets]
-    span = [{j: (1, 0)} for j in range(m)]
-    while span:
-        pivots = {}
-        exact_rank(m, [column for ad in ads for column in ad.apply(span)], pivots)
-        if len(pivots) == len(span):
-            return False
-        span = list(pivots.values())
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -282,15 +289,8 @@ class ComplexStructureTemplate:
     def __init__(self, n: int, d_of_omega, params=(), moduli=()):
         self.n = n
         self.d_of_omega = [tuple(entry) for entry in d_of_omega]
-        if len(self.d_of_omega) != n:
-            raise ValueError(f"expected {n} coframe differentials")
-        for entry in self.d_of_omega:
-            for _, elem in entry:
-                _check_monomial(elem, n)
-                if elem.bidegree not in ((2, 0), (1, 1)):
-                    raise IntegrabilityError(
-                        f"term {elem} is neither (2,0) nor (1,1)"
-                    )
+        _check_terms([[elem for _, elem in entry] for entry in self.d_of_omega], n,
+                     ((2, 0), (1, 1)), IntegrabilityError, "d w^")
         self.params = tuple(params)
         self.moduli = tuple(moduli)
 
@@ -311,22 +311,14 @@ class ComplexStructure(_Differential):
     """Instantiated coframe differentials; every coefficient is exact.
 
     Construction checks ``d^2 = 0`` on every generator ``w^j`` and raises
-    :class:`DifferentialSquareError` otherwise.  ``matrix(k)`` is ``L * d``
-    on total degree k, in :func:`~nilcohom.algebra.degree_basis` order for
-    the layout (n, n).
+    :class:`DifferentialSquareError` otherwise; ``matrix(k)`` is ``L * d`` on
+    total degree k for the layout (n, n).
     """
 
     def __init__(self, n: int, d_omega: list[Form]):
-        if len(d_omega) != n:
-            raise ValueError(f"expected {n} differentials, got {len(d_omega)}")
-        for j, f in enumerate(d_omega, start=1):
-            for elem in f.terms:
-                _check_monomial(elem, n)
-                if elem.bidegree not in ((2, 0), (1, 1)):
-                    raise IntegrabilityError(f"d w^{j} has a {elem.bidegree} term {elem}")
-        self.n = n
-        self.d_omega = list(d_omega)
-        super().__init__(n, n, self.d_omega)
+        _check_terms([f.terms for f in d_omega], n, ((2, 0), (1, 1)), IntegrabilityError, "d w^")
+        super().__init__(n, n, d_omega)
+        self.n, self.d_omega = n, self.forms
         report = check_d_squared(self)
         if not report.ok:
             raise DifferentialSquareError(report)
@@ -337,20 +329,8 @@ class ComplexStructure(_Differential):
         """Full exterior differential d = del + delbar on any invariant form."""
         return _Differential.d(self, f)
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ComplexStructure)
-            and self.n == other.n
-            and self.d_omega == other.d_omega
-        )
-
     def __repr__(self) -> str:
         return f"ComplexStructure(n={self.n})"
-
-
-def check_d_squared(cs: ComplexStructure) -> ValidationReport:
-    """Compute every d(d w^j); each d(d wbar^j) is its conjugate."""
-    return _d_squared(cs.d, cs.d_omega, "w")
 
 
 def _resolve_coefficient(expr: CoeffExpr, binding: dict[str, Gaussian],

@@ -167,6 +167,15 @@ def test_skt_rejects_a_non_nilpotent_structure(capsys, solvable_file):
     assert run(capsys, "skt", solvable_file) == (2, "", NOT_NILPOTENT)
 
 
+def test_table_and_skt_reject_a_non_nilpotent_structure_without_conjugates(capsys, tmp_path):
+    # d w^1 = w^12 gives [w_1, w_2] = -w_1 with no wbar in any term, so the
+    # gate reads the bracket from the w^j alone
+    path = tmp_path / "w12.txt"
+    path.write_text("(w12, 0)\n", encoding="ascii")
+    for command in ("table", "skt"):
+        assert run(capsys, command, str(path)) == (2, "", NOT_NILPOTENT)
+
+
 def test_table_with_binding(capsys, tmp_path):
     path = tmp_path / "j.txt"
     path.write_text("(0, 0, w1~1 + D*w2~2)\n", encoding="ascii")

@@ -1,4 +1,4 @@
-"""Region-wise constancy at points near each stored sample.
+"""Region-wise constancy at points near each stored sample, and on conics.
 
 The classification says every dimension is constant on each sub-case region,
 and the catalog checks that at one stored sample per region.  Here each
@@ -14,8 +14,22 @@ golden ones, and those of its 8d twin (the row times a torus) the twin's.
 The pluriclosed flag is left out: it depends on the metric, not only on the
 region.
 
-Rows whose region lies on a conic (02c, 09d, 17b, 18b, 21b, 22) are not
-covered: moving one coordinate leaves the conic.
+Rows whose region lies on a conic (02c, 09d, 17b, 18b, 21b, 22) are left
+out there, as moving one coordinate leaves the conic; they are checked at
+rational points of a parametrisation of it instead.  With
+u(t) = ((1 - t^2) + 2t i) / (1 + t^2) on the unit circle, for
+t in {1/3, 1/2, 2/3, 2, 3, 1/5}:
+
+* 02c: D = -1 + u(t), the circle |D + 1| = 1;
+* 22: B = u(t);
+* 17b, 18b, 21b: B = c u(t), the circle |B| = c, for c in {1, 2, 3/4},
+  {1/2} and {1/5, 1/3, 2/5} respectively;
+* 09d: lambda = (t^2 + 1) / 2t and im D = (t^2 - 1) / 2t, for t = 5, 6, 7, 9,
+  the hyperbola im(D)^2 = lambda^2 - 1.
+
+Every such point must pass every stored predicate, and its Bott-Chern,
+Betti and delta numbers, and those of the 8d twin where there is one, must
+equal the golden ones, as above.
 """
 
 from fractions import Fraction
@@ -87,17 +101,66 @@ def _assert_golden(case, table, point: str):
     assert table.delta[1:case.dim + 1] == case.golden_delta, (case.id, point)
 
 
-def test_every_parametrized_6d_row_is_covered():
-    assert set(POINTS) == set(ROWS)
-    assert {case_id: len(nearby_points(CASES[case_id])) for case_id in ROWS} == POINTS
+def _circle(t: Fraction) -> Gaussian:
+    return Gaussian.of((1 - t * t) / (1 + t * t), 2 * t / (1 + t * t))
 
 
-@pytest.mark.parametrize("case_id", ROWS)
-def test_golden_rows_hold_at_nearby_points_of_their_region(case_id):
+CIRCLE = [_circle(t) for t in map(Fraction, ("1/3", "1/2", "2/3", "2", "3", "1/5"))]
+
+
+def _radii(*values: str) -> list[dict]:
+    return [{"B": Gaussian.of(Fraction(c)) * u, "c": Gaussian.of(Fraction(c))}
+            for c in values for u in CIRCLE]
+
+
+CONIC_POINTS = {
+    "02c": [{"D": u - Gaussian.of(1)} for u in CIRCLE],
+    "09d": [{"lambda": Gaussian.of((t * t + 1) / (2 * t)),
+             "D": Gaussian.of(0, (t * t - 1) / (2 * t))} for t in map(Fraction, (5, 6, 7, 9))],
+    "17b": _radii("1", "2", "3/4"),
+    "18b": _radii("1/2"),
+    "21b": _radii("1/5", "1/3", "2/5"),
+    "22": [{"B": u} for u in CIRCLE],
+}
+
+
+def conic_points(case) -> list[dict]:
+    """The rational points of a conic row's parametrisation in its region."""
+    return [binding for binding in CONIC_POINTS[case.id]
+            if all(catalog.evaluate_predicate(p, binding) for p in case.predicates)]
+
+
+def _assert_golden_at(case_id, bindings):
     case, twin = CASES[case_id], CASES.get(case_id + "_8D")
-    for binding in nearby_points(case):
+    for binding in bindings:
         point = render_binding(binding)
         cs = instantiate(case.template, binding)
         _assert_golden(case, full_table(cs), point)
         if twin is not None:
             _assert_golden(twin, full_table(product_with_torus(cs)), point)
+
+
+def test_every_parametrized_6d_row_is_covered():
+    assert set(POINTS) == set(ROWS)
+    assert {case_id: len(nearby_points(CASES[case_id])) for case_id in ROWS} == POINTS
+    assert set(CONIC) == set(CONIC_POINTS) == {case_id for case_id, case in CASES.items()
+                                               if case.dim == 3 and case.binding} - set(ROWS)
+
+
+@pytest.mark.parametrize("case_id", ROWS)
+def test_golden_rows_hold_at_nearby_points_of_their_region(case_id):
+    _assert_golden_at(case_id, nearby_points(CASES[case_id]))
+
+
+def test_every_conic_point_lies_in_its_region():
+    # every parametrised point passes the stored predicates; the 8d twins
+    # of 02c and 09d are checked at the same points
+    kept = {case_id: len(conic_points(CASES[case_id])) for case_id in CONIC}
+    assert kept == {case_id: len(points) for case_id, points in CONIC_POINTS.items()}
+    assert kept == {"02c": 6, "09d": 4, "17b": 18, "18b": 6, "21b": 18, "22": 6}
+    assert {case_id for case_id in CONIC if case_id + "_8D" in CASES} == {"02c", "09d"}
+
+
+@pytest.mark.parametrize("case_id", sorted(CONIC))
+def test_golden_conic_rows_hold_at_rational_points_of_their_conic(case_id):
+    _assert_golden_at(case_id, conic_points(CASES[case_id]))

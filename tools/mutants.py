@@ -95,6 +95,14 @@ MUTANTS = [
            "        if len(pivots) == len(span):\n            return True"),
     Mutant("lower central series step keeps the old span", MODEL,
            "span = list(pivots.values())", "span = span[:len(pivots)]"),
+    Mutant("wbar generators numbered from 1, not after the w's", MODEL,
+           "holo + b for b in e.anti", "b for b in e.anti"),
+    Mutant("bidegree test dropped from the gate", MODEL,
+           "if elem.bidegree not in bidegrees:", "if False:"),
+    Mutant("e and w residual labels swapped", MODEL,
+           '"w" if structure._layout[1] else "e"', '"e" if structure._layout[1] else "w"'),
+    Mutant("equality without the kind", MODEL,
+           "type(other) is type(self) and ", ""),
     Mutant("constants cleared one by one, not by L", MODEL,
            "c.x * (scale // c.den), c.y * (scale // c.den))", "c.x, c.y)"),
     Mutant("delbar-part row filter off by one", COHOMOLOGY,
@@ -146,6 +154,8 @@ MUTANTS = [
            ""),
     Mutant("predicate literal with a signed tail", CATALOG,
            "sc.scan_gaussian(tail=False)", "sc.scan_gaussian()"),
+    Mutant("CLI nilpotency gate inverted", CLI,
+           "if not check_nilpotency(cs):", "if check_nilpotency(cs):"),
     Mutant("CSV cell separator", CLI,
            '",".join(str(cell) for cell in row)', '";".join(str(cell) for cell in row)'),
     Mutant("pass and FAIL swapped", CLI,
