@@ -2,20 +2,28 @@
 
 A form is stored as its Hermitian coefficient matrix ``H`` against the
 (1,0)-coframe; the associated real fundamental 2-form is
-``Omega = i * sum_jk H_jk w^j /\\ wbar^k``.  Following the classical
-parametrization ``Omega = i(r^2 w^{1~1} + s^2 w^{2~2} + t^2 w^{3~3})
+``Omega = i * F`` with ``F = sum_jk H_jk w^j /\\ wbar^k``.  Following the
+classical parametrization ``Omega = i(r^2 w^{1~1} + s^2 w^{2~2} + t^2 w^{3~3})
 + u w^{1~2} - conj(u) w^{2~1} + ...`` the off-diagonal entries are
 ``H_12 = -i u`` and so on, so diagonal entries are the positive rationals
 r^2, s^2, t^2.
 
-``ddbar_of`` reports del delbar of the coefficient form ``sum H_jk w^{j~k}``
-(without the overall i): that is the normalization in which the classical
-six-dimensional families have del delbar of the standard form equal to a
-rational multiple of ``w^{12~1~2}``, and the overall i does not affect any
-vanishing test.  It is computed as ``d`` of the (1,2) part of ``d`` of the
-form: on an integrable structure ``d = del + delbar`` and ``delbar^2 = 0``, so
+All three tests pass through one gate, ``_d_of``: it checks that the form
+and the structure have the same n and returns ``F`` and ``dF``, which reads
+``matrix(2)``, built with the structure by its d^2 check.
+
+``ddbar_of`` reports del delbar of ``F`` (without the overall i, which no
+vanishing test sees): the classical six-dimensional families then have del
+delbar of the standard form equal to a rational multiple of ``w^{12~1~2}``.
+It is ``d`` of the (1,2) part of ``dF``, read off ``matrix(3)``: on an
+integrable structure ``d = del + delbar`` and ``delbar^2 = 0``, so
 ``d(delbar F) = del delbar F``.  That needs ``d^2 = 0``, which every
 :class:`~nilcohom.model.ComplexStructure` is checked for when it is built.
+
+``is_balanced`` tests ``d(Omega^(n-1)) = 0``.  Omega has even degree, so
+``d(Omega^(n-1)) = (n-1) dOmega /\\ Omega^(n-2)`` (Michelsohn, Acta Math. 149,
+1982), a nonzero multiple of ``dF /\\ F^(n-2)`` for n >= 2; for n = 1, F has
+top degree and ``dF = 0``.  So it wedges F onto ``dF`` and applies no more d.
 """
 
 from __future__ import annotations
@@ -23,7 +31,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .algebra import BasisElement, Form, Gaussian, ONE, ZERO, I
+from .algebra import BasisElement, Form, Gaussian, ZERO
 from .model import ComplexStructure
 
 
@@ -60,9 +68,7 @@ class HermitianForm:
 
 def standard_form(n: int) -> HermitianForm:
     """The identity coefficient matrix: Omega = i sum_j w^j /\\ wbar^j."""
-    return HermitianForm(
-        [[ONE if j == k else ZERO for k in range(n)] for j in range(n)]
-    )
+    return hermitian_form([1] * n)
 
 
 def hermitian_form(diag, upper=None) -> HermitianForm:
@@ -91,20 +97,6 @@ def form_from_uvz(r2, s2, t2, u=ZERO, v=ZERO, z=ZERO) -> HermitianForm:
     )
 
 
-def coefficient_form(h: HermitianForm) -> Form:
-    """``sum_jk H_jk w^j /\\ wbar^k`` over the coframe, without the i."""
-    return Form(
-        (BasisElement((j,), (k,)), h.entries[j - 1][k - 1])
-        for j in range(1, h.n + 1)
-        for k in range(1, h.n + 1)
-    )
-
-
-def to_two_form(h: HermitianForm) -> Form:
-    """The real fundamental (1,1)-form ``i sum_jk H_jk w^j /\\ wbar^k``."""
-    return coefficient_form(h).scale(I)
-
-
 def is_positive(h: HermitianForm) -> bool:
     """Positive-definiteness by Sylvester's criterion, exactly.
 
@@ -124,11 +116,18 @@ def is_positive(h: HermitianForm) -> bool:
     return True
 
 
-def ddbar_of(cs: ComplexStructure, h: HermitianForm) -> Form:
-    """The (2,2)-form del delbar of the coefficient form of ``h``."""
+def _d_of(cs: ComplexStructure, h: HermitianForm) -> tuple[Form, Form]:
+    """``(F, dF)`` for ``F = sum_jk H_jk w^j /\\ wbar^k``, the form without the i."""
     if cs.n != h.n:
         raise ValueError(f"dimension mismatch: structure n={cs.n}, form n={h.n}")
-    return cs.d(cs.d(coefficient_form(h)).component(1, 2))
+    f = Form((BasisElement((j + 1,), (k + 1,)), c)
+             for j, row in enumerate(h.entries) for k, c in enumerate(row))
+    return f, cs.d(f)
+
+
+def ddbar_of(cs: ComplexStructure, h: HermitianForm) -> Form:
+    """The (2,2)-form del delbar of the coefficient form of ``h``."""
+    return cs.d(_d_of(cs, h)[1].component(1, 2))
 
 
 def _require_positive(h: HermitianForm):
@@ -143,13 +142,12 @@ def is_pluriclosed(cs: ComplexStructure, h: HermitianForm) -> bool:
 
 
 def is_balanced(cs: ComplexStructure, h: HermitianForm) -> bool:
-    """Whether d(Omega^(n-1)) vanishes exactly."""
+    """Whether d(Omega^(n-1)) vanishes exactly, read as dF /\\ F^(n-2)."""
     _require_positive(h)
-    omega = to_two_form(h)
-    power = omega
+    f, power = _d_of(cs, h)
     for _ in range(cs.n - 2):
-        power = power.wedge(omega)
-    return cs.d(power).is_zero()
+        power = power.wedge(f)
+    return power.is_zero()
 
 
 def random_positive_forms(n: int, count: int, seed: int = 0) -> list[HermitianForm]:

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 
 from nilcohom import metrics as me
-from nilcohom.algebra import BasisElement, Form, Gaussian, I, basis
-from nilcohom.model import instantiate
+from nilcohom.algebra import BasisElement, Form, Gaussian, I, ONE, ZERO, basis
+from nilcohom.model import instantiate, product_with_torus
 from nilcohom.parser import parse_binding, parse_complex_structure, parse_gaussian
 from scale_oracle import d_block, structure_scale
 from test_model import triangular_structures
@@ -20,6 +20,13 @@ def build(template, binding=""):
 TOP = BasisElement((1, 2), (1, 2))
 
 
+def to_two_form(h):
+    """The real fundamental (1,1)-form ``i sum_jk H_jk w^j /\\ wbar^k``, built
+    from the grid here, apart from the engine's route through ``dF``."""
+    return Form((BasisElement((j + 1,), (k + 1,)), I * c)
+                for j, row in enumerate(h.entries) for k, c in enumerate(row))
+
+
 def test_standard_form_is_identity():
     for n in (3, 4):
         h = me.standard_form(n)
@@ -28,7 +35,7 @@ def test_standard_form_is_identity():
 
 
 def test_to_two_form_identity():
-    omega = me.to_two_form(me.standard_form(3))
+    omega = to_two_form(me.standard_form(3))
     expected = Form([(BasisElement((j,), (j,)), I) for j in (1, 2, 3)])
     assert omega == expected
     assert omega.conjugate() == omega
@@ -38,7 +45,7 @@ def test_to_two_form_identity():
 def test_to_two_form_reality_with_offdiagonals():
     h = me.form_from_uvz(Fraction(1), Fraction(1, 2), Fraction(1),
                          u=parse_gaussian("5/8i"))
-    omega = me.to_two_form(h)
+    omega = to_two_form(h)
     assert omega.conjugate() == omega
     # the u-coefficient convention: Omega contains u w^{1~2} - conj(u) w^{2~1}
     u = parse_gaussian("5/8i")
@@ -171,9 +178,21 @@ def test_ddbar_of_agrees_with_the_engine_dd_matrix(all_cases, structures):
             assert me.ddbar_of(cs, h).scale(scale * scale) == image, case.id
 
 
-def test_ddbar_of_dimension_mismatch():
-    with pytest.raises(ValueError):
-        me.ddbar_of(build("(0,0,0)"), me.standard_form(4))
+def test_ddbar_of_dimension_mismatch(structures):
+    # one gate guards all three tests, for forms of either wrong size
+    cs = structures["08"]
+    for h in (me.standard_form(2), me.standard_form(4)):
+        for test in (me.ddbar_of, me.is_pluriclosed, me.is_balanced):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                test(cs, h)
+    # positivity is checked first, so a non-positive form of the wrong n
+    # fails on it; ddbar_of needs no positivity
+    bad = me.hermitian_form([1, 1], {(1, 2): Gaussian.of(2)})
+    for test in (me.is_pluriclosed, me.is_balanced):
+        with pytest.raises(ValueError, match="not positive definite"):
+            test(cs, bad)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        me.ddbar_of(cs, bad)
 
 
 def test_ddbar_of_is_linear_in_the_form():
@@ -260,3 +279,69 @@ def test_skt_and_balanced_forms_live_on_the_torus_only(structures):
 def test_skt_and_balanced_forms_beyond_the_catalog(cs):
     # these structures have d w^n != 0, so no form passes both tests
     assert _skt_and_balanced(cs) == []
+
+
+def _balanced_by_definition(cs, h):
+    """Whether d(Omega^(n-1)) = 0, with Omega and its power built here: the
+    reference applies d on degree 2n-2, the engine on degree 2 only."""
+    omega = to_two_form(h)
+    power = omega
+    for _ in range(cs.n - 2):
+        power = power.wedge(omega)
+    return cs.d(power).is_zero()
+
+
+def test_balanced_agrees_with_its_definition_on_the_catalog(structures):
+    verdicts = [me.is_balanced(cs, h) == _balanced_by_definition(cs, h)
+                for cs in structures.values() for h in _forms(cs.n)]
+    assert len(verdicts) == 288 and all(verdicts)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None, database=None)
+@given(triangular_structures())
+def test_balanced_agrees_with_its_definition_beyond_the_catalog(cs):
+    for h in _forms(cs.n):
+        assert me.is_balanced(cs, h) == _balanced_by_definition(cs, h)
+
+
+def test_balanced_reads_only_the_degree_two_matrix():
+    # the d^2 check builds matrix(2); the balanced test reads nothing else
+    cs = build("(0,0,w12+w1~1+w1~2+D*w2~2)", "D=1/8")
+    assert set(cs._matrices) == {2}
+    for h in _forms(3):
+        me.is_balanced(cs, h)
+    assert set(cs._matrices) == {2}
+
+
+def _with_torus(h):
+    """``h`` plus 1 on the new generator: the form of the product with the torus."""
+    return me.HermitianForm([row + [ZERO] for row in h.entries] + [[ZERO] * h.n + [ONE]])
+
+
+def test_metric_verdicts_survive_the_product_with_the_torus(all_cases, structures):
+    # Omega' = Omega + eta with eta = i w^{n+1} /\ wbar^{n+1} closed and eta^2 = 0,
+    # so d(Omega'^n) = d(Omega^n) + n d(Omega^(n-1)) /\ eta, where d(Omega^n)
+    # has degree 2n+1 > 2n and is 0; and del delbar Omega' = del delbar Omega
+    checked = 0
+    for case in all_cases:
+        if case.dim != 3:
+            continue
+        cs = structures[case.id]
+        product = product_with_torus(cs)
+        for h in _forms(3):
+            wide = _with_torus(h)
+            assert me.is_balanced(product, wide) == me.is_balanced(cs, h), case.id
+            assert me.is_pluriclosed(product, wide) == me.is_pluriclosed(cs, h), case.id
+            checked += 1
+    assert checked == 204
+
+
+def test_metric_verdicts_on_nilpotent_complex_surfaces():
+    # d vanishes on the 3-forms of a unimodular 4-dimensional algebra, so every
+    # form is pluriclosed; balanced is Kaehler in complex dimension 2, and a
+    # Kaehler nilmanifold is a torus
+    for template in ("(0,0)", "(0,w1~1)", "(0,i*w1~1)", "(0,2*w1~1)", "(0,1/2*w1~1)"):
+        cs = build(template)
+        for h in [me.standard_form(2), *me.random_positive_forms(2, 5, seed=3)]:
+            assert me.is_pluriclosed(cs, h), template
+            assert me.is_balanced(cs, h) == (template == "(0,0)"), template

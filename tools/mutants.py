@@ -147,6 +147,12 @@ MUTANTS = [
            ".component(1, 2)", ".component(2, 1)"),
     Mutant("balanced power", METRICS,
            "for _ in range(cs.n - 2):", "for _ in range(cs.n - 1):"),
+    Mutant("balanced power started at F, not dF", METRICS,
+           "f, power = _d_of(cs, h)", "f, _ = _d_of(cs, h)\n    power = f"),
+    Mutant("one-sided dimension gate", METRICS,
+           "if cs.n != h.n:", "if cs.n < h.n:"),
+    Mutant("balanced without the positivity check", METRICS,
+           "    _require_positive(h)\n    f, power", "    f, power"),
     Mutant("digit class widened to \\d", PARSER,
            'r"(-?)([0-9]*)(/?)([0-9]*)"', 'r"(-?)(\\d*)(/?)(\\d*)"'),
     Mutant("zero-denominator check dropped", PARSER,
