@@ -11,12 +11,15 @@ takes the row count and a list of columns, and ``ExactMatrix.apply`` maps a
 list of columns to their images.  An :class:`ExactMatrix` is a built matrix
 only (a structure's differential, a caller's matrix or a product), and
 checks its shape once, when it is made.  ``exact_rank`` counts its pivot
-columns, and given the pivot dict of an earlier elimination on the same
-rows, or a subset of it, it resumes from it (the cohomology engine ranks
-blocks that share a target this way) and leaves the pivot columns in it, a
-basis of the column span (which is how the nilpotency check follows the
-lower central series).  ``vstack`` and ``hstack`` have no caller in the
-package; the benchmark's trace still hooks them.
+columns by fraction-free (Bareiss) elimination.  It skips the arithmetic
+that cannot change a pivot, so its pivots are the textbook step's, key for
+key and in order (``reference_rank`` in ``tests/rank_oracle.py``).  Given the
+pivot dict of an earlier elimination on the same rows, or a subset of it, it
+resumes from it (the cohomology engine ranks blocks that share a target this
+way) and leaves the pivot columns in it, a basis of the column span (which
+is how the nilpotency check follows the lower central series).  ``vstack``
+and ``hstack`` have no caller in the package; the benchmark's trace still
+hooks them.
 
 A matrix is stored by columns: column ``j`` is the image of source basis
 vector ``j``.  That is how the engine produces a differential (one source
@@ -128,6 +131,15 @@ def exact_rank(rows: int, columns: list, pivots: dict | None = None) -> int:
     row, and span the columns.
     The order of columns and pivots is fixed, so the work is reproducible.
 
+    Shortcuts that change no pivot (a pivot is a new dict, never one of ``columns``):
+
+    * a real lead skips the conjugate product, a positive integer factor
+      that the gcd step divides out: a lead 1 is copied (its gcd is 1) and a
+      negative lead negated;
+    * a pivot multiplier of 1 (after the gcd step) copies the column unscaled;
+    * a real column multiplier skips the imaginary products, all 0;
+    * an emptied column skips the gcd step, which has nothing to divide.
+
     Given ``pivots``, the pivot dict of an earlier call on the same rows, or
     any subset of one (a subset of pivots with distinct leads, each led by
     its lowest row, is again such a set), the elimination resumes from it and
@@ -142,11 +154,17 @@ def exact_rank(rows: int, columns: list, pivots: dict | None = None) -> int:
             lead = min(v)
             pivot = pivots.get(lead)
             if pivot is None:
-                # multiply by the conjugate of the lead: it becomes |lead|^2
                 a, b = v[lead]
-                pivots[lead] = _primitive(
-                    {r: (a * x + b * y, a * y - b * x) for r, (x, y) in v.items()}
-                )
+                if b:  # multiply by the conjugate of the lead: it becomes |lead|^2
+                    pivots[lead] = _primitive(
+                        {r: (a * x + b * y, a * y - b * x) for r, (x, y) in v.items()}
+                    )
+                elif a == 1:
+                    pivots[lead] = dict(v)
+                elif a < 0:
+                    pivots[lead] = _primitive({r: (-x, -y) for r, (x, y) in v.items()})
+                else:
+                    pivots[lead] = _primitive(dict(v))
                 break
             v = _eliminate(v, pivot, lead)
         if len(pivots) == rows:
@@ -171,17 +189,29 @@ def _eliminate(v: dict, pivot: dict, lead: int) -> dict:
     ha, hb = v[lead]
     g = gcd(p, ha, hb)
     p, ha, hb = p // g, ha // g, hb // g
-    out = {r: (p * x, p * y) for r, (x, y) in v.items()}
-    for r, (x, y) in pivot.items():
-        ta = ha * x - hb * y
-        tb = ha * y + hb * x
-        if r in out:
-            xa, xb = out[r]
-            ta, tb = xa - ta, xb - tb
-        else:
-            ta, tb = -ta, -tb
-        if ta or tb:
-            out[r] = (ta, tb)
-        else:
-            del out[r]
-    return _primitive(out)
+    out = dict(v) if p == 1 else {r: (p * x, p * y) for r, (x, y) in v.items()}
+    if hb:
+        for r, (x, y) in pivot.items():
+            ta = ha * x - hb * y
+            tb = ha * y + hb * x
+            if r in out:
+                xa, xb = out[r]
+                ta, tb = xa - ta, xb - tb
+            else:
+                ta, tb = -ta, -tb
+            if ta or tb:
+                out[r] = (ta, tb)
+            else:
+                del out[r]
+    else:  # a real multiplier: no products with hb
+        for r, (x, y) in pivot.items():
+            if r in out:
+                xa, xb = out[r]
+                ta, tb = xa - ha * x, xb - ha * y
+            else:
+                ta, tb = -ha * x, -ha * y
+            if ta or tb:
+                out[r] = (ta, tb)
+            else:
+                del out[r]
+    return _primitive(out) if out else out

@@ -10,7 +10,7 @@ from nilcohom.algebra import BasisElement, Form, Gaussian, ONE, ZERO
 from nilcohom.linalg import exact_rank
 from nilcohom.model import ComplexStructure, instantiate, substitute
 from nilcohom.parser import parse_binding, parse_complex_structure
-from rank_oracle import grid_of, matrix_from_grid
+from rank_oracle import grid_of, matrix_from_grid, reference_rank
 from scale_oracle import (d_block, grid_product, reference_matrices, reference_ranks, scaled,
                           structure_scale)
 from test_model import SMALL_GAUSSIAN, triangular_structures
@@ -120,6 +120,23 @@ def test_full_table_eliminates_each_slot_of_d_once(monkeypatch, structures):
         outputs = sum(3 * ranks["delbar", p, q] + ranks["stack", p, q]
                       for p in range(n + 1) for q in range(n + 1))
         assert sum(map(len, seen)) - sum(map(len, slots)) <= outputs, n
+
+
+def test_ranks_match_the_reference_elimination_on_the_catalog(monkeypatch, structures):
+    # _ranks reads del and delbar off which rows lead the pivots, so the
+    # kernel's shortcuts must leave every pivot as the textbook step makes it
+    expected = {cid: co._ranks(cs) for cid, cs in structures.items()}
+    monkeypatch.setattr(co, "exact_rank", reference_rank)
+    assert {cid: co._ranks(cs) for cid, cs in structures.items()} == expected
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(triangular_structures())
+def test_ranks_match_the_reference_elimination_beyond_the_catalog(cs):
+    expected = co._ranks(cs)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(co, "exact_rank", reference_rank)
+        assert co._ranks(cs) == expected
 
 
 def test_full_table_eliminates_no_matrix_without_a_nonzero_column(monkeypatch, structures):

@@ -1,12 +1,15 @@
 import random
+from collections import Counter
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from nilcohom import catalog as cat, cohomology as co, linalg
 from nilcohom.algebra import Gaussian, ZERO
 from nilcohom.linalg import ExactMatrix, exact_rank, hstack, vstack
-from rank_oracle import grid_of, matrix_from_grid, oracle_rank
+import rank_oracle
+from rank_oracle import grid_of, matrix_from_grid, oracle_rank, reference_rank
 from scale_oracle import grid_product, reference_ranks, scaled, structure_scale
 
 
@@ -214,6 +217,61 @@ def test_rank_resumes_from_any_subset_of_earlier_pivots():
         together = [ra + rb for ra, rb in zip(grid_of(kept), b)]
         rank = exact_rank(rows, matrix_from_grid(b).columns, subset)
         assert rank == len(subset) == oracle_rank(together), trial
+
+
+# units, real and imaginary integers above 1, and general Gaussian integers
+SMALL_ENTRIES = [(1, 0), (-1, 0), (2, 0), (-2, 0), (3, 0), (-3, 0), (0, 1), (0, -1),
+                 (0, 2), (0, -2), (1, 1), (1, -1), (2, -3)]
+
+
+def _ordered(pivots):
+    """The pivots as nested item lists, so that a comparison sees key order too."""
+    return [(lead, list(v.items())) for lead, v in pivots.items()]
+
+
+def test_pivots_match_the_reference_elimination_key_for_key(monkeypatch):
+    # exact_rank skips arithmetic that cannot change a pivot; its pivot dicts
+    # must still be the textbook ones, in keys, values and order, fresh and
+    # resumed, and never a caller's column or a change to one
+    branches = Counter()
+    new_pivot, reduced = rank_oracle._new_pivot, rank_oracle._reduced
+
+    def counted_pivot(v, lead):
+        a, b = v[lead]
+        if b:
+            branches["general lead" if a else "imaginary lead"] += 1
+        else:
+            branches["lead 1" if a == 1 else "real lead above 1" if a > 1
+                     else "negative real lead"] += 1
+        return new_pivot(v, lead)
+
+    def counted_step(v, pivot, lead):
+        p, (ha, hb) = pivot[lead][0], v[lead]
+        branches["p/g is 1" if p == gcd(p, ha, hb) else "p/g above 1"] += 1
+        branches["complex multiplier" if hb else "real multiplier"] += 1
+        return reduced(v, pivot, lead)
+
+    monkeypatch.setattr(rank_oracle, "_new_pivot", counted_pivot)
+    monkeypatch.setattr(rank_oracle, "_reduced", counted_step)
+    rng = random.Random(23)
+    for trial in range(500):
+        rows = rng.randint(1, 8)
+        columns = [{r: rng.choice(SMALL_ENTRIES) for r in range(rows) if rng.random() < 0.6}
+                   for _ in range(rng.randint(1, 10))]
+        snapshot = [dict(v) for v in columns]
+        split = rng.randint(0, len(columns))
+        mine, theirs = {}, {}
+        for part in (columns[:split], columns[split:]):
+            assert exact_rank(rows, part, mine) == reference_rank(rows, part, theirs), trial
+            assert _ordered(mine) == _ordered(theirs), trial
+            if rng.random() < 0.5:  # resume from a subset of the pivots
+                kept = [lead for lead in mine if rng.random() < 0.5]
+                mine, theirs = {k: mine[k] for k in kept}, {k: theirs[k] for k in kept}
+        assert columns == snapshot, trial
+        assert not {id(v) for v in mine.values()} & {id(v) for v in columns}, trial
+    assert set(branches) == {
+        "lead 1", "real lead above 1", "negative real lead", "imaginary lead", "general lead",
+        "p/g is 1", "p/g above 1", "real multiplier", "complex multiplier"}, branches
 
 
 def test_rank_of_every_engine_matrix_of_an_8d_structure(monkeypatch):

@@ -83,13 +83,25 @@ MUTANTS = [
            "if len(pivots) == rows:", "if len(pivots) >= rows - 1:"),
     Mutant("elimination sign flip", LINALG,
            "ta, tb = xa - ta, xb - tb", "ta, tb = xa + ta, xb + tb"),
+    Mutant("real-multiplier elimination sign flip", LINALG,
+           "ta, tb = xa - ha * x, xb - ha * y", "ta, tb = xa + ha * x, xb + ha * y"),
+    Mutant("real-multiplier loop taken for a negative imaginary part", LINALG,
+           "    if hb:\n", "    if hb > 0:\n"),
+    Mutant("unit-multiplier copy taken for p = 2", LINALG,
+           "out = dict(v) if p == 1 else", "out = dict(v) if p <= 2 else"),
+    Mutant("negative real lead left un-negated", LINALG,
+           "pivots[lead] = _primitive({r: (-x, -y) for r, (x, y) in v.items()})",
+           "pivots[lead] = _primitive(v)"),
+    Mutant("(1, 0)-led column stored without a copy", LINALG,
+           "pivots[lead] = dict(v)", "pivots[lead] = v"),
+    Mutant("real lead above 1 stored without a copy", LINALG,
+           "pivots[lead] = _primitive(dict(v))", "pivots[lead] = _primitive(v)"),
     Mutant("pair product sign in apply", LINALG,
            "a * x - b * y", "a * x + b * y"),
     Mutant("elimination restarted instead of resumed", LINALG,
            "    if pivots is None:\n        pivots = {}\n", "    pivots = {}\n"),
     Mutant("pivot columns left unreduced", LINALG,
-           "return {r: (x // g, y // g) for r, (x, y) in v.items()}", "return v",
-           equivalent="dividing a column by a positive integer changes no span or rank"),
+           "return {r: (x // g, y // g) for r, (x, y) in v.items()}", "return v"),
     Mutant("nilpotency stop", MODEL,
            "        if len(pivots) == len(span):\n            return False",
            "        if len(pivots) == len(span):\n            return True"),
