@@ -16,11 +16,18 @@ a leading minus before any power (``-x^2`` is ``-(x^2)``), comparators
 ``-`` are always operators and ``1 - i*x`` is ``1 - (i*x)``.  Strict
 inequalities are decided exactly, so a sample either satisfies its region or
 the catalog refuses to load.
+
+A deformation curve reports each ``pluriclosed`` and ``balanced`` flag of a
+point by one rule: the flag is true when its test passes on any of the
+standard form, the curve's own form (when it has one and it is positive at
+that point), and a fixed seeded sweep of positive forms, tried in that
+order.  So a false flag has failed on every one of them.
 """
 
 from __future__ import annotations
 
 import operator
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -28,14 +35,8 @@ from importlib import resources
 
 from .algebra import Gaussian, ZERO
 from .cohomology import CohomologyTable, full_table
-from .metrics import (
-    form_from_uvz,
-    is_balanced,
-    is_pluriclosed,
-    is_positive,
-    random_positive_forms,
-    standard_form,
-)
+from .metrics import (HermitianForm, form_from_uvz, is_balanced, is_pluriclosed, is_positive,
+                      random_positive_forms, standard_form)
 from .model import ComplexStructure, instantiate
 from .parser import (_COMPARATOR, _IDENT, _LITERAL, _Scanner, _parse_sum, parse_binding,
                      parse_complex_structure, parse_real_algebra)
@@ -345,16 +346,16 @@ class CurvePoint:
 @dataclass
 class DeformationCurve:
     id: str
-    description: str
     algebra_text: str
     template_text: str
     points: list[CurvePoint]
+    # the curve's own Hermitian form at a point's binding, if it has one
+    form: Callable[[dict[str, Gaussian]], HermitianForm] | None = None
 
 
 _CURVES = [
     DeformationCurve(
         id="A",
-        description="pluriclosed family with jumping h_bc(3,1)",
         algebra_text="(0,0,0,0,12,34)",
         template_text="(0,0,t*w12+w1~1+t*w1~2+E*w2~2)",
         points=[
@@ -365,7 +366,6 @@ _CURVES = [
     ),
     DeformationCurve(
         id="B",
-        description="pluriclosed family with jumping h_bc(2,2)",
         algebra_text="(0,0,0,0,13+42,14+23)",
         template_text="(0,0,w12+w1~1+D*w2~2)",
         points=[
@@ -376,7 +376,6 @@ _CURVES = [
     ),
     DeformationCurve(
         id="C",
-        description="balanced/pluriclosed transitions along one real parameter",
         algebra_text="(0,0,0,0,12,14+23)",
         template_text="(0,0,w12+w1~1+w1~2+D*w2~2)",
         points=[
@@ -384,13 +383,15 @@ _CURVES = [
             CurvePoint("D=1/4", "D=1/4", {"balanced": False, "pluriclosed": False}),
             CurvePoint("D=1", "D=1", {"balanced": False, "pluriclosed": True}),
         ],
+        # r^2=1, s^2=1/2, t^2=1, u=i(D+s^2)
+        form=lambda b: form_from_uvz(1, Fraction(1, 2), 1,
+                                     u=Gaussian.of(0, 1) * (b["D"] + Fraction(1, 2))),
     ),
 ]
 
-# curve C carries a distinguished metric: r^2=1, s^2=1/2, t^2=1, u=i(D+s^2)
-_CURVE_C_S2 = Fraction(1, 2)
-_CURVE_C_RANDOM_COUNT = 20
-_CURVE_C_SEED = 20
+# the seeded sweep of positive forms behind every false curve flag
+_SWEEP_COUNT = 20
+_SWEEP_SEED = 20
 
 
 def deformation_curves() -> list[DeformationCurve]:
@@ -423,38 +424,31 @@ def evaluate_curve(curve_id: str) -> list[CurvePointResult]:
     for point in curve.points:
         binding = parse_binding(point.binding_text)
         cs = instantiate(template, binding)
-        std = standard_form(cs.n)
-        computed: dict = {"pluriclosed": is_pluriclosed(cs, std)}
+        own = curve.form(binding) if curve.form else None
+        computed: dict = {}
         table = None
         for key in point.expected:
             if key.startswith("h_bc"):
                 p, q = (int(x) for x in key[5:-1].split(","))
                 table = table or full_table(cs)
                 computed[key] = table.h_bc[p][q]
-        if curve.id == "C":
-            computed.update(_curve_c_flags(cs, binding, computed["pluriclosed"]))
+            else:
+                test = {"pluriclosed": is_pluriclosed, "balanced": is_balanced}[key]
+                computed[key] = any(test(cs, h) for h in _flag_forms(cs.n, own))
         results.append(
             CurvePointResult(point.label, point.binding_text, computed, point.expected)
         )
     return results
 
 
-def _curve_c_flags(cs: ComplexStructure, binding: dict[str, Gaussian],
-                   std_pluriclosed: bool) -> dict:
-    """Balanced verdicts for curve C: the distinguished metric when positive,
-    otherwise the standard plus a seeded random sweep; pluriclosed likewise,
-    starting from the standard form's verdict ``std_pluriclosed``."""
-    d = binding["D"]
-    u = Gaussian.of(0, 1) * (d + Gaussian.of(_CURVE_C_S2))
-    distinguished = form_from_uvz(Fraction(1), _CURVE_C_S2, Fraction(1), u=u)
-    candidates = [standard_form(cs.n)]
-    if is_positive(distinguished):
-        candidates.append(distinguished)
-    balanced = any(is_balanced(cs, h) for h in candidates)
-    pluriclosed = std_pluriclosed
-    if not balanced and not pluriclosed:
-        # a negative verdict is only reported after a randomized sweep agrees
-        for h in random_positive_forms(cs.n, _CURVE_C_RANDOM_COUNT, _CURVE_C_SEED):
-            balanced = is_balanced(cs, h) or balanced
-            pluriclosed = is_pluriclosed(cs, h) or pluriclosed
-    return {"balanced": balanced, "pluriclosed": pluriclosed}
+def _flag_forms(n: int, own: HermitianForm | None):
+    """The forms a curve flag is tried on, in order (see the module docstring)."""
+    yield standard_form(n)
+    if own is not None and is_positive(own):
+        yield own
+    yield from _sweep(n)
+
+
+@lru_cache(maxsize=None)
+def _sweep(n: int) -> tuple[HermitianForm, ...]:
+    return tuple(random_positive_forms(n, _SWEEP_COUNT, _SWEEP_SEED))

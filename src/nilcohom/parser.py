@@ -252,10 +252,12 @@ def parse_complex_structure(src: str) -> ComplexStructureTemplate:
     sc = _Scanner(src)
     raw_entries = _parse_tuple(sc, _parse_cform)
     n = len(raw_entries)
+    if n > 9:  # no term can name a tenth generator, and the table grows like 4^n
+        sc.error("too many entries: generators are numbered 1-9", raw_entries[9][0])
     params: list[str] = []
     moduli: dict[str, Mod] = {}
     entries = []
-    for terms in raw_entries:
+    for _, terms in raw_entries:
         out = []
         for sign, pos, (coeff, (elem, orient)) in terms:
             if max(elem.holo + elem.anti) > n:
@@ -284,10 +286,12 @@ def _negate_expr(expr):
 
 
 def _parse_cform(sc: _Scanner) -> list:
+    """One entry as ``[(position, terms)]``; a zero entry has no terms."""
     sc.skip_ws()
+    start = sc.pos
     if sc.scan(_ZERO):
-        return [[]]
-    return [_parse_sum(sc, lambda sc: (_parse_cterm_coeff(sc), _parse_wfactor(sc)))]
+        return [(start, [])]
+    return [(start, _parse_sum(sc, lambda sc: (_parse_cterm_coeff(sc), _parse_wfactor(sc))))]
 
 
 # a shift's literal in a modulus name: '/', '+', '-' are spelt '_', 'p', 'm'

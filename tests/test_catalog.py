@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from nilcohom import catalog as cat
+from nilcohom import metrics as me
 from nilcohom.cohomology import full_table
 from nilcohom.model import instantiate, realify
 from nilcohom.parser import (
@@ -157,6 +158,30 @@ def test_deformation_curves_structure():
     assert all(len(c.points) == 3 for c in curves)
     with pytest.raises(KeyError):
         cat.curve_by_id("Z")
+
+
+def test_every_false_curve_flag_failed_on_the_whole_seeded_sweep(monkeypatch):
+    """A curve flag reads False only after its own test failed on each of the
+    20 positive forms of seed 20, on that point's structure."""
+    calls = []
+    for name in ("is_pluriclosed", "is_balanced"):
+        def spy(cs, h, name=name, test=getattr(cat, name)):
+            calls.append((name, cs, h))
+            return test(cs, h)
+        monkeypatch.setattr(cat, name, spy)
+    sweep = me.random_positive_forms(3, 20, seed=20)
+    false_flags = []
+    for curve in cat.deformation_curves():
+        template = parse_complex_structure(curve.template_text)
+        for res in cat.evaluate_curve(curve.id):
+            cs = instantiate(template, parse_binding(res.binding_text))
+            for key in ("pluriclosed", "balanced"):
+                if res.computed.get(key) is False:
+                    tried = [h for name, c, h in calls if name == f"is_{key}" and c == cs]
+                    assert all(h in tried for h in sweep), (curve.id, res.label, key)
+                    false_flags.append((curve.id, res.label, key))
+    assert false_flags == [("C", "D=1/8", "pluriclosed"), ("C", "D=1/4", "pluriclosed"),
+                           ("C", "D=1/4", "balanced"), ("C", "D=1", "balanced")]
 
 
 def test_corrupted_sample_is_rejected(monkeypatch):

@@ -43,6 +43,38 @@ def test_check_duplicate_index_is_usage_error(capsys, tmp_path):
     assert "parse error" in err and "duplicate index" in err
 
 
+def test_more_than_nine_entries_is_a_parse_error_before_anything_is_built(
+        capsys, tmp_path, monkeypatch):
+    # no term can name a tenth generator, and a table builds about 4^n monomials
+    def build(*args):
+        raise AssertionError("a structure was built")
+    monkeypatch.setattr(cli, "instantiate", build)
+    monkeypatch.setattr(cli, "parse_real_algebra", build)
+    path = tmp_path / "ten.txt"
+    path.write_text("(0,0,0,0,0,0,0,0,0, w12)\n", encoding="ascii")
+    for command in ("table", "check", "skt"):
+        code, out, err = run(capsys, command, str(path))
+        assert (code, out) == (1, ""), command
+        assert err == ("parse error: too many entries: generators are numbered 1-9 "
+                       "(line 1, column 21)\n"), command
+    monkeypatch.undo()
+    path.write_text("(0,0,0,0,0,0,0,0, w12)\n", encoding="ascii")
+    code, out, _ = run(capsys, "check", str(path))
+    assert code == 0 and "parsed complex-structure template (n=9)" in out
+    code, out, _ = run(capsys, "skt", str(path))
+    assert code == 0 and "balanced (standard metric): True" in out
+
+
+def test_check_reads_ten_zero_entries_as_a_real_algebra(capsys, tmp_path):
+    # no template has ten entries, and a real algebra check builds degrees 1 and 2
+    path = tmp_path / "ten.txt"
+    path.write_text("(0,0,0,0,0,0,0,0,0,0)\n", encoding="ascii")
+    code, out, _ = run(capsys, "check", str(path))
+    assert code == 0 and out.startswith("parsed real algebra (dim=10)")
+    code, _, err = run(capsys, "table", str(path))
+    assert code == 1 and "column 20" in err
+
+
 def test_check_non_jacobi_input(capsys, tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("(0, w1~3, w12)\n", encoding="ascii")

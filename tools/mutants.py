@@ -172,6 +172,12 @@ MUTANTS = [
            ""),
     Mutant("predicate literal with a signed tail", CATALOG,
            "sc.scan_gaussian(tail=False)", "sc.scan_gaussian()"),
+    Mutant("curve's own form dropped", CATALOG,
+           "    if own is not None and is_positive(own):\n        yield own\n", ""),
+    Mutant("curve flags without the seeded sweep", CATALOG,
+           "    yield from _sweep(n)\n", ""),
+    Mutant("curve's own form tried when not positive", CATALOG,
+           "if own is not None and is_positive(own):", "if own is not None:"),
     Mutant("CLI nilpotency gate inverted", CLI,
            "if not check_nilpotency(cs):", "if check_nilpotency(cs):"),
     Mutant("CSV cell separator", CLI,
