@@ -1,26 +1,33 @@
 """Exact cohomology of the invariant bigraded complex.
 
 :func:`full_table` is the entry point: it returns every dimension of one
-structure as a :class:`CohomologyTable`, read off one table of ranks.
+structure as a :class:`CohomologyTable`, read off one list of ranks.
 Matrices are column-sparse: column ``j`` is the image of the ``j``-th source
 monomial.  The engine builds no differential of its own: it reads the
 structure's ``matrix(k)``, ``L * d`` on total degree k (see
 :mod:`nilcohom.model`), whose rows and columns follow the basis of that
 degree given by :func:`nilcohom.algebra.degree_basis`: its (p,q) slots by
 ascending p, each in the fixed lexicographic order of
-:func:`nilcohom.algebra.basis`; where each slot starts and how large it
-is depends on n alone, and is worked out once per n.  d on a (p,q) slot is
-the column slice at that slot; as ``d`` of a (p,q)-form has only (p,q+1) and
-(p+1,q) parts on an integrable structure, and the (p,q+1) rows come first,
-del and delbar are read off that slice's one elimination, never cut out of
-it: the pivots led in the (p+1,q) rows have no delbar part, so the other
-pivots carry a basis of im delbar in their first rows, and their remaining
-rows, resumed from the (p+1,q)-led pivots, span im del.  One loop takes
-every rank a dimension needs with the single exact rank routine of
-:mod:`nilcohom.linalg`, resuming its eliminations where they share a
-target.  Every vector is a bare column, in the row numbering of its degree:
-slices, row filters and images (``matrix.apply``) go to ``exact_rank`` as
-lists of columns, never wrapped in a matrix (see :func:`_ranks`).
+:func:`nilcohom.algebra.basis`.  Where each slot starts and how large it is
+depends on n alone.  d on a (p,q) slot is the column slice at that slot; as
+``d`` of a (p,q)-form has only (p,q+1) and (p+1,q) parts on an integrable
+structure, and the (p,q+1) rows come first, del and delbar are read off
+that slice's one elimination, never cut out of it: the pivots led in the
+(p+1,q) rows have no delbar part, so the other pivots carry a basis of im
+delbar in their rows before the cut (the first (p+1,q) row), and their
+remaining rows, resumed from the (p+1,q)-led pivots, span im del.
+
+Everything that depends on n alone is compiled once per n.  :func:`_steps`
+turns the (p,q) loop into a list of steps, each holding its degree, its
+column slice, its cut and the row count of each of its eliminations, and
+names the slot of a flat rank list that each of its ranks fills.  One loop
+(:func:`_rank_list`) runs those steps with the single exact rank routine of
+:mod:`nilcohom.linalg`, resuming its eliminations where they share a target.
+Every vector is a bare column, in the row numbering of its degree: slices,
+pivot parts and images (``matrix.apply``) go to ``exact_rank`` as lists of
+columns, never wrapped in a matrix.  The concat elimination resumes in the
+source space of its degree's matrix, so its row count is that matrix's
+column count (see :func:`_rank_list`).
 
 Entries are Gaussian-integer pairs ``(x, y)``, meaning ``x + y*i``: every
 matrix of a structure is ``L`` times the true one, where ``L`` is the lcm of
@@ -37,9 +44,11 @@ is im del + im delbar).  :data:`THEORIES` is the one table of these
 formulas: each row names a theory for output, names its
 :class:`CohomologyTable` grid and lists its rank terms.  It is compiled once
 per n, with the Betti formula, into a plan of cells, a base dimension plus
-signed rank keys, and :func:`full_table` fills every grid by adding up the
-plan's cells; a rank the table lacks is that of a map with no source or
-target, and is left out of the plan.  No dimension is a quotient basis.
+signed rank keys (:func:`_plan`); a rank the table lacks is that of a map
+with no source or target, and is left out of the plan.  :func:`_cells`
+turns each key into its slot in the rank list and adds the delta cells, so
+:func:`full_table` fills every field, delta included, by adding up cells.
+No dimension is a quotient basis.
 
 Conventions, for a structure of complex dimension ``n``:
 
@@ -49,15 +58,15 @@ Conventions, for a structure of complex dimension ``n``:
   is a check, not a definition;
 * the de Rham/Betti numbers come from the total complex, d in each degree,
   not from the table;
-* ``delta[k]`` is read off the finished table: the Bott-Chern and Aeppli
-  dimensions in total degree k minus twice the Betti number.  It vanishes in
-  every degree exactly on structures satisfying the del-delbar lemma, and
-  obeys ``delta[k] == delta[2n-k]``.
+* ``delta[k]`` is the Bott-Chern and Aeppli dimensions in total degree k
+  minus twice the Betti number, compiled into one cell of ranks.  It
+  vanishes in every degree exactly on structures satisfying the del-delbar
+  lemma, and obeys ``delta[k] == delta[2n-k]``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
 from math import comb
 
@@ -86,66 +95,112 @@ def _layout(n: int) -> dict:
             for p in edge for q in edge}
 
 
-def _ranks(cs: ComplexStructure) -> dict:
-    """The rank of every matrix a dimension needs, one elimination per slot.
+# the ranks of one (p,q) step, in the order they take in the rank list; dd
+# only for q < n, where del delbar has a target
+_KINDS = ("concat", "stack", "delbar", "del", "dd")
 
-    Keys are ``(kind, p, q)`` over the square, with ``dd`` only for q < n
-    (its target is empty at q = n), and ``("total", k)`` for the total
-    complex in each degree k = 0 .. 2n.  ``d[k]`` is the structure's
-    ``matrix(k)``, and every vector stays in the row numbering of its
-    degree: nothing is cut out or renumbered.  Per (p,q):
 
-    * ``stack``: d on the slot, the column slice of ``d[p+q]`` at (p,q).  Its
-      rows of (p,q+1) come before those of (p+1,q), and each pivot is led by
-      its lowest row, so the pivots led in the (p+1,q) rows have no delbar
-      part and span del(ker delbar); the others, led in (p,q+1), are d of a
-      complement of ker delbar, and their delbar parts (rows before (p+1,q))
-      are a basis of im delbar: their count is ``rank delbar(p,q)``;
-    * ``del``: the del parts of those (p,q+1)-led pivots, resumed from a copy
-      of the (p+1,q)-led ones, as im del = del(ker delbar) + del of the
-      complement; the resumed pivots span im del(p,q);
-    * ``dd``: ``d[p+q+1]`` applied to the delbar basis, whose delbar^2 part
-      is 0, so it is the image of del delbar;
-    * ``concat``: the pivots of im del(p-1,q), resumed with the delbar basis
-      of (p,q-1).
+@cache
+def _steps(n: int) -> tuple:
+    """The loop of :func:`_rank_list` compiled for dimension ``n``.
 
-    ``total(k)`` resumes from the first slot's stack pivots with the other
-    slots' stack pivots, which span their images.  A matrix with no nonzero
-    column is not eliminated: its rank is 0, or the count of the pivots it
-    would resume from.  del has no target at p = n, so ``del(n,q)`` and
-    ``dd(n,q)`` are 0.
+    Returns ``(steps, totals, keys)``.  ``steps`` holds one tuple ``(p, k,
+    lo, hi, cut, source, rows, dd)`` per (p,q), q outer and p inner: the
+    slot's total degree k, its column slice ``lo:hi`` in ``d[k]``, its cut
+    (the first (p+1,q) row, in the row numbering of degree k+1), and the row
+    count of each elimination: ``source``, the size of the degree-k basis,
+    for concat, whose vectors live in degree k, the source space of ``d[k]``;
+    ``rows``, of degree k+1, for stack and del; and ``dd``, of degree k+2,
+    or 0 at p = n, where del delbar has no target and its rank is 0, or
+    ``None`` at q = n, where it has no rank.  ``totals`` holds one tuple
+    ``(rows, first, *rest)`` per degree k: the row count of degree k+1 and
+    the steps of its slots, by ascending p.  ``keys[i]`` is the key of slot
+    ``i`` of the rank list: each step's ranks in ``_KINDS`` order, then
+    ``("total", k)`` for every k.
     """
-    n, span = cs.n, range(cs.n + 1)
-    d, layout = [cs.matrix(k) for k in range(2 * n + 1)], _layout(n)
-
-    def rank(rows, columns, pivots=None):  # no elimination without a nonzero column
-        if not any(columns):
-            return len(pivots or ())
-        return exact_rank(rows, columns, pivots)
-
-    ranks, stacks, images = {}, {}, {}
+    dim = [comb(2 * n, k) for k in range(2 * n + 3)]  # degree-k basis size, 0 past 2n
+    layout, span, steps, keys = _layout(n), range(n + 1), [], []
     for q in span:
-        below = {}  # pivots spanning im del(p-1,q), in the (p,q) rows
         for p in span:
             k, (lo, size) = p + q, layout[p, q]
-            # im del + im delbar landing in (p,q)
-            ranks["concat", p, q] = rank(d[k].cols, images.get((p, q - 1), ()), below)
-            # ker d = ker del /\ ker delbar at (p,q): the parts land in distinct slots
-            stacks[p, q] = pivots = {}
-            ranks["stack", p, q] = rank(d[k].rows, d[k].columns[lo:lo + size], pivots)
-            cut = layout[p + 1, q][0]  # the first (p+1,q) row
-            led = [v for lead, v in pivots.items() if lead < cut]
-            images[p, q] = image = [{r: e for r, e in v.items() if r < cut} for v in led]
-            ranks["delbar", p, q] = len(image)
-            below = {lead: v for lead, v in pivots.items() if lead >= cut}
-            ranks["del", p, q] = rank(d[k].rows, [{r: e for r, e in v.items() if r >= cut}
-                                                  for v in led], below)
-            if q < n:  # del delbar: 0 at p = n, where del has no target
-                ranks["dd", p, q] = rank(d[k + 1].rows, d[k + 1].apply(image)) if p < n else 0
-    for k in range(2 * n + 1):
-        first, *rest = (stacks[p, k - p] for p in _slots(n, k))
-        ranks["total", k] = rank(d[k].rows, [v for pivots in rest for v in pivots.values()], first)
+            dd = None if q == n else dim[k + 2] if p < n else 0
+            steps.append((p, k, lo, lo + size, layout[p + 1, q][0], dim[k], dim[k + 1], dd))
+            keys += [(kind, p, q) for kind in _KINDS[:4 if dd is None else 5]]
+    # (p,q) is step q(n+1) + p
+    totals = [(dim[k + 1], *((k - p) * (n + 1) + p for p in _slots(n, k))) for k in range(2 * n + 1)]
+    return steps, totals, keys + [("total", k) for k in range(2 * n + 1)]
+
+
+def _rank_list(cs: ComplexStructure) -> list:
+    """The rank of every matrix a dimension needs, one elimination per slot,
+    in the slots of :func:`_steps`.
+
+    ``d[k]`` is the structure's ``matrix(k)``, and every vector stays in the
+    row numbering of its degree: nothing is cut out or renumbered.  Per step
+    (p,q):
+
+    * ``concat``: the pivots of im del(p-1,q), resumed with the delbar basis
+      of (p,q-1).  Both lie in degree k = p+q, the source space of ``d[k]``,
+      so the elimination has ``d[k].cols`` rows (the step's ``source``), not
+      ``d[k].rows``: the early exit at a full rank would stop it short;
+    * ``stack``: d on the slot, the column slice of ``d[k]`` at (p,q).  Its
+      rows of (p,q+1) come before those of (p+1,q), and each pivot is led by
+      its lowest row, so the pivots led at or past the cut have no delbar
+      part and span del(ker delbar); the others, led in (p,q+1), are d of a
+      complement of ker delbar;
+    * ``delbar``: one pass over each of those (p,q+1)-led pivots splits it at
+      the cut.  Its delbar parts, the rows before the cut, are a basis of im
+      delbar: their count is the rank;
+    * ``del``: its del parts, the rows from the cut on, resumed from the
+      (p+1,q)-led pivots, as im del = del(ker delbar) + del of the
+      complement; the resumed pivots span im del(p,q) and start the concat of
+      (p+1,q);
+    * ``dd``: ``d[k+1]`` applied to the delbar basis, whose delbar^2 part is
+      0, so it is the image of del delbar.
+
+    ``total(k)`` resumes from the first slot's stack pivots with the other
+    slots' stack pivots, which span their images.  ``exact_rank`` is looked
+    up on every call, and a matrix with no nonzero column is not eliminated:
+    its rank is 0, or the count of the pivots it would resume from.
+    """
+    steps, totals, _ = _steps(cs.n)
+    d = [cs.matrix(k) for k in range(2 * cs.n + 1)]
+    # images[p] is the delbar basis of (p,q-1), and below the pivots spanning
+    # im del(p-1,q): none at p = 0, as the cut at p = n is past every row
+    ranks, stacks, images, below = [], [], [[]] * (cs.n + 1), {}
+    for p, k, lo, hi, cut, source, rows, dd in steps:
+        image = images[p]  # concat: im del + im delbar landing in (p,q)
+        ranks.append(exact_rank(source, image, below) if any(image) else len(below))
+        pivots, columns = {}, d[k].columns[lo:hi]  # stack: d on the slot
+        ranks.append(exact_rank(rows, columns, pivots) if any(columns) else 0)
+        stacks.append(pivots)
+        images[p] = image = []  # delbar and del: one pass over each pivot
+        parts, below = [], {}
+        for lead, v in pivots.items():
+            if lead < cut:
+                head, tail = {}, {}
+                for r, e in v.items():
+                    (head if r < cut else tail)[r] = e
+                image.append(head)
+                parts.append(tail)
+            else:
+                below[lead] = v
+        ranks.append(len(image))
+        ranks.append(exact_rank(rows, parts, below) if any(parts) else len(below))
+        if dd is not None:  # del delbar
+            product = d[k + 1].apply(image) if dd else ()
+            ranks.append(exact_rank(dd, product) if any(product) else 0)
+    for rows, first, *rest in totals:
+        spans = [v for i in rest for v in stacks[i].values()]
+        ranks.append(exact_rank(rows, spans, stacks[first]) if any(spans) else len(stacks[first]))
     return ranks
+
+
+def _ranks(cs: ComplexStructure) -> dict:
+    """The ranks of :func:`_rank_list`, each under its key in the step list:
+    ``(kind, p, q)`` over the square, with ``dd`` only for q < n, and
+    ``("total", k)`` for the total complex in each degree k = 0 .. 2n."""
+    return dict(zip(_steps(cs.n)[2], _rank_list(cs), strict=True))
 
 
 # ---------------------------------------------------------------------------
@@ -178,8 +233,7 @@ class CohomologyTable:
     """Every cohomological dimension of one instantiated structure.
 
     Grids are (n+1) x (n+1) nested lists indexed ``grid[p][q]``; ``betti`` and
-    ``delta`` run over total degrees 0 .. 2n.  ``delta`` is not passed in: it
-    is read off the Bott-Chern, Aeppli and Betti values by its definition.
+    ``delta`` run over total degrees 0 .. 2n.
     """
 
     n: int
@@ -190,11 +244,7 @@ class CohomologyTable:
     a_dim: list
     f_dim: list
     betti: list
-    delta: list = field(init=False)
-
-    def __post_init__(self):
-        self.delta = [self.level("h_bc", k) + self.level("h_aeppli", k) - 2 * b
-                      for k, b in enumerate(self.betti)]
+    delta: list
 
     def level(self, grid_name: str, k: int) -> int:
         grid = getattr(self, grid_name)
@@ -241,19 +291,43 @@ def _plan(n: int) -> tuple:
     return grids, betti
 
 
+@cache
+def _cells(n: int) -> tuple:
+    """:func:`_plan` with every key replaced by its slot in the rank list, and
+    the delta cells.
+
+    Returns ``(grids, betti, delta)`` of cells ``(base, ((coefficient, slot),
+    ...))``, standing for ``base`` plus each coefficient times the rank in
+    its slot.  ``delta[k]`` is the Bott-Chern and Aeppli cells of degree k
+    minus twice the Betti cell.
+    """
+    grids, betti = _plan(n)
+    slot = {key: i for i, key in enumerate(_steps(n)[2])}
+
+    def merged(*parts):  # (factor, cell) pairs, added up into one cell
+        return (sum(factor * base for factor, (base, _) in parts),
+                tuple((factor * sign, slot[key]) for factor, (_, terms) in parts
+                      for sign, key in terms))
+
+    delta = [merged(*((1, grids[name][p][k - p]) for name in ("h_bc", "h_aeppli")
+                      for p in _slots(n, k)), (-2, betti[k])) for k in range(2 * n + 1)]
+    return ({name: [[merged((1, c)) for c in row] for row in rows] for name, rows in grids.items()},
+            [merged((1, c)) for c in betti], delta)
+
+
 def full_table(cs: ComplexStructure) -> CohomologyTable:
-    """Every cohomological dimension of ``cs``, from one table of ranks."""
-    ranks, (grids, betti) = _ranks(cs), _plan(cs.n)
+    """Every cohomological dimension of ``cs``, from one list of ranks."""
+    ranks, (grids, betti, delta) = _rank_list(cs), _cells(cs.n)
 
     def fill(cells):
         values = []
         for value, terms in cells:
-            for sign, key in terms:
-                value += sign * ranks[key]
+            for coefficient, i in terms:
+                value += coefficient * ranks[i]
             values.append(value)
         return values
 
-    return CohomologyTable(n=cs.n, betti=fill(betti),
+    return CohomologyTable(n=cs.n, betti=fill(betti), delta=fill(delta),
                            **{name: [fill(row) for row in rows] for name, rows in grids.items()})
 
 

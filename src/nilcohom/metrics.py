@@ -8,6 +8,12 @@ classical parametrization ``Omega = i(r^2 w^{1~1} + s^2 w^{2~2} + t^2 w^{3~3})
 ``H_12 = -i u`` and so on, so diagonal entries are the positive rationals
 r^2, s^2, t^2.
 
+Positivity is decided once per form, when it is built: ``HermitianForm``
+runs Sylvester's criterion on its entries and keeps the verdict.
+``is_positive`` returns it, and the pluriclosed and balanced tests read it
+first, so a form that is not positive raises before the dimension check and
+before any d is taken.
+
 All three tests pass through one gate, ``_d_of``: it checks that the form
 and the structure have the same n and returns ``F`` and ``dF``, which reads
 ``matrix(2)``, built with the structure by its d^2 check.
@@ -36,7 +42,11 @@ from .model import ComplexStructure
 
 
 class HermitianForm:
-    """An n x n Hermitian coefficient matrix with positive rational diagonal."""
+    """An n x n Hermitian coefficient matrix with positive rational diagonal.
+
+    ``positive`` is its Sylvester verdict, taken once when it is built: the
+    entries are copied then and never changed, so the verdict cannot go stale.
+    """
 
     def __init__(self, entries):
         n = len(entries)
@@ -51,6 +61,7 @@ class HermitianForm:
                     raise ValueError("coefficient grid is not Hermitian")
         self.n = n
         self.entries = [row[:] for row in entries]
+        self.positive = _sylvester(self.entries)
 
     def __getitem__(self, jk):
         return self.entries[jk[0]][jk[1]]
@@ -97,23 +108,28 @@ def form_from_uvz(r2, s2, t2, u=ZERO, v=ZERO, z=ZERO) -> HermitianForm:
     )
 
 
-def is_positive(h: HermitianForm) -> bool:
+def _sylvester(entries) -> bool:
     """Positive-definiteness by Sylvester's criterion, exactly.
 
     Elimination without row exchanges makes the k-th leading principal minor
     the product of the first k pivots, so every leading minor is positive
     exactly when every pivot is a positive rational.
     """
-    a = [row[:] for row in h.entries]
-    for k in range(h.n):
+    a, n = [row[:] for row in entries], len(entries)
+    for k in range(n):
         pivot = a[k][k]
         if not pivot.is_real() or pivot.re <= 0:
             return False
-        for i in range(k + 1, h.n):
+        for i in range(k + 1, n):
             factor = a[i][k] / pivot
-            for j in range(k + 1, h.n):
+            for j in range(k + 1, n):
                 a[i][j] = a[i][j] - factor * a[k][j]
     return True
+
+
+def is_positive(h: HermitianForm) -> bool:
+    """Whether ``h`` is positive definite: its verdict, decided when it was built."""
+    return h.positive
 
 
 def _d_of(cs: ComplexStructure, h: HermitianForm) -> tuple[Form, Form]:
@@ -131,7 +147,7 @@ def ddbar_of(cs: ComplexStructure, h: HermitianForm) -> Form:
 
 
 def _require_positive(h: HermitianForm):
-    if not is_positive(h):
+    if not h.positive:
         raise ValueError("the Hermitian form is not positive definite")
 
 

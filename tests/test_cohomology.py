@@ -255,6 +255,31 @@ def test_the_lemma_verdict_claims_nothing_beyond_delta(tables):
     assert _lemma_from_delta(tables["02a"]) == {"verdict": "FAILS", "witness": 1}
 
 
+def _assert_serre_duality(table, label):
+    # invariant Serre duality: d vanishes on (2n-1)-forms of a nilpotent
+    # (so unimodular) algebra, so wedging into (n,n) pairs (p,q) with
+    # (n-p,n-q) in Dolbeault and in del cohomology.  It ties the delbar ranks
+    # of (p,q) and (n-p,n-q-1), which come from different eliminations
+    n = table.n
+    for p in range(n + 1):
+        for q in range(n + 1):
+            assert table.h_dolbeault[p][q] == table.h_dolbeault[n - p][n - q], (label, p, q)
+            assert table.h_del[p][q] == table.h_del[n - p][n - q], (label, p, q)
+
+
+def _assert_delta_by_its_definition(table, label):
+    # delta is compiled into cells of ranks; here it is read off the finished table
+    for k, b in enumerate(table.betti):
+        level = table.level("h_bc", k) + table.level("h_aeppli", k)
+        assert table.delta[k] == level - 2 * b, (label, k)
+
+
+def test_serre_duality_and_delta_on_the_catalog(tables):
+    for case_id, table in tables.items():
+        _assert_serre_duality(table, case_id)
+        _assert_delta_by_its_definition(table, case_id)
+
+
 def test_delta_degree_symmetry(tables):
     # delta is symmetric about the middle degree: delta[k] == delta[2n-k]
     for table in tables.values():
@@ -285,6 +310,8 @@ def test_identities_beyond_the_catalog(cs):
         assert table.level("h_dolbeault", k) >= table.betti[k]
     assert model.realify(cs).betti() == table.betti
     assert co.ddbar_lemma_status(table).as_dict() == _lemma_from_delta(table)
+    _assert_serre_duality(table, cs.d_omega)
+    _assert_delta_by_its_definition(table, cs.d_omega)
 
 
 def _sheared(m, i, j, c):
@@ -331,14 +358,18 @@ def test_tables_are_invariant_under_a_change_of_coframe(all_cases, structures, t
         cs = structures[case.id]
         changed = _in_a_random_coframe(rng, cs)
         assert changed != cs or not any(f.terms for f in cs.d_omega), case.id
-        assert co.full_table(changed).as_dict() == tables[case.id].as_dict(), case.id
+        table = co.full_table(changed)
+        assert table.as_dict() == tables[case.id].as_dict(), case.id
+        _assert_serre_duality(table, case.id)
 
 
 @settings(derandomize=True, max_examples=30, deadline=None, database=None)
 @given(triangular_structures(), st.integers(0, 2 ** 32))
 def test_tables_beyond_the_catalog_are_invariant_under_a_change_of_coframe(cs, seed):
     changed = _in_a_random_coframe(random.Random(seed), cs)
-    assert co.full_table(changed).as_dict() == co.full_table(cs).as_dict()
+    table = co.full_table(changed)
+    assert table.as_dict() == co.full_table(cs).as_dict()
+    _assert_serre_duality(table, cs.d_omega)
 
 
 def _assert_matches_the_glued_oracle(cs, label):

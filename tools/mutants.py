@@ -118,29 +118,30 @@ MUTANTS = [
     Mutant("constants cleared one by one, not by L", MODEL,
            "c.x * (scale // c.den), c.y * (scale // c.den))", "c.x, c.y)"),
     Mutant("delbar-part row filter off by one", COHOMOLOGY,
-           "if r < cut}", "if r <= cut}"),
+           "(head if r < cut else tail)[r] = e", "(head if r <= cut else tail)[r] = e"),
     Mutant("d column slot offsets", COHOMOLOGY,
            "for s in range(p))", "for s in range(p - 1))"),
     Mutant("delbar lead bound", COHOMOLOGY,
-           "for lead, v in pivots.items() if lead < cut]",
-           "for lead, v in pivots.items() if lead <= cut]"),
+           "if lead < cut:", "if lead <= cut:"),
     Mutant("del-part row filter off by one", COHOMOLOGY,
-           "if r >= cut}", "if r > cut}"),
+           "(head if r < cut else tail)[r] = e", "(head if r < cut - 1 else tail)[r] = e"),
+    Mutant("pivot split off by one at the cut", COHOMOLOGY,
+           "layout[p + 1, q][0], dim[k]", "layout[p + 1, q][0] + 1, dim[k]"),
+    Mutant("concat ranked with the target degree's row count", COHOMOLOGY,
+           "dim[k], dim[k + 1], dd))", "dim[k + 1], dim[k + 1], dd))"),
     Mutant("del resumed without the led pivots", COHOMOLOGY,
-           "for v in led], below)", "for v in led])"),
+           "exact_rank(rows, parts, below)", "exact_rank(rows, parts)"),
     Mutant("concat without the del pivots", COHOMOLOGY,
-           "images.get((p, q - 1), ()), below)", "images.get((p, q - 1), ()))"),
+           "exact_rank(source, image, below)", "exact_rank(source, image)"),
     Mutant("total without the first slot's pivots", COHOMOLOGY,
-           "for v in pivots.values()], first)", "for v in pivots.values()])"),
+           "exact_rank(rows, spans, stacks[first])", "exact_rank(rows, spans)"),
     Mutant("del pivots handed to the wrong concat", COHOMOLOGY,
-           "for q in span:\n        below = {}  # pivots spanning im del(p-1,q), in the (p,q) rows\n"
-           "        for p in span:",
-           "for p in span:\n        below = {}  # pivots spanning im del(p-1,q), in the (p,q) rows\n"
-           "        for q in span:"),
+           "    for q in span:\n        for p in span:\n            k, (lo, size)",
+           "    for p in span:\n        for q in span:\n            k, (lo, size)"),
     Mutant("nonzero-column guard inverted", COHOMOLOGY,
-           "if not any(columns):", "if any(columns):"),
+           "if any(columns) else 0", "if not any(columns) else 0"),
     Mutant("dd guard", COHOMOLOGY,
-           "if q < n:", "if q < n - 1:"),
+           "dd = None if q == n else", "dd = None if q >= n - 1 else"),
     Mutant("THEORIES terms", COHOMOLOGY,
            '("bott_chern", "h_bc", 1, ((-1, "stack", 0, 0), (-1, "dd", -1, -1))),',
            '("bott_chern", "h_bc", 1, ((-1, "stack", 0, 0), (-1, "dd", 0, 0))),'),
@@ -149,7 +150,7 @@ MUTANTS = [
     Mutant("Betti formula", COHOMOLOGY,
            '(-1, ("total", k - 1))', '(-1, ("total", k + 1))'),
     Mutant("delta", COHOMOLOGY,
-           'self.level("h_aeppli", k) - 2 * b', 'self.level("h_aeppli", k) - b'),
+           "(-2, betti[k])", "(-1, betti[k])"),
     Mutant("lemma verdict", COHOMOLOGY,
            "witness = next((k for k, d in enumerate(table.delta) if d), None)",
            "witness = next((k for k, d in enumerate(table.delta) if d > 1), None)"),
