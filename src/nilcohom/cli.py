@@ -1,10 +1,11 @@
 """Command-line surface for the cohomology engine.
 
 Exit codes: 0 success (all golden rows and curve points match), 1 usage,
-parse or unreadable-file error, 2 validation failure (d-square, nilpotency,
-binding problems), 3 golden or curve-point mismatch.  All input and output is
-ASCII; random metric sampling always runs from an explicit or defaulted seed,
-so every command is deterministic.
+parse or unreadable-file error, or a standard output closed before all of it
+was written, 2 validation failure (d-square, nilpotency, binding problems), 3
+golden or curve-point mismatch.  All input and output is ASCII; random metric
+sampling always runs from an explicit or defaulted seed, so every command is
+deterministic.
 
 Each output format has one writer: ``_md_table`` for Markdown tables,
 ``_csv_table`` for CSV and ``render_json`` for JSON.  A command builds a header
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import catalog as cat
@@ -423,7 +425,14 @@ def main(argv=None) -> int:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     if text:
-        print(text)
+        try:
+            print(text)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader has gone, as after `| head -1`: send what is left,
+            # and the flush at exit, to devnull (the recipe in the signal docs)
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return EXIT_USAGE
     return code
 
 

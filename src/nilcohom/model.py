@@ -146,21 +146,27 @@ class _Differential:
 
     def d(self, f: Form) -> Form:
         """d of a form: the columns of its monomials, weighted by its
-        coefficients (over their common denominator) and divided by ``L``."""
+        coefficients (over their common denominator) and divided by ``L``.
+
+        The sums are keyed by row, one dict per degree of ``f`` (which may mix
+        degrees); rows become degree k + 1 monomials only in the result."""
         den = lcm(*(c.den for c in f.terms.values()))
-        acc, degree = {}, None
+        sums, degree = {}, None
         for elem, c in f.terms.items():
             k = len(elem.holo) + len(elem.anti)
             if k != degree:
                 degree, place = k, degree_basis(*self._layout, k)[1]
-                columns, targets = self.matrix(k).columns, degree_basis(*self._layout, k + 1)[0]
+                columns, acc = self.matrix(k).columns, sums.setdefault(k, {})
             u, v = c.x * (den // c.den), c.y * (den // c.den)
             for row, (x, y) in columns[place[elem]].items():
-                target = targets[row]  # keyed by monomial: f may mix degrees
-                a, b = acc.get(target, (0, 0))
-                acc[target] = a + u * x - v * y, b + u * y + v * x
+                a, b = acc.get(row, (0, 0))
+                acc[row] = a + u * x - v * y, b + u * y + v * x
         den *= self._scale
-        return Form((e, _reduced(a, b, den)) for e, (a, b) in acc.items() if a or b)
+        terms = []
+        for k, acc in sums.items():
+            targets = degree_basis(*self._layout, k + 1)[0]
+            terms += ((targets[row], _reduced(a, b, den)) for row, (a, b) in acc.items() if a or b)
+        return Form(terms)
 
     def __eq__(self, other) -> bool:
         return (type(other) is type(self) and other._layout == self._layout

@@ -22,7 +22,16 @@ Arabic-Indic digit is a parse error, never a number.  Both grammars share one
 loop for ``( entry , ... )`` and one for ``term (+|-) term ...``, and the
 catalog's predicate language reads its tokens and sums through the same
 table and loop; the sign of a two-index term such as ``21`` or ``w21`` is
-that of :func:`nilcohom.algebra.wedge_elements`.
+that of :func:`nilcohom.algebra.wedge_elements`, looked up in a table of all
+162 pairs.
+
+A template term with a literal coefficient, such as ``3/37+17/111i*w1~2`` or
+a bare ``w12``, is read with one match of ``_TERM``, a pattern composed from
+the table's pieces, and its coefficient is built from the match's integers
+as one reduced triple.  A symbol coefficient (``B*``, ``conj(B)*``,
+``abs(B-1)*``) is read by the scanner, and so is every term that does not
+parse: the scanner alone raises, so each error keeps its message and
+position.
 
 Errors carry 1-based line/column positions pointing inside the offending
 token.
@@ -34,7 +43,7 @@ import re
 from dataclasses import replace
 from fractions import Fraction
 
-from .algebra import BasisElement, Form, Gaussian, ONE, wedge_elements
+from .algebra import BasisElement, Form, Gaussian, ONE, _reduced, wedge_elements
 from .model import ComplexStructureTemplate, Lit, Mod, Param, RealAlgebra
 
 # The lexical grammar, ASCII only: the scanner reads each token by matching
@@ -52,6 +61,12 @@ _SIGN = re.compile(r"[+-]")
 _ZERO = re.compile(r"0(?![0-9])")  # a zero entry, not the start of a literal
 _W_TERM = re.compile(r"w[0-9]")  # a term with no coefficient
 _COMPARATOR = re.compile(r"!=|<=|>=|=|<|>")
+# a whole term with a literal coefficient, ``[gaussian * ] w a [~] b``, from the
+# pieces above: 'i', or a rational then 'i' or a signed tail '(+|-) rational? i'
+_TERM = re.compile(
+    r"(?:(?:({i})|(-?)({d})(?:/({d}))?{s}(?:({i})|({sign}){s}(?:({d})(?:/({d}))?)?{s}{i})?)"
+    r"{s}\*{s})?w({x}~?{x})".format(
+        i=_I.pattern, d=_DIGITS.pattern, s=_WS.pattern, sign=_SIGN.pattern, x=_INDEX.pattern))
 
 
 class ParseError(Exception):
@@ -205,13 +220,19 @@ def _parse_sum(sc: _Scanner, parse_term) -> list:
         sign = -1 if op == "-" else 1
 
 
+# every two-index term 'ab' and 'a~b': its monomial and reordering sign, or
+# None for a repeated index
+_PAIRS = {f"{a}{bar}{b}": wedge_elements(BasisElement((a,), ()),
+                                         BasisElement((), (b,)) if bar else BasisElement((b,), ()))
+          for a in range(1, 10) for b in range(1, 10) for bar in ("", "~")}
+
+
 def _parse_pair(sc: _Scanner, conjugable: bool) -> tuple[BasisElement, int]:
     """``ab``, or ``a~b`` if ``conjugable``: the monomial and its reordering sign."""
     a, _ = sc.scan_index()
-    conjugated = conjugable and sc.accept("~")
+    bar = "~" if conjugable and sc.accept("~") else ""
     b, pos = sc.scan_index()
-    second = BasisElement((), (b,)) if conjugated else BasisElement((b,), ())
-    merged = wedge_elements(BasisElement((a,), ()), second)
+    merged = _PAIRS[f"{a}{bar}{b}"]
     if merged is None:
         sc.error(f"duplicate index {a} inside one term", pos)
     return merged
@@ -291,7 +312,27 @@ def _parse_cform(sc: _Scanner) -> list:
     start = sc.pos
     if sc.scan(_ZERO):
         return [(start, [])]
-    return [(start, _parse_sum(sc, lambda sc: (_parse_cterm_coeff(sc), _parse_wfactor(sc))))]
+    return [(start, _parse_sum(sc, _parse_cterm))]
+
+
+def _parse_cterm(sc: _Scanner) -> tuple:
+    """``[coeff *] w-term``: a literal coefficient and its w-term in one match
+    of ``_TERM``; a symbol coefficient, and every error, through the scanner."""
+    m = _TERM.match(sc.text, sc.pos)
+    if m is not None:
+        unit, minus, num, den, imag, sign, mag, mag_den, pair = m.groups()
+        (x, d), (y, e) = _ratio(minus, num, den), _ratio(sign, mag, mag_den) if sign else (0, 1)
+        if unit or imag:
+            (x, d), (y, e) = (0, 1), (x, d)
+        if d and e and _PAIRS[pair]:  # else the scanner reports the zero or the repeat
+            sc.pos = m.end()
+            return Lit(_reduced(x * e, y * d, d * e)), _PAIRS[pair]
+    return _parse_cterm_coeff(sc), _parse_wfactor(sc)
+
+
+def _ratio(sign: str | None, num: str | None, den: str | None) -> tuple[int, int]:
+    """The numerator and denominator that a match spells; an absent number is 1."""
+    return (-1 if sign == "-" else 1) * int(num or 1), int(den or 1)
 
 
 # a shift's literal in a modulus name: '/', '+', '-' are spelt '_', 'p', 'm'

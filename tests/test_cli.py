@@ -1,6 +1,9 @@
 import dataclasses
 import json
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -799,3 +802,31 @@ def test_cli_fuzz_exits_with_one_line_and_no_traceback(capsys, tmp_path, all_cas
         assert len(lines) <= 1 or _is_usage_error(lines), (argv, template, err)
         assert code or not err, (argv, template, err)
     assert codes == {0, 1, 2}
+
+
+def _with_stdout_closed(read_line, unbuffered):
+    """Run ``catalog --dim 3`` in a child whose stdout pipe this side closes,
+    right away or after one line; its exit code and stderr."""
+    root = Path(__file__).resolve().parents[1]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    child = subprocess.Popen([sys.executable, "-m", "nilcohom.cli", "catalog", "--dim", "3"],
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    if read_line:
+        assert child.stdout.readline().startswith(b"| id |")
+    child.stdout.close()
+    err = child.stderr.read()
+    child.stderr.close()
+    return child.wait(timeout=60), err.decode()
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_a_closed_stdout_exits_1_with_no_traceback(unbuffered):
+    # closed before the child writes: its write fails, with a buffer or not
+    code, err = _with_stdout_closed(False, unbuffered)
+    assert (code, err) == (1, "")
+    # as `| head -1`: the rest of the write may fail or may already be in the pipe
+    code, err = _with_stdout_closed(True, unbuffered)
+    assert code in (0, 1) and err == "", err

@@ -1,19 +1,20 @@
 import random
 from collections import Counter
+from itertools import zip_longest
 from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from nilcohom import cohomology as co, model
-from nilcohom.algebra import BasisElement, Form, Gaussian, ONE, ZERO
+from nilcohom.algebra import BasisElement, Form, Gaussian, ONE, ZERO, degree_basis
 from nilcohom.linalg import exact_rank
 from nilcohom.model import ComplexStructure, instantiate, substitute
 from nilcohom.parser import parse_binding, parse_complex_structure
 from rank_oracle import grid_of, matrix_from_grid, reference_rank
 from scale_oracle import (d_block, grid_product, reference_matrices, reference_ranks, scaled,
                           structure_scale)
-from test_model import SMALL_GAUSSIAN, triangular_structures
+from test_model import SMALL_GAUSSIAN, _random_form, triangular_structures
 
 
 def build(template, binding=""):
@@ -370,6 +371,23 @@ def test_tables_beyond_the_catalog_are_invariant_under_a_change_of_coframe(cs, s
     table = co.full_table(changed)
     assert table.as_dict() == co.full_table(cs).as_dict()
     _assert_serre_duality(table, cs.d_omega)
+
+
+def test_d_of_a_form_of_mixed_degree_is_the_sum_of_d_on_each_degree(all_cases, structures):
+    # d sums its images by row, one sum per degree of its argument; the terms
+    # of f and g alternate, so a sum that ran on across degrees would show
+    rng = random.Random(27)
+    rows = [structures[case.id] for case in all_cases][::9]
+    nonzero = 0
+    for cs in rows + [_in_a_random_coframe(rng, cs) for cs in rows]:
+        for k, j in ((1, 2), (2, 3), (1, 3), (3, 4)):
+            f, g = (_random_form(rng, list(degree_basis(cs.n, cs.n, i)[0])) for i in (k, j))
+            pairs = zip_longest(f.terms.items(), g.terms.items())
+            mixed = Form(term for pair in pairs for term in pair if term)
+            assert mixed == f + g
+            assert cs.d(mixed) == cs.d(f) + cs.d(g), (cs.d_omega, f, g)
+            nonzero += not cs.d(mixed).is_zero()
+    assert nonzero > len(rows) * 4
 
 
 def _assert_matches_the_glued_oracle(cs, label):

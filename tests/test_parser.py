@@ -305,3 +305,47 @@ def test_parse_render_roundtrip_on_the_dense_coframe_texts(all_cases, seed):
         assert render(template) == text
         assert parse_complex_structure(render(template)) == template
         assert all(isinstance(coeff, Lit) for entry in template.d_of_omega for coeff, _ in entry)
+
+
+# Every error a template term can raise, with its column.  A term with a
+# literal coefficient is read whole by one pattern, and the scanner takes
+# over wherever that pattern stops, a zero denominator or a repeated index
+# included; these are the scanner's messages and positions.
+@pytest.mark.parametrize("text, message, column", [
+    ("(0,0,-i*w12)", "expected digits after '-'", 7),
+    ("(0,0,1/0+2i*w12)", "malformed rational: zero denominator", 8),
+    ("(0,0,1/+2i*w12)", "malformed rational: expected a positive denominator", 8),
+    ("(0,0,1+2/0i*w12)", "malformed rational: zero denominator", 10),
+    ("(0,0,1+2i w12)", "expected '*'", 11),
+    ("(0,0,1+2*w12)", "expected '*'", 7),
+    ("(0,0,1+2i*w11)", "duplicate index 1 inside one term", 13),
+    ("(0,0,1+2i*w1~0)", "expected an index digit 1-9", 14),
+    ("(0,0,1+2i*w1~)", "expected an index digit 1-9", 14),
+    ("(0,0,1+2i*x12)", "expected a w-term", 11),
+    ("(0,0,1+2i*)", "expected a w-term", 11),
+    ("(0,0,1+2i*w14)", "index out of range for complex dimension 3", 6),
+    ("(0,0,w12+)", "expected a coefficient or a w-term", 10),
+    ("(0,0,3 i * w 12)", "expected an index digit 1-9", 13),
+    ("(0,0,1+2١i*w12)", "expected '*'", 7),
+    ("(0,0,١*w12)", "expected a coefficient or a w-term", 6),
+])
+def test_every_error_of_a_template_term(text, message, column):
+    with pytest.raises(ParseError) as info:
+        parse_complex_structure(text)
+    assert (info.value.message, info.value.line, info.value.column) == (message, 1, column)
+
+
+@pytest.mark.parametrize("term, value, elem", [
+    ("3 i * w12", Gaussian.of(0, 3), BasisElement((1, 2), ())),
+    ("1 - 2 i*w1~2", Gaussian.of(1, -2), BasisElement((1,), (2,))),
+    ("i*w12", Gaussian.of(0, 1), BasisElement((1, 2), ())),
+    ("w1~2", Gaussian.of(1), BasisElement((1,), (2,))),
+    ("w1~1+0*w12", Gaussian.of(0), BasisElement((1, 2), ())),
+    ("2/4-6/8i*w21", Gaussian.of(Fraction(-1, 2), Fraction(3, 4)), BasisElement((1, 2), ())),
+    ("-1/3 + i\n*\tw2~1", Gaussian.of(Fraction(-1, 3), 1), BasisElement((2,), (1,))),
+])
+def test_the_value_of_a_literal_term(term, value, elem):
+    # the last term of the third entry; the literal is reduced to lowest terms
+    # (Gaussians compare by that triple) and a descending holomorphic pair
+    # negates it
+    assert parse_complex_structure(f"(0,0,{term})").d_of_omega[2][-1] == (Lit(value), elem)

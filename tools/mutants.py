@@ -117,6 +117,8 @@ MUTANTS = [
            "type(other) is type(self) and ", ""),
     Mutant("constants cleared one by one, not by L", MODEL,
            "c.x * (scale // c.den), c.y * (scale // c.den))", "c.x, c.y)"),
+    Mutant("d maps rows through degree k's monomials, not k + 1's", MODEL,
+           "targets = degree_basis(*self._layout, k + 1)[0]", "targets = degree_basis(*self._layout, k)[0]"),
     Mutant("delbar-part row filter off by one", COHOMOLOGY,
            "(head if r < cut else tail)[r] = e", "(head if r <= cut else tail)[r] = e"),
     Mutant("d column slot offsets", COHOMOLOGY,
@@ -171,6 +173,10 @@ MUTANTS = [
     Mutant("zero-denominator check dropped", PARSER,
            '        if not den:\n            self.error("malformed rational: zero denominator", m.start(4))\n',
            ""),
+    Mutant("imaginary tail's sign flipped in the term builder", PARSER,
+           "_ratio(sign, mag, mag_den) if sign", '_ratio("+" if sign == "-" else "-", mag, mag_den) if sign'),
+    Mutant("term pattern's zero-denominator guard dropped", PARSER,
+           "if d and e and _PAIRS[pair]:", "if _PAIRS[pair]:"),
     Mutant("predicate literal with a signed tail", CATALOG,
            "sc.scan_gaussian(tail=False)", "sc.scan_gaussian()"),
     Mutant("curve's own form dropped", CATALOG,
