@@ -29,7 +29,10 @@ and that Leibniz rule, each cached by layout and never per structure:
 :func:`degree_basis` orders the monomials of one total degree, and
 :func:`leibniz` lists where one term of one generator's ``d`` lands in the
 matrix of ``d`` on that degree.  :mod:`nilcohom.model` adds the constants
-along those lists.
+along those lists.  Next to it, :func:`wedge_row` maps one monomial, by its
+masks, and each 2-form monomial, by its place in :func:`degree_basis`, to the
+masks and sign of their wedge, so :mod:`nilcohom.metrics` wedges integral
+columns with the sign rule of :func:`wedge_masks`.
 
 Every operation here keeps that form without checking it; it is checked
 once, where monomials enter: by the parser and by the structure constructors
@@ -455,3 +458,23 @@ def leibniz(holo: int, anti: int, k: int, j: int, bar: bool, dh: int, da: int) -
             mh, ma, odd = merged
             out += (column, place[element(mh, ma)], -sign if (odd ^ i) & 1 else sign)
     return tuple(out)
+
+
+@cache
+def wedge_row(holo: int, anti: int, h: int, a: int) -> dict:
+    """Where the monomial of masks ``(h, a)`` lands when wedged with each
+    2-form monomial: ``{s: ((holo, anti), sign)}`` maps the place ``s`` of a
+    2-form monomial in :func:`degree_basis` to the masks of the product, for
+    each ``s`` that repeats no factor.  The signs are those of
+    :func:`wedge_masks`, so ``x /\\ y`` of integral columns needs no form.
+
+    A row of this wedge table is built the first time a column holds its
+    monomial, so a layout's table is never built whole (2^(holo + anti)
+    rows); callers only read it."""
+    lands = {}
+    for s, two in enumerate(degree_basis(holo, anti, 2)[0]):
+        merged = wedge_masks(h, a, *masks(two))
+        if merged is not None:
+            mh, ma, odd = merged
+            lands[s] = (mh, ma), (-1) ** odd
+    return lands

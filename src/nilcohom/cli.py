@@ -5,7 +5,8 @@ parse or unreadable-file error, or a standard output closed before all of it
 was written, 2 validation failure (d-square, nilpotency, binding problems), 3
 golden or curve-point mismatch.  All input and output is ASCII; random metric
 sampling always runs from an explicit or defaulted seed, so every command is
-deterministic.
+deterministic, and ``--seed`` or ``--count`` without ``skt --metric random``
+is a usage error.
 
 Each output format has one writer: ``_md_table`` for Markdown tables,
 ``_csv_table`` for CSV and ``render_json`` for JSON.  A command builds a header
@@ -118,8 +119,8 @@ def _build_parser() -> _ArgumentParser:
     p_skt.add_argument("--case", dest="case_id")
     p_skt.add_argument("--binding", default="")
     p_skt.add_argument("--metric", choices=("standard", "random"), default="standard")
-    p_skt.add_argument("--seed", type=int, default=0)
-    p_skt.add_argument("--count", type=int, default=20)
+    p_skt.add_argument("--seed", type=int)
+    p_skt.add_argument("--count", type=int)
 
     p_curves = sub.add_parser("curves", help="evaluate the deformation curves")
     p_curves.add_argument("--id", dest="curve_id", choices=("A", "B", "C"))
@@ -327,7 +328,11 @@ def _cmd_catalog(args) -> tuple[int, str]:
 # ---------------------------------------------------------------------------
 
 def _cmd_skt(args) -> tuple[int, str]:
-    if args.count < 1:
+    if args.metric != "random" and (args.seed, args.count) != (None, None):
+        raise _UsageError("--seed and --count apply only to --metric random")
+    seed = 0 if args.seed is None else args.seed
+    count = 20 if args.count is None else args.count
+    if count < 1:
         raise _UsageError("--count must be at least 1")
     cs = _structure_from_args(args)
     std = me.standard_form(cs.n)
@@ -344,12 +349,12 @@ def _cmd_skt(args) -> tuple[int, str]:
     lines.append(f"balanced (standard metric): {me.is_balanced(cs, std)}")
     if args.metric == "random":
         verdicts = []
-        for h in me.random_positive_forms(cs.n, args.count, args.seed):
+        for h in me.random_positive_forms(cs.n, count, seed):
             verdicts.append((me.is_pluriclosed(cs, h), me.is_balanced(cs, h)))
         pluri = {v[0] for v in verdicts}
         bal = {v[1] for v in verdicts}
         lines.append(
-            f"random sweep ({args.count} positive forms, seed {args.seed}): "
+            f"random sweep ({count} positive forms, seed {seed}): "
             f"pluriclosed {sorted(pluri)}, balanced {sorted(bal)}"
         )
     return EXIT_OK, "\n".join(lines)

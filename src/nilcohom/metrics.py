@@ -9,35 +9,48 @@ classical parametrization ``Omega = i(r^2 w^{1~1} + s^2 w^{2~2} + t^2 w^{3~3})
 r^2, s^2, t^2.
 
 Positivity is decided once per form, when it is built: ``HermitianForm``
-runs Sylvester's criterion on its entries and keeps the verdict.
-``is_positive`` returns it, and the pluriclosed and balanced tests read it
-first, so a form that is not positive raises before the dimension check and
-before any d is taken.
+runs Sylvester's criterion on its entries and keeps the verdict.  The
+criterion runs on integers: with ``den`` the lcm of the entries'
+denominators, fraction-free (Bareiss) elimination of ``den * H`` has the
+leading principal minors of ``den * H`` as its pivots, each step dividing
+exactly by the previous pivot, so the form is positive when every pivot is.
+``is_positive`` returns the verdict, and the pluriclosed and balanced tests
+read it first, so a form that is not positive raises before the dimension
+check and before any d is taken.
 
 All three tests pass through one gate, ``_d_of``: it checks that the form
-and the structure have the same n and returns ``F`` and ``dF``, which reads
-``matrix(2)``, built with the structure by its d^2 check.
+and the structure have the same n and returns ``F`` as one integral column
+of degree 2, ``den`` times the form, and ``dF``, that column's image under
+``matrix(2)`` (built with the structure by its d^2 check) by
+:meth:`~nilcohom.linalg.ExactMatrix.apply`.  No :class:`Form` is built and
+no ``d`` is called, and each test builds ``F`` and ``dF`` once.
 
 ``ddbar_of`` reports del delbar of ``F`` (without the overall i, which no
 vanishing test sees): the classical six-dimensional families then have del
 delbar of the standard form equal to a rational multiple of ``w^{12~1~2}``.
-It is ``d`` of the (1,2) part of ``dF``, read off ``matrix(3)``: on an
-integrable structure ``d = del + delbar`` and ``delbar^2 = 0``, so
+It is ``matrix(3)`` applied to the (1,2) rows of ``dF``: on an integrable
+structure ``d = del + delbar`` and ``delbar^2 = 0``, so
 ``d(delbar F) = del delbar F``.  That needs ``d^2 = 0``, which every
 :class:`~nilcohom.model.ComplexStructure` is checked for when it is built.
+The column is ``den L^2`` times del delbar F, for the structure's scale
+``L``; ``ddbar_of`` divides it out to return a form, and ``is_pluriclosed``
+only asks whether the column is empty.
 
 ``is_balanced`` tests ``d(Omega^(n-1)) = 0``.  Omega has even degree, so
 ``d(Omega^(n-1)) = (n-1) dOmega /\\ Omega^(n-2)`` (Michelsohn, Acta Math. 149,
 1982), a nonzero multiple of ``dF /\\ F^(n-2)`` for n >= 2; for n = 1, F has
-top degree and ``dF = 0``.  So it wedges F onto ``dF`` and applies no more d.
+top degree and ``dF = 0``.  So it wedges the column F onto ``dF`` n - 2
+times, on integer pairs keyed by the masks of their monomials, along the
+rows of :func:`~nilcohom.algebra.wedge_row`, and applies no more d.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import comb, lcm
 
-from .algebra import BasisElement, Form, Gaussian, ZERO
+from .algebra import Form, Gaussian, ZERO, _reduced, degree_basis, masks, wedge_row
 from .model import ComplexStructure
 
 
@@ -61,7 +74,7 @@ class HermitianForm:
                     raise ValueError("coefficient grid is not Hermitian")
         self.n = n
         self.entries = [row[:] for row in entries]
-        self.positive = _sylvester(self.entries)
+        self.positive = all(p > 0 for p in _sylvester(self.entries))
 
     def __getitem__(self, jk):
         return self.entries[jk[0]][jk[1]]
@@ -85,7 +98,9 @@ def standard_form(n: int) -> HermitianForm:
 def hermitian_form(diag, upper=None) -> HermitianForm:
     """Build from a rational diagonal and the strictly-upper entries H_jk.
 
-    ``upper`` maps 1-based pairs (j, k) with j < k to Gaussian values.
+    ``upper`` maps 1-based pairs (j, k) with j < k to values; each value,
+    like each diagonal entry, is a Gaussian, an int or a Fraction, and any
+    other type raises ``TypeError``.
     """
     n = len(diag)
     entries = [[ZERO] * n for _ in range(n)]
@@ -94,8 +109,8 @@ def hermitian_form(diag, upper=None) -> HermitianForm:
     for (j, k), value in (upper or {}).items():
         if not 1 <= j < k <= n:
             raise ValueError(f"not a strictly upper index pair: {(j, k)}")
-        entries[j - 1][k - 1] = value
-        entries[k - 1][j - 1] = value.conjugate()
+        value = value if isinstance(value, Gaussian) else Gaussian.of(value)
+        entries[j - 1][k - 1], entries[k - 1][j - 1] = value, value.conjugate()
     return HermitianForm(entries)
 
 
@@ -108,23 +123,34 @@ def form_from_uvz(r2, s2, t2, u=ZERO, v=ZERO, z=ZERO) -> HermitianForm:
     )
 
 
-def _sylvester(entries) -> bool:
-    """Positive-definiteness by Sylvester's criterion, exactly.
+def _integral(entries) -> tuple[int, list]:
+    """``den`` and ``den * H`` as a grid of integer pairs, for the lcm ``den``
+    of the entries' denominators."""
+    den = lcm(*(c.den for row in entries for c in row))
+    return den, [[(c.x * (den // c.den), c.y * (den // c.den)) for c in row] for row in entries]
 
-    Elimination without row exchanges makes the k-th leading principal minor
-    the product of the first k pivots, so every leading minor is positive
-    exactly when every pivot is a positive rational.
+
+def _sylvester(entries) -> list[int]:
+    """The leading principal minors of ``den * H``, the k-th ``den^k`` times
+    ``H``'s, up to the first one that is not positive.
+
+    They are the pivots of fraction-free elimination without row exchanges
+    (Bareiss, Math. Comp. 22, 1968): each step divides exactly by the
+    previous pivot.  ``H`` is Hermitian, so every minor is a real integer.
     """
-    a, n = [row[:] for row in entries], len(entries)
-    for k in range(n):
-        pivot = a[k][k]
-        if not pivot.is_real() or pivot.re <= 0:
-            return False
-        for i in range(k + 1, n):
-            factor = a[i][k] / pivot
-            for j in range(k + 1, n):
-                a[i][j] = a[i][j] - factor * a[k][j]
-    return True
+    a, prev, minors = _integral(entries)[1], 1, []
+    for k, top in enumerate(a):
+        p = top[k][0]
+        minors.append(p)
+        if p <= 0:
+            break
+        for row in a[k + 1:]:
+            x, y = row[k]
+            for j in range(k + 1, len(a)):
+                (u, v), (s, t) = top[j], row[j]
+                row[j] = (p * s - x * u + y * v) // prev, (p * t - x * v - y * u) // prev
+        prev = p
+    return minors
 
 
 def is_positive(h: HermitianForm) -> bool:
@@ -132,18 +158,34 @@ def is_positive(h: HermitianForm) -> bool:
     return h.positive
 
 
-def _d_of(cs: ComplexStructure, h: HermitianForm) -> tuple[Form, Form]:
-    """``(F, dF)`` for ``F = sum_jk H_jk w^j /\\ wbar^k``, the form without the i."""
+def _d_of(cs: ComplexStructure, h: HermitianForm) -> tuple[int, dict, dict]:
+    """``(den, F, dF)``: ``F = den * sum_jk H_jk w^j /\\ wbar^k`` (the form
+    without the i) as an integral column of degree 2, and ``dF`` its image
+    under ``matrix(2)``, ``L * den`` times d of the form."""
     if cs.n != h.n:
         raise ValueError(f"dimension mismatch: structure n={cs.n}, form n={h.n}")
-    f = Form((BasisElement((j + 1,), (k + 1,)), c)
-             for j, row in enumerate(h.entries) for k, c in enumerate(row))
-    return f, cs.d(f)
+    n, (den, grid) = cs.n, _integral(h.entries)
+    # the (1,1) slot follows the C(n, 2) monomials of (0,2); w^j wbar^k is j*n + k in it
+    f = {comb(n, 2) + j * n + k: c for j, row in enumerate(grid) for k, c in enumerate(row)
+         if c[0] or c[1]}
+    return den, f, cs.matrix(2).apply([f])[0]
+
+
+def _ddbar(cs: ComplexStructure, h: HermitianForm) -> tuple[int, dict]:
+    """``den`` and ``L^2 * den`` times del delbar of the form, a column of
+    degree 4: ``matrix(3)`` applied to the (1,2) rows of ``dF``.  Those come
+    before the first (2,1) row, after C(n, 3) rows of (0,3) and n C(n, 2) of
+    (1,2); the (0,3) rows of ``dF`` are empty."""
+    den, _, df = _d_of(cs, h)
+    cut = comb(cs.n, 3) + cs.n * comb(cs.n, 2)
+    return den, cs.matrix(3).apply([{r: v for r, v in df.items() if r < cut}])[0]
 
 
 def ddbar_of(cs: ComplexStructure, h: HermitianForm) -> Form:
     """The (2,2)-form del delbar of the coefficient form of ``h``."""
-    return cs.d(_d_of(cs, h)[1].component(1, 2))
+    den, column = _ddbar(cs, h)
+    targets, scale = degree_basis(cs.n, cs.n, 4)[0], den * cs._scale ** 2
+    return Form((targets[r], _reduced(x, y, scale)) for r, (x, y) in column.items())
 
 
 def _require_positive(h: HermitianForm):
@@ -154,16 +196,33 @@ def _require_positive(h: HermitianForm):
 def is_pluriclosed(cs: ComplexStructure, h: HermitianForm) -> bool:
     """Whether del delbar Omega vanishes exactly (the SKT condition)."""
     _require_positive(h)
-    return ddbar_of(cs, h).is_zero()
+    return not _ddbar(cs, h)[1]
+
+
+def _wedge(n: int, x: dict, f: dict) -> dict:
+    """``x /\\ f`` for an integral column ``x`` keyed by the masks of its
+    monomials and ``f`` of degree 2, over n generators and their conjugates,
+    as a column keyed by masks."""
+    out = {}
+    for (h, a), (p, q) in x.items():
+        lands = wedge_row(n, n, h, a)
+        for s, (c, e) in f.items():
+            if s in lands:
+                key, sign = lands[s]
+                u, v = out.get(key, (0, 0))
+                out[key] = u + sign * (p * c - q * e), v + sign * (p * e + q * c)
+    return {key: v for key, v in out.items() if v[0] or v[1]}
 
 
 def is_balanced(cs: ComplexStructure, h: HermitianForm) -> bool:
     """Whether d(Omega^(n-1)) vanishes exactly, read as dF /\\ F^(n-2)."""
     _require_positive(h)
-    f, power = _d_of(cs, h)
+    _, f, df = _d_of(cs, h)
+    threes = degree_basis(cs.n, cs.n, 3)[0]
+    power = {masks(threes[r]): v for r, v in df.items()}
     for _ in range(cs.n - 2):
-        power = power.wedge(f)
-    return power.is_zero()
+        power = _wedge(cs.n, power, f)
+    return not power
 
 
 def random_positive_forms(n: int, count: int, seed: int = 0) -> list[HermitianForm]:

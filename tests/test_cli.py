@@ -156,6 +156,18 @@ def test_skt_count_must_be_positive(capsys):
         assert err == "error: --count must be at least 1\n"
 
 
+def test_skt_seed_and_count_need_the_random_metric(capsys):
+    for flags in (["--seed", "3", "--count", "4"], ["--seed", "0"], ["--count", "20"],
+                  ["--metric", "standard", "--seed", "3"]):
+        assert run(capsys, "skt", "--case", "08", *flags) == (
+            1, "", "error: --seed and --count apply only to --metric random\n"), flags
+    # with it, each keeps its default: seed 0 and 20 forms
+    code, out, _ = run(capsys, "skt", "--case", "08", "--metric", "random")
+    assert code == 0 and "random sweep (20 positive forms, seed 0)" in out
+    assert run(capsys, "skt", "--case", "08", "--metric", "random", "--seed", "0",
+               "--count", "20") == (0, out, "")
+
+
 def test_table_markdown(capsys, iwasawa_file):
     code, out, _ = run(capsys, "table", iwasawa_file)
     assert code == 0

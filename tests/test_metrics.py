@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -6,10 +7,12 @@ import pytest
 from hypothesis import given, settings
 
 from nilcohom import metrics as me
-from nilcohom.algebra import BasisElement, Form, Gaussian, I, ONE, ZERO, basis
+from nilcohom.algebra import (BasisElement, Form, Gaussian, I, ONE, ZERO, basis, element, masks,
+                              wedge_row)
 from nilcohom.model import instantiate, product_with_torus
 from nilcohom.parser import parse_binding, parse_complex_structure, parse_gaussian
-from scale_oracle import d_block, structure_scale
+from scale_oracle import d_block, degree_monomials, structure_scale
+from test_cohomology import _in_a_random_coframe
 from test_model import triangular_structures
 
 
@@ -313,6 +316,15 @@ def test_balanced_reads_only_the_degree_two_matrix():
     assert set(cs._matrices) == {2}
 
 
+def test_balanced_builds_only_the_wedge_rows_its_columns_hold():
+    # 9 generators have 2^18 monomials; dF /\ F^7 of the standard form on
+    # this structure holds 128 of them over all degrees
+    cs = build("(0,0,0,0,0,0,0,0,w12)")
+    before = wedge_row.cache_info().currsize
+    assert me.is_balanced(cs, me.standard_form(9))
+    assert wedge_row.cache_info().currsize - before <= 128
+
+
 def _with_torus(h):
     """``h`` plus 1 on the new generator: the form of the product with the torus."""
     return me.HermitianForm([row + [ZERO] for row in h.entries] + [[ZERO] * h.n + [ONE]])
@@ -345,3 +357,134 @@ def test_metric_verdicts_on_nilpotent_complex_surfaces():
         for h in [me.standard_form(2), *me.random_positive_forms(2, 5, seed=3)]:
             assert me.is_pluriclosed(cs, h), template
             assert me.is_balanced(cs, h) == (template == "(0,0)"), template
+
+
+def test_hermitian_form_coerces_plain_rationals_above_the_diagonal():
+    # each upper value is coerced the way a diagonal entry is
+    expected = me.hermitian_form([1, 1, 1], {(1, 2): Gaussian.of(Fraction(1, 2)),
+                                             (2, 3): Gaussian.of(-1)})
+    for half, one in ((Fraction(1, 2), -1), (Gaussian.of(Fraction(1, 2)), Fraction(-1))):
+        h = me.hermitian_form([1, 1, 1], {(1, 2): half, (2, 3): one})
+        assert h == expected and not h.positive
+        assert h[1, 0] == Gaussian.of(Fraction(1, 2)) and h[2, 1] == Gaussian.of(-1)
+    assert me.hermitian_form([2, 2], {(1, 2): 1}).positive
+    for bad in (0.5, "1/2", None):
+        with pytest.raises(TypeError, match=r"^expected an exact rational, got \w+$"):
+            me.hermitian_form([1, 1], {(1, 2): bad})
+    with pytest.raises(TypeError, match=r"^expected an exact rational, got float$"):
+        me.hermitian_form([1, 0.5])
+
+
+def _rational(rng, dens=(1, 2, 3, 5, 7)):
+    return Gaussian.of(Fraction(rng.randint(-4, 4), rng.choice(dens)),
+                       Fraction(rng.randint(-4, 4), rng.choice(dens)))
+
+
+def _draw_grid(rng, n):
+    """A Hermitian grid over denominators 1, 2, 3, 5 and 7: ``G G*`` for a
+    random n x m grid ``G`` (positive for m = n, singular for m < n, as a
+    rule), or random entries on a positive diagonal (often indefinite)."""
+    if rng.random() < 0.4:
+        diag = [Gaussian.of(Fraction(rng.randint(1, 9), rng.choice((1, 2, 3, 5, 7))))
+                for _ in range(n)]
+        upper = {(j, k): _rational(rng) for j in range(n) for k in range(j + 1, n)}
+        return [[diag[j] if j == k else upper[j, k] if j < k else upper[k, j].conjugate()
+                 for k in range(n)] for j in range(n)]
+    m = rng.randint(max(1, n - 2), n)
+    g = [[_rational(rng) for _ in range(m)] for _ in range(n)]
+    for row in g:  # no zero row, so that the diagonal is positive
+        row[0] = row[0] or ONE
+    return [[sum((a * b.conjugate() for a, b in zip(g[j], g[k])), ZERO) for k in range(n)]
+            for j in range(n)]
+
+
+def test_sylvester_pivots_are_the_scaled_leading_minors():
+    # Bareiss's k-th pivot on den * H is den^k times H's k-th leading minor;
+    # the pivots stop at the first one that is not positive
+    rng = random.Random(41)
+    seen = {"positive": 0, "singular": 0, "indefinite": 0}
+    for _ in range(600):
+        n = rng.randint(1, 4)
+        h = me.HermitianForm(_draw_grid(rng, n))
+        den = math.lcm(*(c.den for row in h.entries for c in row))
+        expected = []
+        for k, minor in enumerate(_leading_minors(h.entries), start=1):
+            scaled = minor * den ** k
+            assert scaled.is_real() and scaled.den == 1
+            expected.append(scaled.x)
+            if scaled.x <= 0:
+                break
+        assert me._sylvester(h.entries) == expected, h.entries
+        kind = ("positive" if expected[-1] > 0
+                else "singular" if not expected[-1] else "indefinite")
+        seen[kind] += 1
+        assert me.is_positive(h) == (kind == "positive"), h.entries
+    assert min(seen.values()) >= 50, seen
+
+
+def _coefficient_form(h):
+    """``F = sum_jk H_jk w^j /\\ wbar^k``, built here from the grid."""
+    return Form((BasisElement((j + 1,), (k + 1,)), c)
+                for j, row in enumerate(h.entries) for k, c in enumerate(row))
+
+
+def _ddbar_by_forms(cs, h):
+    """del delbar F as d of the (1,2) part of dF, taken on forms."""
+    return cs.d(cs.d(_coefficient_form(h)).component(1, 2))
+
+
+def test_ddbar_of_equals_d_of_delbar_f_on_the_catalog(all_cases, structures):
+    checked = 0
+    for k, case in enumerate(all_cases):
+        cs = structures[case.id]
+        for h in [me.standard_form(cs.n), *me.random_positive_forms(cs.n, 6, seed=k)]:
+            assert me.ddbar_of(cs, h) == _ddbar_by_forms(cs, h), case.id
+            checked += 1
+    assert checked == 72 * 7
+
+
+def test_ddbar_of_equals_d_of_delbar_f_in_a_random_coframe(all_cases, structures):
+    # in the catalog's coframes d w^1 = 0 and w^1 divides d w^2, so d vanishes
+    # on w^12 /\ wbar^1, the first (2,1) monomial; in a general coframe it
+    # does not, so a (1,2) part of dF cut one row late shows here
+    rng = random.Random(31)
+    for k, case in enumerate(all_cases):
+        cs = _in_a_random_coframe(rng, structures[case.id])
+        for h in [me.standard_form(cs.n), *me.random_positive_forms(cs.n, 2, seed=k)]:
+            assert me.ddbar_of(cs, h) == _ddbar_by_forms(cs, h), case.id
+
+
+@settings(derandomize=True, max_examples=30, deadline=None, database=None)
+@given(triangular_structures())
+def test_ddbar_of_equals_d_of_delbar_f_beyond_the_catalog(cs):
+    for h in _forms(cs.n):
+        assert me.ddbar_of(cs, h) == _ddbar_by_forms(cs, h)
+
+
+def _column(form):
+    """The form's coefficients over their common denominator, as an integral
+    column keyed by the masks of its monomials, and that denominator."""
+    den = math.lcm(*(c.den for c in form.terms.values()))
+    return {masks(e): (c.x * (den // c.den), c.y * (den // c.den))
+            for e, c in form.terms.items()}, den
+
+
+def test_integer_wedge_equals_the_form_wedge():
+    rng = random.Random(43)
+    nonzero = 0
+    for n in (3, 4):
+        twos = degree_monomials(n, 2)
+        place = {masks(e): s for s, e in enumerate(twos)}
+        for k in (3, 5):
+            lows = degree_monomials(n, k)
+            for _ in range(40):
+                x = Form((e, _rational(rng)) for e in rng.sample(lows, min(6, len(lows))))
+                f = Form((e, _rational(rng)) for e in rng.sample(twos, 5))
+                (cx, dx), (cf, df) = _column(x), _column(f)
+                cf = {place[key]: v for key, v in cf.items()}  # f by its place among the 2-forms
+                product = Form((element(*key), Gaussian.of(a, b))
+                               for key, (a, b) in me._wedge(n, cx, cf).items())
+                assert product == x.wedge(f).scale(dx * df), (n, k)
+                nonzero += not product.is_zero()
+    # at n = 3 a product of degree 7 vanishes; every other case mostly does not
+    assert nonzero >= 100

@@ -157,17 +157,26 @@ MUTANTS = [
            "witness = next((k for k, d in enumerate(table.delta) if d), None)",
            "witness = next((k for k, d in enumerate(table.delta) if d > 1), None)"),
     Mutant("positivity elimination", METRICS,
-           "a[i][j] = a[i][j] - factor * a[k][j]", "a[i][j] = a[i][j] + factor * a[k][j]"),
+           "(p * s - x * u + y * v) // prev", "(p * s + x * u + y * v) // prev"),
+    Mutant("Bareiss division by the previous pivot dropped", METRICS,
+           "row[j] = (p * s - x * u + y * v) // prev, (p * t - x * v - y * u) // prev",
+           "row[j] = p * s - x * u + y * v, p * t - x * v - y * u"),
     Mutant("del delbar component", METRICS,
-           ".component(1, 2)", ".component(2, 1)"),
+           "if r < cut}", "if r >= cut}"),
+    Mutant("(1,2) cut one row late", METRICS,
+           "cut = comb(cs.n, 3) + cs.n * comb(cs.n, 2)",
+           "cut = comb(cs.n, 3) + cs.n * comb(cs.n, 2) + 1"),
     Mutant("balanced power", METRICS,
            "for _ in range(cs.n - 2):", "for _ in range(cs.n - 1):"),
     Mutant("balanced power started at F, not dF", METRICS,
-           "f, power = _d_of(cs, h)", "f, _ = _d_of(cs, h)\n    power = f"),
+           "threes = degree_basis(cs.n, cs.n, 3)[0]\n    power = {masks(threes[r]): v for r, v in df.items()}",
+           "threes = degree_basis(cs.n, cs.n, 2)[0]\n    power = {masks(threes[r]): v for r, v in f.items()}"),
+    Mutant("wedge-table sign ignored", ALGEBRA,
+           "lands[s] = (mh, ma), (-1) ** odd", "lands[s] = (mh, ma), 1"),
     Mutant("one-sided dimension gate", METRICS,
            "if cs.n != h.n:", "if cs.n < h.n:"),
     Mutant("balanced without the positivity check", METRICS,
-           "    _require_positive(h)\n    f, power", "    f, power"),
+           "    _require_positive(h)\n    _, f, df", "    _, f, df"),
     Mutant("digit class widened to \\d", PARSER,
            'r"(-?)([0-9]*)(/?)([0-9]*)"', 'r"(-?)(\\d*)(/?)(\\d*)"'),
     Mutant("zero-denominator check dropped", PARSER,
