@@ -8,22 +8,23 @@ classical parametrization ``Omega = i(r^2 w^{1~1} + s^2 w^{2~2} + t^2 w^{3~3})
 ``H_12 = -i u`` and so on, so diagonal entries are the positive rationals
 r^2, s^2, t^2.
 
-Positivity is decided once per form, when it is built: ``HermitianForm``
-runs Sylvester's criterion on its entries and keeps the verdict.  The
-criterion runs on integers: with ``den`` the lcm of the entries'
-denominators, fraction-free (Bareiss) elimination of ``den * H`` has the
-leading principal minors of ``den * H`` as its pivots, each step dividing
-exactly by the previous pivot, so the form is positive when every pivot is.
-``is_positive`` returns the verdict, and the pluriclosed and balanced tests
-read it first, so a form that is not positive raises before the dimension
-check and before any d is taken.
+A form is taken into integers once, when it is built: ``HermitianForm``
+checks the reduced triples of its entries (a real positive diagonal, each
+entry below it the conjugate of its mirror) and holds ``den``, the lcm of
+the entries' denominators, and ``F``, ``den`` times the form, as one
+integral column of degree 2.  Positivity is decided then too, by
+Sylvester's criterion on the integer grid ``den * H``: fraction-free
+(Bareiss) elimination of the grid has its leading principal minors as its
+pivots, each step dividing exactly by the previous pivot, so the form is
+positive when every pivot is.  ``is_positive`` returns the verdict,
+and the pluriclosed and balanced tests read it first, so a form that is not
+positive raises before the dimension check and before any d is taken.
 
 All three tests pass through one gate, ``_d_of``: it checks that the form
-and the structure have the same n and returns ``F`` as one integral column
-of degree 2, ``den`` times the form, and ``dF``, that column's image under
-``matrix(2)`` (built with the structure by its d^2 check) by
-:meth:`~nilcohom.linalg.ExactMatrix.apply`.  No :class:`Form` is built and
-no ``d`` is called, and each test builds ``F`` and ``dF`` once.
+and the structure have the same n and returns the form's ``F`` and ``dF``,
+that column's image under ``matrix(2)`` (built with the structure by its
+d^2 check) by :meth:`~nilcohom.linalg.ExactMatrix.apply`.  No :class:`Form`
+is built and no ``d`` is called, and each test builds ``dF`` once.
 
 ``ddbar_of`` reports del delbar of ``F`` (without the overall i, which no
 vanishing test sees): the classical six-dimensional families then have del
@@ -57,24 +58,34 @@ from .model import ComplexStructure
 class HermitianForm:
     """An n x n Hermitian coefficient matrix with positive rational diagonal.
 
-    ``positive`` is its Sylvester verdict, taken once when it is built: the
-    entries are copied then and never changed, so the verdict cannot go stale.
+    It is taken into integers once, when it is built: ``den`` is the lcm of
+    the entries' denominators, ``column`` is F, the integer grid ``den * H``
+    as an integral column of degree 2 (see :func:`_d_of`), and ``positive``
+    is the Sylvester verdict on that grid.  The entries are copied then and
+    never changed, so none of these can go stale.
     """
 
     def __init__(self, entries):
         n = len(entries)
         if any(len(row) != n for row in entries):
             raise ValueError("coefficient grid must be square")
+        # on the reduced triples: a real positive diagonal, and each entry
+        # below it the conjugate of its mirror
         for j in range(n):
             d = entries[j][j]
-            if not d.is_real() or d.re <= 0:
+            if d.y or d.x <= 0:
                 raise ValueError(f"diagonal entry {j + 1} must be a positive rational")
-            for k in range(n):
-                if entries[k][j] != entries[j][k].conjugate():
+            for k in range(j + 1, n):
+                a, b = entries[k][j], entries[j][k]
+                if a.x != b.x or a.y != -b.y or a.den != b.den:
                     raise ValueError("coefficient grid is not Hermitian")
         self.n = n
         self.entries = [row[:] for row in entries]
-        self.positive = all(p > 0 for p in _sylvester(self.entries))
+        self.den, grid = _integral(self.entries)
+        # the (1,1) slot follows the C(n, 2) monomials of (0,2); w^j wbar^k is j*n + k in it
+        self.column = {comb(n, 2) + j * n + k: c for j, row in enumerate(grid)
+                       for k, c in enumerate(row) if c[0] or c[1]}
+        self.positive = all(p > 0 for p in _sylvester(grid))
 
     def __getitem__(self, jk):
         return self.entries[jk[0]][jk[1]]
@@ -130,15 +141,16 @@ def _integral(entries) -> tuple[int, list]:
     return den, [[(c.x * (den // c.den), c.y * (den // c.den)) for c in row] for row in entries]
 
 
-def _sylvester(entries) -> list[int]:
-    """The leading principal minors of ``den * H``, the k-th ``den^k`` times
-    ``H``'s, up to the first one that is not positive.
+def _sylvester(grid) -> list[int]:
+    """The leading principal minors of ``den * H``, given as its integer
+    ``grid``, the k-th ``den^k`` times ``H``'s, up to the first one that is
+    not positive.
 
     They are the pivots of fraction-free elimination without row exchanges
     (Bareiss, Math. Comp. 22, 1968): each step divides exactly by the
     previous pivot.  ``H`` is Hermitian, so every minor is a real integer.
     """
-    a, prev, minors = _integral(entries)[1], 1, []
+    a, prev, minors = [row[:] for row in grid], 1, []
     for k, top in enumerate(a):
         p = top[k][0]
         minors.append(p)
@@ -159,16 +171,12 @@ def is_positive(h: HermitianForm) -> bool:
 
 
 def _d_of(cs: ComplexStructure, h: HermitianForm) -> tuple[int, dict, dict]:
-    """``(den, F, dF)``: ``F = den * sum_jk H_jk w^j /\\ wbar^k`` (the form
-    without the i) as an integral column of degree 2, and ``dF`` its image
-    under ``matrix(2)``, ``L * den`` times d of the form."""
+    """``(den, F, dF)``: the form's ``F = den * sum_jk H_jk w^j /\\ wbar^k``
+    (the form without the i), an integral column of degree 2, and ``dF`` its
+    image under ``matrix(2)``, ``L * den`` times d of the form."""
     if cs.n != h.n:
         raise ValueError(f"dimension mismatch: structure n={cs.n}, form n={h.n}")
-    n, (den, grid) = cs.n, _integral(h.entries)
-    # the (1,1) slot follows the C(n, 2) monomials of (0,2); w^j wbar^k is j*n + k in it
-    f = {comb(n, 2) + j * n + k: c for j, row in enumerate(grid) for k, c in enumerate(row)
-         if c[0] or c[1]}
-    return den, f, cs.matrix(2).apply([f])[0]
+    return h.den, h.column, cs.matrix(2).apply([h.column])[0]
 
 
 def _ddbar(cs: ComplexStructure, h: HermitianForm) -> tuple[int, dict]:

@@ -13,7 +13,8 @@ conjugation and the ``d^2 = 0`` check computes only ``d(d w^j)``: each
 
 Both kinds of structure share one base, ``_Differential`` (layout (m, 0) for a
 real algebra, (n, n) for a complex structure), and one set of checks: the gate
-``_check_terms`` (the templates' too), ``check_d_squared``, equality, and
+``_check_terms`` (the templates' too; one lookup per monomial in a cached
+set of the canonical monomials it allows), ``check_d_squared``, equality, and
 ``check_nilpotency``, which reads the bracket off the structure's own d.  Each
 holds ``d`` as ``L * d``: one integral :class:`~nilcohom.linalg.ExactMatrix`
 per total degree, where ``L`` is the lcm of the denominators of the structure
@@ -30,6 +31,8 @@ each term.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
+from itertools import combinations
 from math import comb, lcm
 
 from .algebra import (BasisElement, Form, Gaussian, ONE, ZERO, _reduced, degree_basis, leibniz,
@@ -76,14 +79,28 @@ class DifferentialSquareError(ModelError):
 # generic exterior differentials
 # ---------------------------------------------------------------------------
 
+@cache
+def _allowed(n: int, bidegrees) -> frozenset:
+    """The canonical monomials over n generators of the given bidegrees."""
+    return frozenset(BasisElement(holo, anti) for p, q in bidegrees
+                     for holo in combinations(range(1, n + 1), p)
+                     for anti in combinations(range(1, n + 1), q))
+
+
 def _check_terms(entries, n: int, bidegrees, error, label: str) -> None:
     """Reject ``entries``, each the monomials of one generator's d, unless
     there are n, each block is strictly ascending within 1..n and each
-    bidegree is in ``bidegrees``; another bidegree raises ``error``."""
+    bidegree is in ``bidegrees``; another bidegree raises ``error``.
+
+    A monomial is accepted by one lookup in :func:`_allowed`; only one that
+    is not there is taken apart, to say why."""
     if len(entries) != n:
         raise ValueError(f"expected {n} differentials, got {len(entries)}")
+    allowed = _allowed(n, bidegrees)
     for j, terms in enumerate(entries, start=1):
         for elem in terms:
+            if elem in allowed:
+                continue
             for block in (elem.holo, elem.anti):
                 if not all(a < b for a, b in zip((0, *block), (*block, n + 1))):
                     raise ValueError(f"not a canonical monomial over {n} generators: {elem}")

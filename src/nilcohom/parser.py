@@ -25,13 +25,13 @@ table and loop; the sign of a two-index term such as ``21`` or ``w21`` is
 that of :func:`nilcohom.algebra.wedge_elements`, looked up in a table of all
 162 pairs.
 
-A template term with a literal coefficient, such as ``3/37+17/111i*w1~2`` or
-a bare ``w12``, is read with one match of ``_TERM``, a pattern composed from
-the table's pieces, and its coefficient is built from the match's integers
-as one reduced triple.  A symbol coefficient (``B*``, ``conj(B)*``,
-``abs(B-1)*``) is read by the scanner, and so is every term that does not
-parse: the scanner alone raises, so each error keeps its message and
-position.
+A template term whose coefficient is a literal or a plain parameter name,
+such as ``3/37+17/111i*w1~2``, ``D*w2~2`` or a bare ``w12``, is read with
+one match of ``_TERM``, a pattern composed from the table's pieces, and a
+literal coefficient is built from the match's integers as one reduced
+triple.  ``conj(B)*`` and ``abs(B-1)*`` are read by the scanner, and so is
+every term that does not parse: the scanner alone raises, so each error
+keeps its message and position.
 
 Errors carry 1-based line/column positions pointing inside the offending
 token.
@@ -61,12 +61,14 @@ _SIGN = re.compile(r"[+-]")
 _ZERO = re.compile(r"0(?![0-9])")  # a zero entry, not the start of a literal
 _W_TERM = re.compile(r"w[0-9]")  # a term with no coefficient
 _COMPARATOR = re.compile(r"!=|<=|>=|=|<|>")
-# a whole term with a literal coefficient, ``[gaussian * ] w a [~] b``, from the
-# pieces above: 'i', or a rational then 'i' or a signed tail '(+|-) rational? i'
+# a whole term ``[coeff *] w a [~] b``, from the pieces above; its coefficient
+# is a plain name that is not a w-term, or a literal in eight groups: 'i', or a
+# rational then 'i' or a signed tail '(+|-) rational? i'
 _TERM = re.compile(
-    r"(?:(?:({i})|(-?)({d})(?:/({d}))?{s}(?:({i})|({sign}){s}(?:({d})(?:/({d}))?)?{s}{i})?)"
-    r"{s}\*{s})?w({x}~?{x})".format(
-        i=_I.pattern, d=_DIGITS.pattern, s=_WS.pattern, sign=_SIGN.pattern, x=_INDEX.pattern))
+    r"(?:(?:({i})|(-?)({d})(?:/({d}))?{s}(?:({i})|({sign}){s}(?:({d})(?:/({d}))?)?{s}{i})?"
+    r"|((?!{w}){name})){s}\*{s})?w({x}~?{x})".format(
+        i=_I.pattern, d=_DIGITS.pattern, s=_WS.pattern, sign=_SIGN.pattern, w=_W_TERM.pattern,
+        name=_IDENT.pattern, x=_INDEX.pattern))
 
 
 class ParseError(Exception):
@@ -316,17 +318,18 @@ def _parse_cform(sc: _Scanner) -> list:
 
 
 def _parse_cterm(sc: _Scanner) -> tuple:
-    """``[coeff *] w-term``: a literal coefficient and its w-term in one match
-    of ``_TERM``; a symbol coefficient, and every error, through the scanner."""
+    """``[coeff *] w-term``: a literal or plain-name coefficient and its w-term
+    in one match of ``_TERM``; ``conj(..)``, ``abs(..)`` and every error
+    through the scanner."""
     m = _TERM.match(sc.text, sc.pos)
     if m is not None:
-        unit, minus, num, den, imag, sign, mag, mag_den, pair = m.groups()
+        unit, minus, num, den, imag, sign, mag, mag_den, name, pair = m.groups()
         (x, d), (y, e) = _ratio(minus, num, den), _ratio(sign, mag, mag_den) if sign else (0, 1)
         if unit or imag:
             (x, d), (y, e) = (0, 1), (x, d)
         if d and e and _PAIRS[pair]:  # else the scanner reports the zero or the repeat
             sc.pos = m.end()
-            return Lit(_reduced(x * e, y * d, d * e)), _PAIRS[pair]
+            return (Param(name) if name else Lit(_reduced(x * e, y * d, d * e))), _PAIRS[pair]
     return _parse_cterm_coeff(sc), _parse_wfactor(sc)
 
 

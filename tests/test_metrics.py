@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 
 from nilcohom import metrics as me
-from nilcohom.algebra import (BasisElement, Form, Gaussian, I, ONE, ZERO, basis, element, masks,
-                              wedge_row)
+from nilcohom.algebra import (BasisElement, Form, Gaussian, I, ONE, ZERO, basis, degree_basis,
+                              element, masks, wedge_row)
 from nilcohom.model import instantiate, product_with_torus
 from nilcohom.parser import parse_binding, parse_complex_structure, parse_gaussian
 from scale_oracle import d_block, degree_monomials, structure_scale
@@ -414,7 +414,7 @@ def test_sylvester_pivots_are_the_scaled_leading_minors():
             expected.append(scaled.x)
             if scaled.x <= 0:
                 break
-        assert me._sylvester(h.entries) == expected, h.entries
+        assert me._sylvester(me._integral(h.entries)[1]) == expected, h.entries
         kind = ("positive" if expected[-1] > 0
                 else "singular" if not expected[-1] else "indefinite")
         seen[kind] += 1
@@ -488,3 +488,74 @@ def test_integer_wedge_equals_the_form_wedge():
                 nonzero += not product.is_zero()
     # at n = 3 a product of degree 7 vanishes; every other case mostly does not
     assert nonzero >= 100
+
+
+def _grid(rows):
+    return [[c if isinstance(c, Gaussian) else Gaussian.of(*c) if isinstance(c, tuple)
+             else Gaussian.of(c) for c in row] for row in rows]
+
+
+@pytest.mark.parametrize("rows, message", [
+    # a bad diagonal before a non-Hermitian pair, and after one
+    ([[0, 1, 0], [1, 1, 2], [0, 3, 1]], "diagonal entry 1 must be a positive rational"),
+    ([[1, 0, 0], [0, -1, 0], [0, 5, 1]], "diagonal entry 2 must be a positive rational"),
+    ([[1, 2, 0], [1, 1, 0], [0, 0, -1]], "coefficient grid is not Hermitian"),
+    ([[1, 0, 0], [5, -1, 0], [0, 0, 1]], "coefficient grid is not Hermitian"),
+    ([[(1, 1)]], "diagonal entry 1 must be a positive rational"),
+    ([[1, 0], [0, 0]], "diagonal entry 2 must be a positive rational"),
+    ([[1, (0, 1)], [(0, 1), 1]], "coefficient grid is not Hermitian"),
+    ([[1, Fraction(1, 2)], [Fraction(1, 3), 1]], "coefficient grid is not Hermitian"),
+    ([[1, (Fraction(1, 2), 1)], [(Fraction(1, 2), 1), 1]], "coefficient grid is not Hermitian"),
+])
+def test_a_grid_is_rejected_at_its_first_fault(rows, message):
+    with pytest.raises(ValueError) as info:
+        me.HermitianForm(_grid(rows))
+    assert str(info.value) == message
+
+
+def _first_fault(entries):
+    """Column by column: the diagonal entry, then every entry of the column
+    against the conjugate of its mirror, by Gaussian arithmetic."""
+    for j in range(len(entries)):
+        d = entries[j][j]
+        if not d.is_real() or d.re <= 0:
+            return f"diagonal entry {j + 1} must be a positive rational"
+        for k in range(len(entries)):
+            if entries[k][j] != entries[j][k].conjugate():
+                return "coefficient grid is not Hermitian"
+    return None
+
+
+def test_the_grid_checks_fault_where_gaussian_arithmetic_does():
+    rng = random.Random(17)
+    seen = {}
+    for _ in range(1500):
+        n = rng.randint(1, 4)
+        rows = _draw_grid(rng, n)
+        for _ in range(rng.randint(0, 2)):  # spoil an entry, perhaps on the diagonal
+            j, k = rng.randrange(n), rng.randrange(n)
+            rows[j][k] = rng.choice([_rational(rng), ZERO, -rows[j][k], rows[j][k].conjugate(),
+                                     rows[j][k] * Gaussian.of(Fraction(1, 2))])
+        expected = _first_fault(rows)
+        seen[expected] = seen.get(expected, 0) + 1
+        if expected is None:
+            assert me.HermitianForm(rows).n == n
+        else:
+            with pytest.raises(ValueError) as info:
+                me.HermitianForm(rows)
+            assert str(info.value) == expected
+    assert len(seen) == 6 and min(seen.values()) >= 5, seen  # diagonal entries 1-4 among them
+
+
+def test_a_form_holds_its_integers():
+    rng = random.Random(23)
+    for _ in range(200):
+        h = me.HermitianForm(_draw_grid(rng, rng.randint(1, 4)))
+        den, grid = me._integral(h.entries)
+        assert h.den == den == math.lcm(*(c.den for row in h.entries for c in row))
+        assert [[Gaussian.of(x, y) for x, y in row] for row in grid] == \
+            [[c * den for c in row] for row in h.entries]
+        place = degree_basis(h.n, h.n, 2)[1]  # F's rows: its monomials' places
+        assert h.column == {place[BasisElement((j + 1,), (k + 1,))]: xy
+                            for j, row in enumerate(grid) for k, xy in enumerate(row)
+                            if xy != (0, 0)}

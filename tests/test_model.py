@@ -128,13 +128,15 @@ NOT_CANONICAL = [
 
 @pytest.mark.parametrize("elem", NOT_CANONICAL, ids=repr)
 def test_structure_constructors_reject_non_canonical_monomials(elem):
+    # an index of 0 or n + 1 included: the gate's accepted set is over n generators
     zero = Form()
     bad = Form([(elem, ONE)])
-    with pytest.raises(ValueError):
+    message = f"^not a canonical monomial over 3 generators: {elem}$"
+    with pytest.raises(ValueError, match=message):
         ComplexStructure(3, [zero, zero, bad])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=message):
         RealAlgebra(3, [zero, zero, bad])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=message):
         ComplexStructureTemplate(3, [(), (), ((Lit(ONE), elem),)])
 
 
@@ -430,3 +432,42 @@ def test_masks_and_element_are_inverse_on_every_monomial():
         assert len({masks(e) for e in monomials}) == len(monomials) == 4 ** n
         for e in monomials:
             assert element(*masks(e)) == e
+
+
+# The gate accepts a monomial by one lookup in the canonical monomials of the
+# allowed bidegrees; any other monomial is taken apart, and the message says
+# why.  Each case is built by all three constructors over n = 3.
+
+def _gate_errors(elem):
+    zero, bad = Form(), Form([(elem, ONE)])
+    makers = [lambda: ComplexStructure(3, [zero, zero, bad]),
+              lambda: ComplexStructureTemplate(3, [(), (), ((Lit(ONE), elem),)]),
+              lambda: RealAlgebra(3, [zero, zero, bad])]
+    errors = []
+    for make in makers:
+        with pytest.raises(Exception) as info:
+            make()
+        errors.append((type(info.value), str(info.value)))
+    return errors
+
+
+@pytest.mark.parametrize("elem", [
+    BasisElement((1, 2, 3), ()), BasisElement((), (1, 2)), BasisElement((1,), (2, 3)),
+    BasisElement((3,), ()), BasisElement((), ()),
+], ids=str)
+def test_the_gate_names_the_bidegree_of_a_canonical_term_it_rejects(elem):
+    text = f"has a {elem.bidegree} term {elem}"
+    assert _gate_errors(elem) == [(IntegrabilityError, f"d w^3 {text}"),
+                                  (IntegrabilityError, f"d w^3 {text}"),
+                                  (ValueError, f"d e^3 {text}")]
+
+
+def test_the_gate_accepts_every_canonical_term_of_its_bidegrees():
+    for n in range(1, 6):
+        twos = [BasisElement(pair, ()) for pair in combinations(range(1, n + 1), 2)]
+        mixed = [BasisElement((j,), (k,)) for j in range(1, n + 1) for k in range(1, n + 1)]
+        template = ComplexStructureTemplate(n, [[(Lit(ONE), e) for e in twos + mixed]] * n)
+        assert template.n == n
+        RealAlgebra(n, [Form([(e, ONE) for e in twos])] + [Form()] * (n - 1))
+    with pytest.raises(ValueError, match=r"d e\^1 has a \(1, 1\) term w1~2"):
+        RealAlgebra(3, [Form.single(BasisElement((1,), (2,)))] + [Form()] * 2)

@@ -11,6 +11,10 @@ from nilcohom.catalog import evaluate_predicate
 from nilcohom.model import Lit, Param
 from nilcohom.parser import (
     ParseError,
+    _parse_cterm,
+    _parse_cterm_coeff,
+    _parse_wfactor,
+    _Scanner,
     parse_binding,
     parse_complex_structure,
     parse_gaussian,
@@ -349,3 +353,99 @@ def test_the_value_of_a_literal_term(term, value, elem):
     # (Gaussians compare by that triple) and a descending holomorphic pair
     # negates it
     assert parse_complex_structure(f"(0,0,{term})").d_of_omega[2][-1] == (Lit(value), elem)
+
+
+# The edges of the one-match path: a plain-name coefficient is read with the
+# rest of its term by one pattern.  Each case here, and each binding below,
+# has the value, or the message and position, the scanner alone gives.
+@pytest.mark.parametrize("term, expected", [
+    ("w12*w12", ("expected ')'", 9)),  # a w-term is never read as a name
+    ("conj*w12", (Param("conj"), BasisElement((1, 2), ()))),
+    ("abs*w12", (Param("abs"), BasisElement((1, 2), ()))),
+    ("i2*w12", (Param("i2"), BasisElement((1, 2), ()))),
+    ("iD * w1~2", (Param("iD"), BasisElement((1,), (2,)))),
+    ("w*w12", (Param("w"), BasisElement((1, 2), ()))),
+    ("i * w12", (Lit(Gaussian.of(0, 1)), BasisElement((1, 2), ()))),
+    ("D*w21", (Param("D", negated=True), BasisElement((1, 2), ()))),
+    ("D*w11", ("duplicate index 1 inside one term", 10)),
+    ("D*w14", ("index out of range for complex dimension 3", 6)),
+    ("-D*w12", ("expected digits after '-'", 7)),
+    ("w1x*w12", ("expected an index digit 1-9", 8)),
+    ("conj (D)*w12", ("expected '*'", 11)),
+])
+def test_symbol_terms_at_the_edges_of_the_one_match_path(term, expected):
+    text = f"(0,0,{term})"
+    if isinstance(expected[0], str):
+        with pytest.raises(ParseError) as info:
+            parse_complex_structure(text)
+        assert (info.value.message, info.value.line, info.value.column) == (expected[0], 1,
+                                                                            expected[1])
+    else:
+        assert parse_complex_structure(text).d_of_omega[2] == (expected,)
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("D=1/0", ("malformed rational: zero denominator", 1, 5)),
+    ("D=1-2", ("expected ';' or end of input", 1, 4)),
+    ("D = 1 ; ", {"D": Gaussian.of(1)}),
+    ("D=1;D=2", ("repeated assignment to D", 1, 5)),
+    ("D=1/2-i;;", ("expected an identifier", 1, 9)),
+    ("D=1\n", {"D": Gaussian.of(1)}),
+    ("D=1 junk", ("expected ';' or end of input", 1, 5)),
+    ("D=1; B=2 x", ("expected ';' or end of input", 1, 10)),
+    ("D=1/", ("malformed rational: expected a positive denominator", 1, 5)),
+    ("D=2i;B=-3/4 - 5 i", {"D": Gaussian.of(0, 2), "B": Gaussian.of(Fraction(-3, 4), -5)}),
+])
+def test_bindings_at_their_edges(text, expected):
+    if isinstance(expected, tuple):
+        with pytest.raises(ParseError) as info:
+            parse_binding(text)
+        assert (info.value.message, info.value.line, info.value.column) == expected
+    else:
+        assert parse_binding(text) == expected
+
+
+def _outcome(read, text, pos=0):
+    """What ``read`` makes of a scanner at ``pos`` in ``text``: its value and
+    where it stopped, or its error's message and position."""
+    sc = _Scanner(text)
+    sc.pos = pos
+    try:
+        return read(sc), sc.pos
+    except ParseError as err:
+        return err.message, err.line, err.column
+
+
+def _by_the_scanner(sc):
+    return _parse_cterm_coeff(sc), _parse_wfactor(sc)
+
+
+# single-character edits: the characters terms are made of, and a few they
+# are not
+_EDITS = "0123456789/+-*~ iwDxB_(),;=\n"
+
+
+def _edited(rng, text):
+    pos, char = rng.randrange(len(text) + 1), rng.choice(_EDITS)
+    return pos, text[:pos] + char + text[pos + rng.randint(0, 1):]
+
+
+def test_the_term_pattern_reads_what_the_scanner_reads(all_cases):
+    # every position of every catalog template and of one seed of the dense
+    # coframe texts, then the positions near one edit of each dense text
+    coframe, rng = _coframe_module(), random.Random(3)
+    dense = [coframe.generate(nilcohom, case.template_text, case.binding_text, rng)
+             for case in all_cases if case.dim == 3]
+    texts = [(text, range(len(text))) for text in (case.template_text for case in all_cases)]
+    texts += [(text, range(len(text))) for text in dense]
+    for text in dense:
+        for _ in range(4):
+            pos, edited = _edited(rng, text)
+            texts.append((edited, range(max(0, pos - 24), min(len(edited), pos + 2))))
+    compared = 0
+    for text, positions in texts:
+        for pos in positions:
+            assert _outcome(_parse_cterm, text, pos) == _outcome(_by_the_scanner, text, pos), \
+                (text, pos)
+            compared += 1
+    assert compared > 30_000

@@ -109,6 +109,9 @@ MUTANTS = [
            "span = list(pivots.values())", "span = span[:len(pivots)]"),
     Mutant("wbar generators numbered from 1, not after the w's", MODEL,
            "holo + b for b in e.anti", "b for b in e.anti"),
+    Mutant("allowed set built over n + 1 generators", MODEL,
+           "combinations(range(1, n + 1), p)\n                     for anti in combinations(range(1, n + 1), q))",
+           "combinations(range(1, n + 2), p)\n                     for anti in combinations(range(1, n + 2), q))"),
     Mutant("bidegree test dropped from the gate", MODEL,
            "if elem.bidegree not in bidegrees:", "if False:"),
     Mutant("e and w residual labels swapped", MODEL,
@@ -173,6 +176,8 @@ MUTANTS = [
            "threes = degree_basis(cs.n, cs.n, 2)[0]\n    power = {masks(threes[r]): v for r, v in f.items()}"),
     Mutant("wedge-table sign ignored", ALGEBRA,
            "lands[s] = (mh, ma), (-1) ** odd", "lands[s] = (mh, ma), 1"),
+    Mutant("conjugate's sign dropped in the triple Hermitian check", METRICS,
+           "a.y != -b.y", "a.y != b.y"),
     Mutant("one-sided dimension gate", METRICS,
            "if cs.n != h.n:", "if cs.n < h.n:"),
     Mutant("balanced without the positivity check", METRICS,
@@ -186,6 +191,8 @@ MUTANTS = [
            "_ratio(sign, mag, mag_den) if sign", '_ratio("+" if sign == "-" else "-", mag, mag_den) if sign'),
     Mutant("term pattern's zero-denominator guard dropped", PARSER,
            "if d and e and _PAIRS[pair]:", "if _PAIRS[pair]:"),
+    Mutant("name branch admitting a w-term", PARSER,
+           "((?!{w}){name})", "({name})"),
     Mutant("predicate literal with a signed tail", CATALOG,
            "sc.scan_gaussian(tail=False)", "sc.scan_gaussian()"),
     Mutant("curve's own form dropped", CATALOG,
