@@ -10,8 +10,6 @@ from .model import (
     check_d_squared,
     check_nilpotency,
     instantiate,
-    product_with_torus,
-    realify,
 )
 from .parser import ParseError, parse_binding, parse_complex_structure, parse_real_algebra, render
 
@@ -37,8 +35,6 @@ __all__ = [
     "parse_binding",
     "parse_complex_structure",
     "parse_real_algebra",
-    "product_with_torus",
-    "realify",
     "render",
     "standard_form",
 ]

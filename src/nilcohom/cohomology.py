@@ -42,13 +42,13 @@ the (p,q) slot, whose kernel is ker del /\\ ker delbar, as the two parts land
 in distinct slots) and ``concat`` (del and delbar side by side, whose image
 is im del + im delbar).  :data:`THEORIES` is the one table of these
 formulas: each row names a theory for output, names its
-:class:`CohomologyTable` grid and lists its rank terms.  It is compiled once
-per n, with the Betti formula, into a plan of cells, a base dimension plus
-signed rank keys (:func:`_plan`); a rank the table lacks is that of a map
-with no source or target, and is left out of the plan.  :func:`_cells`
-turns each key into its slot in the rank list and adds the delta cells, so
-:func:`full_table` fills every field, delta included, by adding up cells.
-No dimension is a quotient basis.
+:class:`CohomologyTable` grid and lists its rank terms.  :func:`_cells` is
+the one compile of it: once per n, with the Betti formula and delta, straight
+onto the slots of the rank list, as cells of a base dimension plus signed
+rank slots.  A rank key that :func:`_steps` does not emit is that of a map
+with no source or target, and is left out of its cell.  :func:`full_table`
+fills every field, delta included, by adding up cells.  No dimension is a
+quotient basis.
 
 Conventions, for a structure of complex dimension ``n``:
 
@@ -84,17 +84,6 @@ def _slots(n: int, k: int) -> range:
     return range(max(0, k - n), min(n, k) + 1)
 
 
-@cache
-def _layout(n: int) -> dict:
-    """The first row and the dimension of the (p,q) slot in the basis of total
-    degree p+q, whose slots go by ascending p; p and q run to n + 1, one past
-    the square, where slots are empty."""
-    edge = range(n + 2)
-    return {(p, q): (sum(basis_dimension(n, s, p + q - s) for s in range(p)),
-                     basis_dimension(n, p, q))
-            for p in edge for q in edge}
-
-
 # the ranks of one (p,q) step, in the order they take in the rank list; dd
 # only for q < n, where del delbar has a target
 _KINDS = ("concat", "stack", "delbar", "del", "dd")
@@ -119,12 +108,18 @@ def _steps(n: int) -> tuple:
     ``("total", k)`` for every k.
     """
     dim = [comb(2 * n, k) for k in range(2 * n + 3)]  # degree-k basis size, 0 past 2n
-    layout, span, steps, keys = _layout(n), range(n + 1), [], []
+    span, steps, keys = range(n + 1), [], []
+
+    def start(p, k):  # the first row of the (p, k-p) slot in the basis of degree k
+        return sum(comb(n, s) * comb(n, k - s) for s in range(p))
+
     for q in span:
         for p in span:
-            k, (lo, size) = p + q, layout[p, q]
+            k = p + q
             dd = None if q == n else dim[k + 2] if p < n else 0
-            steps.append((p, k, lo, lo + size, layout[p + 1, q][0], dim[k], dim[k + 1], dd))
+            # the slot ends where (p+1, q-1) starts, and is cut where (p+1, q) starts
+            steps.append((p, k, start(p, k), start(p + 1, k), start(p + 1, k + 1),
+                          dim[k], dim[k + 1], dd))
             keys += [(kind, p, q) for kind in _KINDS[:4 if dd is None else 5]]
     # (p,q) is step q(n+1) + p
     totals = [(dim[k + 1], *((k - p) * (n + 1) + p for p in _slots(n, k))) for k in range(2 * n + 1)]
@@ -261,58 +256,35 @@ class CohomologyTable:
 
 
 @cache
-def _plan(n: int) -> tuple:
-    """:data:`THEORIES` and the Betti formula compiled for dimension ``n``.
+def _cells(n: int) -> tuple:
+    """:data:`THEORIES`, the Betti formula and delta compiled for dimension
+    ``n`` onto the slots of the rank list.
 
-    Returns ``(grids, betti)``: ``grids[grid_name][p][q]`` and ``betti[k]``
-    are cells ``(base, ((sign, key), ...))``, standing for ``base`` plus the
-    signed ranks of the keys, where ``base`` is ``unit * dim(p,q)`` or
-    ``C(2n, k)``.  A key the rank table does not hold, the rank of a map with
-    no source or target, is dropped here.
+    Returns ``(grids, betti, delta)``: ``grids[grid_name][p][q]``,
+    ``betti[k]`` and ``delta[k]`` are cells ``(base, ((coefficient, slot),
+    ...))``, standing for ``base`` plus each coefficient times the rank in
+    its slot, where ``base`` is ``unit * dim(p,q)`` or ``C(2n, k)``.  A key
+    that :func:`_steps` does not emit, the rank of a map with no source or
+    target, is dropped here.  ``delta[k]`` is the Bott-Chern and Aeppli cells
+    of degree k minus twice the Betti cell.
     """
-    span = range(n + 1)
-
-    def held(kind, *index):  # the keys of _ranks: dd only for q < n
-        top = {"total": (2 * n,), "dd": (n, n - 1)}.get(kind, (n, n))
-        return all(0 <= i <= t for i, t in zip(index, top))
+    span, slot = range(n + 1), {key: i for i, key in enumerate(_steps(n)[2])}
 
     def cell(base, terms):
-        return base, tuple((sign, key) for sign, key in terms if held(*key))
+        return base, tuple((sign, slot[key]) for sign, key in terms if key in slot)
 
-    grids = {
-        grid_name: [[cell(unit * basis_dimension(n, p, q),
-                          ((sign, (kind, p + dp, q + dq)) for sign, kind, dp, dq in terms))
-                     for q in span] for p in span]
-        for _, grid_name, unit, terms in THEORIES
-    }
+    grids = {grid_name: [[cell(unit * basis_dimension(n, p, q),
+                               ((sign, (kind, p + dp, q + dq)) for sign, kind, dp, dq in terms))
+                          for q in span] for p in span] for _, grid_name, unit, terms in THEORIES}
     # the (p,q) blocks of total degree k together have dimension C(2n, k)
     betti = [cell(comb(2 * n, k), ((-1, ("total", k)), (-1, ("total", k - 1))))
              for k in range(2 * n + 1)]
-    return grids, betti
-
-
-@cache
-def _cells(n: int) -> tuple:
-    """:func:`_plan` with every key replaced by its slot in the rank list, and
-    the delta cells.
-
-    Returns ``(grids, betti, delta)`` of cells ``(base, ((coefficient, slot),
-    ...))``, standing for ``base`` plus each coefficient times the rank in
-    its slot.  ``delta[k]`` is the Bott-Chern and Aeppli cells of degree k
-    minus twice the Betti cell.
-    """
-    grids, betti = _plan(n)
-    slot = {key: i for i, key in enumerate(_steps(n)[2])}
-
-    def merged(*parts):  # (factor, cell) pairs, added up into one cell
-        return (sum(factor * base for factor, (base, _) in parts),
-                tuple((factor * sign, slot[key]) for factor, (_, terms) in parts
-                      for sign, key in terms))
-
-    delta = [merged(*((1, grids[name][p][k - p]) for name in ("h_bc", "h_aeppli")
-                      for p in _slots(n, k)), (-2, betti[k])) for k in range(2 * n + 1)]
-    return ({name: [[merged((1, c)) for c in row] for row in rows] for name, rows in grids.items()},
-            [merged((1, c)) for c in betti], delta)
+    delta = []
+    for k, (base, terms) in enumerate(betti):  # Bott-Chern and Aeppli, less twice Betti
+        parts = [grids[name][p][k - p] for name in ("h_bc", "h_aeppli") for p in _slots(n, k)]
+        parts.append((-2 * base, tuple((-2 * s, i) for s, i in terms)))
+        delta.append((sum(b for b, _ in parts), tuple(t for _, ts in parts for t in ts)))
+    return grids, betti, delta
 
 
 def full_table(cs: ComplexStructure) -> CohomologyTable:

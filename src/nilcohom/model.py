@@ -21,11 +21,12 @@ per total degree, where ``L`` is the lcm of the denominators of the structure
 constants.  A degree's matrix is built the first time it is needed, by adding
 each scaled constant along the Leibniz table of
 :func:`nilcohom.algebra.leibniz`, so the ``d^2`` check builds only the matrix
-on 2-forms.  ``d`` of a form combines the columns of its monomials and divides
-by ``L``; the cohomology tables, the metrics, the Betti numbers and the
-nilpotency check all read these matrices.  Nilpotency follows the lower
-central series with the elimination of :mod:`linalg`, whose pivot columns span
-each term.
+on 2-forms.  ``d`` of a form applies ``matrix(k)`` to the form's degree-k
+part, one integral column per degree, and divides by ``L``, so that
+:meth:`~nilcohom.linalg.ExactMatrix.apply` is the package's one product loop;
+the cohomology tables, the metrics, the Betti numbers and the nilpotency check
+all read these matrices.  Nilpotency follows the lower central series with
+the elimination of :mod:`linalg`, whose pivot columns span each term.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from functools import cache
 from itertools import combinations
 from math import comb, lcm
 
-from .algebra import (BasisElement, Form, Gaussian, ONE, ZERO, _reduced, degree_basis, leibniz,
+from .algebra import (BasisElement, Form, Gaussian, ZERO, _reduced, degree_basis, leibniz,
                       masks)
 from .linalg import ExactMatrix, exact_rank
 
@@ -162,27 +163,23 @@ class _Differential:
         return self._matrices[k]
 
     def d(self, f: Form) -> Form:
-        """d of a form: the columns of its monomials, weighted by its
-        coefficients (over their common denominator) and divided by ``L``.
+        """d of a form: ``matrix(k)`` applied to its degree-k part, for each
+        degree k of ``f`` (which may mix degrees), and divided by ``L``.
 
-        The sums are keyed by row, one dict per degree of ``f`` (which may mix
-        degrees); rows become degree k + 1 monomials only in the result."""
-        den = lcm(*(c.den for c in f.terms.values()))
-        sums, degree = {}, None
+        Each part is one integral column, ``den`` times the part, where
+        ``den`` is the lcm of the denominators of ``f``'s coefficients; its
+        image's rows become degree k + 1 monomials only in the result."""
+        den, parts = lcm(*(c.den for c in f.terms.values())), {}
         for elem, c in f.terms.items():
-            k = len(elem.holo) + len(elem.anti)
-            if k != degree:
-                degree, place = k, degree_basis(*self._layout, k)[1]
-                columns, acc = self.matrix(k).columns, sums.setdefault(k, {})
-            u, v = c.x * (den // c.den), c.y * (den // c.den)
-            for row, (x, y) in columns[place[elem]].items():
-                a, b = acc.get(row, (0, 0))
-                acc[row] = a + u * x - v * y, b + u * y + v * x
-        den *= self._scale
+            parts.setdefault(len(elem.holo) + len(elem.anti), []).append((elem, c))
         terms = []
-        for k, acc in sums.items():
+        for k, part in parts.items():
+            place = degree_basis(*self._layout, k)[1]
+            column = {place[e]: (c.x * (den // c.den), c.y * (den // c.den)) for e, c in part}
+            (image,) = self.matrix(k).apply([column])
             targets = degree_basis(*self._layout, k + 1)[0]
-            terms += ((targets[row], _reduced(a, b, den)) for row, (a, b) in acc.items() if a or b)
+            terms += ((targets[row], _reduced(a, b, den * self._scale))
+                      for row, (a, b) in image.items())
         return Form(terms)
 
     def __eq__(self, other) -> bool:
@@ -404,56 +401,3 @@ def instantiate(template: ComplexStructureTemplate,
                 f"{mod.name} = {value} is inconsistent: square {value.re * value.re} != {target}"
             )
     return ComplexStructure(template.n, forms)
-
-
-# ---------------------------------------------------------------------------
-# derived constructions
-# ---------------------------------------------------------------------------
-
-def substitute(f: Form, holo_images: list[Form], anti_images: list[Form]) -> Form:
-    """Apply the algebra map ``w^j -> holo_images[j-1]``, ``wbar^j -> anti_images[j-1]``.
-
-    Each monomial goes to the wedge of the images of its factors, in order.
-    """
-    out = Form()
-    for elem, coeff in f.terms.items():
-        piece = Form.single(BasisElement((), ()), coeff)
-        for j in elem.holo:
-            piece = piece.wedge(holo_images[j - 1])
-        for j in elem.anti:
-            piece = piece.wedge(anti_images[j - 1])
-        out = out + piece
-    return out
-
-
-def realify(cs: ComplexStructure) -> RealAlgebra:
-    """The underlying real algebra on ``e^{2j-1} = Re w^j``, ``e^{2j} = Im w^j``.
-
-    Its ``d^2 = 0`` is inherited from ``cs``: the substitution is an
-    isomorphism of the complexified differential algebras.
-    """
-    n, m = cs.n, 2 * cs.n
-    i = Gaussian.of(0, 1)
-    subs_holo = [
-        Form([(BasisElement((2 * j - 1,), ()), ONE), (BasisElement((2 * j,), ()), i)])
-        for j in range(1, n + 1)
-    ]
-    # wbar^j = e^{2j-1} - i e^{2j}: conjugate coefficients, keep real slots
-    subs_anti = [
-        Form([(e, c.conjugate()) for e, c in f.terms.items()])
-        for f in subs_holo
-    ]
-
-    d_of_e: list[Form] = []
-    for j in range(1, n + 1):
-        x = substitute(cs.d_omega[j - 1], subs_holo, subs_anti)
-        real_part = Form([(e, Gaussian.of(c.re)) for e, c in x.terms.items()])
-        imag_part = Form([(e, Gaussian.of(c.im)) for e, c in x.terms.items()])
-        d_of_e.append(real_part)
-        d_of_e.append(imag_part)
-    return RealAlgebra(m, d_of_e)
-
-
-def product_with_torus(cs: ComplexStructure) -> ComplexStructure:
-    """Append one closed coframe generator (complex dimension n+1)."""
-    return ComplexStructure(cs.n + 1, [*cs.d_omega, Form()])

@@ -5,13 +5,14 @@ import pytest
 from nilcohom import catalog as cat
 from nilcohom import metrics as me
 from nilcohom.cohomology import full_table
-from nilcohom.model import instantiate, realify
+from nilcohom.model import instantiate
 from nilcohom.parser import (
     parse_binding,
     parse_complex_structure,
     parse_gaussian,
     parse_real_algebra,
 )
+from real_oracle import realify
 
 
 def test_case_counts(all_cases):

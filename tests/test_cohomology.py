@@ -9,9 +9,10 @@ from hypothesis import given, settings, strategies as st
 from nilcohom import cohomology as co, model
 from nilcohom.algebra import BasisElement, Form, Gaussian, ONE, ZERO, degree_basis
 from nilcohom.linalg import exact_rank
-from nilcohom.model import ComplexStructure, instantiate, substitute
+from nilcohom.model import ComplexStructure, instantiate
 from nilcohom.parser import parse_binding, parse_complex_structure
 from rank_oracle import grid_of, matrix_from_grid, reference_rank
+from real_oracle import realify, substitute
 from scale_oracle import (d_block, grid_product, reference_matrices, reference_ranks, scaled,
                           structure_scale)
 from test_model import SMALL_GAUSSIAN, _random_form, triangular_structures
@@ -108,15 +109,19 @@ def test_full_table_eliminates_each_slot_of_d_once(monkeypatch, structures):
     # and its pivots (total)
     for cs, ranked in _ranked_columns(monkeypatch, structures):
         n, ranks = cs.n, co._ranks(cs)
+        bounds = {(p, k): (lo, hi) for p, k, lo, hi, *_ in co._steps(n)[0]}
         seen = [[id(v) for v in columns] for columns in ranked]
         slots = []
         for k in range(2 * n + 1):
             d = cs.matrix(k)
             for p in co._slots(n, k):
-                lo, size = co._layout(n)[p, k - p]
-                slot = [id(v) for v in d.columns[lo:lo + size]]
+                lo, hi = bounds[p, k]
+                # the step's slice is exactly the (p, k-p) columns of degree k
+                assert [i for i, e in enumerate(degree_basis(n, n, k)[0])
+                        if len(e.holo) == p] == list(range(lo, hi)), (n, p, k - p)
+                slot = [id(v) for v in d.columns[lo:hi]]
                 hits = [ids for ids in seen if set(ids) & set(slot)]
-                assert hits == ([slot] if any(d.columns[lo:lo + size]) else []), (n, p, k - p)
+                assert hits == ([slot] if any(d.columns[lo:hi]) else []), (n, p, k - p)
                 slots += hits
         outputs = sum(3 * ranks["delbar", p, q] + ranks["stack", p, q]
                       for p in range(n + 1) for q in range(n + 1))
@@ -147,22 +152,25 @@ def test_full_table_eliminates_no_matrix_without_a_nonzero_column(monkeypatch, s
         assert ranked and all(any(columns) for columns in ranked), cs.n
 
 
-def test_the_plan_holds_exactly_the_ranks_the_table_holds(structures):
-    # the plan drops every key the rank table lacks, so a key it dropped
+def test_the_cells_read_exactly_the_ranks_the_table_holds(structures):
+    # the cells drop every key the rank list lacks, so a key they dropped
     # wrongly would read as a rank of 0
     for cs in (build("(0)"), build("(0,w1~1)"), structures["08"], structures["12_8D"]):
         n, ranks = cs.n, co._ranks(cs)
-        span = range(n + 1)
-        grids, betti = co._plan(n)
-        cells = [cell for rows in grids.values() for row in rows for cell in row] + betti
-        planned = {key for _, terms in cells for _, key in terms}
+        span, keys = range(n + 1), co._steps(n)[2]  # keys[i]: the key of rank-list slot i
+        grids, betti, delta = co._cells(n)
+        cells = [cell for rows in grids.values() for row in rows for cell in row] + betti + delta
+        read = {i for _, terms in cells for _, i in terms}
+        assert read <= set(range(len(ranks))), n
+        planned = {keys[i] for i in read}
         assert planned <= ranks.keys(), n
         named = {(kind, p + dp, q + dq) for _, _, _, terms in co.THEORIES
                  for _, kind, dp, dq in terms for p in span for q in span}
         named |= {("total", k + dk) for k in range(2 * n + 1) for dk in (0, -1)}
         assert named & ranks.keys() <= planned, n
         assert [len(rows) for rows in grids.values()] == [n + 1] * len(co.THEORIES)
-        assert len(betti) == 2 * n + 1
+        assert all(len(row) == n + 1 for rows in grids.values() for row in rows), n
+        assert len(betti) == len(delta) == 2 * n + 1
 
 
 def test_matrix_identities(iwasawa, h8, monkeypatch):
@@ -309,7 +317,7 @@ def test_identities_beyond_the_catalog(cs):
         assert table.delta[k] == table.delta[2 * n - k]
         assert k % 2 == 0 or table.delta[k] % 2 == 0
         assert table.level("h_dolbeault", k) >= table.betti[k]
-    assert model.realify(cs).betti() == table.betti
+    assert realify(cs).betti() == table.betti
     assert co.ddbar_lemma_status(table).as_dict() == _lemma_from_delta(table)
     _assert_serre_duality(table, cs.d_omega)
     _assert_delta_by_its_definition(table, cs.d_omega)

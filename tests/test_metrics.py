@@ -9,8 +9,9 @@ from hypothesis import given, settings
 from nilcohom import metrics as me
 from nilcohom.algebra import (BasisElement, Form, Gaussian, I, ONE, ZERO, basis, degree_basis,
                               element, masks, wedge_row)
-from nilcohom.model import instantiate, product_with_torus
+from nilcohom.model import instantiate
 from nilcohom.parser import parse_binding, parse_complex_structure, parse_gaussian
+from real_oracle import product_with_torus
 from scale_oracle import d_block, degree_monomials, structure_scale
 from test_cohomology import _in_a_random_coframe
 from test_model import triangular_structures

@@ -23,10 +23,9 @@ from nilcohom.model import (
     check_d_squared,
     check_nilpotency,
     instantiate,
-    product_with_torus,
-    realify,
 )
 from nilcohom.parser import parse_binding, parse_complex_structure, parse_gaussian, parse_real_algebra, render
+from real_oracle import product_with_torus, realify
 from scale_oracle import degree_monomials, structure_scale
 
 
@@ -267,8 +266,8 @@ def test_product_with_torus_kuenneth_bettis(structures, tables):
         _assert_kuenneth(tables[cid[:-3]], tables[cid], cid)
 
 
-SMALL_GAUSSIAN = st.sampled_from(
-    [Gaussian.of(x, y) for x in range(-2, 3) for y in range(-2, 3) if x or y])
+SMALL_GAUSSIAN_VALUES = [Gaussian.of(x, y) for x in range(-2, 3) for y in range(-2, 3) if x or y]
+SMALL_GAUSSIAN = st.sampled_from(SMALL_GAUSSIAN_VALUES)
 
 
 @st.composite
@@ -352,22 +351,39 @@ def _random_forms(rng, n):
     return forms + [sum(forms, Form())]
 
 
+def _rational_forms(rng, n):
+    """In every total degree 1 .. 2n-1, three random terms with coefficients
+    over the denominators 2, 3 and 5, and the sum of them all: ``d`` rescales
+    each degree's terms to their common denominator, which differs from the
+    structure's ``L``."""
+    forms = [Form((e, rng.choice(SMALL_GAUSSIAN_VALUES) / den)
+                  for e, den in zip(rng.sample(degree_monomials(n, k), k=3), (2, 3, 5)))
+             for k in range(1, 2 * n)]
+    return forms + [sum(forms, Form())]
+
+
 def test_d_matches_the_tuple_leibniz_oracle_on_the_catalog(all_cases, structures):
-    rng = random.Random(11)
+    rng, rational, fractional = random.Random(11), random.Random(12), 0
     for case in all_cases:
         cs = structures[case.id]
         for f in _random_forms(rng, cs.n):
             assert cs.d(f).terms == oracle_cs_d(cs, f).terms, (case.id, f)
+        if structure_scale(cs) > 1:  # rational forms on rational constants
+            fractional += 1
+            for f in _rational_forms(rational, cs.n):
+                assert cs.d(f).terms == oracle_cs_d(cs, f).terms, (case.id, f)
         if case.dim == 3:  # and on the real algebra, in every degree
             algebra, m = realify(cs), 2 * cs.n
             for f in (_random_form(rng, basis(m, k, 0)) for k in range(m + 1)):
                 assert algebra.d(f).terms == oracle_d(f, algebra.d_of_e, []).terms, case.id
+    assert fractional == 26
 
 
 @settings(derandomize=True, max_examples=30, deadline=None, database=None)
 @given(triangular_structures(), st.integers(0, 2 ** 32))
 def test_d_matches_the_tuple_leibniz_oracle_beyond_the_catalog(cs, seed):
-    for f in _random_forms(random.Random(seed), cs.n):
+    rng = random.Random(seed)
+    for f in _random_forms(rng, cs.n) + _rational_forms(rng, cs.n):
         assert cs.d(f).terms == oracle_cs_d(cs, f).terms, f
 
 

@@ -40,8 +40,9 @@ import pytest
 from nilcohom import catalog
 from nilcohom.algebra import Gaussian
 from nilcohom.cohomology import full_table
-from nilcohom.model import instantiate, product_with_torus
+from nilcohom.model import instantiate
 from nilcohom.parser import render_binding
+from real_oracle import product_with_torus
 
 STEPS = [Fraction(s, 4) for s in (1, -1, 2, -2, 4, -4, 8, -8)]
 REAL = {"c", "lambda"}

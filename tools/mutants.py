@@ -67,7 +67,7 @@ MUTANTS = [
            "-sign if (odd ^ i) & 1 else sign", "-sign if odd else sign"),
     Mutant("conjugation sign in leibniz", ALGEBRA,
            "(-1) ** (dh.bit_count() * da.bit_count())", "1"),
-    Mutant("degree-basis slot order against _layout", ALGEBRA,
+    Mutant("degree-basis slot order against the slot starts of _steps", ALGEBRA,
            "for p in range(max(0, k - anti), min(holo, k) + 1)",
            "for p in reversed(range(max(0, k - anti), min(holo, k) + 1))"),
     Mutant("Gaussian product", ALGEBRA,
@@ -122,6 +122,10 @@ MUTANTS = [
            "c.x * (scale // c.den), c.y * (scale // c.den))", "c.x, c.y)"),
     Mutant("d maps rows through degree k's monomials, not k + 1's", MODEL,
            "targets = degree_basis(*self._layout, k + 1)[0]", "targets = degree_basis(*self._layout, k)[0]"),
+    Mutant("d column built over degree k + 1's places", MODEL,
+           "place = degree_basis(*self._layout, k)[1]", "place = degree_basis(*self._layout, k + 1)[1]"),
+    Mutant("d column not rescaled to the form's common denominator", MODEL,
+           "(c.x * (den // c.den), c.y * (den // c.den))", "(c.x, c.y)"),
     Mutant("delbar-part row filter off by one", COHOMOLOGY,
            "(head if r < cut else tail)[r] = e", "(head if r <= cut else tail)[r] = e"),
     Mutant("d column slot offsets", COHOMOLOGY,
@@ -131,7 +135,7 @@ MUTANTS = [
     Mutant("del-part row filter off by one", COHOMOLOGY,
            "(head if r < cut else tail)[r] = e", "(head if r < cut - 1 else tail)[r] = e"),
     Mutant("pivot split off by one at the cut", COHOMOLOGY,
-           "layout[p + 1, q][0], dim[k]", "layout[p + 1, q][0] + 1, dim[k]"),
+           "start(p + 1, k + 1),", "start(p + 1, k + 1) + 1,"),
     Mutant("concat ranked with the target degree's row count", COHOMOLOGY,
            "dim[k], dim[k + 1], dd))", "dim[k + 1], dim[k + 1], dd))"),
     Mutant("del resumed without the led pivots", COHOMOLOGY,
@@ -141,8 +145,8 @@ MUTANTS = [
     Mutant("total without the first slot's pivots", COHOMOLOGY,
            "exact_rank(rows, spans, stacks[first])", "exact_rank(rows, spans)"),
     Mutant("del pivots handed to the wrong concat", COHOMOLOGY,
-           "    for q in span:\n        for p in span:\n            k, (lo, size)",
-           "    for p in span:\n        for q in span:\n            k, (lo, size)"),
+           "    for q in span:\n        for p in span:\n            k = p + q",
+           "    for p in span:\n        for q in span:\n            k = p + q"),
     Mutant("nonzero-column guard inverted", COHOMOLOGY,
            "if any(columns) else 0", "if not any(columns) else 0"),
     Mutant("dd guard", COHOMOLOGY,
@@ -150,12 +154,14 @@ MUTANTS = [
     Mutant("THEORIES terms", COHOMOLOGY,
            '("bott_chern", "h_bc", 1, ((-1, "stack", 0, 0), (-1, "dd", -1, -1))),',
            '("bott_chern", "h_bc", 1, ((-1, "stack", 0, 0), (-1, "dd", 0, 0))),'),
-    Mutant("plan drops a key the table holds", COHOMOLOGY,
-           '"dd": (n, n - 1)', '"dd": (n, n - 2)'),
+    Mutant("cells drop a key the rank list holds", COHOMOLOGY,
+           "if key in slot)", "if key in slot and key[-1] < n)"),
+    Mutant("cells without the key filter", COHOMOLOGY,
+           "for sign, key in terms if key in slot)", "for sign, key in terms)"),
     Mutant("Betti formula", COHOMOLOGY,
            '(-1, ("total", k - 1))', '(-1, ("total", k + 1))'),
     Mutant("delta", COHOMOLOGY,
-           "(-2, betti[k])", "(-1, betti[k])"),
+           "parts.append((-2 * base, tuple((-2 * s, i)", "parts.append((-1 * base, tuple((-1 * s, i)"),
     Mutant("lemma verdict", COHOMOLOGY,
            "witness = next((k for k, d in enumerate(table.delta) if d), None)",
            "witness = next((k for k, d in enumerate(table.delta) if d > 1), None)"),
