@@ -28,18 +28,19 @@ from __future__ import annotations
 
 import operator
 from collections.abc import Callable
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from importlib import resources
+from typing import TYPE_CHECKING, NamedTuple
 
 from .algebra import Gaussian, ZERO
-from .cohomology import CohomologyTable, full_table
-from .metrics import (HermitianForm, form_from_uvz, is_balanced, is_pluriclosed, is_positive,
-                      random_positive_forms, standard_form)
 from .model import ComplexStructure, instantiate
 from .parser import (_COMPARATOR, _IDENT, _LITERAL, _Scanner, _parse_sum, parse_binding,
                      parse_complex_structure, parse_real_algebra)
+
+if TYPE_CHECKING:  # the engine itself is imported by the functions that run it
+    from .cohomology import CohomologyTable
+    from .metrics import HermitianForm
 
 
 class CatalogError(Exception):
@@ -167,10 +168,7 @@ def _primary(sc: _Scanner, values) -> Gaussian:
 # catalog cases
 # ---------------------------------------------------------------------------
 
-@dataclass
-class CatalogCase:
-    """One sub-case row of the classification with its golden expectations."""
-
+class _CaseFields(NamedTuple):
     id: str
     algebra_text: str
     template_text: str
@@ -180,6 +178,13 @@ class CatalogCase:
     golden_betti: list[int]
     golden_delta: list[int]
     golden_skt: bool
+
+
+class CatalogCase(_CaseFields):
+    """One sub-case row of the classification with its golden expectations.
+
+    The fields are a named tuple's; this subclass of it has an instance
+    dictionary, which holds the cached properties."""
 
     @property
     def dim(self) -> int:
@@ -286,8 +291,7 @@ def sample(case_id: str) -> dict[str, Gaussian]:
 # evaluation against the golden rows
 # ---------------------------------------------------------------------------
 
-@dataclass
-class EvaluationResult:
+class EvaluationResult(NamedTuple):
     case: CatalogCase
     table: CohomologyTable
     skt: bool
@@ -300,6 +304,9 @@ class EvaluationResult:
 
 def evaluate(case_id: str) -> EvaluationResult:
     """Instantiate one case, compute its full table, diff against golden."""
+    from .cohomology import full_table
+    from .metrics import is_pluriclosed, standard_form
+
     case = case_by_id(case_id)
     cs = case.structure
     table = full_table(cs)
@@ -322,6 +329,8 @@ def evaluate(case_id: str) -> EvaluationResult:
 
 def skt_scan(dim_filter: int | None = None, algebra: str | None = None) -> list[str]:
     """Ids of the cases whose standard form is pluriclosed."""
+    from .metrics import is_pluriclosed, standard_form
+
     out = []
     for case in list_cases(dim_filter):
         if algebra is not None and case.algebra_text != algebra:
@@ -336,21 +345,26 @@ def skt_scan(dim_filter: int | None = None, algebra: str | None = None) -> list[
 # deformation curves
 # ---------------------------------------------------------------------------
 
-@dataclass
-class CurvePoint:
+class CurvePoint(NamedTuple):
     label: str
     binding_text: str
     expected: dict
 
 
-@dataclass
-class DeformationCurve:
+class DeformationCurve(NamedTuple):
     id: str
     algebra_text: str
     template_text: str
     points: list[CurvePoint]
     # the curve's own Hermitian form at a point's binding, if it has one
     form: Callable[[dict[str, Gaussian]], HermitianForm] | None = None
+
+
+def _curve_c_form(b: dict[str, Gaussian]) -> HermitianForm:
+    """Curve C's own form at a binding: r^2=1, s^2=1/2, t^2=1, u=i(D+s^2)."""
+    from .metrics import form_from_uvz
+
+    return form_from_uvz(1, Fraction(1, 2), 1, u=Gaussian.of(0, 1) * (b["D"] + Fraction(1, 2)))
 
 
 _CURVES = [
@@ -383,9 +397,7 @@ _CURVES = [
             CurvePoint("D=1/4", "D=1/4", {"balanced": False, "pluriclosed": False}),
             CurvePoint("D=1", "D=1", {"balanced": False, "pluriclosed": True}),
         ],
-        # r^2=1, s^2=1/2, t^2=1, u=i(D+s^2)
-        form=lambda b: form_from_uvz(1, Fraction(1, 2), 1,
-                                     u=Gaussian.of(0, 1) * (b["D"] + Fraction(1, 2))),
+        form=_curve_c_form,
     ),
 ]
 
@@ -405,8 +417,7 @@ def curve_by_id(curve_id: str) -> DeformationCurve:
     raise KeyError(f"no deformation curve with id {curve_id!r}")
 
 
-@dataclass
-class CurvePointResult:
+class CurvePointResult(NamedTuple):
     label: str
     binding_text: str
     computed: dict
@@ -418,6 +429,9 @@ class CurvePointResult:
 
 
 def evaluate_curve(curve_id: str) -> list[CurvePointResult]:
+    from .cohomology import full_table
+    from .metrics import is_balanced, is_pluriclosed
+
     curve = curve_by_id(curve_id)
     template = parse_complex_structure(curve.template_text)
     results = []
@@ -443,6 +457,8 @@ def evaluate_curve(curve_id: str) -> list[CurvePointResult]:
 
 def _flag_forms(n: int, own: HermitianForm | None):
     """The forms a curve flag is tried on, in order (see the module docstring)."""
+    from .metrics import is_positive, standard_form
+
     yield standard_form(n)
     if own is not None and is_positive(own):
         yield own
@@ -451,4 +467,6 @@ def _flag_forms(n: int, own: HermitianForm | None):
 
 @lru_cache(maxsize=None)
 def _sweep(n: int) -> tuple[HermitianForm, ...]:
+    from .metrics import random_positive_forms
+
     return tuple(random_positive_forms(n, _SWEEP_COUNT, _SWEEP_SEED))

@@ -11,18 +11,19 @@ is a usage error.
 Each output format has one writer: ``_md_table`` for Markdown tables,
 ``_csv_table`` for CSV and ``render_json`` for JSON.  A command builds a header
 and rows of cells and hands them over; ``_mark`` writes every pass/FAIL cell.
+
+A command imports the catalog, the cohomology engine and the metrics inside
+its own function, and ``render_json`` imports ``json``: a process loads only
+what its command runs, so ``figure-data`` and ``check`` never load the
+engine's tables or metrics.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
-from . import catalog as cat
-from . import cohomology as co
-from . import metrics as me
 from .algebra import BasisElement
 from .model import (
     ComplexStructure,
@@ -51,6 +52,8 @@ H7_FOOTNOTE = (
 
 def render_json(payload) -> str:
     """Canonical JSON: reparsing and re-rendering reproduces the text."""
+    import json
+
     return json.dumps(payload, indent=2, sort_keys=True)
 
 
@@ -162,6 +165,8 @@ def _structure_from_args(args) -> ComplexStructure:
     if args.case_id:
         if args.binding:
             raise _UsageError("--binding applies to a file, not to --case")
+        from . import catalog as cat
+
         return _lookup(cat.case_by_id, args.case_id).structure
     if not args.file:
         raise _UsageError("either a file or --case is required")
@@ -220,7 +225,9 @@ def _cmd_check(args) -> tuple[int, str]:
 # table
 # ---------------------------------------------------------------------------
 
-def _table_text(table: co.CohomologyTable, fmt: str) -> str:
+def _table_text(table, fmt: str) -> str:
+    from . import cohomology as co
+
     verdict = co.ddbar_lemma_status(table)
     if fmt == "json":
         payload = table.as_dict()
@@ -247,6 +254,8 @@ def _table_text(table: co.CohomologyTable, fmt: str) -> str:
 
 
 def _cmd_table(args) -> tuple[int, str]:
+    from . import cohomology as co
+
     cs = _load_structure(args.file, args.binding)
     return EXIT_OK, _table_text(co.full_table(cs), args.format)
 
@@ -256,6 +265,8 @@ def _cmd_table(args) -> tuple[int, str]:
 # ---------------------------------------------------------------------------
 
 def _catalog_rows(cases, golden: bool):
+    from . import catalog as cat
+
     rows = []
     for case in cases:
         result = cat.evaluate(case.id)
@@ -299,6 +310,8 @@ def _catalog_block(case, rows, fmt: str, golden: bool) -> list[str]:
 def _cmd_catalog(args) -> tuple[int, str]:
     if args.case_id and args.dim:
         raise _UsageError("give either --case or --dim, not both")
+    from . import catalog as cat
+
     if args.case_id:
         cases = [_lookup(cat.case_by_id, args.case_id)]
     else:
@@ -334,6 +347,8 @@ def _cmd_skt(args) -> tuple[int, str]:
     count = 20 if args.count is None else args.count
     if count < 1:
         raise _UsageError("--count must be at least 1")
+    from . import metrics as me
+
     cs = _structure_from_args(args)
     std = me.standard_form(cs.n)
     ddbar = me.ddbar_of(cs, std)
@@ -365,6 +380,8 @@ def _cmd_skt(args) -> tuple[int, str]:
 # ---------------------------------------------------------------------------
 
 def _cmd_curves(args) -> tuple[int, str]:
+    from . import catalog as cat
+
     curve_ids = [args.curve_id] if args.curve_id else ["A", "B", "C"]
     payload = []
     for cid in curve_ids:
@@ -394,6 +411,8 @@ def _cmd_curves(args) -> tuple[int, str]:
 
 
 def _cmd_figure_data(_args) -> tuple[int, str]:
+    from . import catalog as cat
+
     rows = [[case.id, *case.golden_delta] for case in cat.list_cases(3)]
     return EXIT_OK, "\n".join(_csv_table(["case_id", "Delta1", "Delta2", "Delta3"], rows))
 

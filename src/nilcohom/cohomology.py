@@ -66,9 +66,9 @@ Conventions, for a structure of complex dimension ``n``:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from math import comb
+from typing import NamedTuple
 
 from .algebra import basis_dimension
 from .linalg import exact_rank
@@ -223,8 +223,7 @@ THEORIES = (
 )
 
 
-@dataclass
-class CohomologyTable:
+class CohomologyTable(NamedTuple):
     """Every cohomological dimension of one instantiated structure.
 
     Grids are (n+1) x (n+1) nested lists indexed ``grid[p][q]``; ``betti`` and
@@ -303,8 +302,7 @@ def full_table(cs: ComplexStructure) -> CohomologyTable:
                            **{name: [fill(row) for row in rows] for name, rows in grids.items()})
 
 
-@dataclass
-class LemmaVerdict:
+class LemmaVerdict(NamedTuple):
     """Outcome of the del-delbar lemma test on a cohomology table."""
 
     satisfied: bool

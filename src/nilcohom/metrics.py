@@ -47,7 +47,6 @@ rows of :func:`~nilcohom.algebra.wedge_row`, and applies no more d.
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 from math import comb, lcm
 
@@ -236,6 +235,8 @@ def is_balanced(cs: ComplexStructure, h: HermitianForm) -> bool:
 def random_positive_forms(n: int, count: int, seed: int = 0) -> list[HermitianForm]:
     """Deterministic sample of positive forms: small Hermitian perturbations
     of a random positive diagonal, with non-positive draws rejected."""
+    import random
+
     rng = random.Random(seed)
     out: list[HermitianForm] = []
     while len(out) < count:

@@ -31,10 +31,10 @@ the elimination of :mod:`linalg`, whose pivot columns span each term.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cache
 from itertools import combinations
 from math import comb, lcm
+from typing import NamedTuple
 
 from .algebra import (BasisElement, Form, Gaussian, ZERO, _reduced, degree_basis, leibniz,
                       masks)
@@ -109,11 +109,20 @@ def _check_terms(entries, n: int, bidegrees, error, label: str) -> None:
                 raise error(f"{label}{j} has a {elem.bidegree} term {elem}")
 
 
-@dataclass
 class ValidationReport:
-    """Outcome of a d^2 = 0 check; residuals list every nonzero d(d generator)."""
+    """Outcome of a d^2 = 0 check; residuals list every nonzero d(d generator),
+    a new list for each report unless one is given."""
 
-    residuals: list[tuple[str, Form]] = field(default_factory=list)
+    __slots__ = ("residuals",)
+
+    def __init__(self, residuals: list[tuple[str, Form]] | None = None):
+        self.residuals = [] if residuals is None else residuals
+
+    def __eq__(self, other):
+        return self.residuals == other.residuals if type(other) is type(self) else NotImplemented
+
+    def __repr__(self) -> str:
+        return f"ValidationReport(residuals={self.residuals!r})"
 
     @property
     def ok(self) -> bool:
@@ -275,20 +284,17 @@ class RealAlgebra(_Differential):
 # complex structures and their templates
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Lit:
+class Lit(NamedTuple):
     value: Gaussian
 
 
-@dataclass(frozen=True)
-class Param:
+class Param(NamedTuple):
     name: str
     conjugated: bool = False
     negated: bool = False
 
 
-@dataclass(frozen=True)
-class Mod:
+class Mod(NamedTuple):
     """A declared symbol ``name`` constrained to equal ``|param - shift|``.
 
     ``negated`` marks a term whose coefficient is minus the symbol.

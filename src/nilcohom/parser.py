@@ -40,7 +40,6 @@ token.
 from __future__ import annotations
 
 import re
-from dataclasses import replace
 from fractions import Fraction
 
 from .algebra import BasisElement, Form, Gaussian, ONE, _reduced, wedge_elements
@@ -290,7 +289,7 @@ def parse_complex_structure(src: str) -> ComplexStructureTemplate:
             if isinstance(coeff, Param) and coeff.name not in params:
                 params.append(coeff.name)
             if isinstance(coeff, Mod):
-                mod = replace(coeff, negated=False)
+                mod = coeff._replace(negated=False)
                 if moduli.setdefault(mod.name, mod) != mod:
                     sc.error(f"conflicting declarations of {mod.name}", pos)
                 if mod.param not in params:
@@ -305,7 +304,7 @@ def parse_complex_structure(src: str) -> ComplexStructureTemplate:
 def _negate_expr(expr):
     if isinstance(expr, Lit):
         return Lit(-expr.value)
-    return replace(expr, negated=not expr.negated)
+    return expr._replace(negated=not expr.negated)
 
 
 def _parse_cform(sc: _Scanner) -> list:

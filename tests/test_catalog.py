@@ -166,10 +166,10 @@ def test_every_false_curve_flag_failed_on_the_whole_seeded_sweep(monkeypatch):
     20 positive forms of seed 20, on that point's structure."""
     calls = []
     for name in ("is_pluriclosed", "is_balanced"):
-        def spy(cs, h, name=name, test=getattr(cat, name)):
+        def spy(cs, h, name=name, test=getattr(me, name)):
             calls.append((name, cs, h))
             return test(cs, h)
-        monkeypatch.setattr(cat, name, spy)
+        monkeypatch.setattr(me, name, spy)
     sweep = me.random_positive_forms(3, 20, seed=20)
     false_flags = []
     for curve in cat.deformation_curves():
@@ -186,20 +186,15 @@ def test_every_false_curve_flag_failed_on_the_whole_seeded_sweep(monkeypatch):
 
 
 def test_corrupted_sample_is_rejected(monkeypatch):
-    import dataclasses
-
     good = cat.case_by_id("09c")
-    bad = dataclasses.replace(good, binding_text="lambda=0; D=1/3")
+    bad = good._replace(binding_text="lambda=0; D=1/3")
     assert bad.predicate_violations() == ["D=1/2"]
 
 
 def test_a_replaced_case_parses_its_own_text():
-    import dataclasses
-
     torus = cat.case_by_id("00")
     assert torus.real_algebra.betti()[1] == 6 and full_table(torus.structure).betti[1] == 6
-    iwasawa = dataclasses.replace(torus, algebra_text="(0,0,0,0,13+42,14+23)",
-                                  template_text="(0,0,w12)")
+    iwasawa = torus._replace(algebra_text="(0,0,0,0,13+42,14+23)", template_text="(0,0,w12)")
     assert iwasawa.template is not torus.template
     assert iwasawa.real_algebra.betti()[1] == 4
     assert full_table(iwasawa.structure).betti[1] == 4

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import os
 import random
@@ -10,6 +9,7 @@ import pytest
 
 from nilcohom import catalog as cat
 from nilcohom import cli
+from nilcohom import cohomology as co
 
 
 def run(capsys, *argv):
@@ -279,7 +279,7 @@ def test_catalog_prints_one_table_per_dimension(capsys, monkeypatch, all_cases, 
     # 6d case 11 closes the output once.  Only the layout is under test, so
     # the tables come from the session fixture.
     by_structure = {id(case.structure): tables[case.id] for case in all_cases}
-    monkeypatch.setattr(cat, "full_table", lambda cs: by_structure[id(cs)])
+    monkeypatch.setattr(co, "full_table", lambda cs: by_structure[id(cs)])
     for fmt, tail in (("md", f"\n\n{cli.H7_FOOTNOTE}\n"), ("csv", f"\n# {cli.H7_FOOTNOTE}\n")):
         _, six, _ = run(capsys, "catalog", "--dim", "3", "--format", fmt)
         _, eight, _ = run(capsys, "catalog", "--dim", "4", "--format", fmt)
@@ -299,7 +299,7 @@ def test_internal_key_error_is_not_a_usage_error(capsys, monkeypatch, iwasawa_fi
     def broken(cs):
         raise KeyError("bad index")
 
-    monkeypatch.setattr(cli.co, "full_table", broken)
+    monkeypatch.setattr(co, "full_table", broken)
     with pytest.raises(KeyError, match="bad index"):
         cli.main(["table", iwasawa_file])
 
@@ -311,7 +311,7 @@ def test_catalog_golden_mismatch_exit_code(capsys, monkeypatch):
         if case.id == "08":
             bad = dict(case.golden_bc)
             bad[(1, 1)] += 1
-            case = dataclasses.replace(case, golden_bc=bad)
+            case = case._replace(golden_bc=bad)
         tampered.append(case)
     monkeypatch.setattr(cat, "_load_cases", lambda: tuple(tampered))
     code, out, _ = run(capsys, "catalog", "--case", "08", "--golden")
@@ -407,8 +407,11 @@ def test_curves_all_pass(capsys):
 
 
 def test_curves_failing_point_exit_code(capsys, monkeypatch):
-    point = cat.curve_by_id("A").points[0]
-    monkeypatch.setattr(point, "expected", {**point.expected, "h_bc(3,1)": 4})
+    curve = cat.curve_by_id("A")
+    point = curve.points[0]._replace(expected={**curve.points[0].expected, "h_bc(3,1)": 4})
+    curves = list(cat._CURVES)
+    curves[curves.index(curve)] = curve._replace(points=[point, *curve.points[1:]])
+    monkeypatch.setattr(cat, "_CURVES", curves)
     for fmt in ("md", "csv"):
         code, out, _ = run(capsys, "curves", "--id", "A", "--format", fmt)
         assert code == 3
@@ -688,11 +691,11 @@ def row_08_tampered(monkeypatch, all_cases, tables):
     tampered = []
     for case in all_cases:
         if case.id == "08":
-            case = dataclasses.replace(case, golden_bc={**case.golden_bc, (1, 1): 5})
+            case = case._replace(golden_bc={**case.golden_bc, (1, 1): 5})
             by_structure[id(case.structure)] = tables["08"]
         tampered.append(case)
     monkeypatch.setattr(cat, "_load_cases", lambda: tuple(tampered))
-    monkeypatch.setattr(cat, "full_table", lambda cs: by_structure[id(cs)])
+    monkeypatch.setattr(co, "full_table", lambda cs: by_structure[id(cs)])
     return all_cases  # untampered
 
 
