@@ -11,9 +11,11 @@ takes the row count and a list of columns, and ``ExactMatrix.apply`` maps a
 list of columns to their images.  An :class:`ExactMatrix` is a built matrix
 only (a structure's differential, a caller's matrix or a product), and
 checks its shape once, when it is made.  ``exact_rank`` counts its pivot
-columns by fraction-free (Bareiss) elimination.  It skips the arithmetic
-that cannot change a pivot, so its pivots are the textbook step's, key for
-key and in order (``reference_rank`` in ``tests/rank_oracle.py``).  Given the
+columns by fraction-free (Bareiss) elimination, one pass over the column
+and the pivot per step.  It skips the arithmetic that cannot change a pivot
+(a column's content is removed once, when it becomes a pivot, not after
+every step), so its pivots are the textbook step's, key for key and in order
+(``reference_rank`` in ``tests/rank_oracle.py``).  Given the
 pivot dict of an earlier elimination on the same rows, or a subset of it, it
 resumes from it (the cohomology engine ranks blocks that share a target this
 way) and leaves the pivot columns in it, a basis of the column span (which
@@ -125,20 +127,27 @@ def exact_rank(rows: int, columns: list, pivots: dict | None = None) -> int:
     columns kept so far, all over the Gaussian integers: while a column's
     lowest row index ``r`` is the lead of a stored pivot ``p``, it becomes
     ``p[r] * v - v[r] * p`` (Bareiss-style cross-multiplication, no division
-    in Q(i)), divided by the integer gcd of its entries.  A column left
-    nonzero is a new pivot, led by its lowest row; every pivot's lead entry
-    is made a positive integer.  The pivots are kept in a dict keyed by lead
-    row, and span the columns.
+    in Q(i)), divided by the integer gcd of ``p[r]`` and ``v[r]``.  A column
+    left nonzero is a new pivot, led by its lowest row: its lead entry is
+    made a positive integer and its content, the integer gcd of its entries,
+    divided out.  The pivots are kept in a dict keyed by lead row, and span
+    the columns.
     The order of columns and pivots is fixed, so the work is reproducible.
 
     Shortcuts that change no pivot (a pivot is a new dict, never one of ``columns``):
 
+    * content removed once per pivot: the textbook step divides each step's
+      result by its content, this one keeps it.  The column is then a
+      positive integer multiple ``c`` of the textbook one, which has the
+      same zeros and signs, and the content step of the new pivot removes
+      ``c`` with the rest.  On dense columns of large entries the cost is
+      entry growth: full-rank random 40x40 matrices with 20-bit parts are
+      about 3.8x slower (entries reach 33,000 bits, not 1,700);
     * a real lead skips the conjugate product, a positive integer factor
-      that the gcd step divides out: a lead 1 is copied (its gcd is 1) and a
-      negative lead negated;
-    * a pivot multiplier of 1 (after the gcd step) copies the column unscaled;
-    * a real column multiplier skips the imaginary products, all 0;
-    * an emptied column skips the gcd step, which has nothing to divide.
+      that the content step divides out: a lead 1 is copied (its content is
+      1) and a negative lead negated;
+    * a pivot multiplier of 1 (after the division by ``gcd(p[r], v[r])``)
+      keeps the column's entries.
 
     Given ``pivots``, the pivot dict of an earlier call on the same rows, or
     any subset of one (a subset of pivots with distinct leads, each led by
@@ -184,34 +193,29 @@ def _primitive(v: dict) -> dict:
 
 
 def _eliminate(v: dict, pivot: dict, lead: int) -> dict:
-    """Clear ``v[lead]`` with a pivot whose lead entry is a positive integer."""
+    """Clear ``v[lead]`` with a pivot whose lead entry is a positive integer.
+
+    With ``p`` the pivot's lead, ``h = v[lead]`` and ``g = gcd(p, h)``, the
+    result is ``(p v - h P) / g`` in one pass over ``v`` and one over the
+    pivot's other rows: the textbook step's keys in its order, each entry
+    the same positive integer multiple of its value.  That content stays in
+    until the column becomes a pivot.
+    """
     p = pivot[lead][0]
     ha, hb = v[lead]
     g = gcd(p, ha, hb)
     p, ha, hb = p // g, ha // g, hb // g
-    out = dict(v) if p == 1 else {r: (p * x, p * y) for r, (x, y) in v.items()}
-    if hb:
-        for r, (x, y) in pivot.items():
-            ta = ha * x - hb * y
-            tb = ha * y + hb * x
-            if r in out:
-                xa, xb = out[r]
-                ta, tb = xa - ta, xb - tb
-            else:
-                ta, tb = -ta, -tb
+    out = {}
+    for r, e in v.items():
+        q = pivot.get(r)
+        if q is None:
+            out[r] = e if p == 1 else (p * e[0], p * e[1])
+        else:
+            x, y = q
+            ta, tb = p * e[0] - ha * x + hb * y, p * e[1] - ha * y - hb * x
             if ta or tb:
                 out[r] = (ta, tb)
-            else:
-                del out[r]
-    else:  # a real multiplier: no products with hb
-        for r, (x, y) in pivot.items():
-            if r in out:
-                xa, xb = out[r]
-                ta, tb = xa - ha * x, xb - ha * y
-            else:
-                ta, tb = -ha * x, -ha * y
-            if ta or tb:
-                out[r] = (ta, tb)
-            else:
-                del out[r]
-    return _primitive(out) if out else out
+    for r, (x, y) in pivot.items():
+        if r not in v:  # h P[r] is nonzero: Z[i] has no zero divisors
+            out[r] = (hb * y - ha * x, -ha * y - hb * x)
+    return out

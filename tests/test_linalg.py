@@ -11,6 +11,7 @@ from nilcohom.linalg import ExactMatrix, exact_rank, hstack, vstack
 import rank_oracle
 from rank_oracle import grid_of, matrix_from_grid, oracle_rank, reference_rank
 from scale_oracle import grid_product, reference_ranks, scaled, structure_scale
+from test_cohomology import _in_a_random_coframe
 
 
 def G(re, im=0):
@@ -305,7 +306,7 @@ def test_rank_of_every_engine_matrix_of_an_8d_structure(monkeypatch):
 def test_rank_with_shared_content_and_large_heights():
     # rank-deficient matrices whose columns share a large integer content or
     # are large-height multiples and sums of others, so that every reduction
-    # step leaves a common factor for the gcd step to divide out
+    # step leaves a common factor, kept until the new pivot's content step
     rng = random.Random(7)
 
     def big():
@@ -327,3 +328,81 @@ def test_rank_with_shared_content_and_large_heights():
         rank = exact_rank(m.rows, m.columns)
         assert rank == oracle_rank(g), f"trial {trial}"
         assert rank <= base < len(columns)
+
+
+def test_a_step_is_a_positive_multiple_of_the_textbook_step():
+    # _eliminate keeps the content that the textbook step divides out: its
+    # result has that step's keys in that step's order, and is c times it for
+    # one positive integer c, so the zeros, the signs and the next pivot are
+    # the textbook ones.  Keys come in any order, as they do after a step
+    seen = Counter()
+    rng = random.Random(31)
+
+    def column(lead, rows):
+        keys = [r for r in range(lead + 1, rows) if rng.random() < 0.6]
+        rng.shuffle(keys)
+        keys.insert(rng.randint(0, len(keys)), lead)
+        return {r: rng.choice(SMALL_ENTRIES) for r in keys}
+
+    for trial in range(600):
+        rows = rng.randint(2, 9)
+        lead = rng.randrange(rows - 1)
+        pivot = rank_oracle._new_pivot(column(lead, rows), lead)
+        content = rng.choice((1, 1, 6))
+        v = {r: (content * x, content * y) for r, (x, y) in column(lead, rows).items()}
+        snapshot = dict(v)
+        mine, textbook = linalg._eliminate(v, pivot, lead), rank_oracle._reduced(v, pivot, lead)
+        assert v == snapshot, trial
+        assert list(mine) == list(textbook), trial
+        if textbook:
+            (x, y), (a, b) = textbook[min(textbook)], mine[min(textbook)]
+            c = a // x if x else b // y
+            assert c > 0 and all(mine[r] == (c * x, c * y) for r, (x, y) in textbook.items()), trial
+            seen["content kept" if c > 1 else "content 1"] += 1
+        p, (ha, hb) = pivot[lead][0], v[lead]
+        seen["p/g is 1" if p == gcd(p, ha, hb) else "p/g above 1"] += 1
+        seen["complex multiplier" if hb else "real multiplier"] += 1
+        seen["v with content" if content > 1 else "v as drawn"] += 1
+    assert min(seen.values()) > 20 and len(seen) == 8, seen
+
+
+def test_pivots_of_the_engines_own_rank_calls_match_the_reference(monkeypatch, all_cases,
+                                                                   structures):
+    # catalog rows in a random coframe, ranked by full_table: the dense regime,
+    # where a step's result often has a content above gcd(p, h), which the
+    # textbook step divides out and exact_rank keeps until the new pivot.
+    # Every call's pivots, fresh and resumed, are the reference's, key for key
+    rng = random.Random(19)
+    ids = [[case.id for case in all_cases if structures[case.id].n == n] for n in (3, 4)]
+    rows = rng.sample(ids[0], 3) + rng.sample(ids[1], 1)
+    calls, kept, step_gcd = Counter(), Counter(), [0]
+    reduced, content_free = rank_oracle._reduced, rank_oracle._content_free
+
+    def step(v, pivot, lead):
+        step_gcd[0] = gcd(pivot[lead][0], *v[lead])
+        try:
+            return reduced(v, pivot, lead)
+        finally:
+            step_gcd[0] = 0
+
+    def measured(raw):
+        if step_gcd[0]:
+            kept[gcd(*(part for e in raw.values() for part in e)) > step_gcd[0]] += 1
+        return content_free(raw)
+
+    def checked(rows, columns, pivots=None):
+        mine = {} if pivots is None else pivots
+        theirs = dict(mine)
+        calls["resumed" if mine else "fresh"] += 1
+        rank = exact_rank(rows, columns, mine)
+        assert reference_rank(rows, [dict(v) for v in columns], theirs) == rank
+        assert _ordered(mine) == _ordered(theirs)
+        return rank
+
+    monkeypatch.setattr(rank_oracle, "_reduced", step)
+    monkeypatch.setattr(rank_oracle, "_content_free", measured)
+    monkeypatch.setattr(co, "exact_rank", checked)
+    for case_id in rows:
+        co.full_table(_in_a_random_coframe(rng, structures[case_id]))
+    assert calls["fresh"] and calls["resumed"], calls
+    assert kept[True] > 0, kept

@@ -81,14 +81,19 @@ MUTANTS = [
            equivalent="the general path reduces by gcd(x, y, 1) = 1, the same triple"),
     Mutant("early pivot stop", LINALG,
            "if len(pivots) == rows:", "if len(pivots) >= rows - 1:"),
+    Mutant("elimination product sign", LINALG,
+           "p * e[0] - ha * x + hb * y", "p * e[0] - ha * x - hb * y"),
     Mutant("elimination sign flip", LINALG,
-           "ta, tb = xa - ta, xb - tb", "ta, tb = xa + ta, xb + tb"),
-    Mutant("real-multiplier elimination sign flip", LINALG,
-           "ta, tb = xa - ha * x, xb - ha * y", "ta, tb = xa + ha * x, xb + ha * y"),
-    Mutant("real-multiplier loop taken for a negative imaginary part", LINALG,
-           "    if hb:\n", "    if hb > 0:\n"),
-    Mutant("unit-multiplier copy taken for p = 2", LINALG,
-           "out = dict(v) if p == 1 else", "out = dict(v) if p <= 2 else"),
+           "p * e[1] - ha * y - hb * x", "p * e[1] + ha * y + hb * x"),
+    Mutant("pivot's new rows not negated", LINALG,
+           "out[r] = (hb * y - ha * x, -ha * y - hb * x)",
+           "out[r] = (ha * x - hb * y, ha * y + hb * x)"),
+    Mutant("pivot's own rows dropped", LINALG,
+           "    for r, (x, y) in pivot.items():\n        if r not in v:", "    for r in ():\n        if 0:"),
+    Mutant("unit-multiplier entries kept for p = 2", LINALG,
+           "e if p == 1 else", "e if p <= 2 else"),
+    Mutant("content removed after every step", LINALG,
+           "-ha * y - hb * x)\n    return out\n", "-ha * y - hb * x)\n    return _primitive(out)\n"),
     Mutant("negative real lead left un-negated", LINALG,
            "pivots[lead] = _primitive({r: (-x, -y) for r, (x, y) in v.items()})",
            "pivots[lead] = _primitive(v)"),
