@@ -25,11 +25,16 @@ routine that computes a reordering sign, for every product and for ``d``.
 AMS 63 (1948): the transpose of the bracket, extended as a derivation), so
 where each constant lands depends only on the layout, the counts of
 holomorphic and antiholomorphic generators.  This module owns that layout
-and that Leibniz rule, each cached by layout and never per structure:
-:func:`degree_basis` orders the monomials of one total degree, and
-:func:`leibniz` lists where one term of one generator's ``d`` lands in the
-matrix of ``d`` on that degree.  :mod:`nilcohom.model` adds the constants
-along those lists.  Next to it, :func:`wedge_row` maps one monomial, by its
+and that Leibniz rule, each kept by layout and never per structure:
+:func:`degree_basis` orders the monomials of one total degree,
+:func:`term_ids` gives each term of a generator's ``d`` one small integer per
+side (the factor ``w^j`` or ``wbar^j``), and :func:`leibniz_table` holds, per
+layout and degree, where each id lands in the matrix of ``d`` on that degree,
+as :func:`leibniz` computes it the first time the id is read.
+:mod:`nilcohom.model` adds the constants along those rows, and knows neither
+the masks nor how an id is made.  No term lands in degree 0 or in the top
+degree, so a structure builds neither from the table.  Next to it,
+:func:`wedge_row` maps one monomial, by its
 masks, and each 2-form monomial, by its place in :func:`degree_basis`, to the
 masks and sign of their wedge, so :mod:`nilcohom.metrics` wedges integral
 columns with the sign rule of :func:`wedge_masks`.
@@ -430,10 +435,47 @@ def degree_basis(holo: int, anti: int, k: int) -> tuple[tuple[BasisElement, ...]
     return monomials, {e: i for i, e in enumerate(monomials)}
 
 
+def term_ids(holo: int, anti: int, j: int, s: int) -> tuple[int, ...]:
+    """The ids in :func:`leibniz_table` of the term of ``d w^j`` on the 2-form
+    monomial with place ``s`` in :func:`degree_basis`: one for the factor
+    ``w^j`` and, when there are conjugates, one for the factor ``wbar^j``.
+
+    A factor is numbered as in the layout, ``w^1 .. w^holo`` then
+    ``wbar^1 .. wbar^anti`` from 0, and its terms follow those of the
+    factors before it, one id per 2-form monomial."""
+    size = comb(holo + anti, 2)
+    return (s + size * (j - 1), s + size * (holo + j - 1)) if anti else (s + size * (j - 1),)
+
+
+class _LeibnizTable(dict):
+    """``{term id: leibniz(holo, anti, k, term id)}`` of one layout and degree,
+    each entry filled the first time it is read."""
+
+    __slots__ = ("layout",)
+
+    def __init__(self, holo: int, anti: int, k: int):
+        super().__init__()
+        self.layout = holo, anti, k
+
+    def __missing__(self, term: int) -> tuple:
+        rows = self[term] = leibniz(*self.layout, term)
+        return rows
+
+
 @cache
-def leibniz(holo: int, anti: int, k: int, j: int, bar: bool, dh: int, da: int) -> tuple:
-    """Where the term ``w^dh wbar^da`` of ``d w^j`` (``dh`` and ``da`` its
-    bitmasks) lands in d on degree k, as one flat tuple of ``(column, row,
+def leibniz_table(holo: int, anti: int, k: int) -> dict:
+    """Where each term lands in d on degree k: ``table[term id]`` is
+    :func:`leibniz` of that id (see :func:`term_ids`).
+
+    One table per layout and degree, shared by every structure of that
+    layout; an id's entry is computed the first time a structure reads it,
+    so no table is built whole."""
+    return _LeibnizTable(holo, anti, k)
+
+
+def leibniz(holo: int, anti: int, k: int, term: int) -> tuple:
+    """Where the term with id ``term`` (see :func:`term_ids`), ``w^dh wbar^da``
+    of ``d w^j``, lands in d on degree k, as one flat tuple of ``(column, row,
     sign)`` triples, indexed by :func:`degree_basis`.
 
     By the graded Leibniz rule,
@@ -441,10 +483,18 @@ def leibniz(holo: int, anti: int, k: int, j: int, bar: bool, dh: int, da: int) -
         d(x_0 /\\ .. /\\ x_m) = sum_i (-1)^i dx_i /\\ (x_0 /\\ .. x_i omitted .. /\\ x_m),
 
     so the term reaches every column holding the factor ``w^j``; ``dx_i`` is
-    a 2-form and moves to the front without a sign.  With ``bar`` the factor
-    is ``wbar^j`` and the term is read through its conjugate,
+    a 2-form and moves to the front without a sign.  For the id of the factor
+    ``wbar^j`` the term is read through its conjugate,
     ``(-1)^(|dh| |da|) w^da wbar^dh``, whose coefficient the caller conjugates.
+
+    Degree 0 and the top degree ``holo + anti`` get no triple from any term:
+    the monomial 1 has no factor, and a 2-form wedged onto a monomial with
+    one factor less than the top always repeats a factor.
     """
+    twos = degree_basis(holo, anti, 2)[0]
+    g, s = divmod(term, len(twos))
+    bar, (dh, da) = g >= holo, masks(twos[s])
+    j = g - holo + 1 if bar else g + 1
     dh, da, sign = (da, dh, (-1) ** (dh.bit_count() * da.bit_count())) if bar else (dh, da, 1)
     bit, place, out = 1 << j, degree_basis(holo, anti, k + 1)[1], []
     for column, elem in enumerate(degree_basis(holo, anti, k)[0]):

@@ -18,11 +18,16 @@ set of the canonical monomials it allows), ``check_d_squared``, equality, and
 ``check_nilpotency``, which reads the bracket off the structure's own d.  Each
 holds ``d`` as ``L * d``: one integral :class:`~nilcohom.linalg.ExactMatrix`
 per total degree, where ``L`` is the lcm of the denominators of the structure
-constants.  A degree's matrix is built the first time it is needed, by adding
-each scaled constant along the Leibniz table of
-:func:`nilcohom.algebra.leibniz`, so the ``d^2`` check builds only the matrix
-on 2-forms.  ``d`` of a form applies ``matrix(k)`` to the form's degree-k
-part, one integral column per degree, and divides by ``L``, so that
+constants.  A degree's matrix is built the first time it is needed: each
+scaled constant, held as ``(term id, L * x, +-L * y)`` once per side (``g^j``
+and ``gbar^j``), is added along the rows its id has in the layout's Leibniz
+table for that degree (:func:`nilcohom.algebra.leibniz_table`).  Degree 0 and
+the top degree are empty by structure and read no constant.  The ``d^2``
+check applies the matrix on 2-forms to the integral columns ``L * d g^j`` and
+builds a form, through ``d``, only for a residual it reports, so building a
+structure builds only that matrix and calls no ``d`` unless the check fails.
+``d`` of a form applies ``matrix(k)`` to the form's degree-k part, one
+integral column per degree, and divides by ``L``, so that
 :meth:`~nilcohom.linalg.ExactMatrix.apply` is the package's one product loop;
 the cohomology tables, the metrics, the Betti numbers and the nilpotency check
 all read these matrices.  Nilpotency follows the lower central series with
@@ -36,8 +41,8 @@ from itertools import combinations
 from math import comb, lcm
 from typing import NamedTuple
 
-from .algebra import (BasisElement, Form, Gaussian, ZERO, _reduced, degree_basis, leibniz,
-                      masks)
+from .algebra import (BasisElement, Form, Gaussian, ZERO, _reduced, degree_basis,
+                      leibniz_table, term_ids)
 from .linalg import ExactMatrix, exact_rank
 
 
@@ -143,31 +148,46 @@ class _Differential:
     :func:`~nilcohom.algebra.degree_basis` order.  A basis monomial has
     coefficient 1, so each entry of ``d`` on it sums constants or their
     conjugates, and ``L * d`` is integral.
+
+    Each constant is held once per side, as ``(term id, L * x, +-L * y)``:
+    the id (:func:`~nilcohom.algebra.term_ids`) of its term on the factor
+    ``g^j``, and on ``gbar^j`` when there are conjugates, whose ``d`` is the
+    conjugate of ``d g^j``.  A build reads each id's triples from the
+    layout's table for that degree (:func:`~nilcohom.algebra.leibniz_table`)
+    and adds the constant along them.  Degree 0 and the top degree are empty
+    by structure, so their build reads no constant; degree ``top - 1`` is
+    built, as its zeros are a property of the constants (unimodularity).
     """
 
     def __init__(self, holo: int, anti: int, forms: list[Form]):
         self._layout, self.forms = (holo, anti), list(forms)
         scale = self._scale = lcm(*(c.den for f in forms for c in f.terms.values()))
-        # (j, term masks, L * constant) for every term of every d w^j
-        self._constants = [(j, *masks(e), c.x * (scale // c.den), c.y * (scale // c.den))
-                           for j, f in enumerate(forms, start=1) for e, c in f.terms.items()]
+        place = degree_basis(holo, anti, 2)[1]
+        # L * d g^j for every generator, an integral column over the 2-forms
+        self._columns = [{place[e]: (c.x * (scale // c.den), c.y * (scale // c.den))
+                          for e, c in f.terms.items()} for f in forms]
+        self._terms = [(t, x, -y if bar else y)
+                       for j, column in enumerate(self._columns, start=1)
+                       for s, (x, y) in column.items()
+                       for bar, t in enumerate(term_ids(holo, anti, j, s))]
         self._matrices = {}
 
     def matrix(self, k: int) -> ExactMatrix:
         """``L * d`` on total degree k, built the first time it is asked for."""
         if k not in self._matrices:
-            rows, cols = (len(degree_basis(*self._layout, i)[0]) for i in (k + 1, k))
-            m, bars = ExactMatrix(rows, cols), 2 if self._layout[1] else 1
-            # its columns are filled here, before any caller sees it; d wbar^j is
-            # the conjugate of d w^j, when there are conjugates
-            for j, dh, da, x, y in self._constants:
-                for bar, im in ((False, y), (True, -y))[:bars]:
-                    entries = iter(leibniz(*self._layout, k, j, bar, dh, da))
+            holo, anti = self._layout
+            rows, cols = (len(degree_basis(holo, anti, i)[0]) for i in (k + 1, k))
+            m = ExactMatrix(rows, cols)
+            if 0 < k < holo + anti:
+                # its columns are filled here, before any caller sees it
+                table, columns = leibniz_table(holo, anti, k), m.columns
+                for t, x, y in self._terms:
+                    entries = iter(table[t])
                     for c, row, sign in zip(entries, entries, entries):
-                        a, b = m.columns[c].pop(row, (0, 0))
-                        a, b = a + sign * x, b + sign * im
+                        a, b = columns[c].pop(row, (0, 0))
+                        a, b = a + sign * x, b + sign * y
                         if a or b:  # constants may cancel, and a matrix stores no zero
-                            m.columns[c][row] = a, b
+                            columns[c][row] = a, b
             self._matrices[k] = m
         return self._matrices[k]
 
@@ -197,13 +217,17 @@ class _Differential:
 
 
 def check_d_squared(structure: _Differential) -> ValidationReport:
-    """Compute d(d g^j) for every generator g^j, e^j of a real algebra or w^j
-    of a complex structure; each d(d wbar^j) is the conjugate of d(d w^j)."""
+    """Whether d(d g^j) = 0 for every generator g^j, e^j of a real algebra or
+    w^j of a complex structure; each d(d wbar^j) is the conjugate of d(d w^j).
+
+    ``matrix(2)`` maps the integral column ``L * d g^j`` to ``L^2 * d(d g^j)``,
+    so a nonzero image column is a residual.  Only then is ``d(d g^j)``
+    computed as a form, by ``d``, for the report."""
     label, report = "w" if structure._layout[1] else "e", ValidationReport()
-    for j, df in enumerate(structure.forms, start=1):
-        residual = structure.d(df)
-        if not residual.is_zero():
-            report.residuals.append((f"{label}{j}", residual))
+    images = structure.matrix(2).apply(structure._columns)
+    for j, (df, image) in enumerate(zip(structure.forms, images), start=1):
+        if image:
+            report.residuals.append((f"{label}{j}", structure.d(df)))
     return report
 
 

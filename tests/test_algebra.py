@@ -13,6 +13,9 @@ from nilcohom.algebra import (
     ZERO,
     basis,
     basis_dimension,
+    degree_basis,
+    leibniz,
+    term_ids,
     wedge_elements,
 )
 from nilcohom.parser import parse_gaussian
@@ -277,3 +280,16 @@ def test_zero_coefficients_are_dropped():
     f = w(1).wedge(w(2)) - w(1).wedge(w(2))
     assert f.is_zero() and not f.terms
     assert f == Form()
+
+
+@pytest.mark.parametrize("holo, anti", [(n, n) for n in range(1, 5)] + [(m, 0) for m in range(1, 9)])
+def test_no_term_lands_in_degree_0_or_the_top_degree(holo, anti):
+    # a structure's build skips these two degrees: the monomial 1 has no
+    # factor, and a 2-form wedged onto a (top - 1)-monomial repeats a factor
+    top, twos = holo + anti, len(degree_basis(holo, anti, 2)[0])
+    ids = [t for j in range(1, holo + 1) for s in range(twos) for t in term_ids(holo, anti, j, s)]
+    # one id per generator, side and 2-form monomial, and no id twice
+    assert sorted(ids) == list(range(twos * top))
+    for t in ids:
+        assert leibniz(holo, anti, 0, t) == () and leibniz(holo, anti, top, t) == (), t
+    assert all(any(leibniz(holo, anti, k, t) for t in ids) for k in range(1, top) if ids)

@@ -86,6 +86,20 @@ def test_check_non_jacobi_input(capsys, tmp_path):
     assert "d-square FAILED" in out
 
 
+@pytest.mark.parametrize("text, lines", [
+    ("(0, w1~3, w12)", ["parsed complex-structure template (n=3)",
+                        "integrability shape: ok (only (2,0) and (1,1) terms)",
+                        "d-square FAILED:", "  d(d w2) = (-1)*w1~1~2"]),
+    ("(0,0,12,34,35,15+24)", ["parsed real algebra (dim=6)", "d-square FAILED:",
+                              "  d(d e4) = w124", "  d(d e5) = w125",
+                              "  d(d e6) = (-1)*w135 + (-1)*w234"]),
+], ids=["template", "real"])
+def test_check_prints_each_d_squared_residual(capsys, tmp_path, text, lines):
+    path = tmp_path / "bad.txt"
+    path.write_text(text + "\n", encoding="ascii")
+    assert run(capsys, "check", str(path)) == (2, "\n".join(lines) + "\n", "")
+
+
 def test_check_non_nilpotent_input(capsys, tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("(0,12,0,0,0,0)\n", encoding="ascii")

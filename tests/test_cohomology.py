@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nilcohom import cohomology as co, model
-from nilcohom.algebra import BasisElement, Form, Gaussian, ONE, ZERO, degree_basis
+from nilcohom.algebra import BasisElement, Form, Gaussian, ONE, ZERO, degree_basis, leibniz_table
 from nilcohom.linalg import exact_rank
 from nilcohom.model import ComplexStructure, instantiate
 from nilcohom.parser import parse_binding, parse_complex_structure
@@ -15,7 +15,7 @@ from rank_oracle import grid_of, matrix_from_grid, reference_rank
 from real_oracle import realify, substitute
 from scale_oracle import (d_block, grid_product, reference_matrices, reference_ranks, scaled,
                           structure_scale)
-from test_model import SMALL_GAUSSIAN, _random_form, triangular_structures
+from test_model import SMALL_GAUSSIAN, _random_form, count_table_fills, triangular_structures
 
 
 def build(template, binding=""):
@@ -59,28 +59,27 @@ def _matrices(cs):
 
 def test_full_table_calls_no_d_and_builds_each_degree_once(monkeypatch):
     # the table reads the structure's matrices; each is built on first use,
-    # from the Leibniz table, and read from then on
+    # from the layout's Leibniz tables, and read from then on
+    fills = count_table_fills(monkeypatch)
     cs = build("(0,0,w12+w1~1)")
-    built = []
-    leibniz = model.leibniz
-
-    def counted(holo, anti, k, *position):
-        built.append(k)
-        return leibniz(holo, anti, k, *position)
+    # one table entry per constant and side (w^j and wbar^j) in each degree
+    # built; degree 2 is built at construction, for the d^2 check
+    per_degree = 2 * sum(len(f.terms) for f in cs.d_omega)
+    assert Counter(fills) == {2: per_degree}
+    fills.clear()
 
     def no_d(self, f):
         raise AssertionError(f"full_table applied d to {f}")
 
-    monkeypatch.setattr(model, "leibniz", counted)
     monkeypatch.setattr(ComplexStructure, "d", no_d)
     first = co.full_table(cs)
-    # one Leibniz list per constant and side (w^j and wbar^j) in each degree
-    # built; degree 2 was built at construction, for the d^2 check
-    per_degree = 2 * sum(len(f.terms) for f in cs.d_omega)
-    assert Counter(built) == {k: per_degree for k in range(2 * cs.n + 1) if k != 2}
-    built.clear()
+    # degrees 0 and 2n are empty by structure and read no entry
+    assert Counter(fills) == {k: per_degree for k in range(1, 2 * cs.n) if k != 2}
+    # in fresh tables again, a degree built twice would fill its entries anew
+    leibniz_table.cache_clear()
+    fills.clear()
     assert co.full_table(cs) == first and co.differential_identities_ok(cs)
-    assert built == []
+    assert fills == []
 
 
 def _ranked_columns(monkeypatch, structures):

@@ -1,12 +1,15 @@
 import random
+from collections import Counter
+from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 import pytest
 from hypothesis import given, reject, settings, strategies as st
 
-from d_oracle import oracle_cs_d, oracle_d
-from nilcohom import model
-from nilcohom.algebra import BasisElement, Form, Gaussian, I, ONE, basis, element, masks
+from d_oracle import oracle_conjugate, oracle_cs_d, oracle_d
+from nilcohom.algebra import (BasisElement, Form, Gaussian, I, ONE, basis, element, leibniz,
+                              leibniz_table, masks)
 from nilcohom.cohomology import THEORIES, full_table
 from nilcohom.model import (
     ComplexStructure,
@@ -113,6 +116,47 @@ def test_check_d_squared_report_on_unvalidated_structure():
     report = err.value.report
     assert not report.ok
     assert "FAILED" in str(report)
+
+
+def _seeded_differentials(rng, n, holo_only):
+    """d g^j over g^a /\\ g^b (and g^a /\\ gbar^b unless ``holo_only``) with
+    a, b < j, with constants over the denominators 2, 3 and 6 (real ones when
+    ``holo_only``), so that L > 1 and d^2 fails on some draws."""
+    forms = []
+    for j in range(1, n + 1):
+        elems = [BasisElement(pair, ()) for pair in combinations(range(1, j), 2)]
+        if not holo_only:
+            elems += [BasisElement((a,), (b,)) for a in range(1, j) for b in range(1, j)]
+        forms.append(Form((e, Gaussian.of(Fraction(rng.choice([-2, -1, 1, 3]), rng.choice([2, 3, 6])),
+                                          0 if holo_only else Fraction(rng.randint(-2, 2), 3)))
+                          for e in rng.sample(elems, k=min(len(elems), rng.randint(0, 3)))))
+    return forms
+
+
+def test_the_integral_d_squared_verdict_matches_d_of_d_per_generator():
+    # the check applies matrix(2) to the columns L * d g^j; its residuals must
+    # be exactly the nonzero d(d g^j), in order, as an oracle computes them
+    rng, verdicts = random.Random(33), Counter()
+    for trial in range(120):
+        holo_only = trial % 2 == 1
+        n = rng.choice([4, 5, 6] if holo_only else [3, 4])
+        forms = _seeded_differentials(rng, n, holo_only)
+        conjugates = [] if holo_only else [oracle_conjugate(f) for f in forms]
+        expected = [(f"{'e' if holo_only else 'w'}{j}", oracle_d(df, forms, conjugates))
+                    for j, df in enumerate(forms, start=1)]
+        expected = [(label, r) for label, r in expected if not r.is_zero()]
+        if holo_only:
+            structure = RealAlgebra(n, forms)
+            report = check_d_squared(structure)
+        else:
+            try:
+                structure = ComplexStructure(n, forms)
+                report = check_d_squared(structure)
+            except DifferentialSquareError as err:
+                report = err.report
+        assert report.residuals == expected and report.ok == (not expected), forms
+        verdicts[holo_only, report.ok, lcm(*(c.den for f in forms for c in f.terms.values())) > 1] += 1
+    assert all(verdicts[layout, ok, True] >= 10 for layout in (False, True) for ok in (False, True))
 
 
 NOT_CANONICAL = [
@@ -426,19 +470,36 @@ def test_real_algebra_d_matches_the_oracle_in_dimension_8(all_cases, structures)
             assert algebra.d(f).terms == oracle_d(f, algebra.d_of_e, []).terms, case.id
 
 
+def test_the_degree_below_the_top_is_built_for_a_non_unimodular_structure():
+    # d into the top degree is zero on a nilpotent, hence unimodular, algebra
+    # by a property of its constants, not by structure, so that degree is built
+    algebra = parse_real_algebra("(0,12)")
+    assert algebra.matrix(1).columns == [{}, {0: (1, 0)}]
+    assert algebra.betti() == [1, 1, 0] and not check_nilpotency(algebra)
+    cs = build("(w1~1)")
+    assert cs.matrix(1).columns == [{0: (-1, 0)}, {0: (1, 0)}] and not check_nilpotency(cs)
+
+
+def count_table_fills(monkeypatch) -> list:
+    """The degree of each Leibniz table entry filled from here on, in fresh
+    tables, so that no entry an earlier test filled goes uncounted."""
+    fills = []
+
+    def counted(holo, anti, k, term):
+        fills.append(k)
+        return leibniz(holo, anti, k, term)
+
+    monkeypatch.setattr("nilcohom.algebra.leibniz", counted)
+    leibniz_table.cache_clear()
+    return fills
+
+
 def test_building_a_structure_builds_only_the_matrix_on_2_forms(monkeypatch):
     # the d^2 check reads d on 2-forms and nothing else, so building a
     # structure costs no matrix of the 4^n monomials beyond degree 2
-    built = set()
-    leibniz = model.leibniz
-
-    def counted(holo, anti, k, *position):
-        built.add(k)
-        return leibniz(holo, anti, k, *position)
-
-    monkeypatch.setattr(model, "leibniz", counted)
+    fills = count_table_fills(monkeypatch)
     cs = build("(0,0,w12,w13,w14,w15+w1~1)")
-    assert cs.n == 6 and built == {2}
+    assert cs.n == 6 and set(fills) == {2}
 
 
 def test_masks_and_element_are_inverse_on_every_monomial():

@@ -67,6 +67,8 @@ MUTANTS = [
            "-sign if (odd ^ i) & 1 else sign", "-sign if odd else sign"),
     Mutant("conjugation sign in leibniz", ALGEBRA,
            "(-1) ** (dh.bit_count() * da.bit_count())", "1"),
+    Mutant("conjugate side's term ids offset by one generator too few", ALGEBRA,
+           "s + size * (holo + j - 1)", "s + size * (holo + j - 2)"),
     Mutant("degree-basis slot order against the slot starts of _steps", ALGEBRA,
            "for p in range(max(0, k - anti), min(holo, k) + 1)",
            "for p in reversed(range(max(0, k - anti), min(holo, k) + 1))"),
@@ -125,6 +127,18 @@ MUTANTS = [
            "type(other) is type(self) and ", ""),
     Mutant("constants cleared one by one, not by L", MODEL,
            "c.x * (scale // c.den), c.y * (scale // c.den))", "c.x, c.y)"),
+    Mutant("degree 0 built through the constant loop", MODEL,
+           "if 0 < k < holo + anti:", "if 0 <= k < holo + anti:"),
+    Mutant("degree 1 skipped as if empty", MODEL,
+           "if 0 < k < holo + anti:", "if 1 < k < holo + anti:"),
+    Mutant("top degree built through the constant loop", MODEL,
+           "if 0 < k < holo + anti:", "if 0 < k <= holo + anti:"),
+    Mutant("degree below the top skipped as if empty", MODEL,
+           "if 0 < k < holo + anti:", "if 0 < k < holo + anti - 1:"),
+    Mutant("conjugate side's constant not conjugated", MODEL,
+           "(t, x, -y if bar else y)", "(t, x, y)"),
+    Mutant("d^2 image column read for the wrong generator", MODEL,
+           "zip(structure.forms, images)", "zip(structure.forms, images[::-1])"),
     Mutant("d maps rows through degree k's monomials, not k + 1's", MODEL,
            "targets = degree_basis(*self._layout, k + 1)[0]", "targets = degree_basis(*self._layout, k)[0]"),
     Mutant("d column built over degree k + 1's places", MODEL,
