@@ -3,8 +3,8 @@
 Every scalar in the engine is a :class:`Gaussian` number ``a + b*i`` with
 arbitrary-precision rational real and imaginary parts, so no computation ever
 rounds.  It is stored as three integers, ``(x + y*i) / den`` with ``den > 0``
-and ``gcd(x, y, den) == 1``; every operation restores that reduced form with
-at most one gcd (none when ``den == 1``), so equal values have equal triples.
+and ``gcd(x, y, den) == 1``; every sum, product and quotient restores that
+reduced form with one gcd, so equal values have equal triples.
 
 Forms are finite sums of canonical wedge monomials ``w^I /\\ wbar^J``.  A form
 has no dimension of its own: its indices refer to the coframe of ``n``
@@ -26,7 +26,8 @@ AMS 63 (1948): the transpose of the bracket, extended as a derivation), so
 where each constant lands depends only on the layout, the counts of
 holomorphic and antiholomorphic generators.  This module owns that layout
 and that Leibniz rule, each kept by layout and never per structure:
-:func:`degree_basis` orders the monomials of one total degree,
+:func:`degree_basis` orders the monomials of one total degree, and
+:func:`slot_start` is where each of its (p, k-p) slots starts;
 :func:`term_ids` gives each term of a generator's ``d`` one small integer per
 side (the factor ``w^j`` or ``wbar^j``), and :func:`leibniz_table` holds, per
 layout and degree, where each id lands in the matrix of ``d`` on that degree,
@@ -34,10 +35,11 @@ as :func:`leibniz` computes it the first time the id is read.
 :mod:`nilcohom.model` adds the constants along those rows, and knows neither
 the masks nor how an id is made.  No term lands in degree 0 or in the top
 degree, so a structure builds neither from the table.  Next to it,
-:func:`wedge_row` maps one monomial, by its
-masks, and each 2-form monomial, by its place in :func:`degree_basis`, to the
-masks and sign of their wedge, so :mod:`nilcohom.metrics` wedges integral
-columns with the sign rule of :func:`wedge_masks`.
+:func:`wedge_row` maps a monomial of degree k and each 2-form monomial, both
+by their places in :func:`degree_basis`, to the place in degree k + 2 and the
+sign of their wedge, so :mod:`nilcohom.metrics` wedges integral columns as
+``apply`` returns them, with the sign rule of :func:`wedge_masks`.  No other
+module reads a mask or sums binomials into a slot's start.
 
 Every operation here keeps that form without checking it; it is checked
 once, where monomials enter: by the parser and by the structure constructors
@@ -112,19 +114,14 @@ class Gaussian:
         return hash((self.x, self.y, self.den))
 
     # -- field operations ----------------------------------------------------
-    # each result is reduced by at most one gcd, and by none when den == 1
+    # a sum, product or quotient is reduced by one gcd, in _reduced
 
     def __add__(self, o):
         if o.__class__ is not Gaussian:
             o = _coerce(o)
             if o is None:
                 return NotImplemented
-        d = self.den
-        if d == o.den:
-            if d == 1:
-                return _triple(self.x + o.x, self.y + o.y, 1)
-            return _reduced(self.x + o.x, self.y + o.y, d)
-        e = o.den
+        d, e = self.den, o.den
         return _reduced(self.x * e + o.x * d, self.y * e + o.y * d, d * e)
 
     __radd__ = __add__
@@ -145,10 +142,7 @@ class Gaussian:
             if o is None:
                 return NotImplemented
         a, b, c, e = self.x, self.y, o.x, o.y
-        d = self.den * o.den
-        if d == 1:
-            return _triple(a * c - b * e, a * e + b * c, 1)
-        return _reduced(a * c - b * e, a * e + b * c, d)
+        return _reduced(a * c - b * e, a * e + b * c, self.den * o.den)
 
     __rmul__ = __mul__
 
@@ -162,10 +156,7 @@ class Gaussian:
         norm = c * c + e * e
         if not norm:
             raise ZeroDivisionError("division of Gaussian rationals by zero")
-        x, y, d = (a * c + b * e) * f, (b * c - a * e) * f, self.den * norm
-        if d == 1:
-            return _triple(x, y, 1)
-        return _reduced(x, y, d)
+        return _reduced((a * c + b * e) * f, (b * c - a * e) * f, self.den * norm)
 
     def conjugate(self) -> "Gaussian":
         return _triple(self.x, -self.y, self.den)
@@ -402,7 +393,8 @@ class Form:
 def basis(n: int, p: int, q: int) -> list[BasisElement]:
     """All C(n,p)*C(n,q) monomials of bidegree (p, q), lexicographically.
 
-    This fixed order indexes every matrix row and column in the engine.
+    This is the order of the (p, q) slot within :func:`degree_basis`, which
+    indexes every matrix row and column in the engine.
     """
     if not (0 <= p <= n and 0 <= q <= n):
         raise ValueError(f"bidegree ({p},{q}) out of range for n={n}")
@@ -433,6 +425,15 @@ def degree_basis(holo: int, anti: int, k: int) -> tuple[tuple[BasisElement, ...]
                       for h in combinations(range(1, holo + 1), p)
                       for a in combinations(range(1, anti + 1), k - p))
     return monomials, {e: i for i, e in enumerate(monomials)}
+
+
+@cache
+def slot_start(holo: int, anti: int, k: int, p: int) -> int:
+    """The place in :func:`degree_basis` where the (p, k-p) slot of total
+    degree k starts: the sum of the sizes of the slots before it.  Slot p
+    ends where slot p + 1 starts, and at p = k + 1 this is the size of
+    degree k."""
+    return sum(comb(holo, s) * comb(anti, k - s) for s in range(p))
 
 
 def term_ids(holo: int, anti: int, j: int, s: int) -> tuple[int, ...]:
@@ -511,20 +512,22 @@ def leibniz(holo: int, anti: int, k: int, term: int) -> tuple:
 
 
 @cache
-def wedge_row(holo: int, anti: int, h: int, a: int) -> dict:
-    """Where the monomial of masks ``(h, a)`` lands when wedged with each
-    2-form monomial: ``{s: ((holo, anti), sign)}`` maps the place ``s`` of a
-    2-form monomial in :func:`degree_basis` to the masks of the product, for
-    each ``s`` that repeats no factor.  The signs are those of
-    :func:`wedge_masks`, so ``x /\\ y`` of integral columns needs no form.
+def wedge_row(holo: int, anti: int, k: int, place: int) -> dict:
+    """Where the monomial with place ``place`` in degree k lands when wedged
+    with each 2-form monomial: ``{s: (row, sign)}`` maps the place ``s`` of a
+    2-form monomial to the place ``row`` of the product in degree k + 2, both
+    in :func:`degree_basis`, for each ``s`` that repeats no factor.  The signs
+    are those of :func:`wedge_masks`, so ``x /\\ y`` of integral columns needs
+    no form and no mask outside this module.
 
     A row of this wedge table is built the first time a column holds its
     monomial, so a layout's table is never built whole (2^(holo + anti)
     rows); callers only read it."""
-    lands = {}
+    h, a = masks(degree_basis(holo, anti, k)[0][place])
+    rows, lands = degree_basis(holo, anti, k + 2)[1], {}
     for s, two in enumerate(degree_basis(holo, anti, 2)[0]):
         merged = wedge_masks(h, a, *masks(two))
         if merged is not None:
             mh, ma, odd = merged
-            lands[s] = (mh, ma), (-1) ** odd
+            lands[s] = rows[element(mh, ma)], (-1) ** odd
     return lands

@@ -8,11 +8,12 @@ structure's ``matrix(k)``, ``L * d`` on total degree k (see
 :mod:`nilcohom.model`), whose rows and columns follow the basis of that
 degree given by :func:`nilcohom.algebra.degree_basis`: its (p,q) slots by
 ascending p, each in the fixed lexicographic order of
-:func:`nilcohom.algebra.basis`.  Where each slot starts and how large it is
-depends on n alone.  d on a (p,q) slot is the column slice at that slot; as
-``d`` of a (p,q)-form has only (p,q+1) and (p+1,q) parts on an integrable
-structure, and the (p,q+1) rows come first, del and delbar are read off
-that slice's one elimination, never cut out of it: the pivots led in the
+:func:`nilcohom.algebra.basis`; where each slot starts depends on n alone,
+and only :func:`nilcohom.algebra.slot_start` computes it.  d on a (p,q)
+slot is the column slice at that slot; as ``d`` of a (p,q)-form has only
+(p,q+1) and (p+1,q) parts on an integrable structure, and the (p,q+1) rows
+come first, del and delbar are read off that slice's one elimination,
+never cut out of it: the pivots led in the
 (p+1,q) rows have no delbar part, so the other pivots carry a basis of im
 delbar in their rows before the cut (the first (p+1,q) row), and their
 remaining rows, resumed from the (p+1,q)-led pivots, span im del.
@@ -70,7 +71,7 @@ from functools import cache
 from math import comb
 from typing import NamedTuple
 
-from .algebra import basis_dimension
+from .algebra import basis_dimension, slot_start
 from .linalg import exact_rank
 from .model import ComplexStructure
 
@@ -96,7 +97,8 @@ def _steps(n: int) -> tuple:
     Returns ``(steps, totals, keys)``.  ``steps`` holds one tuple ``(p, k,
     lo, hi, cut, source, rows, dd)`` per (p,q), q outer and p inner: the
     slot's total degree k, its column slice ``lo:hi`` in ``d[k]``, its cut
-    (the first (p+1,q) row, in the row numbering of degree k+1), and the row
+    (the first (p+1,q) row, in the row numbering of degree k+1), these three
+    slot starts read from :func:`~nilcohom.algebra.slot_start`, and the row
     count of each elimination: ``source``, the size of the degree-k basis,
     for concat, whose vectors live in degree k, the source space of ``d[k]``;
     ``rows``, of degree k+1, for stack and del; and ``dd``, of degree k+2,
@@ -109,17 +111,13 @@ def _steps(n: int) -> tuple:
     """
     dim = [comb(2 * n, k) for k in range(2 * n + 3)]  # degree-k basis size, 0 past 2n
     span, steps, keys = range(n + 1), [], []
-
-    def start(p, k):  # the first row of the (p, k-p) slot in the basis of degree k
-        return sum(comb(n, s) * comb(n, k - s) for s in range(p))
-
     for q in span:
         for p in span:
             k = p + q
             dd = None if q == n else dim[k + 2] if p < n else 0
             # the slot ends where (p+1, q-1) starts, and is cut where (p+1, q) starts
-            steps.append((p, k, start(p, k), start(p + 1, k), start(p + 1, k + 1),
-                          dim[k], dim[k + 1], dd))
+            steps.append((p, k, slot_start(n, n, k, p), slot_start(n, n, k, p + 1),
+                          slot_start(n, n, k + 1, p + 1), dim[k], dim[k + 1], dd))
             keys += [(kind, p, q) for kind in _KINDS[:4 if dd is None else 5]]
     # (p,q) is step q(n+1) + p
     totals = [(dim[k + 1], *((k - p) * (n + 1) + p for p in _slots(n, k))) for k in range(2 * n + 1)]

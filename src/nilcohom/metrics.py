@@ -41,16 +41,18 @@ only asks whether the column is empty.
 ``d(Omega^(n-1)) = (n-1) dOmega /\\ Omega^(n-2)`` (Michelsohn, Acta Math. 149,
 1982), a nonzero multiple of ``dF /\\ F^(n-2)`` for n >= 2; for n = 1, F has
 top degree and ``dF = 0``.  So it wedges the column F onto ``dF`` n - 2
-times, on integer pairs keyed by the masks of their monomials, along the
-rows of :func:`~nilcohom.algebra.wedge_row`, and applies no more d.
+times, on integer pairs in the rows ``matrix(2).apply`` returns, along the
+rows of :func:`~nilcohom.algebra.wedge_row`, and applies no more d.  Where
+a slot starts comes from :func:`~nilcohom.algebra.slot_start`, so this
+module knows neither the masks nor the layout of a degree.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, lcm
+from math import lcm
 
-from .algebra import Form, Gaussian, ZERO, _reduced, degree_basis, masks, wedge_row
+from .algebra import Form, Gaussian, ZERO, slot_start, wedge_row
 from .model import ComplexStructure
 
 
@@ -81,8 +83,9 @@ class HermitianForm:
         self.n = n
         self.entries = [row[:] for row in entries]
         self.den, grid = _integral(self.entries)
-        # the (1,1) slot follows the C(n, 2) monomials of (0,2); w^j wbar^k is j*n + k in it
-        self.column = {comb(n, 2) + j * n + k: c for j, row in enumerate(grid)
+        # w^j wbar^k is j*n + k in the (1,1) slot of degree 2
+        start = slot_start(n, n, 2, 1)
+        self.column = {start + j * n + k: c for j, row in enumerate(grid)
                        for k, c in enumerate(row) if c[0] or c[1]}
         self.positive = all(p > 0 for p in _sylvester(grid))
 
@@ -180,19 +183,18 @@ def _d_of(cs: ComplexStructure, h: HermitianForm) -> tuple[int, dict, dict]:
 
 def _ddbar(cs: ComplexStructure, h: HermitianForm) -> tuple[int, dict]:
     """``den`` and ``L^2 * den`` times del delbar of the form, a column of
-    degree 4: ``matrix(3)`` applied to the (1,2) rows of ``dF``.  Those come
-    before the first (2,1) row, after C(n, 3) rows of (0,3) and n C(n, 2) of
-    (1,2); the (0,3) rows of ``dF`` are empty."""
+    degree 4: ``matrix(3)`` applied to the (1,2) rows of ``dF``, those
+    before the cut where the (2,1) slot starts; the (0,3) rows of ``dF`` are
+    empty."""
     den, _, df = _d_of(cs, h)
-    cut = comb(cs.n, 3) + cs.n * comb(cs.n, 2)
+    cut = slot_start(cs.n, cs.n, 3, 2)
     return den, cs.matrix(3).apply([{r: v for r, v in df.items() if r < cut}])[0]
 
 
 def ddbar_of(cs: ComplexStructure, h: HermitianForm) -> Form:
     """The (2,2)-form del delbar of the coefficient form of ``h``."""
     den, column = _ddbar(cs, h)
-    targets, scale = degree_basis(cs.n, cs.n, 4)[0], den * cs._scale ** 2
-    return Form((targets[r], _reduced(x, y, scale)) for r, (x, y) in column.items())
+    return cs._form(4, column, den * cs._scale ** 2)
 
 
 def _require_positive(h: HermitianForm):
@@ -206,29 +208,27 @@ def is_pluriclosed(cs: ComplexStructure, h: HermitianForm) -> bool:
     return not _ddbar(cs, h)[1]
 
 
-def _wedge(n: int, x: dict, f: dict) -> dict:
-    """``x /\\ f`` for an integral column ``x`` keyed by the masks of its
-    monomials and ``f`` of degree 2, over n generators and their conjugates,
-    as a column keyed by masks."""
+def _wedge(n: int, k: int, x: dict, f: dict) -> dict:
+    """``x /\\ f`` for integral columns ``x`` of degree k and ``f`` of
+    degree 2, over n generators and their conjugates, as a column of degree
+    k + 2, each keyed by the places of :func:`~nilcohom.algebra.degree_basis`."""
     out = {}
-    for (h, a), (p, q) in x.items():
-        lands = wedge_row(n, n, h, a)
+    for place, (p, q) in x.items():
+        lands = wedge_row(n, n, k, place)
         for s, (c, e) in f.items():
             if s in lands:
-                key, sign = lands[s]
-                u, v = out.get(key, (0, 0))
-                out[key] = u + sign * (p * c - q * e), v + sign * (p * e + q * c)
-    return {key: v for key, v in out.items() if v[0] or v[1]}
+                row, sign = lands[s]
+                u, v = out.get(row, (0, 0))
+                out[row] = u + sign * (p * c - q * e), v + sign * (p * e + q * c)
+    return {row: v for row, v in out.items() if v[0] or v[1]}
 
 
 def is_balanced(cs: ComplexStructure, h: HermitianForm) -> bool:
     """Whether d(Omega^(n-1)) vanishes exactly, read as dF /\\ F^(n-2)."""
     _require_positive(h)
-    _, f, df = _d_of(cs, h)
-    threes = degree_basis(cs.n, cs.n, 3)[0]
-    power = {masks(threes[r]): v for r, v in df.items()}
-    for _ in range(cs.n - 2):
-        power = _wedge(cs.n, power, f)
+    _, f, power = _d_of(cs, h)
+    for k in range(3, 2 * cs.n - 1, 2):  # n - 2 wedges, from degree 3 on
+        power = _wedge(cs.n, k, power, f)
     return not power
 
 

@@ -23,15 +23,17 @@ scaled constant, held as ``(term id, L * x, +-L * y)`` once per side (``g^j``
 and ``gbar^j``), is added along the rows its id has in the layout's Leibniz
 table for that degree (:func:`nilcohom.algebra.leibniz_table`).  Degree 0 and
 the top degree are empty by structure and read no constant.  The ``d^2``
-check applies the matrix on 2-forms to the integral columns ``L * d g^j`` and
-builds a form, through ``d``, only for a residual it reports, so building a
-structure builds only that matrix and calls no ``d`` unless the check fails.
+check applies the matrix on 2-forms to the integral columns ``L * d g^j``,
+and reports each nonzero image column divided by ``L^2``, so building a
+structure builds only that matrix, takes one product and calls no ``d``.
 ``d`` of a form applies ``matrix(k)`` to the form's degree-k part, one
 integral column per degree, and divides by ``L``, so that
 :meth:`~nilcohom.linalg.ExactMatrix.apply` is the package's one product loop;
-the cohomology tables, the metrics, the Betti numbers and the nilpotency check
-all read these matrices.  Nilpotency follows the lower central series with
-the elimination of :mod:`linalg`, whose pivot columns span each term.
+``_Differential._form`` is the one way back from an integral column to a
+form, for ``d``, the ``d^2`` report and :func:`nilcohom.metrics.ddbar_of`.
+The cohomology tables, the metrics, the Betti numbers and the nilpotency
+check all read these matrices.  Nilpotency follows the lower central series
+with the elimination of :mod:`linalg`, whose pivot columns span each term.
 """
 
 from __future__ import annotations
@@ -136,7 +138,9 @@ class ValidationReport:
     def __str__(self) -> str:
         if self.ok:
             return "d-square: ok"
-        lines = [f"d(d {label}) = {form}" for label, form in self.residuals]
+        # the form's text writes each monomial with w; a real algebra's are e's
+        lines = [f"d(d {label}) = {str(form).replace('w', label[0])}"
+                 for label, form in self.residuals]
         return "d-square FAILED:\n  " + "\n  ".join(lines)
 
 
@@ -206,10 +210,15 @@ class _Differential:
             place = degree_basis(*self._layout, k)[1]
             column = {place[e]: (c.x * (den // c.den), c.y * (den // c.den)) for e, c in part}
             (image,) = self.matrix(k).apply([column])
-            targets = degree_basis(*self._layout, k + 1)[0]
-            terms += ((targets[row], _reduced(a, b, den * self._scale))
-                      for row, (a, b) in image.items())
+            terms += self._form(k + 1, image, den * self._scale).terms.items()
         return Form(terms)
+
+    def _form(self, k: int, column: dict, den: int) -> Form:
+        """The form of degree k whose coefficients are the integral column
+        ``column``, in :func:`~nilcohom.algebra.degree_basis` order, over
+        ``den``: the one way back from a column to a form."""
+        targets = degree_basis(*self._layout, k)[0]
+        return Form((targets[row], _reduced(a, b, den)) for row, (a, b) in column.items())
 
     def __eq__(self, other) -> bool:
         return (type(other) is type(self) and other._layout == self._layout
@@ -221,13 +230,13 @@ def check_d_squared(structure: _Differential) -> ValidationReport:
     w^j of a complex structure; each d(d wbar^j) is the conjugate of d(d w^j).
 
     ``matrix(2)`` maps the integral column ``L * d g^j`` to ``L^2 * d(d g^j)``,
-    so a nonzero image column is a residual.  Only then is ``d(d g^j)``
-    computed as a form, by ``d``, for the report."""
+    so a nonzero image column is a residual, and its report is that column
+    divided by ``L^2``: the check takes one product and calls no ``d``."""
     label, report = "w" if structure._layout[1] else "e", ValidationReport()
-    images = structure.matrix(2).apply(structure._columns)
-    for j, (df, image) in enumerate(zip(structure.forms, images), start=1):
+    square = structure._scale ** 2
+    for j, image in enumerate(structure.matrix(2).apply(structure._columns), start=1):
         if image:
-            report.residuals.append((f"{label}{j}", structure.d(df)))
+            report.residuals.append((f"{label}{j}", structure._form(3, image, square)))
     return report
 
 

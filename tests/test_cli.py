@@ -91,8 +91,8 @@ def test_check_non_jacobi_input(capsys, tmp_path):
                         "integrability shape: ok (only (2,0) and (1,1) terms)",
                         "d-square FAILED:", "  d(d w2) = (-1)*w1~1~2"]),
     ("(0,0,12,34,35,15+24)", ["parsed real algebra (dim=6)", "d-square FAILED:",
-                              "  d(d e4) = w124", "  d(d e5) = w125",
-                              "  d(d e6) = (-1)*w135 + (-1)*w234"]),
+                              "  d(d e4) = e124", "  d(d e5) = e125",
+                              "  d(d e6) = (-1)*e135 + (-1)*e234"]),
 ], ids=["template", "real"])
 def test_check_prints_each_d_squared_residual(capsys, tmp_path, text, lines):
     path = tmp_path / "bad.txt"

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 
 from nilcohom import metrics as me
 from nilcohom.algebra import (BasisElement, Form, Gaussian, I, ONE, ZERO, basis, degree_basis,
-                              element, masks, wedge_row)
+                              wedge_row)
 from nilcohom.model import instantiate
 from nilcohom.parser import parse_binding, parse_complex_structure, parse_gaussian
 from real_oracle import product_with_torus
@@ -462,11 +462,13 @@ def test_ddbar_of_equals_d_of_delbar_f_beyond_the_catalog(cs):
         assert me.ddbar_of(cs, h) == _ddbar_by_forms(cs, h)
 
 
-def _column(form):
+def _column(form, monomials):
     """The form's coefficients over their common denominator, as an integral
-    column keyed by the masks of its monomials, and that denominator."""
+    column keyed by each monomial's place in ``monomials``, and that
+    denominator."""
     den = math.lcm(*(c.den for c in form.terms.values()))
-    return {masks(e): (c.x * (den // c.den), c.y * (den // c.den))
+    place = {e: i for i, e in enumerate(monomials)}
+    return {place[e]: (c.x * (den // c.den), c.y * (den // c.den))
             for e, c in form.terms.items()}, den
 
 
@@ -475,16 +477,14 @@ def test_integer_wedge_equals_the_form_wedge():
     nonzero = 0
     for n in (3, 4):
         twos = degree_monomials(n, 2)
-        place = {masks(e): s for s, e in enumerate(twos)}
         for k in (3, 5):
-            lows = degree_monomials(n, k)
+            lows, highs = degree_monomials(n, k), degree_monomials(n, k + 2)
             for _ in range(40):
                 x = Form((e, _rational(rng)) for e in rng.sample(lows, min(6, len(lows))))
                 f = Form((e, _rational(rng)) for e in rng.sample(twos, 5))
-                (cx, dx), (cf, df) = _column(x), _column(f)
-                cf = {place[key]: v for key, v in cf.items()}  # f by its place among the 2-forms
-                product = Form((element(*key), Gaussian.of(a, b))
-                               for key, (a, b) in me._wedge(n, cx, cf).items())
+                (cx, dx), (cf, df) = _column(x, lows), _column(f, twos)
+                product = Form((highs[row], Gaussian.of(a, b))
+                               for row, (a, b) in me._wedge(n, k, cx, cf).items())
                 assert product == x.wedge(f).scale(dx * df), (n, k)
                 nonzero += not product.is_zero()
     # at n = 3 a product of degree 7 vanishes; every other case mostly does not

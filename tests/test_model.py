@@ -11,6 +11,7 @@ from d_oracle import oracle_conjugate, oracle_cs_d, oracle_d
 from nilcohom.algebra import (BasisElement, Form, Gaussian, I, ONE, basis, element, leibniz,
                               leibniz_table, masks)
 from nilcohom.cohomology import THEORIES, full_table
+from nilcohom.linalg import ExactMatrix
 from nilcohom.model import (
     ComplexStructure,
     ComplexStructureTemplate,
@@ -23,6 +24,7 @@ from nilcohom.model import (
     RealAlgebra,
     UnboundParameterError,
     UnknownParameterError,
+    _Differential,
     check_d_squared,
     check_nilpotency,
     instantiate,
@@ -157,6 +159,40 @@ def test_the_integral_d_squared_verdict_matches_d_of_d_per_generator():
         assert report.residuals == expected and report.ok == (not expected), forms
         verdicts[holo_only, report.ok, lcm(*(c.den for f in forms for c in f.terms.values())) > 1] += 1
     assert all(verdicts[layout, ok, True] >= 10 for layout in (False, True) for ok in (False, True))
+
+
+@pytest.mark.parametrize("holo_only", [False, True], ids=["template", "real"])
+def test_a_failing_d_squared_check_takes_one_product_and_calls_no_d(monkeypatch, holo_only):
+    # the report is the image columns the check already holds, divided by
+    # L^2: no second product per residual, and no d
+    if holo_only:
+        forms = parse_real_algebra("(0,0,12,34,35,15+24)").forms
+    else:  # L = 6, and d^2 fails on w2 and w4
+        forms = [Form(), Form.single(BasisElement((1,), (3,)), Gaussian.of(Fraction(1, 2))),
+                 Form.single(BasisElement((1, 2), ())),
+                 Form.single(BasisElement((2,), (1,)), Gaussian.of(Fraction(2, 3)))]
+    calls = Counter()
+
+    def spy(name, method):
+        def counted(*args):
+            calls[name] += 1
+            return method(*args)
+        return counted
+
+    monkeypatch.setattr(ExactMatrix, "apply", spy("apply", ExactMatrix.apply))
+    monkeypatch.setattr(_Differential, "d", spy("d", _Differential.d))
+    if holo_only:
+        report = check_d_squared(RealAlgebra(len(forms), forms))
+    else:
+        with pytest.raises(DifferentialSquareError) as err:
+            ComplexStructure(len(forms), forms)
+        report = err.value.report
+    assert calls == {"apply": 1}
+    conjugates = [] if holo_only else [oracle_conjugate(f) for f in forms]
+    expected = [(f"{'e' if holo_only else 'w'}{j}", oracle_d(df, forms, conjugates))
+                for j, df in enumerate(forms, start=1)]
+    expected = [(label, r) for label, r in expected if not r.is_zero()]
+    assert report.residuals == expected and len(expected) >= 2
 
 
 NOT_CANONICAL = [

@@ -73,14 +73,11 @@ MUTANTS = [
            "for p in range(max(0, k - anti), min(holo, k) + 1)",
            "for p in reversed(range(max(0, k - anti), min(holo, k) + 1))"),
     Mutant("Gaussian product", ALGEBRA,
-           "return _triple(a * c - b * e, a * e + b * c, 1)",
-           "return _triple(a * c + b * e, a * e + b * c, 1)"),
+           "return _reduced(a * c - b * e, a * e + b * c, self.den * o.den)",
+           "return _reduced(a * c + b * e, a * e + b * c, self.den * o.den)"),
     Mutant("Gaussian conjugation", ALGEBRA,
            "return _triple(self.x, -self.y, self.den)",
            "return _triple(self.x, self.y, self.den)"),
-    Mutant("Gaussian sum without its integral fast path", ALGEBRA,
-           "            if d == 1:\n                return _triple(self.x + o.x, self.y + o.y, 1)\n", "",
-           equivalent="the general path reduces by gcd(x, y, 1) = 1, the same triple"),
     Mutant("early pivot stop", LINALG,
            "if len(pivots) == rows:", "if len(pivots) >= rows - 1:"),
     Mutant("elimination product sign", LINALG,
@@ -138,23 +135,27 @@ MUTANTS = [
     Mutant("conjugate side's constant not conjugated", MODEL,
            "(t, x, -y if bar else y)", "(t, x, y)"),
     Mutant("d^2 image column read for the wrong generator", MODEL,
-           "zip(structure.forms, images)", "zip(structure.forms, images[::-1])"),
+           "apply(structure._columns), start=1)", "apply(structure._columns)[::-1], start=1)"),
+    Mutant("d^2 report divided by L, not L^2", MODEL,
+           "square = structure._scale ** 2", "square = structure._scale"),
+    Mutant("residual monomials of a real algebra lettered w", MODEL,
+           "replace('w', label[0])", "replace('w', 'w')"),
     Mutant("d maps rows through degree k's monomials, not k + 1's", MODEL,
-           "targets = degree_basis(*self._layout, k + 1)[0]", "targets = degree_basis(*self._layout, k)[0]"),
+           "self._form(k + 1, image, den * self._scale)", "self._form(k, image, den * self._scale)"),
     Mutant("d column built over degree k + 1's places", MODEL,
            "place = degree_basis(*self._layout, k)[1]", "place = degree_basis(*self._layout, k + 1)[1]"),
     Mutant("d column not rescaled to the form's common denominator", MODEL,
            "(c.x * (den // c.den), c.y * (den // c.den))", "(c.x, c.y)"),
     Mutant("delbar-part row filter off by one", COHOMOLOGY,
            "(head if r < cut else tail)[r] = e", "(head if r <= cut else tail)[r] = e"),
-    Mutant("d column slot offsets", COHOMOLOGY,
+    Mutant("d column slot offsets", ALGEBRA,
            "for s in range(p))", "for s in range(p - 1))"),
     Mutant("delbar lead bound", COHOMOLOGY,
            "if lead < cut:", "if lead <= cut:"),
     Mutant("del-part row filter off by one", COHOMOLOGY,
            "(head if r < cut else tail)[r] = e", "(head if r < cut - 1 else tail)[r] = e"),
     Mutant("pivot split off by one at the cut", COHOMOLOGY,
-           "start(p + 1, k + 1),", "start(p + 1, k + 1) + 1,"),
+           "slot_start(n, n, k + 1, p + 1),", "slot_start(n, n, k + 1, p + 1) + 1,"),
     Mutant("concat ranked with the target degree's row count", COHOMOLOGY,
            "dim[k], dim[k + 1], dd))", "dim[k + 1], dim[k + 1], dd))"),
     Mutant("del resumed without the led pivots", COHOMOLOGY,
@@ -192,21 +193,24 @@ MUTANTS = [
     Mutant("del delbar component", METRICS,
            "if r < cut}", "if r >= cut}"),
     Mutant("(1,2) cut one row late", METRICS,
-           "cut = comb(cs.n, 3) + cs.n * comb(cs.n, 2)",
-           "cut = comb(cs.n, 3) + cs.n * comb(cs.n, 2) + 1"),
+           "cut = slot_start(cs.n, cs.n, 3, 2)", "cut = slot_start(cs.n, cs.n, 3, 2) + 1"),
+    Mutant("F's (1,1) slot start one slot off", METRICS,
+           "start = slot_start(n, n, 2, 1)", "start = slot_start(n, n, 2, 0)"),
     Mutant("balanced power", METRICS,
-           "for _ in range(cs.n - 2):", "for _ in range(cs.n - 1):"),
+           "range(3, 2 * cs.n - 1, 2)", "range(3, 2 * cs.n + 1, 2)"),
     Mutant("balanced power started at F, not dF", METRICS,
-           "threes = degree_basis(cs.n, cs.n, 3)[0]\n    power = {masks(threes[r]): v for r, v in df.items()}",
-           "threes = degree_basis(cs.n, cs.n, 2)[0]\n    power = {masks(threes[r]): v for r, v in f.items()}"),
+           "_, f, power = _d_of(cs, h)\n    for k in range(3, 2 * cs.n - 1, 2):",
+           "_, f, _ = _d_of(cs, h)\n    power = f\n    for k in range(2, 2 * cs.n - 3, 2):"),
     Mutant("wedge-table sign ignored", ALGEBRA,
-           "lands[s] = (mh, ma), (-1) ** odd", "lands[s] = (mh, ma), 1"),
+           "lands[s] = rows[element(mh, ma)], (-1) ** odd", "lands[s] = rows[element(mh, ma)], 1"),
+    Mutant("wedge_row landing in the places of the wrong degree", ALGEBRA,
+           "degree_basis(holo, anti, k + 2)[1]", "degree_basis(holo, anti, k + 1)[1]"),
     Mutant("conjugate's sign dropped in the triple Hermitian check", METRICS,
            "a.y != -b.y", "a.y != b.y"),
     Mutant("one-sided dimension gate", METRICS,
            "if cs.n != h.n:", "if cs.n < h.n:"),
     Mutant("balanced without the positivity check", METRICS,
-           "    _require_positive(h)\n    _, f, df", "    _, f, df"),
+           "    _require_positive(h)\n    _, f, power", "    _, f, power"),
     Mutant("digit class widened to \\d", PARSER,
            'r"(-?)([0-9]*)(/?)([0-9]*)"', 'r"(-?)(\\d*)(/?)(\\d*)"'),
     Mutant("zero-denominator check dropped", PARSER,
