@@ -26,20 +26,24 @@ AMS 63 (1948): the transpose of the bracket, extended as a derivation), so
 where each constant lands depends only on the layout, the counts of
 holomorphic and antiholomorphic generators.  This module owns that layout
 and that Leibniz rule, each kept by layout and never per structure:
-:func:`degree_basis` orders the monomials of one total degree, and
-:func:`slot_start` is where each of its (p, k-p) slots starts;
-:func:`term_ids` gives each term of a generator's ``d`` one small integer per
-side (the factor ``w^j`` or ``wbar^j``), and :func:`leibniz_table` holds, per
-layout and degree, where each id lands in the matrix of ``d`` on that degree,
-as :func:`leibniz` computes it the first time the id is read.
-:mod:`nilcohom.model` adds the constants along those rows, and knows neither
-the masks nor how an id is made.  No term lands in degree 0 or in the top
-degree, so a structure builds neither from the table.  Next to it,
-:func:`wedge_row` maps a monomial of degree k and each 2-form monomial, both
-by their places in :func:`degree_basis`, to the place in degree k + 2 and the
-sign of their wedge, so :mod:`nilcohom.metrics` wedges integral columns as
-``apply`` returns them, with the sign rule of :func:`wedge_masks`.  No other
-module reads a mask or sums binomials into a slot's start.
+:func:`degree_basis` orders the monomials of one total degree, :func:`slots`
+gives the p of its (p, k-p) slots and :func:`slot_start` where each slot
+starts, which at p = k + 1 is the size of the degree; a term of a
+generator's ``d`` is keyed by its generator j, the place s of its 2-form
+monomial in :func:`degree_basis` and its side (the factor ``w^j``, or
+``wbar^j`` when there are conjugates), and :func:`leibniz_rows` holds one
+table per layout and term, ``{k: where the term lands in d on degree k}``,
+as :func:`leibniz` computes it the first time degree k is read.
+:mod:`nilcohom.model` adds the constants along those rows, and knows
+neither the masks nor the Leibniz rule.  No term lands in degree 0 or in
+the top degree, so a structure builds neither from its tables.  Next to
+them, :func:`wedge_row` maps a monomial of degree k and each 2-form
+monomial, both by their places in :func:`degree_basis`, to the place in
+degree k + 2 and the sign of their wedge, so :mod:`nilcohom.metrics` wedges
+integral columns as ``apply`` returns them, with the sign rule of
+:func:`wedge_masks`.  No other module reads a mask, enumerates monomials by
+``combinations`` or sums binomials, into a slot's start, a slot's range or
+a degree's size.
 
 Every operation here keeps that form without checking it; it is checked
 once, where monomials enter: by the parser and by the structure constructors
@@ -406,13 +410,6 @@ def basis(n: int, p: int, q: int) -> list[BasisElement]:
     ]
 
 
-def basis_dimension(n: int, p: int, q: int) -> int:
-    """dim of the (p, q) slot; zero outside the square 0..n x 0..n."""
-    if not (0 <= p <= n and 0 <= q <= n):
-        return 0
-    return comb(n, p) * comb(n, q)
-
-
 @cache
 def degree_basis(holo: int, anti: int, k: int) -> tuple[tuple[BasisElement, ...], dict]:
     """The monomials of total degree k over ``holo`` holomorphic and ``anti``
@@ -421,10 +418,15 @@ def degree_basis(holo: int, anti: int, k: int) -> tuple[tuple[BasisElement, ...]
     Its (p, k-p) slots go by ascending p, each in the lexicographic order of
     :func:`basis`; this order indexes the rows and columns of every ``d``.
     """
-    monomials = tuple(BasisElement(h, a) for p in range(max(0, k - anti), min(holo, k) + 1)
+    monomials = tuple(BasisElement(h, a) for p in slots(holo, anti, k)
                       for h in combinations(range(1, holo + 1), p)
                       for a in combinations(range(1, anti + 1), k - p))
     return monomials, {e: i for i, e in enumerate(monomials)}
+
+
+def slots(holo: int, anti: int, k: int) -> range:
+    """The p of every (p, k-p) slot of total degree k, ascending."""
+    return range(max(0, k - anti), min(holo, k) + 1)
 
 
 @cache
@@ -436,66 +438,56 @@ def slot_start(holo: int, anti: int, k: int, p: int) -> int:
     return sum(comb(holo, s) * comb(anti, k - s) for s in range(p))
 
 
-def term_ids(holo: int, anti: int, j: int, s: int) -> tuple[int, ...]:
-    """The ids in :func:`leibniz_table` of the term of ``d w^j`` on the 2-form
-    monomial with place ``s`` in :func:`degree_basis`: one for the factor
-    ``w^j`` and, when there are conjugates, one for the factor ``wbar^j``.
+class _LeibnizRows(dict):
+    """``{k: leibniz(holo, anti, k, j, s, bar)}`` of one layout and term,
+    each degree filled the first time it is read."""
 
-    A factor is numbered as in the layout, ``w^1 .. w^holo`` then
-    ``wbar^1 .. wbar^anti`` from 0, and its terms follow those of the
-    factors before it, one id per 2-form monomial."""
-    size = comb(holo + anti, 2)
-    return (s + size * (j - 1), s + size * (holo + j - 1)) if anti else (s + size * (j - 1),)
+    __slots__ = ("term",)
 
-
-class _LeibnizTable(dict):
-    """``{term id: leibniz(holo, anti, k, term id)}`` of one layout and degree,
-    each entry filled the first time it is read."""
-
-    __slots__ = ("layout",)
-
-    def __init__(self, holo: int, anti: int, k: int):
+    def __init__(self, *term):
         super().__init__()
-        self.layout = holo, anti, k
+        self.term = term
 
-    def __missing__(self, term: int) -> tuple:
-        rows = self[term] = leibniz(*self.layout, term)
+    def __missing__(self, k: int) -> tuple:
+        holo, anti, *key = self.term
+        rows = self[k] = leibniz(holo, anti, k, *key)
         return rows
 
 
 @cache
-def leibniz_table(holo: int, anti: int, k: int) -> dict:
-    """Where each term lands in d on degree k: ``table[term id]`` is
-    :func:`leibniz` of that id (see :func:`term_ids`).
+def leibniz_rows(holo: int, anti: int, j: int, s: int, bar: bool) -> dict:
+    """Where the term of ``d w^j`` on the 2-form monomial with place ``s`` in
+    :func:`degree_basis` lands in d on each degree: ``rows[k]`` is
+    :func:`leibniz` of that term, for the factor ``w^j``, or ``wbar^j`` if
+    ``bar``.
 
-    One table per layout and degree, shared by every structure of that
-    layout; an id's entry is computed the first time a structure reads it,
-    so no table is built whole."""
-    return _LeibnizTable(holo, anti, k)
+    One table per layout and term, shared by every structure of that layout
+    that holds the term; a degree's entry is computed the first time a
+    structure reads it, so no table is built whole."""
+    return _LeibnizRows(holo, anti, j, s, bar)
 
 
-def leibniz(holo: int, anti: int, k: int, term: int) -> tuple:
-    """Where the term with id ``term`` (see :func:`term_ids`), ``w^dh wbar^da``
-    of ``d w^j``, lands in d on degree k, as one flat tuple of ``(column, row,
-    sign)`` triples, indexed by :func:`degree_basis`.
+def leibniz(holo: int, anti: int, k: int, j: int, s: int, bar: bool) -> tuple:
+    """Where the term ``w^dh wbar^da`` of ``d w^j``, the 2-form monomial with
+    place ``s`` in :func:`degree_basis`, lands in d on degree k, on the
+    factor ``w^j`` or, if ``bar``, ``wbar^j``: one flat tuple of ``(column,
+    row, sign)`` triples, indexed by :func:`degree_basis`.
 
     By the graded Leibniz rule,
 
         d(x_0 /\\ .. /\\ x_m) = sum_i (-1)^i dx_i /\\ (x_0 /\\ .. x_i omitted .. /\\ x_m),
 
-    so the term reaches every column holding the factor ``w^j``; ``dx_i`` is
-    a 2-form and moves to the front without a sign.  For the id of the factor
-    ``wbar^j`` the term is read through its conjugate,
-    ``(-1)^(|dh| |da|) w^da wbar^dh``, whose coefficient the caller conjugates.
+    so the term reaches every column holding the factor; ``dx_i`` is a
+    2-form and moves to the front without a sign.  On the factor ``wbar^j``
+    the term is read through its conjugate,
+    ``(-1)^(|dh| |da|) w^da wbar^dh``, whose coefficient the caller
+    conjugates.
 
     Degree 0 and the top degree ``holo + anti`` get no triple from any term:
     the monomial 1 has no factor, and a 2-form wedged onto a monomial with
     one factor less than the top always repeats a factor.
     """
-    twos = degree_basis(holo, anti, 2)[0]
-    g, s = divmod(term, len(twos))
-    bar, (dh, da) = g >= holo, masks(twos[s])
-    j = g - holo + 1 if bar else g + 1
+    dh, da = masks(degree_basis(holo, anti, 2)[0][s])
     dh, da, sign = (da, dh, (-1) ** (dh.bit_count() * da.bit_count())) if bar else (dh, da, 1)
     bit, place, out = 1 << j, degree_basis(holo, anti, k + 1)[1], []
     for column, elem in enumerate(degree_basis(holo, anti, k)[0]):

@@ -1,10 +1,11 @@
-"""The classification catalog: cases, golden rows, samplers and curves.
+"""The classification catalog: cases, golden rows and curves.
 
 Every catalog case is one sub-case row of the six- or eight-dimensional
 classification tables: a real algebra, a complex-structure template, the
-region predicates of the sub-case, one interior sample binding, and the
-expected cohomology row (Bott-Chern numbers in table column order, Betti
-numbers, the non-Kaehlerianity degrees, the pluriclosed flag).  Golden data
+region predicates of the sub-case, one interior sample binding (the case's
+``binding``), and the expected cohomology row (Bott-Chern numbers in table
+column order, Betti numbers, the non-Kaehlerianity degrees, the pluriclosed
+flag).  Golden data
 lives in ``data/golden.txt`` and is loaded, never hard-coded: the engine
 recomputes every row and diffs.
 
@@ -280,11 +281,6 @@ def case_by_id(case_id: str) -> CatalogCase:
         if case.id == case_id:
             return case
     raise KeyError(f"no catalog case with id {case_id!r}")
-
-
-def sample(case_id: str) -> dict[str, Gaussian]:
-    """The stored interior sample of a sub-case region (validated at load)."""
-    return case_by_id(case_id).binding
 
 
 # ---------------------------------------------------------------------------

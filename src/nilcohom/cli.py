@@ -27,6 +27,7 @@ import sys
 from .algebra import BasisElement
 from .model import (
     ComplexStructure,
+    ComplexStructureTemplate,
     DifferentialSquareError,
     ModelError,
     NilpotencyError,
@@ -143,8 +144,24 @@ def _read(path: str) -> str:
         return fh.read()
 
 
+def _read_structure(path: str):
+    """The file's complex-structure template or, for text with no w that the
+    template parser rejects, its real algebra."""
+    text = _read(path)
+    try:
+        return parse_complex_structure(text)
+    except ParseError:
+        if "w" in text:
+            raise
+    return parse_real_algebra(text)
+
+
 def _load_structure(path: str, binding_text: str) -> ComplexStructure:
-    cs = instantiate(parse_complex_structure(_read(path)), parse_binding(binding_text))
+    structure, binding = _read_structure(path), parse_binding(binding_text)
+    if not isinstance(structure, ComplexStructureTemplate):
+        raise ModelError(f"{path} holds a real algebra (dim={structure.dim}), "
+                         "not a complex-structure template")
+    cs = instantiate(structure, binding)
     if not check_nilpotency(cs):
         raise NilpotencyError("the underlying real algebra is not nilpotent "
                               "(lower central series does not vanish)")
@@ -178,21 +195,12 @@ def _structure_from_args(args) -> ComplexStructure:
 # ---------------------------------------------------------------------------
 
 def _cmd_check(args) -> tuple[int, str]:
-    text = _read(args.file)
-    # read as a complex-structure template, the way `table` does; only text
-    # without any w that the template parser rejects is a real algebra
-    try:
-        template = parse_complex_structure(text)
-    except ParseError:
-        if "w" in text:
-            raise
-        template = None
-    lines = []
-    if template is not None:
-        lines.append(f"parsed complex-structure template (n={template.n})")
+    structure, lines = _read_structure(args.file), []
+    if isinstance(structure, ComplexStructureTemplate):
+        lines.append(f"parsed complex-structure template (n={structure.n})")
         lines.append("integrability shape: ok (only (2,0) and (1,1) terms)")
         try:
-            structure = instantiate(template, parse_binding(args.binding))
+            structure = instantiate(structure, parse_binding(args.binding))
         except DifferentialSquareError as exc:
             lines.append(str(exc.report))
             return EXIT_VALIDATION, "\n".join(lines)
@@ -202,7 +210,6 @@ def _cmd_check(args) -> tuple[int, str]:
         lines.append("d-square: ok")
         lines.append(f"underlying real algebra: dimension {2 * structure.n}")
     else:
-        structure = parse_real_algebra(text)
         binding = parse_binding(args.binding)
         lines.append(f"parsed real algebra (dim={structure.dim})")
         if binding:  # a real algebra has no parameters to bind

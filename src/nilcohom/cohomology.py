@@ -8,12 +8,13 @@ structure's ``matrix(k)``, ``L * d`` on total degree k (see
 :mod:`nilcohom.model`), whose rows and columns follow the basis of that
 degree given by :func:`nilcohom.algebra.degree_basis`: its (p,q) slots by
 ascending p, each in the fixed lexicographic order of
-:func:`nilcohom.algebra.basis`; where each slot starts depends on n alone,
-and only :func:`nilcohom.algebra.slot_start` computes it.  d on a (p,q)
-slot is the column slice at that slot; as ``d`` of a (p,q)-form has only
-(p,q+1) and (p+1,q) parts on an integrable structure, and the (p,q+1) rows
-come first, del and delbar are read off that slice's one elimination,
-never cut out of it: the pivots led in the
+:func:`nilcohom.algebra.basis`; which slots a degree has, where each starts
+and how large a degree is depend on n alone, and only
+:func:`nilcohom.algebra.slots` and :func:`nilcohom.algebra.slot_start`
+compute them.  d on a (p,q) slot is the column slice at that slot; as ``d``
+of a (p,q)-form has only (p,q+1) and (p+1,q) parts on an integrable
+structure, and the (p,q+1) rows come first, del and delbar are read off
+that slice's one elimination, never cut out of it: the pivots led in the
 (p+1,q) rows have no delbar part, so the other pivots carry a basis of im
 delbar in their rows before the cut (the first (p+1,q) row), and their
 remaining rows, resumed from the (p+1,q)-led pivots, span im del.
@@ -34,8 +35,9 @@ Entries are Gaussian-integer pairs ``(x, y)``, meaning ``x + y*i``: every
 matrix of a structure is ``L`` times the true one, where ``L`` is the lcm of
 the denominators of the structure constants.  ``L`` is one per structure,
 not per matrix or column, so that products stay true up to one factor:
-``del @ delbar`` is ``L**2`` times del delbar, and a product of consecutive
-degree matrices is ``L**2`` times ``d**2``.  No rank depends on ``L``.
+del applied to delbar's columns is ``L**2`` times del delbar, and a degree
+matrix applied to the columns of the one before is ``L**2`` times ``d**2``.
+No rank depends on ``L``.
 
 Every pointwise dimension is ``dim(p,q)`` (or nothing) plus signed ranks of
 five matrix kinds: ``del``, ``delbar``, ``dd`` (del delbar), ``stack`` (d on
@@ -68,10 +70,9 @@ Conventions, for a structure of complex dimension ``n``:
 from __future__ import annotations
 
 from functools import cache
-from math import comb
 from typing import NamedTuple
 
-from .algebra import basis_dimension, slot_start
+from .algebra import basis, slot_start, slots
 from .linalg import exact_rank
 from .model import ComplexStructure
 
@@ -79,11 +80,6 @@ from .model import ComplexStructure
 # ---------------------------------------------------------------------------
 # the differentials and their ranks
 # ---------------------------------------------------------------------------
-
-def _slots(n: int, k: int) -> range:
-    """The p of every (p, k-p) slot of total degree k, ascending."""
-    return range(max(0, k - n), min(n, k) + 1)
-
 
 # the ranks of one (p,q) step, in the order they take in the rank list; dd
 # only for q < n, where del delbar has a target
@@ -109,7 +105,7 @@ def _steps(n: int) -> tuple:
     ``i`` of the rank list: each step's ranks in ``_KINDS`` order, then
     ``("total", k)`` for every k.
     """
-    dim = [comb(2 * n, k) for k in range(2 * n + 3)]  # degree-k basis size, 0 past 2n
+    dim = [slot_start(n, n, k, k + 1) for k in range(2 * n + 3)]  # degree-k basis size, 0 past 2n
     span, steps, keys = range(n + 1), [], []
     for q in span:
         for p in span:
@@ -120,7 +116,8 @@ def _steps(n: int) -> tuple:
                           slot_start(n, n, k + 1, p + 1), dim[k], dim[k + 1], dd))
             keys += [(kind, p, q) for kind in _KINDS[:4 if dd is None else 5]]
     # (p,q) is step q(n+1) + p
-    totals = [(dim[k + 1], *((k - p) * (n + 1) + p for p in _slots(n, k))) for k in range(2 * n + 1)]
+    totals = [(dim[k + 1], *((k - p) * (n + 1) + p for p in slots(n, n, k)))
+              for k in range(2 * n + 1)]
     return steps, totals, keys + [("total", k) for k in range(2 * n + 1)]
 
 
@@ -240,7 +237,7 @@ class CohomologyTable(NamedTuple):
 
     def level(self, grid_name: str, k: int) -> int:
         grid = getattr(self, grid_name)
-        return sum(grid[p][k - p] for p in _slots(self.n, k))
+        return sum(grid[p][k - p] for p in slots(self.n, self.n, k))
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** k * b for k, b in enumerate(self.betti))
@@ -260,9 +257,9 @@ def _cells(n: int) -> tuple:
     Returns ``(grids, betti, delta)``: ``grids[grid_name][p][q]``,
     ``betti[k]`` and ``delta[k]`` are cells ``(base, ((coefficient, slot),
     ...))``, standing for ``base`` plus each coefficient times the rank in
-    its slot, where ``base`` is ``unit * dim(p,q)`` or ``C(2n, k)``.  A key
-    that :func:`_steps` does not emit, the rank of a map with no source or
-    target, is dropped here.  ``delta[k]`` is the Bott-Chern and Aeppli cells
+    its slot, where ``base`` is ``unit * dim(p,q)`` or ``C(2n, k)``, the size
+    of the (p,q) slot or of degree k.  A key that :func:`_steps` does not
+    emit, the rank of a map with no source or target, is dropped here.  ``delta[k]`` is the Bott-Chern and Aeppli cells
     of degree k minus twice the Betti cell.
     """
     span, slot = range(n + 1), {key: i for i, key in enumerate(_steps(n)[2])}
@@ -270,15 +267,14 @@ def _cells(n: int) -> tuple:
     def cell(base, terms):
         return base, tuple((sign, slot[key]) for sign, key in terms if key in slot)
 
-    grids = {grid_name: [[cell(unit * basis_dimension(n, p, q),
+    grids = {grid_name: [[cell(unit * len(basis(n, p, q)),
                                ((sign, (kind, p + dp, q + dq)) for sign, kind, dp, dq in terms))
                           for q in span] for p in span] for _, grid_name, unit, terms in THEORIES}
-    # the (p,q) blocks of total degree k together have dimension C(2n, k)
-    betti = [cell(comb(2 * n, k), ((-1, ("total", k)), (-1, ("total", k - 1))))
+    betti = [cell(slot_start(n, n, k, k + 1), ((-1, ("total", k)), (-1, ("total", k - 1))))
              for k in range(2 * n + 1)]
     delta = []
     for k, (base, terms) in enumerate(betti):  # Bott-Chern and Aeppli, less twice Betti
-        parts = [grids[name][p][k - p] for name in ("h_bc", "h_aeppli") for p in _slots(n, k)]
+        parts = [grids[name][p][k - p] for name in ("h_bc", "h_aeppli") for p in slots(n, n, k)]
         parts.append((-2 * base, tuple((-2 * s, i) for s, i in terms)))
         delta.append((sum(b for b, _ in parts), tuple(t for _, ts in parts for t in ts)))
     return grids, betti, delta
@@ -335,7 +331,7 @@ def differential_identities_ok(cs: ComplexStructure) -> bool:
     (p,q+2) and del delbar + delbar del in (p+1,q+1): distinct blocks, so each
     product of consecutive degree matrices is zero iff all three parts are.
     """
-    return all((cs.matrix(k + 1) @ cs.matrix(k)).is_zero() for k in range(2 * cs.n - 1))
+    return not any(any(cs.matrix(k + 1).apply(cs.matrix(k).columns)) for k in range(2 * cs.n - 1))
 
 
 __all__ = [

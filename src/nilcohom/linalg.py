@@ -1,9 +1,9 @@
 """Column-sparse exact matrices over the Gaussian integers and their rank.
 
 Ranks are the only linear-algebra output the cohomology tables need, so the
-module stays deliberately small: one matrix type with one product loop (for
-del delbar and the differential identities), and one deterministic exact
-elimination.
+module stays deliberately small: one matrix type with one product loop,
+``apply`` (for ``d``, del delbar, the differential identities and the metric
+tests), and one deterministic exact elimination.
 
 A vector is a column: a dict ``{row: (x, y)}`` of nonzero Gaussian integers
 ``x + y*i``.  A list of columns is the currency of the engine: ``exact_rank``
@@ -19,9 +19,9 @@ every step), so its pivots are the textbook step's, key for key and in order
 pivot dict of an earlier elimination on the same rows, or a subset of it, it
 resumes from it (the cohomology engine ranks blocks that share a target this
 way) and leaves the pivot columns in it, a basis of the column span (which
-is how the nilpotency check follows the lower central series).  ``vstack``
-and ``hstack`` have no caller in the package; the benchmark's trace still
-hooks them.
+is how the nilpotency check follows the lower central series).  ``vstack``,
+``hstack`` and ``@`` (``__matmul__``, ``apply`` on a whole matrix) have no
+caller in the package; the benchmark's trace still hooks them.
 
 A matrix is stored by columns: column ``j`` is the image of source basis
 vector ``j``.  That is how the engine produces a differential (one source

@@ -19,9 +19,9 @@ set of the canonical monomials it allows), ``check_d_squared``, equality, and
 holds ``d`` as ``L * d``: one integral :class:`~nilcohom.linalg.ExactMatrix`
 per total degree, where ``L`` is the lcm of the denominators of the structure
 constants.  A degree's matrix is built the first time it is needed: each
-scaled constant, held as ``(term id, L * x, +-L * y)`` once per side (``g^j``
-and ``gbar^j``), is added along the rows its id has in the layout's Leibniz
-table for that degree (:func:`nilcohom.algebra.leibniz_table`).  Degree 0 and
+scaled constant, held as ``(Leibniz table, L * x, +-L * y)`` once per side
+(``g^j`` and ``gbar^j``), is added along the rows that its term's table
+(:func:`nilcohom.algebra.leibniz_rows`) holds for that degree.  Degree 0 and
 the top degree are empty by structure and read no constant.  The ``d^2``
 check applies the matrix on 2-forms to the integral columns ``L * d g^j``,
 and reports each nonzero image column divided by ``L^2``, so building a
@@ -29,8 +29,9 @@ structure builds only that matrix, takes one product and calls no ``d``.
 ``d`` of a form applies ``matrix(k)`` to the form's degree-k part, one
 integral column per degree, and divides by ``L``, so that
 :meth:`~nilcohom.linalg.ExactMatrix.apply` is the package's one product loop;
-``_Differential._form`` is the one way back from an integral column to a
-form, for ``d``, the ``d^2`` report and :func:`nilcohom.metrics.ddbar_of`.
+``_Differential._column`` is the one way from a form's terms to an integral
+column, for the constants and for ``d``, and ``_Differential._form`` the one
+way back, for ``d``, the ``d^2`` report and :func:`nilcohom.metrics.ddbar_of`.
 The cohomology tables, the metrics, the Betti numbers and the nilpotency
 check all read these matrices.  Nilpotency follows the lower central series
 with the elimination of :mod:`linalg`, whose pivot columns span each term.
@@ -39,12 +40,10 @@ with the elimination of :mod:`linalg`, whose pivot columns span each term.
 from __future__ import annotations
 
 from functools import cache
-from itertools import combinations
-from math import comb, lcm
+from math import lcm
 from typing import NamedTuple
 
-from .algebra import (BasisElement, Form, Gaussian, ZERO, _reduced, degree_basis,
-                      leibniz_table, term_ids)
+from .algebra import Form, Gaussian, ZERO, _reduced, degree_basis, leibniz_rows
 from .linalg import ExactMatrix, exact_rank
 
 
@@ -89,10 +88,9 @@ class DifferentialSquareError(ModelError):
 
 @cache
 def _allowed(n: int, bidegrees) -> frozenset:
-    """The canonical monomials over n generators of the given bidegrees."""
-    return frozenset(BasisElement(holo, anti) for p, q in bidegrees
-                     for holo in combinations(range(1, n + 1), p)
-                     for anti in combinations(range(1, n + 1), q))
+    """The canonical 2-form monomials over n generators and their n
+    conjugates of the given bidegrees."""
+    return frozenset(e for e in degree_basis(n, n, 2)[0] if e.bidegree in bidegrees)
 
 
 def _check_terms(entries, n: int, bidegrees, error, label: str) -> None:
@@ -153,27 +151,25 @@ class _Differential:
     coefficient 1, so each entry of ``d`` on it sums constants or their
     conjugates, and ``L * d`` is integral.
 
-    Each constant is held once per side, as ``(term id, L * x, +-L * y)``:
-    the id (:func:`~nilcohom.algebra.term_ids`) of its term on the factor
-    ``g^j``, and on ``gbar^j`` when there are conjugates, whose ``d`` is the
-    conjugate of ``d g^j``.  A build reads each id's triples from the
-    layout's table for that degree (:func:`~nilcohom.algebra.leibniz_table`)
-    and adds the constant along them.  Degree 0 and the top degree are empty
-    by structure, so their build reads no constant; degree ``top - 1`` is
-    built, as its zeros are a property of the constants (unimodularity).
+    Each constant is held once per side, as ``(Leibniz table, L * x, +-L *
+    y)``: the table (:func:`~nilcohom.algebra.leibniz_rows`) of its term on
+    the factor ``g^j``, and on ``gbar^j`` when there are conjugates, whose
+    ``d`` is the conjugate of ``d g^j``.  A build of degree k reads each
+    table's triples for k and adds the constant along them.  Degree 0 and
+    the top degree are empty by structure, so their build reads no
+    constant; degree ``top - 1`` is built, as its zeros are a property of
+    the constants (unimodularity).
     """
 
     def __init__(self, holo: int, anti: int, forms: list[Form]):
         self._layout, self.forms = (holo, anti), list(forms)
         scale = self._scale = lcm(*(c.den for f in forms for c in f.terms.values()))
-        place = degree_basis(holo, anti, 2)[1]
         # L * d g^j for every generator, an integral column over the 2-forms
-        self._columns = [{place[e]: (c.x * (scale // c.den), c.y * (scale // c.den))
-                          for e, c in f.terms.items()} for f in forms]
-        self._terms = [(t, x, -y if bar else y)
+        self._columns = [self._column(2, f.terms.items(), scale) for f in forms]
+        self._terms = [(leibniz_rows(holo, anti, j, s, bar), x, -y if bar else y)
                        for j, column in enumerate(self._columns, start=1)
                        for s, (x, y) in column.items()
-                       for bar, t in enumerate(term_ids(holo, anti, j, s))]
+                       for bar in ((False, True) if anti else (False,))]
         self._matrices = {}
 
     def matrix(self, k: int) -> ExactMatrix:
@@ -184,9 +180,9 @@ class _Differential:
             m = ExactMatrix(rows, cols)
             if 0 < k < holo + anti:
                 # its columns are filled here, before any caller sees it
-                table, columns = leibniz_table(holo, anti, k), m.columns
-                for t, x, y in self._terms:
-                    entries = iter(table[t])
+                columns = m.columns
+                for table, x, y in self._terms:
+                    entries = iter(table[k])
                     for c, row, sign in zip(entries, entries, entries):
                         a, b = columns[c].pop(row, (0, 0))
                         a, b = a + sign * x, b + sign * y
@@ -199,19 +195,26 @@ class _Differential:
         """d of a form: ``matrix(k)`` applied to its degree-k part, for each
         degree k of ``f`` (which may mix degrees), and divided by ``L``.
 
-        Each part is one integral column, ``den`` times the part, where
-        ``den`` is the lcm of the denominators of ``f``'s coefficients; its
-        image's rows become degree k + 1 monomials only in the result."""
+        Each part is one integral column (:meth:`_column`), ``den`` times
+        the part, where ``den`` is the lcm of the denominators of ``f``'s
+        coefficients; its image's rows become degree k + 1 monomials only in
+        the result."""
         den, parts = lcm(*(c.den for c in f.terms.values())), {}
         for elem, c in f.terms.items():
             parts.setdefault(len(elem.holo) + len(elem.anti), []).append((elem, c))
         terms = []
         for k, part in parts.items():
-            place = degree_basis(*self._layout, k)[1]
-            column = {place[e]: (c.x * (den // c.den), c.y * (den // c.den)) for e, c in part}
-            (image,) = self.matrix(k).apply([column])
+            (image,) = self.matrix(k).apply([self._column(k, part, den)])
             terms += self._form(k + 1, image, den * self._scale).terms.items()
         return Form(terms)
+
+    def _column(self, k: int, terms, den: int) -> dict:
+        """The integral column, in :func:`~nilcohom.algebra.degree_basis`
+        order, of ``den`` times the form of degree k with ``terms``, pairs of
+        a monomial and a coefficient whose denominator divides ``den``: the
+        one way from a form to a column, and :meth:`_form` the way back."""
+        place = degree_basis(*self._layout, k)[1]
+        return {place[e]: (c.x * (den // c.den), c.y * (den // c.den)) for e, c in terms}
 
     def _form(self, k: int, column: dict, den: int) -> Form:
         """The form of degree k whose coefficients are the integral column
@@ -301,13 +304,15 @@ class RealAlgebra(_Differential):
 
         ``d_k`` is real ``d`` on ``basis(dim, k, 0)``: the Chevalley-Eilenberg
         complex, whose cohomology is that of the nilmanifold (Nomizu).  Its
-        matrices come from the same Leibniz table as a complex structure's,
+        matrices come from the same Leibniz tables as a complex structure's,
         but it shares no matrix with the bigraded engine of
-        :mod:`nilcohom.cohomology`.
+        :mod:`nilcohom.cohomology`; ``C(dim, k)`` is the column count of
+        ``d_k``, and ``d_dim`` has no rows.
         """
+        matrices = [self.matrix(k) for k in range(self.dim + 1)]
         # ranks[k]: the rank of d_(k-1)
-        ranks = [0, *(exact_rank(m.rows, m.columns) for m in map(self.matrix, range(self.dim))), 0]
-        return [comb(self.dim, k) - ranks[k + 1] - ranks[k] for k in range(self.dim + 1)]
+        ranks = [0, *(exact_rank(m.rows, m.columns) for m in matrices)]
+        return [m.cols - ranks[k + 1] - ranks[k] for k, m in enumerate(matrices)]
 
     def __repr__(self) -> str:
         return f"RealAlgebra(dim={self.dim})"
@@ -382,11 +387,9 @@ class ComplexStructure(_Differential):
         if not report.ok:
             raise DifferentialSquareError(report)
 
-    # defined here, not only inherited, so that the class's own namespace
+    # bound here, not only inherited, so that the class's own namespace
     # holds it: the benchmark's trace wraps methods there
-    def d(self, f: Form) -> Form:
-        """Full exterior differential d = del + delbar on any invariant form."""
-        return _Differential.d(self, f)
+    d = _Differential.d
 
     def __repr__(self) -> str:
         return f"ComplexStructure(n={self.n})"

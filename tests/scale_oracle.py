@@ -11,9 +11,9 @@ structure, shows as a difference.  :func:`d_block` cuts one bidegree block
 out of the engine's ``d`` at offsets counted here.
 """
 
-from math import lcm
+from math import comb, lcm
 
-from nilcohom.algebra import Form, Gaussian, ZERO, basis, basis_dimension
+from nilcohom.algebra import Form, Gaussian, ZERO, basis
 from nilcohom.linalg import ExactMatrix
 
 from d_oracle import oracle_cs_d
@@ -40,15 +40,18 @@ def d_block(d: list, n: int, source: tuple, target: tuple) -> ExactMatrix:
 
     The degree bases run slot by slot by ascending p, so the offset of slot
     (p, q) is the dimension of the slots before it, summed here from
-    ``basis_dimension``.  The rows are renumbered from 0.
+    binomials, not from the package's sizes.  The rows are renumbered from 0.
     """
+    def size(p, q):
+        return comb(n, p) * comb(n, q)  # 0 past n, as comb is
+
     def offset(p, q):
-        return sum(basis_dimension(n, s, p + q - s) for s in range(p))
+        return sum(size(s, p + q - s) for s in range(p))
 
     (p, q), (tp, tq) = source, target
-    first, rows = offset(tp, tq), basis_dimension(n, tp, tq)
+    first, rows = offset(tp, tq), size(tp, tq)
     left = offset(p, q)
-    columns = d[p + q].columns[left:left + basis_dimension(n, p, q)]
+    columns = d[p + q].columns[left:left + size(p, q)]
     return ExactMatrix(rows, len(columns), [
         {r - first: e for r, e in col.items() if first <= r < first + rows} for col in columns])
 

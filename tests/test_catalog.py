@@ -50,11 +50,11 @@ def test_s_invariant_values():
 
 
 def test_sample_returns_stored_binding():
-    b = cat.sample("09c")
+    b = cat.case_by_id("09c").binding
     assert b["lambda"] == parse_gaussian("0")
     assert b["D"] == parse_gaussian("1/2")
-    assert cat.sample("02a")["D"] == parse_gaussian("2+i")
-    assert cat.sample("00") == {}
+    assert cat.case_by_id("02a").binding["D"] == parse_gaussian("2+i")
+    assert cat.case_by_id("00").binding == {}
 
 
 def test_every_sample_satisfies_its_predicates(all_cases):

@@ -75,7 +75,7 @@ def test_check_reads_ten_zero_entries_as_a_real_algebra(capsys, tmp_path):
     code, out, _ = run(capsys, "check", str(path))
     assert code == 0 and out.startswith("parsed real algebra (dim=10)")
     code, _, err = run(capsys, "table", str(path))
-    assert code == 1 and "column 20" in err
+    assert code == 2 and "holds a real algebra (dim=10)" in err
 
 
 def test_check_non_jacobi_input(capsys, tmp_path):
@@ -235,6 +235,19 @@ def test_table_and_skt_reject_a_non_nilpotent_structure_without_conjugates(capsy
     path.write_text("(w12, 0)\n", encoding="ascii")
     for command in ("table", "skt"):
         assert run(capsys, command, str(path)) == (2, "", NOT_NILPOTENT)
+
+
+@pytest.mark.parametrize("command", ["table", "skt"])
+@pytest.mark.parametrize("text, dim", [("(0,0,0,0,13+42,14+23)", 6), ("(0,0,12,34)", 4),
+                                       ("(" + ",".join("0" * 10) + ")", 10)])
+def test_table_and_skt_refuse_a_real_algebra(capsys, tmp_path, command, text, dim):
+    # a file that check reads as a real algebra is named as one, not
+    # misread as a malformed template; d^2 fails on (0,0,12,34)
+    path = tmp_path / "real.txt"
+    path.write_text(text + "\n", encoding="ascii")
+    assert run(capsys, command, str(path)) == (2, "", (
+        f"validation error: {path} holds a real algebra (dim={dim}), "
+        "not a complex-structure template\n"))
 
 
 def test_table_with_binding(capsys, tmp_path):

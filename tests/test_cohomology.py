@@ -6,8 +6,8 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nilcohom import cohomology as co, model
-from nilcohom.algebra import BasisElement, Form, Gaussian, ONE, ZERO, degree_basis, leibniz_table
+from nilcohom import algebra, cohomology as co, model
+from nilcohom.algebra import BasisElement, Form, Gaussian, ONE, ZERO, degree_basis
 from nilcohom.linalg import exact_rank
 from nilcohom.model import ComplexStructure, instantiate
 from nilcohom.parser import parse_binding, parse_complex_structure
@@ -75,8 +75,9 @@ def test_full_table_calls_no_d_and_builds_each_degree_once(monkeypatch):
     first = co.full_table(cs)
     # degrees 0 and 2n are empty by structure and read no entry
     assert Counter(fills) == {k: per_degree for k in range(1, 2 * cs.n) if k != 2}
-    # in fresh tables again, a degree built twice would fill its entries anew
-    leibniz_table.cache_clear()
+    # in emptied tables again, a degree built twice would fill its entries anew
+    for rows, _, _ in cs._terms:
+        rows.clear()
     fills.clear()
     assert co.full_table(cs) == first and co.differential_identities_ok(cs)
     assert fills == []
@@ -113,7 +114,7 @@ def test_full_table_eliminates_each_slot_of_d_once(monkeypatch, structures):
         slots = []
         for k in range(2 * n + 1):
             d = cs.matrix(k)
-            for p in co._slots(n, k):
+            for p in algebra.slots(n, n, k):
                 lo, hi = bounds[p, k]
                 # the step's slice is exactly the (p, k-p) columns of degree k
                 assert [i for i, e in enumerate(degree_basis(n, n, k)[0])

@@ -89,3 +89,20 @@ def test_every_public_name_resolves_to_its_defining_module():
         assert value is getattr(sys.modules[value.__module__], name)
     with pytest.raises(AttributeError, match="no attribute 'cohomology_table'"):
         nilcohom.cohomology_table  # noqa: B018
+
+
+def test_only_algebra_counts_monomials_and_only_linalg_multiplies_matrices():
+    # algebra owns the layout: slot ranges, slot starts and sizes come from
+    # it, so no other module imports a binomial or a subset enumerator; and
+    # every product goes through ExactMatrix.apply, so only linalg uses @
+    counting, counters, products = {"comb", "combinations"}, [], []
+    for path in sorted((SRC / "nilcohom").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = {getattr(node, "attr", None)}  # math.comb
+            if isinstance(node, (ast.Import, ast.ImportFrom)):  # from math import comb
+                names.update(alias.name for alias in node.names)
+            if path.stem != "algebra" and names & counting:
+                counters.append((path.stem, node.lineno))
+            if isinstance(getattr(node, "op", None), ast.MatMult) and path.stem != "linalg":
+                products.append((path.stem, node.lineno))
+    assert counters == [] and products == []

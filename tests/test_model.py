@@ -9,7 +9,7 @@ from hypothesis import given, reject, settings, strategies as st
 
 from d_oracle import oracle_conjugate, oracle_cs_d, oracle_d
 from nilcohom.algebra import (BasisElement, Form, Gaussian, I, ONE, basis, element, leibniz,
-                              leibniz_table, masks)
+                              leibniz_rows, masks)
 from nilcohom.cohomology import THEORIES, full_table
 from nilcohom.linalg import ExactMatrix
 from nilcohom.model import (
@@ -521,12 +521,12 @@ def count_table_fills(monkeypatch) -> list:
     tables, so that no entry an earlier test filled goes uncounted."""
     fills = []
 
-    def counted(holo, anti, k, term):
+    def counted(holo, anti, k, j, s, bar):
         fills.append(k)
-        return leibniz(holo, anti, k, term)
+        return leibniz(holo, anti, k, j, s, bar)
 
     monkeypatch.setattr("nilcohom.algebra.leibniz", counted)
-    leibniz_table.cache_clear()
+    leibniz_rows.cache_clear()
     return fills
 
 

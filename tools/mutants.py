@@ -67,11 +67,16 @@ MUTANTS = [
            "-sign if (odd ^ i) & 1 else sign", "-sign if odd else sign"),
     Mutant("conjugation sign in leibniz", ALGEBRA,
            "(-1) ** (dh.bit_count() * da.bit_count())", "1"),
-    Mutant("conjugate side's term ids offset by one generator too few", ALGEBRA,
-           "s + size * (holo + j - 1)", "s + size * (holo + j - 2)"),
+    Mutant("conjugate side's term keyed by one generator too few", MODEL,
+           "leibniz_rows(holo, anti, j, s, bar)", "leibniz_rows(holo, anti, j - bar, s, bar)"),
+    Mutant("a term table that ignores its side", ALGEBRA,
+           "return _LeibnizRows(holo, anti, j, s, bar)",
+           "return _LeibnizRows(holo, anti, j, s, False)"),
     Mutant("degree-basis slot order against the slot starts of _steps", ALGEBRA,
-           "for p in range(max(0, k - anti), min(holo, k) + 1)",
-           "for p in reversed(range(max(0, k - anti), min(holo, k) + 1))"),
+           "for p in slots(holo, anti, k)", "for p in reversed(slots(holo, anti, k))"),
+    Mutant("low end of the slots one too high", ALGEBRA,
+           "return range(max(0, k - anti), min(holo, k) + 1)",
+           "return range(max(0, k - anti) + 1, min(holo, k) + 1)"),
     Mutant("Gaussian product", ALGEBRA,
            "return _reduced(a * c - b * e, a * e + b * c, self.den * o.den)",
            "return _reduced(a * c + b * e, a * e + b * c, self.den * o.den)"),
@@ -114,16 +119,16 @@ MUTANTS = [
     Mutant("wbar generators numbered from 1, not after the w's", MODEL,
            "holo + b for b in e.anti", "b for b in e.anti"),
     Mutant("allowed set built over n + 1 generators", MODEL,
-           "combinations(range(1, n + 1), p)\n                     for anti in combinations(range(1, n + 1), q))",
-           "combinations(range(1, n + 2), p)\n                     for anti in combinations(range(1, n + 2), q))"),
+           "degree_basis(n, n, 2)[0] if", "degree_basis(n + 1, n + 1, 2)[0] if"),
     Mutant("bidegree test dropped from the gate", MODEL,
            "if elem.bidegree not in bidegrees:", "if False:"),
     Mutant("e and w residual labels swapped", MODEL,
            '"w" if structure._layout[1] else "e"', '"e" if structure._layout[1] else "w"'),
     Mutant("equality without the kind", MODEL,
            "type(other) is type(self) and ", ""),
-    Mutant("constants cleared one by one, not by L", MODEL,
-           "c.x * (scale // c.den), c.y * (scale // c.den))", "c.x, c.y)"),
+    Mutant("constants cleared per generator, not by one L", MODEL,
+           "self._column(2, f.terms.items(), scale)",
+           "self._column(2, f.terms.items(), lcm(*(c.den for c in f.terms.values())))"),
     Mutant("degree 0 built through the constant loop", MODEL,
            "if 0 < k < holo + anti:", "if 0 <= k < holo + anti:"),
     Mutant("degree 1 skipped as if empty", MODEL,
@@ -133,7 +138,7 @@ MUTANTS = [
     Mutant("degree below the top skipped as if empty", MODEL,
            "if 0 < k < holo + anti:", "if 0 < k < holo + anti - 1:"),
     Mutant("conjugate side's constant not conjugated", MODEL,
-           "(t, x, -y if bar else y)", "(t, x, y)"),
+           "x, -y if bar else y)", "x, y)"),
     Mutant("d^2 image column read for the wrong generator", MODEL,
            "apply(structure._columns), start=1)", "apply(structure._columns)[::-1], start=1)"),
     Mutant("d^2 report divided by L, not L^2", MODEL,
@@ -146,6 +151,10 @@ MUTANTS = [
            "place = degree_basis(*self._layout, k)[1]", "place = degree_basis(*self._layout, k + 1)[1]"),
     Mutant("d column not rescaled to the form's common denominator", MODEL,
            "(c.x * (den // c.den), c.y * (den // c.den))", "(c.x, c.y)"),
+    Mutant("column scaled by den, not by den over each denominator", MODEL,
+           "(c.x * (den // c.den), c.y * (den // c.den))", "(c.x * den, c.y * den)"),
+    Mutant("Betti size read from the row count", MODEL,
+           "m.cols - ranks[k + 1]", "m.rows - ranks[k + 1]"),
     Mutant("delbar-part row filter off by one", COHOMOLOGY,
            "(head if r < cut else tail)[r] = e", "(head if r <= cut else tail)[r] = e"),
     Mutant("d column slot offsets", ALGEBRA,
