@@ -16,22 +16,25 @@ So ``abs(B)`` is ``absB``, ``abs(B-1)`` is ``absBm1`` and ``abs(B-1/2+2i)`` is
 
 The lexical grammar is one table of compiled patterns at the top of this
 module (whitespace, identifiers, digits and rationals, the index digit, the
-imaginary unit), and the scanner reads every token by matching one of them
-at its position.  Digits are ASCII ``0-9`` only: a superscript or an
-Arabic-Indic digit is a parse error, never a number.  Both grammars share one
-loop for ``( entry , ... )`` and one for ``term (+|-) term ...``, and the
-catalog's predicate language reads its tokens and sums through the same
-table and loop; the sign of a two-index term such as ``21`` or ``w21`` is
-that of :func:`nilcohom.algebra.wedge_elements`, looked up in a table of all
-162 pairs.
+imaginary unit).  Digits are ASCII ``0-9`` only: a superscript or an
+Arabic-Indic digit is a parse error, never a number.  Two readers use it.
 
-A template term whose coefficient is a literal or a plain parameter name,
-such as ``3/37+17/111i*w1~2``, ``D*w2~2`` or a bare ``w12``, is read with
-one match of ``_TERM``, a pattern composed from the table's pieces, and a
-literal coefficient is built from the match's integers as one reduced
-triple.  ``conj(B)*`` and ``abs(B-1)*`` are read by the scanner, and so is
-every term that does not parse: the scanner alone raises, so each error
-keeps its message and position.
+The scanner matches one token of the table at a time.  Both grammars share
+one scanner loop for ``( entry , ... )`` and one for ``term (+|-) term ...``,
+and the catalog's predicate language reads its tokens and sums through the
+same table and loop; the sign of a two-index term such as ``21`` or ``w21``
+is that of :func:`nilcohom.algebra.wedge_elements`, looked up in a table of
+all 162 pairs.
+
+Templates and bindings are read first by patterns composed from the table's
+pieces: one match of ``_ITEM`` per template term or zero entry, separator
+included (``3/37+17/111i*w1~2,``, ``D*w2~2+``, ``w12)``, ``0,``), and one
+match of ``_ASSIGNMENT`` per binding ``name = literal``.  One builder makes
+a reduced triple of a literal's integers for both.  This reader returns
+what the scanner would, positions included, or declines: on ``conj(B)*``
+and ``abs(B-1)*``, which the scanner reads, and on every text that does not
+parse, so that the scanner alone raises and each error keeps its message
+and position.
 
 Errors carry 1-based line/column positions pointing inside the offending
 token.
@@ -46,7 +49,8 @@ from .algebra import BasisElement, Form, Gaussian, ONE, _reduced, wedge_elements
 from .model import ComplexStructureTemplate, Lit, Mod, Param, RealAlgebra
 
 # The lexical grammar, ASCII only: the scanner reads each token by matching
-# one of these patterns at its position.  Punctuation is read as literal text.
+# one of these patterns at its position, and the readers' patterns below are
+# composed from them.  Punctuation is read as literal text.
 _WS = re.compile(r"[ \t\r\n]*")
 _IDENT = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 _DIGITS = re.compile(r"[0-9]+")
@@ -60,14 +64,26 @@ _SIGN = re.compile(r"[+-]")
 _ZERO = re.compile(r"0(?![0-9])")  # a zero entry, not the start of a literal
 _W_TERM = re.compile(r"w[0-9]")  # a term with no coefficient
 _COMPARATOR = re.compile(r"!=|<=|>=|=|<|>")
-# a whole term ``[coeff *] w a [~] b``, from the pieces above; its coefficient
-# is a plain name that is not a w-term, or a literal in eight groups: 'i', or a
-# rational then 'i' or a signed tail '(+|-) rational? i'
-_TERM = re.compile(
-    r"(?:(?:({i})|(-?)({d})(?:/({d}))?{s}(?:({i})|({sign}){s}(?:({d})(?:/({d}))?)?{s}{i})?"
-    r"|((?!{w}){name})){s}\*{s})?w({x}~?{x})".format(
-        i=_I.pattern, d=_DIGITS.pattern, s=_WS.pattern, sign=_SIGN.pattern, w=_W_TERM.pattern,
+_DENOMINATOR = re.compile(r"0*[1-9][0-9]*")  # positive: the scanner reports a zero one
+# a Gaussian literal in eight groups, built by _gaussian: 'i', or a rational
+# then 'i' or a signed tail '(+|-) rational? i'
+_GAUSSIAN = (r"(?:({i})|(-?)({d})(?:/({q}))?{s}(?:({i})|({sign}){s}(?:({d})(?:/({q}))?)?{s}{i})?)"
+             .format(i=_I.pattern, d=_DIGITS.pattern, q=_DENOMINATOR.pattern, s=_WS.pattern,
+                     sign=_SIGN.pattern))
+# one step of the template reader, at the start of an entry or after a sign:
+# a zero entry, or a whole term ``[coeff *] w a [~] b``, then the separator
+# after it.  The coefficient, absent from a bare w-term, is a literal or a
+# plain name that is not a w-term.  A zero is never backtracked into a
+# literal: '0/7*w12' is not a term here.
+_ITEM = re.compile(
+    r"(?:{zero}(?={s}[,)])|(?!{zero})(?:({lit}|((?!{w}){name})){s}\*{s})?w({x}~?{x}))"
+    r"{s}([-+,)]){s}".format(
+        zero=_ZERO.pattern, lit=_GAUSSIAN, s=_WS.pattern, w=_W_TERM.pattern,
         name=_IDENT.pattern, x=_INDEX.pattern))
+_OPEN = re.compile(r"{s}\({s}".format(s=_WS.pattern))
+# one step of the binding reader: ``name = literal``, then ';' or the end
+_ASSIGNMENT = re.compile(r"{s}({name}){s}={s}{lit}{s}(?:;{s}|\Z)".format(
+    s=_WS.pattern, name=_IDENT.pattern, lit=_GAUSSIAN))
 
 
 class ParseError(Exception):
@@ -226,6 +242,7 @@ def _parse_sum(sc: _Scanner, parse_term) -> list:
 _PAIRS = {f"{a}{bar}{b}": wedge_elements(BasisElement((a,), ()),
                                          BasisElement((), (b,)) if bar else BasisElement((b,), ()))
           for a in range(1, 10) for b in range(1, 10) for bar in ("", "~")}
+_UNIT = Lit(ONE)  # the coefficient of a bare w-term
 
 
 def _parse_pair(sc: _Scanner, conjugable: bool) -> tuple[BasisElement, int]:
@@ -271,11 +288,11 @@ def _parse_real_entry(sc: _Scanner) -> list:
 # ---------------------------------------------------------------------------
 
 def parse_complex_structure(src: str) -> ComplexStructureTemplate:
-    sc = _Scanner(src)
-    raw_entries = _parse_tuple(sc, _parse_cform)
+    # the reader declines conj(..), abs(..) and every error
+    raw_entries = _read_entries(src) or _parse_tuple(_Scanner(src), _parse_cform)
     n = len(raw_entries)
     if n > 9:  # no term can name a tenth generator, and the table grows like 4^n
-        sc.error("too many entries: generators are numbered 1-9", raw_entries[9][0])
+        _Scanner(src).error("too many entries: generators are numbered 1-9", raw_entries[9][0])
     params: list[str] = []
     moduli: dict[str, Mod] = {}
     entries = []
@@ -283,7 +300,7 @@ def parse_complex_structure(src: str) -> ComplexStructureTemplate:
         out = []
         for sign, pos, (coeff, (elem, orient)) in terms:
             if max(elem.holo + elem.anti) > n:
-                sc.error(f"index out of range for complex dimension {n}", pos)
+                _Scanner(src).error(f"index out of range for complex dimension {n}", pos)
             if sign * orient < 0:
                 coeff = _negate_expr(coeff)
             if isinstance(coeff, Param) and coeff.name not in params:
@@ -291,7 +308,7 @@ def parse_complex_structure(src: str) -> ComplexStructureTemplate:
             if isinstance(coeff, Mod):
                 mod = coeff._replace(negated=False)
                 if moduli.setdefault(mod.name, mod) != mod:
-                    sc.error(f"conflicting declarations of {mod.name}", pos)
+                    _Scanner(src).error(f"conflicting declarations of {mod.name}", pos)
                 if mod.param not in params:
                     params.append(mod.param)
             out.append((coeff, elem))
@@ -307,6 +324,45 @@ def _negate_expr(expr):
     return expr._replace(negated=not expr.negated)
 
 
+def _read_entries(src: str) -> list | None:
+    """What ``_parse_tuple(sc, _parse_cform)`` returns for ``src``, read with
+    one match of ``_ITEM`` per term or zero entry; None where the scanner
+    must read (``conj(..)``, ``abs(..)``) or report."""
+    m = _OPEN.match(src)
+    if m is None:
+        return None
+    pos, entries, terms, sign = m.end(), [], None, 1
+    while (m := _ITEM.match(src, pos)) is not None:
+        coeff, *literal, name, pair, sep = m.groups()
+        if terms is None:  # an entry starts here
+            terms = []
+            entries.append((pos, terms))
+        merged = _PAIRS.get(pair)  # None for a zero entry and for a repeated index
+        if merged is not None:  # its coefficient: a name, a literal, or a bare w-term's 1
+            coeff = Param(name) if name else Lit(_gaussian(*literal)) if coeff else _UNIT
+            terms.append((sign, pos, (coeff, merged)))
+        elif pair or terms:  # a repeated index, or a zero entry after a sign
+            return None
+        pos = m.end()
+        if sep == ")":
+            return entries if pos == len(src) else None
+        if sep == ",":
+            terms, sign = None, 1
+        else:
+            sign = -1 if sep == "-" else 1
+    return None
+
+
+def _gaussian(unit, minus, num, den, imag, sign, mag, mag_den) -> Gaussian:
+    """The literal that the eight groups of ``_GAUSSIAN`` spell."""
+    # an absent numerator or denominator is 1
+    x, d = (-1 if minus else 1) * int(num or 1), int(den or 1)
+    y, e = ((-1 if sign == "-" else 1) * int(mag or 1), int(mag_den or 1)) if sign else (0, 1)
+    if unit or imag:
+        (x, d), (y, e) = (0, 1), (x, d)
+    return _reduced(x * e, y * d, d * e)
+
+
 def _parse_cform(sc: _Scanner) -> list:
     """One entry as ``[(position, terms)]``; a zero entry has no terms."""
     sc.skip_ws()
@@ -316,62 +372,38 @@ def _parse_cform(sc: _Scanner) -> list:
     return [(start, _parse_sum(sc, _parse_cterm))]
 
 
-def _parse_cterm(sc: _Scanner) -> tuple:
-    """``[coeff *] w-term``: a literal or plain-name coefficient and its w-term
-    in one match of ``_TERM``; ``conj(..)``, ``abs(..)`` and every error
-    through the scanner."""
-    m = _TERM.match(sc.text, sc.pos)
-    if m is not None:
-        unit, minus, num, den, imag, sign, mag, mag_den, name, pair = m.groups()
-        (x, d), (y, e) = _ratio(minus, num, den), _ratio(sign, mag, mag_den) if sign else (0, 1)
-        if unit or imag:
-            (x, d), (y, e) = (0, 1), (x, d)
-        if d and e and _PAIRS[pair]:  # else the scanner reports the zero or the repeat
-            sc.pos = m.end()
-            return (Param(name) if name else Lit(_reduced(x * e, y * d, d * e))), _PAIRS[pair]
-    return _parse_cterm_coeff(sc), _parse_wfactor(sc)
-
-
-def _ratio(sign: str | None, num: str | None, den: str | None) -> tuple[int, int]:
-    """The numerator and denominator that a match spells; an absent number is 1."""
-    return (-1 if sign == "-" else 1) * int(num or 1), int(den or 1)
-
-
 # a shift's literal in a modulus name: '/', '+', '-' are spelt '_', 'p', 'm'
 _SPELLING = str.maketrans("/+-", "_pm")
 
 
-def _parse_cterm_coeff(sc: _Scanner):
-    """The optional ``coeff *`` prefix of a term; defaults to the literal 1."""
+def _parse_cterm(sc: _Scanner) -> tuple:
+    """``[coeff *] w-term``: the coefficient, the literal 1 if there is none,
+    and the w-term's monomial and reordering sign."""
     sc.skip_ws()
-    if sc.at(_W_TERM):
-        return Lit(ONE)
-    if sc.at(_LITERAL):
-        coeff = Lit(sc.scan_gaussian())
-    else:
-        word = sc.scan(_IDENT, "expected a coefficient or a w-term")
-        if word == "conj" and sc.accept("("):
-            name, _ = sc.scan_ident()
-            sc.expect(")")
-            coeff = Param(name, conjugated=True)
-        elif word == "abs" and sc.accept("("):
-            name, _ = sc.scan_ident()
-            shift = Gaussian.of(0)
-            if sc.match("-"):
-                shift = sc.scan_gaussian()
-            sc.expect(")")
-            mod_name = "abs" + name + ("m" + str(shift).translate(_SPELLING) if shift else "")
-            coeff = Mod(mod_name, name, shift)
+    coeff = _UNIT
+    if not sc.at(_W_TERM):
+        if sc.at(_LITERAL):
+            coeff = Lit(sc.scan_gaussian())
         else:
-            coeff = Param(word)
-    sc.expect("*")
-    return coeff
-
-
-def _parse_wfactor(sc: _Scanner) -> tuple[BasisElement, int]:
+            word = sc.scan(_IDENT, "expected a coefficient or a w-term")
+            if word == "conj" and sc.accept("("):
+                name, _ = sc.scan_ident()
+                sc.expect(")")
+                coeff = Param(name, conjugated=True)
+            elif word == "abs" and sc.accept("("):
+                name, _ = sc.scan_ident()
+                shift = Gaussian.of(0)
+                if sc.match("-"):
+                    shift = sc.scan_gaussian()
+                sc.expect(")")
+                mod_name = "abs" + name + ("m" + str(shift).translate(_SPELLING) if shift else "")
+                coeff = Mod(mod_name, name, shift)
+            else:
+                coeff = Param(word)
+        sc.expect("*")
     if not sc.match("w"):
         sc.error("expected a w-term")
-    return _parse_pair(sc, True)
+    return coeff, _parse_pair(sc, True)
 
 
 # ---------------------------------------------------------------------------
@@ -379,8 +411,11 @@ def _parse_wfactor(sc: _Scanner) -> tuple[BasisElement, int]:
 # ---------------------------------------------------------------------------
 
 def parse_binding(src: str) -> dict[str, Gaussian]:
+    values = _read_binding(src)
+    if values is not None:
+        return values
     sc = _Scanner(src)
-    values: dict[str, Gaussian] = {}
+    values = {}
     sc.skip_ws()
     while not sc.at_end():
         name, pos = sc.scan_ident()
@@ -391,6 +426,20 @@ def parse_binding(src: str) -> dict[str, Gaussian]:
         if not sc.match(";") and not sc.at_end():
             sc.error("expected ';' or end of input")
         sc.skip_ws()
+    return values
+
+
+def _read_binding(src: str) -> dict[str, Gaussian] | None:
+    """What the scanner reads from ``src``, with one match of ``_ASSIGNMENT``
+    per assignment; None where the scanner must report an error."""
+    values, pos = {}, 0
+    while pos < len(src):
+        m = _ASSIGNMENT.match(src, pos)
+        if m is None or m[1] in values:  # an error, or a repeated name
+            return None
+        name, *literal = m.groups()
+        values[name] = _gaussian(*literal)
+        pos = m.end()
     return values
 
 

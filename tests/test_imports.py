@@ -106,3 +106,44 @@ def test_only_algebra_counts_monomials_and_only_linalg_multiplies_matrices():
             if isinstance(getattr(node, "op", None), ast.MatMult) and path.stem != "linalg":
                 products.append((path.stem, node.lineno))
     assert counters == [] and products == []
+
+
+def _exactness_breaches(package: Path) -> list:
+    """Where the sources of ``package`` leave exact arithmetic: a float or
+    complex literal, a ``float(`` call, a name of ``math`` other than gcd,
+    lcm and comb, or an import of ``random`` outside
+    ``metrics.random_positive_forms``, as ``(module, line, what)``."""
+    exact_math = {"gcd", "lcm", "comb"}
+    breaches = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        seeded = set()  # the imports inside the one function that may draw
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and (path.stem, node.name) == (
+                    "metrics", "random_positive_forms"):
+                seeded.update(map(id, ast.walk(node)))
+        for node in ast.walk(tree):
+            what = None
+            if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+                what = f"literal {node.value!r}"
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "float"):
+                what = "float("
+            elif isinstance(node, ast.ImportFrom) and node.module == "math":
+                what = ", ".join(sorted({a.name for a in node.names} - exact_math)) or None
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id == "math" and node.attr not in exact_math):
+                what = f"math.{node.attr}"
+            elif isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in seeded:
+                modules = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                           else [node.module])
+                what = "import random" if "random" in modules else None
+            if what:
+                breaches.append((path.stem, node.lineno, what))
+    return breaches
+
+
+def test_the_engine_computes_without_floats_or_unseeded_draws():
+    # the exactness contract: Gaussian rationals only, and random draws only
+    # where the seeded metric sweep makes its forms
+    assert _exactness_breaches(SRC / "nilcohom") == []

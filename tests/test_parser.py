@@ -11,9 +11,10 @@ from nilcohom.catalog import evaluate_predicate
 from nilcohom.model import Lit, Param
 from nilcohom.parser import (
     ParseError,
-    _parse_cterm,
-    _parse_cterm_coeff,
-    _parse_wfactor,
+    _parse_cform,
+    _parse_tuple,
+    _read_binding,
+    _read_entries,
     _Scanner,
     parse_binding,
     parse_complex_structure,
@@ -312,9 +313,9 @@ def test_parse_render_roundtrip_on_the_dense_coframe_texts(all_cases, seed):
 
 
 # Every error a template term can raise, with its column.  A term with a
-# literal coefficient is read whole by one pattern, and the scanner takes
-# over wherever that pattern stops, a zero denominator or a repeated index
-# included; these are the scanner's messages and positions.
+# literal coefficient is read whole by one pattern, and the scanner reads
+# the template again wherever that pattern declines, a zero denominator or a
+# repeated index included; these are the scanner's messages and positions.
 @pytest.mark.parametrize("text, message, column", [
     ("(0,0,-i*w12)", "expected digits after '-'", 7),
     ("(0,0,1/0+2i*w12)", "malformed rational: zero denominator", 8),
@@ -405,47 +406,72 @@ def test_bindings_at_their_edges(text, expected):
         assert parse_binding(text) == expected
 
 
-def _outcome(read, text, pos=0):
-    """What ``read`` makes of a scanner at ``pos`` in ``text``: its value and
-    where it stopped, or its error's message and position."""
-    sc = _Scanner(text)
-    sc.pos = pos
+def _scanned(read, text):
+    """What the scanner alone makes of ``text``: the value ``read`` returns,
+    or its error's message and position."""
     try:
-        return read(sc), sc.pos
+        return read(text)
     except ParseError as err:
         return err.message, err.line, err.column
 
 
-def _by_the_scanner(sc):
-    return _parse_cterm_coeff(sc), _parse_wfactor(sc)
+def _scanned_entries(text):
+    return _parse_tuple(_Scanner(text), _parse_cform)
 
 
-# single-character edits: the characters terms are made of, and a few they
-# are not
+# characters that texts are made of, and a few they are not
 _EDITS = "0123456789/+-*~ iwDxB_(),;=\n"
 
 
 def _edited(rng, text):
-    pos, char = rng.randrange(len(text) + 1), rng.choice(_EDITS)
-    return pos, text[:pos] + char + text[pos + rng.randint(0, 1):]
+    """``text`` with one or two characters inserted or replaced."""
+    for _ in range(rng.randint(1, 2)):
+        pos = rng.randrange(len(text) + 1)
+        text = text[:pos] + rng.choice(_EDITS) + text[pos + rng.randint(0, 1):]
+    return text
 
 
-def test_the_term_pattern_reads_what_the_scanner_reads(all_cases):
-    # every position of every catalog template and of one seed of the dense
-    # coframe texts, then the positions near one edit of each dense text
+def _template_and_binding_texts(all_cases):
+    """The catalog's templates and bindings, the dense coframe texts at one
+    seed, and bindings of the dense texts' literals."""
     coframe, rng = _coframe_module(), random.Random(3)
     dense = [coframe.generate(nilcohom, case.template_text, case.binding_text, rng)
              for case in all_cases if case.dim == 3]
-    texts = [(text, range(len(text))) for text in (case.template_text for case in all_cases)]
-    texts += [(text, range(len(text))) for text in dense]
-    for text in dense:
-        for _ in range(4):
-            pos, edited = _edited(rng, text)
-            texts.append((edited, range(max(0, pos - 24), min(len(edited), pos + 2))))
-    compared = 0
-    for text, positions in texts:
-        for pos in positions:
-            assert _outcome(_parse_cterm, text, pos) == _outcome(_by_the_scanner, text, pos), \
-                (text, pos)
-            compared += 1
-    assert compared > 30_000
+    literals = [str(coeff.value) for text in dense
+                for entry in parse_complex_structure(text).d_of_omega for coeff, _ in entry]
+    templates = [case.template_text for case in all_cases] + dense
+    bindings = [case.binding_text for case in all_cases]
+    bindings += [f"D={a}; B = {b};absBm1={c}" for a, b, c in zip(*[iter(literals)] * 3)]
+    return templates, bindings
+
+
+def test_the_readers_read_what_the_scanner_reads(all_cases, monkeypatch):
+    # the one-match readers return the scanner's entries and values,
+    # positions included, wherever they accept, and decline wherever the
+    # scanner raises; every unedited text without conj(..) or abs(..) is
+    # read by them
+    templates, bindings = _template_and_binding_texts(all_cases)
+    for text in templates:
+        assert (_read_entries(text) is None) == ("conj(" in text or "abs(" in text), text
+    assert all(_read_binding(text) is not None for text in bindings)
+    rng, accepted = random.Random(5), []
+    monkeypatch.setattr(nilcohom.parser, "_read_binding", lambda src: None)  # the scanner's
+    for texts, read, scan in ((templates, _read_entries, _scanned_entries),
+                              (bindings, _read_binding, parse_binding)):
+        edited = texts + [_edited(rng, rng.choice(texts)) for _ in range(3000)]
+        values = [read(text) for text in edited]
+        for text, value in zip(edited, values):
+            assert value is None or value == _scanned(scan, text), text
+        accepted.append(sum(value is not None for value in values) / len(values))
+    assert min(accepted) > 0.1, accepted
+
+
+@pytest.mark.parametrize("text", [
+    "(0/761-40/761i*w1~1,0,0)",  # not backtracked into the literal 0/761-40/761i
+    "(0+w12,0,0)",  # a zero entry followed by a sign
+])
+def test_a_zero_entry_is_never_read_as_a_term(text):
+    assert _read_entries(text) is None
+    with pytest.raises(ParseError) as info:
+        parse_complex_structure(text)
+    assert (info.value.message, info.value.line, info.value.column) == ("expected ')'", 1, 3)

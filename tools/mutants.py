@@ -36,7 +36,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parents[1]
-COPIED = ("src", "tests", "perfbench", "pyproject.toml")
+COPIED = ("src", "tests", "perfbench", "tools", "pyproject.toml")
 # tests/test_mutants.py checks this list against the unmutated sources, so
 # in a mutated copy it would kill every mutant: it is left out there
 TIER1 = ["-m", "pytest", "-q", "-x", "-rfE", "-p", "no:cacheprovider",
@@ -226,9 +226,17 @@ MUTANTS = [
            '        if not den:\n            self.error("malformed rational: zero denominator", m.start(4))\n',
            ""),
     Mutant("imaginary tail's sign flipped in the term builder", PARSER,
-           "_ratio(sign, mag, mag_den) if sign", '_ratio("+" if sign == "-" else "-", mag, mag_den) if sign'),
+           '(-1 if sign == "-" else 1) * int(mag or 1)', '(1 if sign == "-" else -1) * int(mag or 1)'),
     Mutant("term pattern's zero-denominator guard dropped", PARSER,
-           "if d and e and _PAIRS[pair]:", "if _PAIRS[pair]:"),
+           'r"0*[1-9][0-9]*"', 'r"[0-9]+"'),
+    Mutant("a zero entry read as a literal", PARSER,
+           "|(?!{zero})(?:(", "|(?:("),
+    Mutant("a repeated binding name accepted by the reader", PARSER,
+           "if m is None or m[1] in values:", "if m is None:"),
+    Mutant("the reader's end-of-text check dropped", PARSER,
+           "return entries if pos == len(src) else None", "return entries"),
+    Mutant("the sign after a term carried into the next entry", PARSER,
+           "terms, sign = None, 1", "terms = None"),
     Mutant("name branch admitting a w-term", PARSER,
            "((?!{w}){name})", "({name})"),
     Mutant("predicate literal with a signed tail", CATALOG,
