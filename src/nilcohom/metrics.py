@@ -8,12 +8,15 @@ classical parametrization ``Omega = i(r^2 w^{1~1} + s^2 w^{2~2} + t^2 w^{3~3})
 ``H_12 = -i u`` and so on, so diagonal entries are the positive rationals
 r^2, s^2, t^2.
 
-A form is taken into integers once, when it is built: ``HermitianForm``
-checks the reduced triples of its entries (a real positive diagonal, each
-entry below it the conjugate of its mirror) and holds ``den``, the lcm of
-the entries' denominators, and ``F``, ``den`` times the form, as one
-integral column of degree 2.  Positivity is decided then too, by
-Sylvester's criterion on the integer grid ``den * H``: fraction-free
+A form is held as integers only: ``den``, the lcm of its entries' reduced
+denominators, and the integer grid ``den * H``; an entry is read back from
+its cell.  ``HermitianForm(entries)`` checks the reduced triples of its
+entries (a real positive diagonal, each entry below it the conjugate of its
+mirror) before it takes them into the grid; ``hermitian_form`` writes each
+mirror as the conjugate triple, so it only checks the diagonal, and makes
+no :class:`Gaussian` on the way.  The form also holds ``F``, ``den`` times
+the form, as one integral column of degree 2.  Positivity is decided when
+the form is built, by Sylvester's criterion on the grid: fraction-free
 (Bareiss) elimination of the grid has its leading principal minors as its
 pivots, each step dividing exactly by the previous pivot, so the form is
 positive when every pivot is.  ``is_positive`` returns the verdict,
@@ -24,7 +27,11 @@ All three tests pass through one gate, ``_d_of``: it checks that the form
 and the structure have the same n and returns the form's ``F`` and ``dF``,
 that column's image under ``matrix(2)`` (built with the structure by its
 d^2 check) by :meth:`~nilcohom.linalg.ExactMatrix.apply`.  No :class:`Form`
-is built and no ``d`` is called, and each test builds ``dF`` once.
+is built and no ``d`` is called, and ``dF`` is built once per (structure,
+form) pair: the form keeps the image of the last structure it met, keyed
+by a weak reference to that structure, so a second test on the pair
+applies no matrix, a test on another structure takes that structure's own
+image, and no form keeps a structure alive.
 
 ``ddbar_of`` reports del delbar of ``F`` (without the overall i, which no
 vanishing test sees): the classical six-dimensional families then have del
@@ -41,29 +48,40 @@ only asks whether the column is empty.
 ``d(Omega^(n-1)) = (n-1) dOmega /\\ Omega^(n-2)`` (Michelsohn, Acta Math. 149,
 1982), a nonzero multiple of ``dF /\\ F^(n-2)`` for n >= 2; for n = 1, F has
 top degree and ``dF = 0``.  So it wedges the column F onto ``dF`` n - 2
-times, on integer pairs in the rows ``matrix(2).apply`` returns, along the
-rows of :func:`~nilcohom.algebra.wedge_row`, and applies no more d.  Where
+times, on integer pairs in the rows ``matrix(2).apply`` returns, and
+applies no more d: each monomial of the power walks its landing rows,
+:func:`~nilcohom.algebra.wedge_row`, and reads F at each 2-form place
+there (3 of the 15 for a 3-form in complex dimension 3).  Where
 a slot starts comes from :func:`~nilcohom.algebra.slot_start`, so this
 module knows neither the masks nor the layout of a degree.
 """
 
 from __future__ import annotations
 
+import weakref
 from fractions import Fraction
 from math import lcm
 
-from .algebra import Form, Gaussian, ZERO, slot_start, wedge_row
+from .algebra import Form, Gaussian, ZERO, _as_pair, _reduced, slot_start, wedge_row
 from .model import ComplexStructure
 
 
 class HermitianForm:
     """An n x n Hermitian coefficient matrix with positive rational diagonal.
 
-    It is taken into integers once, when it is built: ``den`` is the lcm of
-    the entries' denominators, ``column`` is F, the integer grid ``den * H``
-    as an integral column of degree 2 (see :func:`_d_of`), and ``positive``
-    is the Sylvester verdict on that grid.  The entries are copied then and
-    never changed, so none of these can go stale.
+    It is held as integers: ``den`` is the lcm of the entries' reduced
+    denominators and ``grid`` the integer grid ``den * H``, one ``(x, y)``
+    pair per cell, so ``entries`` and ``form[j, k]`` read each entry back
+    from its cell, and two forms are equal when their grids and ``den``
+    are.  ``column`` is F, the grid as an integral column of degree 2 (see
+    :func:`_d_of`), and ``positive`` is the Sylvester verdict on the grid.
+    All are set once, when the form is built, and never changed, so none
+    of them can go stale; beside them the form keeps ``dF`` for the last
+    structure it met.
+
+    ``HermitianForm(entries)`` checks a grid of :class:`Gaussian` entries;
+    :func:`hermitian_form` builds the grid from a diagonal and the entries
+    above it.  Both end in :meth:`_hold`.
     """
 
     def __init__(self, entries):
@@ -71,7 +89,9 @@ class HermitianForm:
         if any(len(row) != n for row in entries):
             raise ValueError("coefficient grid must be square")
         # on the reduced triples: a real positive diagonal, and each entry
-        # below it the conjugate of its mirror
+        # below it the conjugate of its mirror, column by column so that the
+        # first fault is the one raised (_hold's own diagonal check serves
+        # hermitian_form, whose mirrors need none)
         for j in range(n):
             d = entries[j][j]
             if d.y or d.x <= 0:
@@ -80,24 +100,37 @@ class HermitianForm:
                 a, b = entries[k][j], entries[j][k]
                 if a.x != b.x or a.y != -b.y or a.den != b.den:
                     raise ValueError("coefficient grid is not Hermitian")
-        self.n = n
-        self.entries = [row[:] for row in entries]
-        self.den, grid = _integral(self.entries)
+        self._hold([[(c.x, c.y, c.den) for c in row] for row in entries])
+
+    def _hold(self, cells):
+        """Take a Hermitian grid of reduced ``(x, y, den)`` triples into
+        integers, after checking its diagonal."""
+        n = self.n = len(cells)
+        for j in range(n):
+            x, y, _ = cells[j][j]
+            if y or x <= 0:
+                raise ValueError(f"diagonal entry {j + 1} must be a positive rational")
+        den = self.den = lcm(*(d for row in cells for _, _, d in row))
+        grid = self.grid = [[(x * (den // d), y * (den // d)) for x, y, d in row]
+                            for row in cells]
         # w^j wbar^k is j*n + k in the (1,1) slot of degree 2
         start = slot_start(n, n, 2, 1)
         self.column = {start + j * n + k: c for j, row in enumerate(grid)
                        for k, c in enumerate(row) if c[0] or c[1]}
+        self._df = None, None  # (weak reference to a structure, its dF)
         self.positive = all(p > 0 for p in _sylvester(grid))
 
+    @property
+    def entries(self) -> list:
+        return [[_reduced(x, y, self.den) for x, y in row] for row in self.grid]
+
     def __getitem__(self, jk):
-        return self.entries[jk[0]][jk[1]]
+        x, y = self.grid[jk[0]][jk[1]]
+        return _reduced(x, y, self.den)
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, HermitianForm)
-            and self.n == other.n
-            and self.entries == other.entries
-        )
+        return (isinstance(other, HermitianForm)
+                and (self.n, self.den, self.grid) == (other.n, other.den, other.grid))
 
     def __repr__(self) -> str:
         return f"HermitianForm(n={self.n})"
@@ -108,23 +141,34 @@ def standard_form(n: int) -> HermitianForm:
     return hermitian_form([1] * n)
 
 
+def _cell(v) -> tuple[int, int, int]:
+    """A Gaussian, int or Fraction as its reduced ``(x, y, den)`` triple."""
+    if isinstance(v, Gaussian):
+        return v.x, v.y, v.den
+    num, den = _as_pair(v)
+    return num, 0, den
+
+
 def hermitian_form(diag, upper=None) -> HermitianForm:
     """Build from a rational diagonal and the strictly-upper entries H_jk.
 
     ``upper`` maps 1-based pairs (j, k) with j < k to values; each value,
     like each diagonal entry, is a Gaussian, an int or a Fraction, and any
-    other type raises ``TypeError``.
+    other type raises ``TypeError``.  Each mirror H_kj is written as the
+    conjugate triple of H_jk, so the grid needs no Hermitian check.
     """
     n = len(diag)
-    entries = [[ZERO] * n for _ in range(n)]
+    cells = [[(0, 0, 1)] * n for _ in range(n)]
     for j, d in enumerate(diag):
-        entries[j][j] = d if isinstance(d, Gaussian) else Gaussian.of(d)
+        cells[j][j] = _cell(d)
     for (j, k), value in (upper or {}).items():
         if not 1 <= j < k <= n:
             raise ValueError(f"not a strictly upper index pair: {(j, k)}")
-        value = value if isinstance(value, Gaussian) else Gaussian.of(value)
-        entries[j - 1][k - 1], entries[k - 1][j - 1] = value, value.conjugate()
-    return HermitianForm(entries)
+        x, y, den = _cell(value)
+        cells[j - 1][k - 1], cells[k - 1][j - 1] = (x, y, den), (x, -y, den)
+    h = HermitianForm.__new__(HermitianForm)
+    h._hold(cells)
+    return h
 
 
 def form_from_uvz(r2, s2, t2, u=ZERO, v=ZERO, z=ZERO) -> HermitianForm:
@@ -134,13 +178,6 @@ def form_from_uvz(r2, s2, t2, u=ZERO, v=ZERO, z=ZERO) -> HermitianForm:
         [r2, s2, t2],
         {(1, 2): mi * u, (2, 3): mi * v, (1, 3): mi * z},
     )
-
-
-def _integral(entries) -> tuple[int, list]:
-    """``den`` and ``den * H`` as a grid of integer pairs, for the lcm ``den``
-    of the entries' denominators."""
-    den = lcm(*(c.den for row in entries for c in row))
-    return den, [[(c.x * (den // c.den), c.y * (den // c.den)) for c in row] for row in entries]
 
 
 def _sylvester(grid) -> list[int]:
@@ -175,10 +212,17 @@ def is_positive(h: HermitianForm) -> bool:
 def _d_of(cs: ComplexStructure, h: HermitianForm) -> tuple[int, dict, dict]:
     """``(den, F, dF)``: the form's ``F = den * sum_jk H_jk w^j /\\ wbar^k``
     (the form without the i), an integral column of degree 2, and ``dF`` its
-    image under ``matrix(2)``, ``L * den`` times d of the form."""
+    image under ``matrix(2)``, ``L * den`` times d of the form.
+
+    ``dF`` is taken once per structure and form: the form keeps it with a
+    weak reference to the structure, and takes it again for any other."""
     if cs.n != h.n:
         raise ValueError(f"dimension mismatch: structure n={cs.n}, form n={h.n}")
-    return h.den, h.column, cs.matrix(2).apply([h.column])[0]
+    of, df = h._df
+    if of is None or of() is not cs:
+        df = cs.matrix(2).apply([h.column])[0]
+        h._df = weakref.ref(cs), df
+    return h.den, h.column, df
 
 
 def _ddbar(cs: ComplexStructure, h: HermitianForm) -> tuple[int, dict]:
@@ -211,13 +255,15 @@ def is_pluriclosed(cs: ComplexStructure, h: HermitianForm) -> bool:
 def _wedge(n: int, k: int, x: dict, f: dict) -> dict:
     """``x /\\ f`` for integral columns ``x`` of degree k and ``f`` of
     degree 2, over n generators and their conjugates, as a column of degree
-    k + 2, each keyed by the places of :func:`~nilcohom.algebra.degree_basis`."""
+    k + 2, each keyed by the places of :func:`~nilcohom.algebra.degree_basis`.
+
+    Each monomial of ``x`` walks its landing rows and reads ``f`` at each
+    2-form place there, so no pair that repeats a factor is read."""
     out = {}
     for place, (p, q) in x.items():
-        lands = wedge_row(n, n, k, place)
-        for s, (c, e) in f.items():
-            if s in lands:
-                row, sign = lands[s]
+        for s, (row, sign) in wedge_row(n, n, k, place).items():
+            if s in f:
+                c, e = f[s]
                 u, v = out.get(row, (0, 0))
                 out[row] = u + sign * (p * c - q * e), v + sign * (p * e + q * c)
     return {row: v for row, v in out.items() if v[0] or v[1]}

@@ -1,5 +1,8 @@
+import gc
 import math
 import random
+import weakref
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -9,6 +12,7 @@ from hypothesis import given, settings
 from nilcohom import metrics as me
 from nilcohom.algebra import (BasisElement, Form, Gaussian, I, ONE, ZERO, basis, degree_basis,
                               wedge_row)
+from nilcohom.linalg import ExactMatrix
 from nilcohom.model import instantiate
 from nilcohom.parser import parse_binding, parse_complex_structure, parse_gaussian
 from real_oracle import product_with_torus
@@ -399,6 +403,13 @@ def _draw_grid(rng, n):
             for j in range(n)]
 
 
+def _integral(entries) -> tuple[int, list]:
+    """``den`` and ``den * H`` as a grid of integer pairs, for the lcm ``den``
+    of the entries' denominators, taken here from the entries."""
+    den = math.lcm(*(c.den for row in entries for c in row))
+    return den, [[(c.x * (den // c.den), c.y * (den // c.den)) for c in row] for row in entries]
+
+
 def test_sylvester_pivots_are_the_scaled_leading_minors():
     # Bareiss's k-th pivot on den * H is den^k times H's k-th leading minor;
     # the pivots stop at the first one that is not positive
@@ -415,7 +426,7 @@ def test_sylvester_pivots_are_the_scaled_leading_minors():
             expected.append(scaled.x)
             if scaled.x <= 0:
                 break
-        assert me._sylvester(me._integral(h.entries)[1]) == expected, h.entries
+        assert me._sylvester(_integral(h.entries)[1]) == expected, h.entries
         kind = ("positive" if expected[-1] > 0
                 else "singular" if not expected[-1] else "indefinite")
         seen[kind] += 1
@@ -552,11 +563,115 @@ def test_a_form_holds_its_integers():
     rng = random.Random(23)
     for _ in range(200):
         h = me.HermitianForm(_draw_grid(rng, rng.randint(1, 4)))
-        den, grid = me._integral(h.entries)
+        den, grid = _integral(h.entries)
         assert h.den == den == math.lcm(*(c.den for row in h.entries for c in row))
+        assert h.grid == grid
         assert [[Gaussian.of(x, y) for x, y in row] for row in grid] == \
             [[c * den for c in row] for row in h.entries]
         place = degree_basis(h.n, h.n, 2)[1]  # F's rows: its monomials' places
         assert h.column == {place[BasisElement((j + 1,), (k + 1,))]: xy
                             for j, row in enumerate(grid) for k, xy in enumerate(row)
                             if xy != (0, 0)}
+
+
+def test_one_structure_and_form_take_one_df(monkeypatch):
+    # the three tests on one (structure, form) pair share one dF: one product
+    # on matrix(2), and one on matrix(3) each for is_pluriclosed and ddbar_of
+    cs = build("(0,0,w12+w1~1+w1~2+D*w2~2)", "D=1/8")
+    h = me.form_from_uvz(Fraction(1), Fraction(1, 2), Fraction(1), u=parse_gaussian("5/8i"))
+    calls, apply = Counter(), ExactMatrix.apply
+
+    def counted(m, columns):
+        calls[next(k for k, mk in cs._matrices.items() if mk is m)] += 1
+        return apply(m, columns)
+
+    monkeypatch.setattr(ExactMatrix, "apply", counted)
+    assert not me.is_pluriclosed(cs, h)
+    assert me.is_balanced(cs, h)
+    assert not me.ddbar_of(cs, h).is_zero()
+    assert calls == {2: 1, 3: 2}
+
+
+def test_a_form_met_by_another_structure_takes_that_structures_df():
+    # A, then B, then A on one form: each verdict is the one a fresh form
+    # gives, so no structure reads another's dF
+    skt, not_skt = build("(0,0,w1~1)"), build("(0,0,w12)")
+    h = me.standard_form(3)
+    seen = set()
+    for cs in (skt, not_skt, skt, not_skt):
+        fresh = me.standard_form(3)
+        verdicts = (me.is_pluriclosed(cs, h), me.is_balanced(cs, h), me.ddbar_of(cs, h))
+        assert verdicts == (me.is_pluriclosed(cs, fresh), me.is_balanced(cs, fresh),
+                            me.ddbar_of(cs, fresh))
+        seen.add(verdicts[0])
+    assert seen == {True, False}
+
+
+def test_a_form_keeps_no_structure_alive():
+    h = me.standard_form(3)
+    cs = build("(0,0,w12)")
+    assert me.is_balanced(cs, h)
+    ref = weakref.ref(cs)
+    del cs
+    gc.collect()
+    assert ref() is None
+    # a structure made later, perhaps at the same address, takes its own dF
+    assert me.is_pluriclosed(build("(0,0,w1~1)"), h)
+
+
+def _value(rng, low=-3):
+    """A small rational from ``low`` to 3 as an int where it can be, or as a
+    Fraction, or a Gaussian with that real part."""
+    x = Fraction(rng.randint(low, 3), rng.choice((1, 2, 3)))
+    kind = rng.randrange(3)
+    if kind == 2:
+        return Gaussian.of(x, Fraction(rng.randint(-3, 3), rng.choice((1, 2, 5)))
+                           if low < 0 else 0)
+    return int(x) if kind == 0 and x.denominator == 1 else x
+
+
+def _grid_by_gaussians(diag, upper):
+    """The Hermitian grid of ``hermitian_form(diag, upper)`` by Gaussian
+    arithmetic: each entry coerced, each mirror its conjugate."""
+    n = len(diag)
+    rows = [[ZERO] * n for _ in range(n)]
+    for j, d in enumerate(diag):
+        rows[j][j] = d if isinstance(d, Gaussian) else Gaussian.of(d)
+    for (j, k), value in upper.items():
+        value = value if isinstance(value, Gaussian) else Gaussian.of(value)
+        rows[j - 1][k - 1], rows[k - 1][j - 1] = value, value.conjugate()
+    return rows
+
+
+def test_hermitian_form_builds_the_grid_hermitian_form_checks():
+    rng = random.Random(47)
+    positive = 0
+    for _ in range(600):
+        n = rng.randint(1, 4)
+        diag = [_value(rng, low=1) for _ in range(n)]
+        upper = {(j, k): _value(rng) for j in range(1, n + 1) for k in range(j + 1, n + 1)
+                 if rng.random() < 0.8}
+        built, checked = me.hermitian_form(diag, upper), me.HermitianForm(
+            _grid_by_gaussians(diag, upper))
+        assert built == checked and checked == built
+        assert built.entries == checked.entries == _grid_by_gaussians(diag, upper)
+        assert all(built[j, k] == checked[j, k] for j in range(n) for k in range(n))
+        assert (built.den, built.column, built.positive) == \
+            (checked.den, checked.column, checked.positive)
+        positive += built.positive
+    assert 100 <= positive <= 500, positive
+
+
+def test_hermitian_form_faults_in_the_order_of_its_inputs():
+    # a diagonal entry's type, then each upper pair in order, then the sign
+    # of the diagonal
+    with pytest.raises(TypeError, match=r"^expected an exact rational, got float$"):
+        me.hermitian_form([0.5, -1], {(2, 1): 1})
+    with pytest.raises(ValueError, match=r"^not a strictly upper index pair: \(2, 1\)$"):
+        me.hermitian_form([-1, 1], {(2, 1): 1})
+    with pytest.raises(TypeError, match=r"^expected an exact rational, got float$"):
+        me.hermitian_form([1, -1], {(1, 2): 0.5, (2, 1): 1})
+    for diag, j in (([1, -1], 2), ([1, 0, -1], 2), ([Gaussian.of(1, 1)], 1),
+                    ([Fraction(-1, 2), 1], 1)):
+        with pytest.raises(ValueError, match=rf"^diagonal entry {j} must be a positive rational$"):
+            me.hermitian_form(diag, {(1, len(diag)): 1} if len(diag) > 1 else None)

@@ -14,5 +14,8 @@ def test_two_runs_of_the_work_ledger_print_the_same_counts():
     assert first == second
     for workload in ("catalog_golden", "dense_coframe", "metric_sweep"):
         assert f"{workload}: one pass of 3 ops, seed 7" in first
-    for layer in ("parser.match _ITEM", "elimination.(every kind) steps", "apply.columns"):
+    for layer in ("parser.match _ITEM", "elimination.(every kind) steps", "apply.columns",
+                  "algebra._reduced calls", "build.degree 2 builds",
+                  "build.degree 2 Leibniz triples read", "elimination.content steps that divide",
+                  "elimination.steps, largest entry 000-015 bits"):
         assert f"  {layer} " in first

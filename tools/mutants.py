@@ -216,6 +216,15 @@ MUTANTS = [
            "degree_basis(holo, anti, k + 2)[1]", "degree_basis(holo, anti, k + 1)[1]"),
     Mutant("conjugate's sign dropped in the triple Hermitian check", METRICS,
            "a.y != -b.y", "a.y != b.y"),
+    Mutant("dF memo read for any structure", METRICS,
+           "if of is None or of() is not cs:", "if of is None:"),
+    Mutant("wedge reads F at the monomial's place, not the 2-form's", METRICS,
+           "if s in f:\n                c, e = f[s]", "if place in f:\n                c, e = f[place]"),
+    Mutant("mirror written without its conjugate", METRICS,
+           "(x, y, den), (x, -y, den)", "(x, y, den), (x, y, den)"),
+    Mutant("diagonal check of the shared constructor dropped", METRICS,
+           "x, y, _ = cells[j][j]\n            if y or x <= 0:",
+           "x, y, _ = cells[j][j]\n            if False:"),
     Mutant("one-sided dimension gate", METRICS,
            "if cs.n != h.n:", "if cs.n < h.n:"),
     Mutant("balanced without the positivity check", METRICS,

@@ -17,7 +17,15 @@ module and class attributes, after the ops are made and before the pass:
   call in its caller's source (``stack``, ``concat``, ``del``, ``dd``,
   ``total`` in ``cohomology._rank_list``), or else by the calling function;
 * ``apply``: calls, columns and inner products (one per source entry and
-  entry of the column it selects).
+  entry of the column it selects);
+* build: per degree k, the Leibniz triples that the build of ``matrix(k)``
+  reads, summed over the structure's ``_terms`` (degree 0 and the top
+  degree read none), and the builds;
+* ``_reduced`` calls (under every module name bound to it);
+* content steps that divide: ``linalg._primitive`` calls that return a new
+  dict, not their argument;
+* per elimination step, the bit length of the largest real or imaginary
+  part of the column it returns, as a histogram in 16-bit bands.
 
 Every count depends only on the ops and the engine, so two runs print the
 same lines.  Given OTHER_CHECKOUT, its engine runs the same ops (made by this
@@ -70,15 +78,48 @@ def install(nc, counts: Counter):
             key = "parser._Scanner objects" if name == "__init__" else f"parser.{name} calls"
             setattr(parser._Scanner, name, _counted(method, key, counts))
 
-    eliminate, kind = linalg._eliminate, ["?"]
+    reduced = nc.algebra._reduced
+
+    def counted_reduced(x, y, den):
+        counts["algebra._reduced calls"] += 1
+        return reduced(x, y, den)
+
+    for module in engine:
+        for attr, value in list(vars(module).items()):
+            if value is reduced:
+                setattr(module, attr, counted_reduced)
+
+    matrix = nc.model._Differential.matrix
+
+    def counted_matrix(self, k):
+        built = k not in self._matrices
+        m = matrix(self, k)
+        if built:
+            counts[f"build.degree {k} builds"] += 1
+            if 0 < k < sum(self._layout):
+                counts[f"build.degree {k} Leibniz triples read"] += sum(
+                    len(table[k]) for table, _, _ in self._terms) // 3
+        return m
+
+    nc.model._Differential.matrix = counted_matrix
+    eliminate, primitive, kind = linalg._eliminate, linalg._primitive, ["?"]
 
     def counted_eliminate(v, pivot, lead):
         for of in (kind[0], "(every kind)"):
             counts[f"elimination.{of} steps"] += 1
             counts[f"elimination.{of} entries read"] += len(v) + len(pivot)
-        return eliminate(v, pivot, lead)
+        out = eliminate(v, pivot, lead)
+        bits = max((max(x.bit_length(), y.bit_length()) for x, y in out.values()), default=0)
+        band = bits // 16 * 16
+        counts[f"elimination.steps, largest entry {band:03d}-{band + 15:03d} bits"] += 1
+        return out
 
-    linalg._eliminate = counted_eliminate
+    def counted_primitive(v):
+        out = primitive(v)
+        counts["elimination.content steps that divide"] += out is not v
+        return out
+
+    linalg._eliminate, linalg._primitive = counted_eliminate, counted_primitive
     for module in engine:
         rank = getattr(module, "exact_rank", None)
         if rank is not None:
