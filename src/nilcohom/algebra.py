@@ -286,8 +286,10 @@ class Form:
 
     ``terms`` maps :class:`BasisElement` to a nonzero :class:`Gaussian`.  A
     form has no dimension of its own: the coframe is that of the structure
-    it is used with.  Instances are immutable by convention: all operations
-    return fresh forms.
+    it is used with.  A form is a value, immutable by convention: it carries
+    structure constants in and reports out, and the constructor is its one
+    linear operation, summing repeated monomials and dropping zeros.  The
+    engine takes every d, del delbar and wedge on integral columns instead.
     """
 
     __slots__ = ("terms",)
@@ -309,19 +311,10 @@ class Form:
     def single(elem: BasisElement, coeff: Gaussian = ONE) -> "Form":
         return Form([(elem, coeff)])
 
-    @staticmethod
-    def generator(j: int, conjugated: bool = False) -> "Form":
-        """The 1-form ``w^j`` (or ``wbar^j``)."""
-        elem = BasisElement((), (j,)) if conjugated else BasisElement((j,), ())
-        return Form.single(elem)
-
     # -- structure ----------------------------------------------------------
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def bidegrees(self) -> set[tuple[int, int]]:
-        return {e.bidegree for e in self.terms}
 
     def items(self) -> Iterator[tuple[BasisElement, Gaussian]]:
         return iter(sorted(self.terms.items(), key=lambda kv: kv[0]))
@@ -331,23 +324,6 @@ class Form:
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Form) and self.terms == other.terms
-
-    # -- linear operations ----------------------------------------------------
-
-    def __add__(self, other: "Form") -> "Form":
-        return Form(list(self.terms.items()) + list(other.terms.items()))
-
-    def __sub__(self, other: "Form") -> "Form":
-        return self + (-other)
-
-    def __neg__(self) -> "Form":
-        return Form([(e, -c) for e, c in self.terms.items()])
-
-    def scale(self, coeff) -> "Form":
-        coeff = coeff if isinstance(coeff, Gaussian) else Gaussian.of(coeff)
-        if not coeff:
-            return Form()
-        return Form([(e, c * coeff) for e, c in self.terms.items()])
 
     # -- multiplicative structure ---------------------------------------------
 
@@ -362,19 +338,6 @@ class Form:
                     c = c1 * c2
                     out.append((element(holo, anti), -c if odd else c))
         return Form(out)
-
-    def conjugate(self) -> "Form":
-        """Complex conjugation: swaps the blocks, conjugates coefficients."""
-        out = []
-        for e, c in self.terms.items():
-            holo, anti, odd = wedge_masks(0, *masks(e), 0)
-            c = c.conjugate()
-            out.append((element(holo, anti), -c if odd else c))
-        return Form(out)
-
-    def component(self, p: int, q: int) -> "Form":
-        """The pure (p, q) part; summing over all bidegrees recovers the form."""
-        return Form([(e, c) for e, c in self.terms.items() if e.bidegree == (p, q)])
 
     # -- misc -----------------------------------------------------------------
 

@@ -465,7 +465,3 @@ def main(argv=None) -> int:
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
             return EXIT_USAGE
     return code
-
-
-if __name__ == "__main__":
-    sys.exit(main())

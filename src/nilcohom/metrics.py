@@ -10,16 +10,16 @@ r^2, s^2, t^2.
 
 A form is held as integers only: ``den``, the lcm of its entries' reduced
 denominators, and the integer grid ``den * H``; an entry is read back from
-its cell.  ``HermitianForm(entries)`` checks the reduced triples of its
-entries (a real positive diagonal, each entry below it the conjugate of its
-mirror) before it takes them into the grid; ``hermitian_form`` writes each
-mirror as the conjugate triple, so it only checks the diagonal, and makes
-no :class:`Gaussian` on the way.  The form also holds ``F``, ``den`` times
-the form, as one integral column of degree 2.  Positivity is decided when
-the form is built, by Sylvester's criterion on the grid: fraction-free
-(Bareiss) elimination of the grid has its leading principal minors as its
-pivots, each step dividing exactly by the previous pivot, so the form is
-positive when every pivot is.  ``is_positive`` returns the verdict,
+its cell.  ``HermitianForm(entries)`` and ``hermitian_form`` read their
+entries as reduced triples and share one check of them (a real positive
+diagonal, each entry below it the conjugate of its mirror) before they
+take them into the grid; ``hermitian_form`` writes each mirror as the
+conjugate triple, and makes no :class:`Gaussian` on the way.  The form
+also holds ``F``, ``den`` times the form, as one integral column of
+degree 2.  Positivity is decided when the form is built, by Sylvester's
+criterion on the grid: fraction-free (Bareiss) elimination of the grid has
+its leading principal minors as its pivots, each step dividing exactly by
+the previous pivot, so the form is positive when every pivot is.  ``is_positive`` returns the verdict,
 and the pluriclosed and balanced tests read it first, so a form that is not
 positive raises before the dimension check and before any d is taken.
 
@@ -79,37 +79,31 @@ class HermitianForm:
     of them can go stale; beside them the form keeps ``dF`` for the last
     structure it met.
 
-    ``HermitianForm(entries)`` checks a grid of :class:`Gaussian` entries;
-    :func:`hermitian_form` builds the grid from a diagonal and the entries
-    above it.  Both end in :meth:`_hold`.
+    ``HermitianForm(entries)`` takes a square grid of entries and
+    :func:`hermitian_form` a diagonal and the entries above it; each entry
+    is a :class:`Gaussian`, an int or a Fraction, read by :func:`_cell`.
+    Both end in :meth:`_hold`, the one check.
     """
 
     def __init__(self, entries):
-        n = len(entries)
-        if any(len(row) != n for row in entries):
+        if any(len(row) != len(entries) for row in entries):
             raise ValueError("coefficient grid must be square")
-        # on the reduced triples: a real positive diagonal, and each entry
-        # below it the conjugate of its mirror, column by column so that the
-        # first fault is the one raised (_hold's own diagonal check serves
-        # hermitian_form, whose mirrors need none)
-        for j in range(n):
-            d = entries[j][j]
-            if d.y or d.x <= 0:
-                raise ValueError(f"diagonal entry {j + 1} must be a positive rational")
-            for k in range(j + 1, n):
-                a, b = entries[k][j], entries[j][k]
-                if a.x != b.x or a.y != -b.y or a.den != b.den:
-                    raise ValueError("coefficient grid is not Hermitian")
-        self._hold([[(c.x, c.y, c.den) for c in row] for row in entries])
+        self._hold([[_cell(c) for c in row] for row in entries])
 
     def _hold(self, cells):
-        """Take a Hermitian grid of reduced ``(x, y, den)`` triples into
-        integers, after checking its diagonal."""
+        """Take a grid of reduced ``(x, y, den)`` triples into integers, after
+        checking it column by column, so that the first fault is the one
+        raised: a real positive diagonal entry, then each entry below it the
+        conjugate triple of its mirror."""
         n = self.n = len(cells)
         for j in range(n):
             x, y, _ = cells[j][j]
             if y or x <= 0:
                 raise ValueError(f"diagonal entry {j + 1} must be a positive rational")
+            for k in range(j + 1, n):
+                x, y, d = cells[k][j]
+                if cells[j][k] != (x, -y, d):
+                    raise ValueError("coefficient grid is not Hermitian")
         den = self.den = lcm(*(d for row in cells for _, _, d in row))
         grid = self.grid = [[(x * (den // d), y * (den // d)) for x, y, d in row]
                             for row in cells]
@@ -155,7 +149,7 @@ def hermitian_form(diag, upper=None) -> HermitianForm:
     ``upper`` maps 1-based pairs (j, k) with j < k to values; each value,
     like each diagonal entry, is a Gaussian, an int or a Fraction, and any
     other type raises ``TypeError``.  Each mirror H_kj is written as the
-    conjugate triple of H_jk, so the grid needs no Hermitian check.
+    conjugate triple of H_jk, so only the diagonal can fail the check.
     """
     n = len(diag)
     cells = [[(0, 0, 1)] * n for _ in range(n)]

@@ -5,7 +5,8 @@ index tuples and sorting every Leibniz term.  It takes its reordering sign
 from a count of out-of-order pairs and conjugates by swapping the tuples, so
 it shares no code with the mask routine or the compiled differentials under
 test; it reads only the structure's ``d_omega`` (or a real algebra's
-``d_of_e``) and builds monomials and forms.
+``d_of_e``) and builds monomials and forms.  The tests take sums, multiples
+and conjugates of forms here too, since ``Form`` defines none.
 """
 
 from itertools import combinations
@@ -29,6 +30,13 @@ def oracle_conjugate(f: Form) -> Form:
     return Form((BasisElement(e.anti, e.holo),
                  c.conjugate() if len(e.holo) * len(e.anti) % 2 == 0 else -c.conjugate())
                 for e, c in f.terms.items())
+
+
+def combination(*pairs) -> Form:
+    """``sum c f`` over ``(c, f)`` pairs, for an int, Fraction or Gaussian
+    ``c``: sums, differences and multiples of forms, read off their terms
+    by ``Form``'s accumulating constructor."""
+    return Form((e, a * c) for c, f in pairs for e, a in f.terms.items())
 
 
 def oracle_d(f: Form, d_holo: list, d_anti: list) -> Form:

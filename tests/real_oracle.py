@@ -8,6 +8,7 @@ own nilpotency check, Betti numbers and real ``d`` against the real algebra
 it gives, and read the 8d catalog rows as torus products of the 6d ones.
 """
 
+from d_oracle import combination
 from nilcohom.algebra import BasisElement, Form, Gaussian, ONE
 from nilcohom.model import ComplexStructure, RealAlgebra
 
@@ -17,15 +18,15 @@ def substitute(f: Form, holo_images: list[Form], anti_images: list[Form]) -> For
 
     Each monomial goes to the wedge of the images of its factors, in order.
     """
-    out = Form()
+    pieces = []
     for elem, coeff in f.terms.items():
         piece = Form.single(BasisElement((), ()), coeff)
         for j in elem.holo:
             piece = piece.wedge(holo_images[j - 1])
         for j in elem.anti:
             piece = piece.wedge(anti_images[j - 1])
-        out = out + piece
-    return out
+        pieces.append((1, piece))
+    return combination(*pieces)
 
 
 def realify(cs: ComplexStructure) -> RealAlgebra:

@@ -854,7 +854,7 @@ def _with_stdout_closed(read_line, unbuffered):
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
-    child = subprocess.Popen([sys.executable, "-m", "nilcohom.cli", "catalog", "--dim", "3"],
+    child = subprocess.Popen([sys.executable, "-m", "nilcohom", "catalog", "--dim", "3"],
                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
     if read_line:
         assert child.stdout.readline().startswith(b"| id |")

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import nilcohom
+from nilcohom.algebra import Form
 from nilcohom.cli import main
 
 SRC = Path(nilcohom.__file__).resolve().parents[1]
@@ -106,6 +107,20 @@ def test_only_algebra_counts_monomials_and_only_linalg_multiplies_matrices():
             if isinstance(getattr(node, "op", None), ast.MatMult) and path.stem != "linalg":
                 products.append((path.stem, node.lineno))
     assert counters == [] and products == []
+
+
+def test_a_form_is_a_value_with_one_reader_per_public_member():
+    # the engine takes d, del delbar and wedges on integral columns, so a
+    # Form only carries constants in and reports out; sums, multiples and
+    # conjugates of forms are the tests' own (tests/d_oracle.py)
+    public = {name for name in vars(Form) if not name.startswith("_")} - set(Form.__slots__)
+    assert public == {
+        "single",  # criterion 2, in tests/test_acceptance.py
+        "is_zero",  # cli._cmd_skt, the parser's render and the abelian check
+        "items",  # Form.__str__, which the d^2 reports print, and parser._render_real
+        "coefficient",  # cli._cmd_skt
+        "wedge",  # perfbench/tracing.HOOKS, until the trace drops that hook
+    }
 
 
 def _exactness_breaches(package: Path) -> list:

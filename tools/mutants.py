@@ -215,7 +215,7 @@ MUTANTS = [
     Mutant("wedge_row landing in the places of the wrong degree", ALGEBRA,
            "degree_basis(holo, anti, k + 2)[1]", "degree_basis(holo, anti, k + 1)[1]"),
     Mutant("conjugate's sign dropped in the triple Hermitian check", METRICS,
-           "a.y != -b.y", "a.y != b.y"),
+           "if cells[j][k] != (x, -y, d):", "if cells[j][k] != (x, y, d):"),
     Mutant("dF memo read for any structure", METRICS,
            "if of is None or of() is not cs:", "if of is None:"),
     Mutant("wedge reads F at the monomial's place, not the 2-form's", METRICS,
