@@ -6,7 +6,8 @@ was written, 2 validation failure (d-square, nilpotency, binding problems), 3
 golden or curve-point mismatch.  All input and output is ASCII; random metric
 sampling always runs from an explicit or defaulted seed, so every command is
 deterministic, and ``--seed`` or ``--count`` without ``skt --metric random``
-is a usage error.
+is a usage error, as is a negative seed, which ``random.Random`` would read as
+its absolute value.
 
 Each output format has one writer: ``_md_table`` for Markdown tables,
 ``_csv_table`` for CSV and ``render_json`` for JSON.  A command builds a header
@@ -354,6 +355,8 @@ def _cmd_skt(args) -> tuple[int, str]:
     count = 20 if args.count is None else args.count
     if count < 1:
         raise _UsageError("--count must be at least 1")
+    if seed < 0:
+        raise _UsageError("--seed must be nonnegative")
     from . import metrics as me
 
     cs = _structure_from_args(args)

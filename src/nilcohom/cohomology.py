@@ -17,7 +17,11 @@ structure, and the (p,q+1) rows come first, del and delbar are read off
 that slice's one elimination, never cut out of it: the pivots led in the
 (p+1,q) rows have no delbar part, so the other pivots carry a basis of im
 delbar in their rows before the cut (the first (p+1,q) row), and their
-remaining rows, resumed from the (p+1,q)-led pivots, span im del.
+remaining rows, resumed from the (p+1,q)-led pivots, span im del.  Each of
+those other pivots is ``d x`` for a (p,q)-form x, its two parts delbar x and
+del x, and ``d^2 = 0`` makes d of the one minus d of the other: both are del
+delbar x up to sign, so del delbar is ranked from d of the parts in the
+smaller slot, the del parts when p > q.
 
 Everything that depends on n alone is compiled once per n.  :func:`_steps`
 turns the (p,q) loop into a list of steps, each holding its degree, its
@@ -145,8 +149,14 @@ def _rank_list(cs: ComplexStructure) -> list:
       (p+1,q)-led pivots, as im del = del(ker delbar) + del of the
       complement; the resumed pivots span im del(p,q) and start the concat of
       (p+1,q);
-    * ``dd``: ``d[k+1]`` applied to the delbar basis, whose delbar^2 part is
-      0, so it is the image of del delbar.
+    * ``dd``: ``d[k+1]`` applied to one part of each of those pivots.  A
+      pivot is ``d x`` for a (p,q)-form x, a combination of the slot's
+      columns, so its delbar part is delbar x and its del part del x; as
+      ``d^2 = 0`` (checked when the structure is built), ``d(delbar x) = del
+      delbar x = -d(del x)``.  The two products are the same vectors up to
+      sign, with the same elimination and rank, so the step applies
+      ``d[k+1]`` to the part in the smaller slot: the del parts when p > q,
+      where (p+1,q) is smaller than (p,q+1), else the delbar basis.
 
     ``total(k)`` resumes from the first slot's stack pivots with the other
     slots' stack pivots, which span their images.  ``exact_rank`` is looked
@@ -177,8 +187,8 @@ def _rank_list(cs: ComplexStructure) -> list:
                 below[lead] = v
         ranks.append(len(image))
         ranks.append(exact_rank(rows, parts, below) if any(parts) else len(below))
-        if dd is not None:  # del delbar
-            product = d[k + 1].apply(image) if dd else ()
+        if dd is not None:  # del delbar, from the parts in the smaller slot: del's when p > q
+            product = d[k + 1].apply(parts if p > k - p else image) if dd else ()
             ranks.append(exact_rank(dd, product) if any(product) else 0)
     for rows, first, *rest in totals:
         spans = [v for i in rest for v in stacks[i].values()]

@@ -274,7 +274,12 @@ def is_balanced(cs: ComplexStructure, h: HermitianForm) -> bool:
 
 def random_positive_forms(n: int, count: int, seed: int = 0) -> list[HermitianForm]:
     """Deterministic sample of positive forms: small Hermitian perturbations
-    of a random positive diagonal, with non-positive draws rejected."""
+    of a random positive diagonal, with non-positive draws rejected.
+
+    ``seed`` must be nonnegative: ``random.Random`` seeds an int by its
+    absolute value, so seed -s would draw the forms of seed s."""
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     import random
 
     rng = random.Random(seed)

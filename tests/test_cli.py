@@ -170,6 +170,14 @@ def test_skt_count_must_be_positive(capsys):
         assert err == "error: --count must be at least 1\n"
 
 
+def test_skt_seed_must_be_nonnegative(capsys):
+    # random.Random seeds an int by its absolute value, so seed -3 would
+    # print "seed -3" over the sweep of seed 3
+    for seed in ("-3", "-1"):
+        assert run(capsys, "skt", "--case", "12", "--metric", "random", "--seed", seed) == (
+            1, "", "error: --seed must be nonnegative\n"), seed
+
+
 def test_skt_seed_and_count_need_the_random_metric(capsys):
     for flags in (["--seed", "3", "--count", "4"], ["--seed", "0"], ["--count", "20"],
                   ["--metric", "standard", "--seed", "3"]):

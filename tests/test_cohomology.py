@@ -106,8 +106,9 @@ def test_full_table_eliminates_each_slot_of_d_once(monkeypatch, structures):
     # d on a (p,q) slot is ranked once, as a whole; the del, delbar and dd
     # ranks are read off its pivots, so no other call sees a column of d.
     # The other calls get only what eliminations put out: per slot, the del
-    # parts (del), the delbar parts (dd and concat) of its delbar-led pivots,
-    # and its pivots (total)
+    # parts (del) and the delbar parts (concat) of its delbar-led pivots, d
+    # of one of those parts (dd: of the del parts when p > q, else of the
+    # delbar parts), and its pivots (total)
     for cs, ranked in _ranked_columns(monkeypatch, structures):
         n, ranks = cs.n, co._ranks(cs)
         bounds = {(p, k): (lo, hi) for p, k, lo, hi, *_ in co._steps(n)[0]}
@@ -423,6 +424,45 @@ def test_d_blocks_match_the_glued_oracle_on_the_catalog(structures):
 def test_d_blocks_match_the_glued_oracle_beyond_the_catalog(cs):
     _assert_matches_the_glued_oracle(cs, cs.d_omega)
     assert co.differential_identities_ok(cs)
+
+
+def _assert_dd_reads_either_part_of_each_pivot(cs, label):
+    # each delbar-led stack pivot is d x for a (p,q)-form x: its head, the
+    # rows before the cut, is delbar x and its tail del x, and d^2 = 0 makes
+    # d(head) = del delbar x = -d(tail).  So dd may be ranked from either
+    # part; every dd rank is recomputed here from the heads
+    ranks, steps = co._ranks(cs), co._steps(cs.n)[0]
+    checked = [step for step in steps if step[-1] is not None]
+    assert len(checked) == sum(key[0] == "dd" for key in ranks), label
+    for p, k, lo, hi, cut, _, rows, dd in checked:
+        pivots, after = {}, cs.matrix(k + 1)
+        exact_rank(rows, cs.matrix(k).columns[lo:hi], pivots)
+        led = [v for lead, v in pivots.items() if lead < cut]
+        heads = after.apply([{r: e for r, e in v.items() if r < cut} for v in led])
+        tails = after.apply([{r: e for r, e in v.items() if r >= cut} for v in led])
+        assert heads == [{r: (-x, -y) for r, (x, y) in v.items()} for v in tails], \
+            (label, p, k - p)
+        assert ranks["dd", p, k - p] == exact_rank(dd, heads), (label, p, k - p)
+
+
+def test_dd_reads_either_part_of_each_pivot_on_the_catalog(structures):
+    for case_id, cs in structures.items():
+        _assert_dd_reads_either_part_of_each_pivot(cs, case_id)
+
+
+def test_dd_reads_either_part_of_each_pivot_in_random_coframes(all_cases, structures):
+    # dense pivots, whose heads and tails both meet full columns of d
+    for seed in (39, 40):
+        rng = random.Random(seed)
+        for case in all_cases:
+            changed = _in_a_random_coframe(rng, structures[case.id])
+            _assert_dd_reads_either_part_of_each_pivot(changed, (seed, case.id))
+
+
+@settings(derandomize=True, max_examples=30, deadline=None, database=None)
+@given(triangular_structures())
+def test_dd_reads_either_part_of_each_pivot_beyond_the_catalog(cs):
+    _assert_dd_reads_either_part_of_each_pivot(cs, cs.d_omega)
 
 
 def _assert_the_scale_contract(cs, label):

@@ -260,6 +260,13 @@ def test_random_positive_forms_are_deterministic_and_positive():
     assert sample != other
 
 
+def test_random_positive_forms_refuse_a_negative_seed():
+    # random.Random(-17) draws as random.Random(17): the sample would be seed 17's
+    for seed in (-17, -1):
+        with pytest.raises(ValueError, match="seed must be nonnegative"):
+            me.random_positive_forms(3, 8, seed=seed)
+
+
 def _forms(n):
     """The standard form and three seeded random positive forms."""
     return [me.standard_form(n), *me.random_positive_forms(n, 3, seed=5)]

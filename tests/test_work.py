@@ -17,5 +17,7 @@ def test_two_runs_of_the_work_ledger_print_the_same_counts():
     for layer in ("parser.match _ITEM", "elimination.(every kind) steps", "apply.columns",
                   "algebra._reduced calls", "build.degree 2 builds",
                   "build.degree 2 Leibniz triples read", "elimination.content steps that divide",
-                  "elimination.steps, largest entry 000-015 bits"):
+                  "elimination.steps, largest entry 000-015 bits", "apply.dd inner products",
+                  "apply.check_d_squared inner products", "apply._d_of inner products",
+                  "apply._ddbar inner products"):
         assert f"  {layer} " in first

@@ -180,6 +180,22 @@ MUTANTS = [
            "if any(columns) else 0", "if not any(columns) else 0"),
     Mutant("dd guard", COHOMOLOGY,
            "dd = None if q == n else", "dd = None if q >= n - 1 else"),
+    Mutant("dd applied to whole pivots, whose d is 0", COHOMOLOGY,
+           "apply(parts if p > k - p else image)", "apply(list(pivots.values()))"),
+    Mutant("dd applied by the slot's own degree matrix", COHOMOLOGY,
+           "d[k + 1].apply(parts if", "d[k].apply(parts if"),
+    Mutant("dd applied to the del pivots", COHOMOLOGY,
+           "apply(parts if p > k - p else image)", "apply(list(below.values()))",
+           equivalent="the resumed del pivots span im del, and d of im del is delbar del "
+                      "= -del delbar: the span of im del delbar, so the same rank"),
+    Mutant("dd side rule flipped", COHOMOLOGY,
+           "parts if p > k - p else image", "parts if p < k - p else image",
+           equivalent="d of the del parts is minus d of the delbar parts, so either side "
+                      "gives the same vectors up to sign, the same pivots and rank"),
+    Mutant("dd from the del parts at every step", COHOMOLOGY,
+           "parts if p > k - p else image", "parts",
+           equivalent="d of the del parts is minus d of the delbar parts, so either side "
+                      "gives the same vectors up to sign, the same pivots and rank"),
     Mutant("THEORIES terms", COHOMOLOGY,
            '("bott_chern", "h_bc", 1, ((-1, "stack", 0, 0), (-1, "dd", -1, -1))),',
            '("bott_chern", "h_bc", 1, ((-1, "stack", 0, 0), (-1, "dd", 0, 0))),'),

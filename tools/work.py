@@ -17,7 +17,10 @@ module and class attributes, after the ops are made and before the pass:
   call in its caller's source (``stack``, ``concat``, ``del``, ``dd``,
   ``total`` in ``cohomology._rank_list``), or else by the calling function;
 * ``apply``: calls, columns and inner products (one per source entry and
-  entry of the column it selects);
+  entry of the column it selects), in all and per caller: ``dd`` for the
+  one ``apply`` call of ``cohomology._rank_list``, and otherwise the calling
+  function (``check_d_squared``, ``check_nilpotency``, ``_d_of``,
+  ``_ddbar``);
 * build: per degree k, the Leibniz triples that the build of ``matrix(k)``
   reads, summed over the structure's ``_terms`` (degree 0 and the top
   degree read none), and the builds;
@@ -128,9 +131,13 @@ def install(nc, counts: Counter):
     apply = linalg.ExactMatrix.apply
 
     def counted_apply(self, columns):
-        counts["apply.calls"] += 1
-        counts["apply.columns"] += len(columns)
-        counts["apply.inner products"] += sum(len(self.columns[k]) for c in columns for k in c)
+        caller = sys._getframe(1).f_code.co_name
+        caller = "dd" if caller == "_rank_list" else caller  # its one apply call
+        products = sum(len(self.columns[k]) for c in columns for k in c)
+        for of in ("apply.", f"apply.{caller} "):
+            counts[f"{of}calls"] += 1
+            counts[f"{of}columns"] += len(columns)
+            counts[f"{of}inner products"] += products
         return apply(self, columns)
 
     linalg.ExactMatrix.apply = counted_apply
