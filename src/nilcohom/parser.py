@@ -17,24 +17,25 @@ So ``abs(B)`` is ``absB``, ``abs(B-1)`` is ``absBm1`` and ``abs(B-1/2+2i)`` is
 The lexical grammar is one table of compiled patterns at the top of this
 module (whitespace, identifiers, digits and rationals, the index digit, the
 imaginary unit).  Digits are ASCII ``0-9`` only: a superscript or an
-Arabic-Indic digit is a parse error, never a number.  Two readers use it.
+Arabic-Indic digit is a parse error, never a number.
 
-The scanner matches one token of the table at a time.  Both grammars share
-one scanner loop for ``( entry , ... )`` and one for ``term (+|-) term ...``,
-and the catalog's predicate language reads its tokens and sums through the
-same table and loop; the sign of a two-index term such as ``21`` or ``w21``
-is that of :func:`nilcohom.algebra.wedge_elements`, looked up in a table of
-all 162 pairs.
+The scanner matches one token of the table at a time.  A real algebra is
+read by it alone: one scanner loop for ``( entry , ... )`` and one for
+``term (+|-) term ...``, which the catalog's predicate language shares with
+its tokens; the sign of a two-index term such as ``21`` or ``w21`` is that
+of :func:`nilcohom.algebra.wedge_elements`, looked up in a table of all 162
+pairs.
 
-Templates and bindings are read first by patterns composed from the table's
-pieces: one match of ``_ITEM`` per template term or zero entry, separator
-included (``3/37+17/111i*w1~2,``, ``D*w2~2+``, ``w12)``, ``0,``), and one
-match of ``_ASSIGNMENT`` per binding ``name = literal``.  One builder makes
-a reduced triple of a literal's integers for both.  This reader returns
-what the scanner would, positions included, or declines: on ``conj(B)*``
-and ``abs(B-1)*``, which the scanner reads, and on every text that does not
-parse, so that the scanner alone raises and each error keeps its message
-and position.
+A template or a binding is read by one loop over its items, each taken
+with one match of a pattern composed from the table's pieces: ``_ITEM``
+for a template term or zero entry with its separator (``3/37+17/111i*w1~2,``,
+``D*w2~2+``, ``w12)``, ``0,``), ``_ASSIGNMENT`` for a binding's
+``name = literal`` with its ``;``.  One builder makes a reduced triple of a
+literal's integers for both.  The scanner reads, from its start, only an
+item that this match cannot take: a ``conj(..)`` or ``abs(..)``
+coefficient, a repeated index or name, a zero entry after a sign, and
+every error, so that each error keeps its message and position.  A text
+that the patterns read whole makes no scanner.
 
 Errors carry 1-based line/column positions pointing inside the offending
 token.
@@ -70,18 +71,20 @@ _DENOMINATOR = re.compile(r"0*[1-9][0-9]*")  # positive: the scanner reports a z
 _GAUSSIAN = (r"(?:({i})|(-?)({d})(?:/({q}))?{s}(?:({i})|({sign}){s}(?:({d})(?:/({q}))?)?{s}{i})?)"
              .format(i=_I.pattern, d=_DIGITS.pattern, q=_DENOMINATOR.pattern, s=_WS.pattern,
                      sign=_SIGN.pattern))
-# one step of the template reader, at the start of an entry or after a sign:
+# one item of a template, at the start of an entry or after a sign:
 # a zero entry, or a whole term ``[coeff *] w a [~] b``, then the separator
 # after it.  The coefficient, absent from a bare w-term, is a literal or a
 # plain name that is not a w-term.  A zero is never backtracked into a
 # literal: '0/7*w12' is not a term here.
+_END = re.compile(r"[,)]")  # the end of an entry, the separator after a zero entry
+_SEPARATOR = re.compile(r"[-+,)]")  # the separator after a term
 _ITEM = re.compile(
-    r"(?:{zero}(?={s}[,)])|(?!{zero})(?:({lit}|((?!{w}){name})){s}\*{s})?w({x}~?{x}))"
-    r"{s}([-+,)]){s}".format(
-        zero=_ZERO.pattern, lit=_GAUSSIAN, s=_WS.pattern, w=_W_TERM.pattern,
-        name=_IDENT.pattern, x=_INDEX.pattern))
+    r"(?:{zero}(?={s}{end})|(?!{zero})(?:({lit}|((?!{w}){name})){s}\*{s})?w({x}~?{x}))"
+    r"{s}({sep}){s}".format(
+        zero=_ZERO.pattern, end=_END.pattern, lit=_GAUSSIAN, s=_WS.pattern,
+        w=_W_TERM.pattern, name=_IDENT.pattern, x=_INDEX.pattern, sep=_SEPARATOR.pattern))
 _OPEN = re.compile(r"{s}\({s}".format(s=_WS.pattern))
-# one step of the binding reader: ``name = literal``, then ';' or the end
+# one item of a binding: ``name = literal``, then ';' or the end
 _ASSIGNMENT = re.compile(r"{s}({name}){s}={s}{lit}{s}(?:;{s}|\Z)".format(
     s=_WS.pattern, name=_IDENT.pattern, lit=_GAUSSIAN))
 
@@ -207,21 +210,8 @@ def parse_gaussian(text: str) -> Gaussian:
 
 
 # ---------------------------------------------------------------------------
-# shared grammar: tuples, signed sums, two-index monomials
+# shared grammar: signed sums, two-index monomials
 # ---------------------------------------------------------------------------
-
-def _parse_tuple(sc: _Scanner, parse_entry) -> list:
-    """``( entry , ... )`` filling the whole input; ``parse_entry`` returns a list."""
-    sc.expect("(")
-    entries = parse_entry(sc)
-    while sc.match(","):
-        entries += parse_entry(sc)
-    sc.expect(")")
-    sc.skip_ws()
-    if not sc.at_end():
-        sc.error("trailing characters after ')'")
-    return entries
-
 
 def _parse_sum(sc: _Scanner, parse_term) -> list:
     """``term (+|-) term ...`` as a list of (sign, position, term)."""
@@ -262,7 +252,14 @@ def _parse_pair(sc: _Scanner, conjugable: bool) -> tuple[BasisElement, int]:
 
 def parse_real_algebra(src: str) -> RealAlgebra:
     sc = _Scanner(src)
-    raw_entries = _parse_tuple(sc, _parse_real_entry)
+    sc.expect("(")
+    raw_entries = _parse_real_entry(sc)
+    while sc.match(","):
+        raw_entries += _parse_real_entry(sc)
+    sc.expect(")")
+    sc.skip_ws()
+    if not sc.at_end():
+        sc.error("trailing characters after ')'")
     dim = len(raw_entries)
     forms = []
     for terms in raw_entries:
@@ -288,11 +285,46 @@ def _parse_real_entry(sc: _Scanner) -> list:
 # ---------------------------------------------------------------------------
 
 def parse_complex_structure(src: str) -> ComplexStructureTemplate:
-    # the reader declines conj(..), abs(..) and every error
-    raw_entries = _read_entries(src) or _parse_tuple(_Scanner(src), _parse_cform)
+    sc = None  # the scanner, made on demand
+
+    def error(message: str, pos: int):
+        (sc or _Scanner(src)).error(message, pos)
+
+    m = _OPEN.match(src)
+    if m is None:
+        error("expected '('", _WS.match(src).end())
+    pos, sep, raw_entries = m.end(), ",", []
+    while sep != ")":
+        sign = -1 if sep == "-" else 1
+        if sep == ",":  # an entry starts here
+            terms = []
+            raw_entries.append((pos, terms))
+        m = _ITEM.match(src, pos)
+        if m is not None:
+            coeff, *literal, name, pair, sep = m.groups()
+            merged = _PAIRS.get(pair)  # None for a zero entry and for a repeated index
+            if merged is not None or not (pair or terms):  # a term, or a zero opening an entry
+                if merged is not None:  # its coefficient: a name, a literal, or a bare w-term's 1
+                    coeff = Param(name) if name else Lit(_gaussian(*literal)) if coeff else _UNIT
+                    terms.append((sign, pos, (coeff, merged)))
+                pos = m.end()
+                continue
+        # conj(..), abs(..), a repeated index, a zero after a sign or an error:
+        # the scanner reads this one item from its start, and raises on an error
+        sc = sc or _Scanner(src)
+        sc.pos = pos
+        zero = not terms and sc.scan(_ZERO)
+        if not zero:
+            terms.append((sign, pos, _parse_cterm(sc)))
+        sc.skip_ws()
+        sep = sc.scan(_END if zero else _SEPARATOR, "expected ')'")
+        sc.skip_ws()
+        pos = sc.pos
+    if pos < len(src):
+        error("trailing characters after ')'", pos)
     n = len(raw_entries)
     if n > 9:  # no term can name a tenth generator, and the table grows like 4^n
-        _Scanner(src).error("too many entries: generators are numbered 1-9", raw_entries[9][0])
+        error("too many entries: generators are numbered 1-9", raw_entries[9][0])
     params: list[str] = []
     moduli: dict[str, Mod] = {}
     entries = []
@@ -300,7 +332,7 @@ def parse_complex_structure(src: str) -> ComplexStructureTemplate:
         out = []
         for sign, pos, (coeff, (elem, orient)) in terms:
             if max(elem.holo + elem.anti) > n:
-                _Scanner(src).error(f"index out of range for complex dimension {n}", pos)
+                error(f"index out of range for complex dimension {n}", pos)
             if sign * orient < 0:
                 coeff = _negate_expr(coeff)
             if isinstance(coeff, Param) and coeff.name not in params:
@@ -308,7 +340,7 @@ def parse_complex_structure(src: str) -> ComplexStructureTemplate:
             if isinstance(coeff, Mod):
                 mod = coeff._replace(negated=False)
                 if moduli.setdefault(mod.name, mod) != mod:
-                    _Scanner(src).error(f"conflicting declarations of {mod.name}", pos)
+                    error(f"conflicting declarations of {mod.name}", pos)
                 if mod.param not in params:
                     params.append(mod.param)
             out.append((coeff, elem))
@@ -324,35 +356,6 @@ def _negate_expr(expr):
     return expr._replace(negated=not expr.negated)
 
 
-def _read_entries(src: str) -> list | None:
-    """What ``_parse_tuple(sc, _parse_cform)`` returns for ``src``, read with
-    one match of ``_ITEM`` per term or zero entry; None where the scanner
-    must read (``conj(..)``, ``abs(..)``) or report."""
-    m = _OPEN.match(src)
-    if m is None:
-        return None
-    pos, entries, terms, sign = m.end(), [], None, 1
-    while (m := _ITEM.match(src, pos)) is not None:
-        coeff, *literal, name, pair, sep = m.groups()
-        if terms is None:  # an entry starts here
-            terms = []
-            entries.append((pos, terms))
-        merged = _PAIRS.get(pair)  # None for a zero entry and for a repeated index
-        if merged is not None:  # its coefficient: a name, a literal, or a bare w-term's 1
-            coeff = Param(name) if name else Lit(_gaussian(*literal)) if coeff else _UNIT
-            terms.append((sign, pos, (coeff, merged)))
-        elif pair or terms:  # a repeated index, or a zero entry after a sign
-            return None
-        pos = m.end()
-        if sep == ")":
-            return entries if pos == len(src) else None
-        if sep == ",":
-            terms, sign = None, 1
-        else:
-            sign = -1 if sep == "-" else 1
-    return None
-
-
 def _gaussian(unit, minus, num, den, imag, sign, mag, mag_den) -> Gaussian:
     """The literal that the eight groups of ``_GAUSSIAN`` spell."""
     # an absent numerator or denominator is 1
@@ -361,15 +364,6 @@ def _gaussian(unit, minus, num, den, imag, sign, mag, mag_den) -> Gaussian:
     if unit or imag:
         (x, d), (y, e) = (0, 1), (x, d)
     return _reduced(x * e, y * d, d * e)
-
-
-def _parse_cform(sc: _Scanner) -> list:
-    """One entry as ``[(position, terms)]``; a zero entry has no terms."""
-    sc.skip_ws()
-    start = sc.pos
-    if sc.scan(_ZERO):
-        return [(start, [])]
-    return [(start, _parse_sum(sc, _parse_cterm))]
 
 
 # a shift's literal in a modulus name: '/', '+', '-' are spelt '_', 'p', 'm'
@@ -411,35 +405,28 @@ def _parse_cterm(sc: _Scanner) -> tuple:
 # ---------------------------------------------------------------------------
 
 def parse_binding(src: str) -> dict[str, Gaussian]:
-    values = _read_binding(src)
-    if values is not None:
-        return values
-    sc = _Scanner(src)
-    values = {}
-    sc.skip_ws()
-    while not sc.at_end():
-        name, pos = sc.scan_ident()
+    values, pos, sc = {}, 0, None
+    while pos < len(src):
+        m = _ASSIGNMENT.match(src, pos)
+        if m is not None and m[1] not in values:
+            name, *literal = m.groups()
+            values[name] = _gaussian(*literal)
+            pos = m.end()
+            continue
+        sc = sc or _Scanner(src)  # it reads this assignment from its start
+        sc.pos = pos
+        sc.skip_ws()
+        if sc.at_end():  # a text of whitespace
+            break
+        name, at = sc.scan_ident()
         if name in values:
-            sc.error(f"repeated assignment to {name}", pos)
+            sc.error(f"repeated assignment to {name}", at)
         sc.expect("=")
         values[name] = sc.scan_gaussian()
         if not sc.match(";") and not sc.at_end():
             sc.error("expected ';' or end of input")
         sc.skip_ws()
-    return values
-
-
-def _read_binding(src: str) -> dict[str, Gaussian] | None:
-    """What the scanner reads from ``src``, with one match of ``_ASSIGNMENT``
-    per assignment; None where the scanner must report an error."""
-    values, pos = {}, 0
-    while pos < len(src):
-        m = _ASSIGNMENT.match(src, pos)
-        if m is None or m[1] in values:  # an error, or a repeated name
-            return None
-        name, *literal = m.groups()
-        values[name] = _gaussian(*literal)
-        pos = m.end()
+        pos = sc.pos
     return values
 
 

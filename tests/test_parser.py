@@ -1,5 +1,6 @@
 import importlib.util
 import random
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,11 +11,8 @@ from nilcohom.algebra import BasisElement, Gaussian
 from nilcohom.catalog import evaluate_predicate
 from nilcohom.model import Lit, Param
 from nilcohom.parser import (
+    _ITEM,
     ParseError,
-    _parse_cform,
-    _parse_tuple,
-    _read_binding,
-    _read_entries,
     _Scanner,
     parse_binding,
     parse_complex_structure,
@@ -253,6 +251,9 @@ def _predicate(text):
     (parse_complex_structure, "(0,0,2*x12)", "expected a w-term", 1, 8),
     (parse_complex_structure, "(0,0,w0)", "expected an index digit 1-9", 1, 7),
     (parse_complex_structure, "(0,0,conj (D)*w12)", "expected '*'", 1, 11),
+    (parse_complex_structure, " x(0)", "expected '('", 1, 2),
+    (parse_complex_structure, "(0,0,w12) x", "trailing characters after ')'", 1, 11),
+    (parse_complex_structure, "(0,0,abs(D)*w12)\n )", "trailing characters after ')'", 2, 2),
     (parse_real_algebra, "(0^3,12,1 3)", "expected an index digit 1-9", 1, 10),
     (parse_real_algebra, "(0^0)", "expected an index digit 1-9", 1, 4),
     (_predicate, "re(D) - 1/0 > 0", "malformed rational: zero denominator", 1, 11),
@@ -314,8 +315,9 @@ def test_parse_render_roundtrip_on_the_dense_coframe_texts(all_cases, seed):
 
 # Every error a template term can raise, with its column.  A term with a
 # literal coefficient is read whole by one pattern, and the scanner reads
-# the template again wherever that pattern declines, a zero denominator or a
-# repeated index included; these are the scanner's messages and positions.
+# the term wherever that pattern cannot, a zero denominator, a repeated
+# index and a zero after a sign included; these are the scanner's messages
+# and positions.
 @pytest.mark.parametrize("text, message, column", [
     ("(0,0,-i*w12)", "expected digits after '-'", 7),
     ("(0,0,1/0+2i*w12)", "malformed rational: zero denominator", 8),
@@ -333,6 +335,7 @@ def test_parse_render_roundtrip_on_the_dense_coframe_texts(all_cases, seed):
     ("(0,0,3 i * w 12)", "expected an index digit 1-9", 13),
     ("(0,0,1+2١i*w12)", "expected '*'", 7),
     ("(0,0,١*w12)", "expected a coefficient or a w-term", 6),
+    ("(0,0,w12+0)", "expected '*'", 11),  # a zero entry after a sign
 ])
 def test_every_error_of_a_template_term(text, message, column):
     with pytest.raises(ParseError) as info:
@@ -406,17 +409,18 @@ def test_bindings_at_their_edges(text, expected):
         assert parse_binding(text) == expected
 
 
-def _scanned(read, text):
-    """What the scanner alone makes of ``text``: the value ``read`` returns,
-    or its error's message and position."""
+def _read(parse, text):
+    """The value ``parse`` returns for ``text``, its error's message and
+    position, or the name and text of another exception."""
     try:
-        return read(text)
+        return parse(text)
     except ParseError as err:
         return err.message, err.line, err.column
+    except Exception as err:  # a template the model rejects
+        return type(err).__name__, str(err)
 
 
-def _scanned_entries(text):
-    return _parse_tuple(_Scanner(text), _parse_cform)
+_NEVER = re.compile(r"(?!)")  # a pattern that matches nowhere
 
 
 # characters that texts are made of, and a few they are not
@@ -446,32 +450,89 @@ def _template_and_binding_texts(all_cases):
 
 
 def test_the_readers_read_what_the_scanner_reads(all_cases, monkeypatch):
-    # the one-match readers return the scanner's entries and values,
-    # positions included, wherever they accept, and decline wherever the
-    # scanner raises; every unedited text without conj(..) or abs(..) is
-    # read by them
+    # the loops return what they return with their composed patterns
+    # disabled, where the scanner reads every item: the same value, or an
+    # error with the same message and position.  No unedited text without
+    # conj(..) or abs(..) makes a scanner, and the patterns read more than a
+    # tenth of the edited texts whole
+    made = []  # the texts a scanner is made for
+
+    class Counted(_Scanner):
+        def __init__(self, text):
+            made.append(text)
+            super().__init__(text)
+
     templates, bindings = _template_and_binding_texts(all_cases)
+    monkeypatch.setattr(nilcohom.parser, "_Scanner", Counted)
     for text in templates:
-        assert (_read_entries(text) is None) == ("conj(" in text or "abs(" in text), text
-    assert all(_read_binding(text) is not None for text in bindings)
-    rng, accepted = random.Random(5), []
-    monkeypatch.setattr(nilcohom.parser, "_read_binding", lambda src: None)  # the scanner's
-    for texts, read, scan in ((templates, _read_entries, _scanned_entries),
-                              (bindings, _read_binding, parse_binding)):
+        parse_complex_structure(text)
+    for text in bindings:
+        parse_binding(text)
+    assert made == [text for text in templates if "conj(" in text or "abs(" in text]
+    rng, shares = random.Random(5), []
+    for texts, parse in ((templates, parse_complex_structure), (bindings, parse_binding)):
         edited = texts + [_edited(rng, rng.choice(texts)) for _ in range(3000)]
-        values = [read(text) for text in edited]
-        for text, value in zip(edited, values):
-            assert value is None or value == _scanned(scan, text), text
-        accepted.append(sum(value is not None for value in values) / len(values))
-    assert min(accepted) > 0.1, accepted
+        read, whole = [], 0
+        for text in edited:
+            made.clear()
+            read.append(_read(parse, text))
+            whole += not made
+        shares.append(whole / len(edited))
+        with monkeypatch.context() as patterns:
+            patterns.setattr(nilcohom.parser, "_ITEM", _NEVER)
+            patterns.setattr(nilcohom.parser, "_ASSIGNMENT", _NEVER)
+            for text, value in zip(edited, read):
+                assert value == _read(parse, text), text
+    assert min(shares) > 0.1, shares
+
+
+_SYMBOL_TEMPLATES = [
+    "(0,w1~1+conj(B)*w1~1,w12+conj(B)*w1~2-B*w2~1)",  # conj(..) inside entries
+    "(0,w1~1,abs(B-1)*w2~1+w12+B*w1~2)",  # abs(..) at an entry's start
+    "(0,conj(B)*w1~1,w12+B*w1~2+abs(B)*w2~1)",
+    "(0,0,w12+conj(B)*w14)",  # an index out of range, in a term the scanner reads
+    "(0,0,abs(B)*w1~2+abs(B)*w12-abs(B-1)*w2~1-abs(B-1)*w21)",
+    "(0,0,abs(B)*w1~2+w1~1,w12+abs(B-1)*w2~1)",  # a fourth entry
+]
+
+
+def test_the_scanner_reads_only_the_conj_and_abs_items(all_cases, monkeypatch):
+    # of the catalog's abs(..) templates and of conj(..) ones, the scanner
+    # reads each conj(..) and abs(..) term once, from its start, and nothing
+    # else; values and positions are those of the scanner alone
+    texts = [case.template_text for case in all_cases if "abs(" in case.template_text]
+    assert len(texts) == 4
+    texts += _SYMBOL_TEMPLATES
+    read, starts = nilcohom.parser._parse_cterm, []
+
+    def spied(sc):
+        # checked before the term is read: a loop that went back to an
+        # earlier item would read it again and again
+        assert sc.text.startswith(("conj(", "abs("), sc.pos), (sc.text, sc.pos)
+        starts.append(sc.pos)
+        return read(sc)
+
+    with monkeypatch.context() as spy:
+        spy.setattr(nilcohom.parser, "_parse_cterm", spied)
+        values = []
+        for text in texts:
+            starts.clear()
+            values.append(_read(parse_complex_structure, text))
+            assert starts == [m.start() for m in re.finditer(r"conj\(|abs\(", text)], text
+    monkeypatch.setattr(nilcohom.parser, "_ITEM", _NEVER)
+    assert values == [_read(parse_complex_structure, text) for text in texts]
+    assert values[texts.index("(0,0,w12+conj(B)*w14)")] == (
+        "index out of range for complex dimension 3", 1, 10)
 
 
 @pytest.mark.parametrize("text", [
     "(0/761-40/761i*w1~1,0,0)",  # not backtracked into the literal 0/761-40/761i
     "(0+w12,0,0)",  # a zero entry followed by a sign
 ])
-def test_a_zero_entry_is_never_read_as_a_term(text):
-    assert _read_entries(text) is None
-    with pytest.raises(ParseError) as info:
-        parse_complex_structure(text)
-    assert (info.value.message, info.value.line, info.value.column) == ("expected ')'", 1, 3)
+def test_a_zero_entry_is_never_read_as_a_term(text, monkeypatch):
+    assert _ITEM.match(text, 1) is None
+    for pattern in (_ITEM, _NEVER):  # with the composed pattern, then the scanner alone
+        monkeypatch.setattr(nilcohom.parser, "_ITEM", pattern)
+        with pytest.raises(ParseError) as info:
+            parse_complex_structure(text)
+        assert (info.value.message, info.value.line, info.value.column) == ("expected ')'", 1, 3)

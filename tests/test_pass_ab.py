@@ -11,9 +11,9 @@ ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "pass_ab.py"
 
 
-def _pass_ab(other, workload):
+def _pass_ab(other, workload, ops="3"):
     return subprocess.run([sys.executable, "-B", str(TOOL), str(other), "--workload", workload,
-                           "--rounds", "1", "--ops", "3"],
+                           "--rounds", "1", "--ops", ops],
                           capture_output=True, text=True, timeout=300)
 
 
@@ -36,3 +36,10 @@ def test_an_engine_that_fails_the_check_is_not_timed(tmp_path):
     proc = _pass_ab(tmp_path, "metric_sweep")
     assert proc.returncode == 1 and proc.stdout == ""
     assert "other " in proc.stderr and "pluriclosed True != golden skt False" in proc.stderr
+
+
+@pytest.mark.parametrize("ops", ["0", "-200"])
+def test_an_op_count_below_one_is_a_usage_error(ops):
+    proc = _pass_ab(ROOT, "metric_sweep", ops)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "--ops must be at least 1" in proc.stderr

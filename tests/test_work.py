@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -21,3 +23,11 @@ def test_two_runs_of_the_work_ledger_print_the_same_counts():
                   "apply.check_d_squared inner products", "apply._d_of inner products",
                   "apply._ddbar inner products"):
         assert f"  {layer} " in first
+
+
+@pytest.mark.parametrize("ops", ["0", "-200"])
+def test_an_op_count_below_one_is_a_usage_error(ops):
+    proc = subprocess.run([sys.executable, "-B", str(ROOT / "tools" / "work.py"), "--ops", ops],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "--ops must be at least 1" in proc.stderr

@@ -256,12 +256,16 @@ MUTANTS = [
            'r"0*[1-9][0-9]*"', 'r"[0-9]+"'),
     Mutant("a zero entry read as a literal", PARSER,
            "|(?!{zero})(?:(", "|(?:("),
-    Mutant("a repeated binding name accepted by the reader", PARSER,
-           "if m is None or m[1] in values:", "if m is None:"),
-    Mutant("the reader's end-of-text check dropped", PARSER,
-           "return entries if pos == len(src) else None", "return entries"),
-    Mutant("the sign after a term carried into the next entry", PARSER,
-           "terms, sign = None, 1", "terms = None"),
+    Mutant("a repeated binding name accepted by its pattern", PARSER,
+           "if m is not None and m[1] not in values:", "if m is not None:"),
+    Mutant("the template's end-of-text check dropped", PARSER,
+           '    if pos < len(src):\n        error("trailing characters after \')\'", pos)\n', ""),
+    Mutant("a template's minus separator read as a plus", PARSER,
+           'sign = -1 if sep == "-" else 1', "sign = 1"),
+    Mutant("a zero entry accepted after a sign", PARSER,
+           "if merged is not None or not (pair or terms):", "if merged is not None or not pair:"),
+    Mutant("the fallback scanner starts at the entry start, not the item start", PARSER,
+           "        sc.pos = pos\n        zero = ", "        sc.pos = raw_entries[-1][0]\n        zero = "),
     Mutant("name branch admitting a w-term", PARSER,
            "((?!{w}){name})", "({name})"),
     Mutant("predicate literal with a signed tail", CATALOG,

@@ -81,6 +81,8 @@ def main(argv=None) -> int:
         ap.error(f"--workload must be one of {', '.join(workloads.WORKLOADS)}")
     if args.rounds < 1:
         ap.error("--rounds must be at least 1")
+    if args.ops is not None and args.ops < 1:
+        ap.error("--ops must be at least 1")
     w = workloads.WORKLOADS[args.workload]
     engines = {"this": load_engine(ROOT, "nilcohom_this"),
                "other": load_engine(args.other.resolve(), "nilcohom_other")}

@@ -213,6 +213,8 @@ def main(argv=None) -> int:
     ap.add_argument("--ops", type=int, help="only the first N ops of each workload")
     ap.add_argument("--child", nargs=2, help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
+    if args.ops is not None and args.ops < 1:
+        ap.error("--ops must be at least 1")
     if args.child:
         child(Path(args.child[0]), args.child[1], args.seed, args.ops)
         return 0
